@@ -229,6 +229,8 @@ def _take(mapping, key, default=None, kind=float):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(key, f"expected a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(key, f"must be finite, got {value!r}")
         return float(value)
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -285,12 +287,10 @@ def _build_channel(mapping):
     kappa = _take(mapping, "channel.kappa")
     if kappa is None:
         raise ConfigError("channel.kappa", "required when a channel section is given")
+    eps_p = _take(mapping, "channel.eps_p", 0.0)
+    eps_a = _take(mapping, "channel.eps_a", 0.0)
     try:
-        return ChannelParams(
-            kappa=kappa,
-            eps_p=_take(mapping, "channel.eps_p", 0.0),
-            eps_a=_take(mapping, "channel.eps_a", 0.0),
-        )
+        return ChannelParams(kappa=kappa, eps_p=eps_p, eps_a=eps_a)
     except ValueError as exc:
         raise ConfigError("channel", str(exc)) from None
 
@@ -430,9 +430,6 @@ def resolve_run_config(mapping):
         raise ConfigError("output.format", f"must be json or csv, got {out_format!r}")
 
     input_mean = (_take(mapping, "input.x", 0.0), _take(mapping, "input.p", 0.0))
-    for value, key in ((input_mean[0], "input.x"), (input_mean[1], "input.p")):
-        if not math.isfinite(value):
-            raise ConfigError(key, "must be finite")
 
     return RunConfig(
         channel=channel,

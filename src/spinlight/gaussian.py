@@ -205,14 +205,48 @@ def displace(state, mode, dx, dp):
     return GaussianState(mean, state.cov)
 
 
-def _apply_matrix(state, matrix):
-    """Homogeneous linear update without the symplectic validation.
+def _propagate(mean, cov, transfer, noise):
+    """One affine-Gaussian step: mean -> T mean, cov -> T cov T^T + N.
 
-    Internal fast path for maps that are symplectic by construction
-    (rotations, interaction kicks); public callers go through
+    Every argument may carry leading batch axes, and ``mean`` may be a matrix
+    whose columns are propagated together (a transfer map being composed) or
+    None when only the covariance is wanted.
+    """
+    cov = transfer @ cov @ np.swapaxes(transfer, -1, -2) + noise
+    return (None if mean is None else transfer @ mean), cov
+
+
+def _apply_form(state, transfer, noise=0.0):
+    """Apply a transfer/noise pair to a state without symplectic validation.
+
+    Internal fast path for maps that are physical by construction (rotations,
+    interaction kicks, losses); public callers go through
     :func:`apply_symplectic`.
     """
-    return GaussianState(matrix @ state.mean, matrix @ state.cov @ matrix.T)
+    return GaussianState(*_propagate(state.mean, state.cov, transfer, noise))
+
+
+def _rotation_form(dim, mode, theta):
+    """Transfer matrix of a phase-space rotation of one mode of a register."""
+    c, s = math.cos(theta), math.sin(theta)
+    matrix = np.eye(dim)
+    matrix[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = [[c, s], [-s, c]]
+    return matrix
+
+
+def _loss_form(dim, mode, eps):
+    """Transfer and noise matrices of a loss channel on one mode of a register.
+
+    ``eps`` may be an array; the matrices then carry its shape as leading
+    batch axes.
+    """
+    eps = np.asarray(eps, dtype=float)
+    transfer = np.broadcast_to(np.eye(dim), eps.shape + (dim, dim)).copy()
+    noise = np.zeros(eps.shape + (dim, dim))
+    quads = [2 * mode, 2 * mode + 1]
+    transfer[..., quads, quads] = np.sqrt(1.0 - eps)[..., None]
+    noise[..., quads, quads] = (VACUUM_VARIANCE * eps)[..., None]
+    return transfer, noise
 
 
 def rotate(state, mode, theta):
@@ -222,10 +256,7 @@ def rotate(state, mode, theta):
     theta = -pi/2 sends x -> -p and p -> x.
     """
     m = _mode_of(state, mode)
-    c, s = math.cos(theta), math.sin(theta)
-    matrix = np.eye(state.mean.size)
-    matrix[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = [[c, s], [-s, c]]
-    return _apply_matrix(state, matrix)
+    return _apply_form(state, _rotation_form(state.mean.size, m, theta))
 
 
 def apply_symplectic(state, smap):
@@ -235,9 +266,8 @@ def apply_symplectic(state, smap):
             f"map dimension {smap.matrix.shape[0]} does not match "
             f"state dimension {state.mean.size}"
         )
-    mean = smap.matrix @ state.mean + smap.displacement
-    cov = smap.matrix @ state.cov @ smap.matrix.T
-    return GaussianState(mean, cov)
+    mean, cov = _propagate(state.mean, state.cov, smap.matrix, 0.0)
+    return GaussianState(mean + smap.displacement, cov)
 
 
 def loss_channel(state, mode, eps):
@@ -250,16 +280,7 @@ def loss_channel(state, mode, eps):
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"loss fraction must lie in [0, 1], got {eps}")
     m = _mode_of(state, mode)
-    t = math.sqrt(1.0 - eps)
-    rows = (2 * m, 2 * m + 1)
-    mean = state.mean.copy()
-    cov = state.cov.copy()
-    mean[list(rows)] *= t
-    cov[list(rows), :] *= t
-    cov[:, list(rows)] *= t
-    cov[rows[0], rows[0]] += eps * VACUUM_VARIANCE
-    cov[rows[1], rows[1]] += eps * VACUUM_VARIANCE
-    return GaussianState(mean, cov)
+    return _apply_form(state, *_loss_form(state.mean.size, m, eps))
 
 
 def homodyne(state, mode, quadrature, rng=None, forced=None):

@@ -27,7 +27,7 @@ from scipy.constants import hbar as HBAR
 
 import numpy as np
 
-from .gaussian import SymplecticMap, loss_channel, _apply_matrix, _mode_of
+from .gaussian import SymplecticMap, _apply_form, _loss_form, _mode_of, _propagate
 
 __all__ = [
     "PhysicalParams",
@@ -284,14 +284,27 @@ def validate_regime(params, channel, thresholds=RegimeThresholds()):
     )
 
 
+def _pass_form(dim, light, atom, kappa, eps_p, eps_a):
+    """Transfer and noise matrices of one pass on a register of ``dim`` quadratures.
+
+    The lossless kick x_p -= kappa p_a, x_a -= kappa p_p is followed by the
+    light damping eps_p and the atomic damping eps_a.  The parameters may be
+    arrays of one shape; the matrices then carry it as leading batch axes.
+    """
+    kappa = np.asarray(kappa, dtype=float)
+    kick = np.broadcast_to(np.eye(dim), kappa.shape + (dim, dim)).copy()
+    kick[..., 2 * light, 2 * atom + 1] = -kappa
+    kick[..., 2 * atom, 2 * light + 1] = -kappa
+    keep_p, add_p = _loss_form(dim, light, eps_p)
+    return _propagate(keep_p @ kick, add_p, *_loss_form(dim, atom, eps_a))
+
+
 def qnd_pass_map(kappa, light, atom, n_modes):
     """Symplectic matrix of the lossless pass: x_p -= kappa p_a, x_a -= kappa p_p."""
     if light == atom:
         raise ValueError("light and atom must be distinct modes")
-    matrix = np.eye(2 * n_modes)
-    matrix[2 * light, 2 * atom + 1] = -kappa
-    matrix[2 * atom, 2 * light + 1] = -kappa
-    return SymplecticMap(matrix, np.zeros(2 * n_modes))
+    kick, _ = _pass_form(2 * n_modes, light, atom, kappa, 0.0, 0.0)
+    return SymplecticMap(kick, np.zeros(2 * n_modes))
 
 
 def apply_pass(state, light, atom, channel):
@@ -304,10 +317,8 @@ def apply_pass(state, light, atom, channel):
     atom_idx = _mode_of(state, atom)
     if light_idx == atom_idx:
         raise ValueError("light and atom must be distinct modes")
-    kick = np.eye(state.mean.size)
-    kick[2 * light_idx, 2 * atom_idx + 1] = -channel.kappa
-    kick[2 * atom_idx, 2 * light_idx + 1] = -channel.kappa
-    state = _apply_matrix(state, kick)
-    state = loss_channel(state, light_idx, channel.eps_p)
-    state = loss_channel(state, atom_idx, channel.eps_a)
-    return state
+    return _apply_form(
+        state,
+        *_pass_form(state.mean.size, light_idx, atom_idx, channel.kappa,
+                    channel.eps_p, channel.eps_a),
+    )

@@ -10,15 +10,26 @@ x1 - x2 and p1 + p2 of the final variables; with transmission loss the
 effectively measured combinations carry a sqrt(1 - eta_t) weight on the first
 sample.
 
-``entangle`` runs the Bell rounds on two samples starting in vacuum and
-reports the conditional EPR variances (exact Gaussian algebra, independent of
-the measurement outcomes).  ``teleport`` consumes the entangled pair, runs a
-local Bell measurement on sample 1 and a freshly prepared input sample, and
-displaces sample 2 by the outcomes.  The displacement gain is calibrated by a
-deterministic linear solve so that the output mean tracks the input mean
-exactly (unit end-to-end gain); the reported fidelity is that of the
-outcome-averaged output state against the coherent input, which the unit gain
-makes independent of the input amplitude.
+Every map here is affine and every covariance is independent of the
+outcomes, so measurement with linear feed-forward is deferred to the end of
+the run (Braunstein & Kimble, PRL 80, 869 (1998)).  The two rounds of a Bell
+measurement compose into one affine-Gaussian channel (X, Y) over a register
+that keeps both light pulses unmeasured: samples with mean mu and covariance
+S leave as mean X mu and covariance X S X^T + Y.  Round parameters carry a
+leading batch axis, so a whole sweep of operating points is one pass.
+
+``entangle`` applies the channel to two samples in vacuum and conditions on
+each pulse's x in round order with :func:`~spinlight.gaussian.homodyne`; the
+conditional EPR variances are exact and independent of the outcomes.
+``teleport`` applies the local Bell channel to the entangled pair plus a fresh
+input sample and displaces sample 2 by the outcomes.  The channel's mean map
+gives the responses A of sample 2 and C of the outcomes to the input mean,
+and the gain G = (I - A) C^-1 makes the end-to-end mean transfer exactly one.
+The reported fidelity is that of the outcome-averaged output,
+F = det(W Sigma W^T + I/2)^(-1/2) with W = [I G] and Sigma the joint
+covariance of sample 2 and both outcomes; the unit gain makes it independent
+of the input amplitude.  The lossy sweep takes the entangled covariance as a
+Schur complement on the entangling pulses' x.
 """
 
 import dataclasses
@@ -27,21 +38,23 @@ import math
 import numpy as np
 
 from .gaussian import (
+    VACUUM_VARIANCE,
     GaussianState,
     MeasurementRecord,
     ModeIndex,
     ModeLabel,
+    _propagate,
+    _loss_form,
+    _rotation_form,
     append_vacuum,
     displace,
     homodyne,
-    loss_channel,
     marginal,
-    rotate,
     variance_of,
     vacuum_state,
     fidelity_coherent,
 )
-from .interaction import ChannelParams, apply_pass
+from .interaction import ChannelParams, _pass_form
 
 __all__ = [
     "RoundPlan",
@@ -79,8 +92,8 @@ class RoundPlan:
     eta_d: float = 0.0
 
     def __post_init__(self):
-        if self.kappa < 0:
-            raise ValueError(f"kappa must be non-negative, got {self.kappa}")
+        if not (math.isfinite(self.kappa) and self.kappa >= 0):
+            raise ValueError(f"kappa must be finite and non-negative, got {self.kappa}")
         for name in ("eps_p", "eps_a", "eta_t", "eta_d"):
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
@@ -158,73 +171,133 @@ def classical_bound_check(fidelity):
 
 
 # ---------------------------------------------------------------------------
-# Bell-measurement primitive
+# deferred-measurement engine
 
 
-@dataclasses.dataclass(frozen=True)
-class _RoundResult:
-    outcome: float
-    prior_mean: float
-    prior_var: float
-    record: MeasurementRecord
+def _stack(rows):
+    """Round parameters of B operating points, one tuple of RoundPlans per row.
 
-
-def _bell_rounds(state, first, second, plans, directives, rng, tag):
-    """Run the two measurement rounds of one Bell measurement.
-
-    ``directives`` is a pair of (kind, value) with kind in {'sample',
-    'forced', 'innovate'}; 'innovate' forces outcome = prior mean + value,
-    which is the handle the gain calibration uses to probe linear responses.
+    Returns a (rounds, B, 5) array; the last axis follows the RoundPlan fields
+    (kappa, eps_p, eps_a, eta_t, eta_d).
     """
-    results = []
-    for number, (plan, directive) in enumerate(zip(plans, directives), start=1):
-        state = append_vacuum(state, 1)
-        light = state.n_modes - 1
-        state = apply_pass(state, light, first, plan.channel())
-        state = loss_channel(state, light, plan.eta_t)
-        state = apply_pass(state, light, second, plan.channel())
-        state = loss_channel(state, light, plan.eta_d)
-
-        k = 2 * light
-        prior_mean = float(state.mean[k])
-        prior_var = float(state.cov[k, k])
-        kind, value = directive
-        if kind == "sample":
-            outcome, state = homodyne(state, light, "x", rng=rng)
-        elif kind == "forced":
-            outcome, state = homodyne(state, light, "x", forced=value)
-        elif kind == "innovate":
-            outcome, state = homodyne(state, light, "x", forced=prior_mean + value)
-        else:
-            raise ValueError(f"unknown outcome directive {kind!r}")
-        record = MeasurementRecord(
-            mode=ModeIndex(light, ModeLabel.LIGHT),
-            quadrature="x",
-            outcome=outcome,
-            round_tag=f"{tag}:round{number}",
-        )
-        results.append(
-            _RoundResult(
-                outcome=outcome,
-                prior_mean=prior_mean,
-                prior_var=prior_var,
-                record=record,
-            )
-        )
-        if number == 1:
-            state = rotate(state, first, _ROTATION_FIRST)
-            state = rotate(state, second, _ROTATION_SECOND)
-    return state, results
+    table = [[(p.kappa, p.eps_p, p.eps_a, p.eta_t, p.eta_d) for p in row] for row in rows]
+    return np.array(table).transpose(1, 0, 2)
 
 
-def _directives(forced_outcomes, rng):
+def _bell_channel(n_atoms, first, second, rounds):
+    """Compose the two rounds of a Bell measurement into one affine-Gaussian channel.
+
+    ``rounds`` is a :func:`_stack` array.  The output register is the
+    ``n_atoms`` samples followed by the light pulse of each round, none of
+    them measured.  Returns (X, Y) of shapes (B, d, 2 n_atoms) and
+    (B, d, d): samples with mean mu and covariance S leave as mean X mu and
+    covariance X S X^T + Y, the pulses entering in vacuum.
+    """
+    dim = 2 * (n_atoms + len(rounds))
+    batch = len(rounds[0])
+    transfer = np.broadcast_to(np.eye(dim)[:, : 2 * n_atoms], (batch, dim, 2 * n_atoms))
+    noise = np.zeros((batch, dim, dim))
+    pulses = np.arange(2 * n_atoms, dim)
+    noise[:, pulses, pulses] = VACUUM_VARIANCE
+    turn = _rotation_form(dim, second, _ROTATION_SECOND) @ _rotation_form(
+        dim, first, _ROTATION_FIRST
+    )
+    for number, params in enumerate(rounds):
+        kappa, eps_p, eps_a, eta_t, eta_d = params.T
+        light = n_atoms + number
+        # Pass the first sample, transmission loss, pass the second sample,
+        # detector loss.
+        for atom, eta in ((first, eta_t), (second, eta_d)):
+            form = _pass_form(dim, light, atom, kappa, eps_p, eps_a)
+            transfer, noise = _propagate(transfer, noise, *form)
+            transfer, noise = _propagate(transfer, noise, *_loss_form(dim, light, eta))
+        if number == 0:
+            transfer, noise = _propagate(transfer, noise, turn, 0.0)
+    return transfer, noise
+
+
+def _bell_rounds(state, channel, forced_outcomes, rng, tag):
+    """Apply a Bell channel to ``state`` and measure each pulse's x in round order.
+
+    ``forced_outcomes`` (one value per round) or ``rng`` supplies the
+    outcomes.  The measured pulse leaves the register, so each pulse in turn
+    sits right after the samples.  Returns the conditional state of the
+    samples and the measurement records.
+    """
     if forced_outcomes is not None:
         if len(forced_outcomes) != 2:
             raise ValueError("forced_outcomes must hold one value per round")
-        return [("forced", float(v)) for v in forced_outcomes]
-    if rng is None:
+        sources = [{"forced": float(v)} for v in forced_outcomes]
+    elif rng is None:
         raise ValueError("provide rng for sampled outcomes or forced_outcomes")
-    return [("sample", None), ("sample", None)]
+    else:
+        sources = [{"rng": rng}] * 2
+    transfer, noise = channel
+    light = state.n_modes
+    state = GaussianState(*_propagate(state.mean, state.cov, transfer[0], noise[0]))
+    records = []
+    for number, source in enumerate(sources, start=1):
+        outcome, state = homodyne(state, light, "x", **source)
+        records.append(MeasurementRecord(
+            ModeIndex(light, ModeLabel.LIGHT), "x", outcome, f"{tag}:round{number}"
+        ))
+    return state, tuple(records)
+
+
+# Rows of the local Bell channel's register (entangled pair, input sample,
+# two pulses) that the teleport output depends on: sample 2's (x, p) and the
+# x quadratures of the two pulses.
+_JOINT = [2, 3, 6, 8]
+
+
+def _deferred_teleport(entangled_cov, rounds, gain=None):
+    """Local Bell channel, gain and outcome-averaged output, batched over rows.
+
+    ``entangled_cov`` is the (B, 4, 4) covariance of the entangled pair and
+    ``gain`` an optional (B, 2, 2) manual gain, calibrated for unit
+    end-to-end mean transfer if None.  Returns the channel, the (B, 4, 6)
+    joint rows of its mean map, the (B, 2, 4) weights W = [I G] and the
+    (B, 2, 2) covariance of the displaced, outcome-averaged sample 2.
+    """
+    channel = _bell_channel(3, 0, 2, rounds)
+    transfer, noise = channel
+    cov_in = np.zeros((len(entangled_cov), 6, 6))
+    cov_in[:, :4, :4] = entangled_cov
+    cov_in[:, 4:, 4:] = VACUUM_VARIANCE * np.eye(2)
+    joint = transfer[:, _JOINT]
+    _, sigma = _propagate(None, cov_in, joint, noise[:, _JOINT][:, :, _JOINT])
+    if gain is None:
+        # G C = I - A for the responses A (sample 2) and C (outcomes) to the
+        # input mean; a singular C names its row's first local kappa, the
+        # kappa2 of the loss-adapted strategy.
+        a, c = joint[:, :2, 4:], joint[:, 2:, 4:]
+        c_t, rhs_t = np.swapaxes(c, -1, -2), np.swapaxes(np.eye(2) - a, -1, -2)
+        try:
+            gain = np.swapaxes(np.linalg.solve(c_t, rhs_t), -1, -2)
+        except np.linalg.LinAlgError as exc:
+            row = int(np.argmin(np.abs(np.linalg.det(c))))
+            raise ValueError(
+                "gain calibration failed: measurement outcomes do not respond to the "
+                f"input mean at kappa2 = {float(rounds[0][row, 0])!r} (kappa too small?)"
+            ) from exc
+    weights = np.concatenate([np.broadcast_to(np.eye(2), gain.shape), gain], axis=-1)
+    _, averaged_cov = _propagate(None, sigma, weights, 0.0)
+    return channel, joint, weights, averaged_cov
+
+
+def _report(pair, fidelity, records, seed, config_echo):
+    """Report carrying the EPR variances of a two-sample state."""
+    epr_x = variance_of(pair, [1.0, 0.0, -1.0, 0.0])
+    epr_p = variance_of(pair, [0.0, 1.0, 0.0, 1.0])
+    return ProtocolReport(
+        r=-0.25 * math.log(epr_x * epr_p),
+        epr_x=epr_x,
+        epr_p=epr_p,
+        fidelity=fidelity,
+        records=records,
+        seed=seed,
+        config_echo=config_echo,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -240,110 +313,15 @@ def entangle(plan_round1, plan_round2, rng=None, forced_outcomes=None, seed=None
     variances var(x1 - x2), var(p1 + p2) are exact consequences of the
     Gaussian conditioning, independent of the measurement outcomes.
     """
-    directives = _directives(forced_outcomes, rng)
-    state, results = _bell_rounds(
-        vacuum_state(2), 0, 1, (plan_round1, plan_round2), directives, rng, "entangle"
+    channel = _bell_channel(2, 0, 1, _stack([(plan_round1, plan_round2)]))
+    state, records = _bell_rounds(
+        vacuum_state(2), channel, forced_outcomes, rng, "entangle"
     )
-    epr_x = variance_of(state, [1.0, 0.0, -1.0, 0.0])
-    epr_p = variance_of(state, [0.0, 1.0, 0.0, 1.0])
-    report = ProtocolReport(
-        r=-0.25 * math.log(epr_x * epr_p),
-        epr_x=epr_x,
-        epr_p=epr_p,
-        fidelity=None,
-        records=tuple(res.record for res in results),
-        seed=seed,
-        config_echo=config_echo,
-    )
-    return state, report
+    return state, _report(state, None, records, seed, config_echo)
 
 
 # ---------------------------------------------------------------------------
 # teleportation
-
-
-def _teleport_run(entangled, input_mean, plans, directives, rng):
-    """One pipeline pass: attach the input sample, displace it, run the local Bell."""
-    state = append_vacuum(entangled, 1)
-    state = displace(state, 2, input_mean[0], input_mean[1])
-    state, results = _bell_rounds(state, 0, 2, plans, directives, rng, "teleport")
-    return state, results
-
-
-def _mean_of_sample2(state):
-    return np.array([state.mean[2], state.mean[3]])
-
-
-@dataclasses.dataclass(frozen=True)
-class _LinearResponse:
-    """Linear coefficients of the teleport pipeline, from five probe runs.
-
-    base_mean + b_mat @ u is the pre-displacement sample-2 mean for input u
-    with zero-innovation outcomes; base_m + d_mat @ u the outcome means;
-    innovation k shifts the sample-2 mean by c[k] and (for k = 1) the second
-    outcome's mean by w21.  prior_vars are the outcome innovation variances
-    and cond_cov the outcome-independent conditional sample-2 covariance.
-    """
-
-    base_mean: np.ndarray
-    base_m: np.ndarray
-    b_mat: np.ndarray
-    d_mat: np.ndarray
-    c: tuple
-    w21: float
-    prior_vars: np.ndarray
-    cond_cov: np.ndarray
-
-    def innovation_feeds(self):
-        """Outcome response to each innovation: d m / d delta_k."""
-        return (np.array([1.0, self.w21]), np.array([0.0, 1.0]))
-
-
-def _linear_response(entangled, plans):
-    """Probe the pipeline with unit inputs; everything is linear, no fitting."""
-    zero = ("innovate", 0.0)
-    unit = ("innovate", 1.0)
-
-    def probe(u, directives):
-        state, results = _teleport_run(entangled, u, plans, directives, None)
-        return (
-            _mean_of_sample2(state),
-            np.array([res.prior_mean for res in results]),
-            np.array([res.prior_var for res in results]),
-            state,
-        )
-
-    base_mean, base_m, prior_vars, base_state = probe((0.0, 0.0), [zero, zero])
-    mean_x, m_x, _, _ = probe((1.0, 0.0), [zero, zero])
-    mean_p, m_p, _, _ = probe((0.0, 1.0), [zero, zero])
-    mean_d1, m_d1, _, _ = probe((0.0, 0.0), [unit, zero])
-    mean_d2, _, _, _ = probe((0.0, 0.0), [zero, unit])
-
-    return _LinearResponse(
-        base_mean=base_mean,
-        base_m=base_m,
-        b_mat=np.column_stack([mean_x - base_mean, mean_p - base_mean]),
-        d_mat=np.column_stack([m_x - base_m, m_p - base_m]),
-        c=(mean_d1 - base_mean, mean_d2 - base_mean),
-        w21=float(m_d1[1] - base_m[1]),
-        prior_vars=prior_vars,
-        cond_cov=base_state.cov[2:4, 2:4],
-    )
-
-
-def _calibrated_gain(response):
-    """Gain and offset giving unit end-to-end mean transfer for any input."""
-    try:
-        gain = np.linalg.solve(
-            response.d_mat.T, (np.eye(2) - response.b_mat).T
-        ).T
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            "gain calibration failed: measurement outcomes do not respond to "
-            "the input mean (kappa too small?)"
-        ) from exc
-    offset = -(response.base_mean + gain @ response.base_m)
-    return gain, offset
 
 
 def teleport(entangled, input_mean, plan_local_round1, plan_local_round2, gain=None,
@@ -380,55 +358,28 @@ def teleport(entangled, input_mean, plan_local_round1, plan_local_round2, gain=N
         raise ValueError(
             f"entangled resource must have exactly 2 modes, got {entangled.n_modes}"
         )
-    plans = (plan_local_round1, plan_local_round2)
+    rounds = _stack([(plan_local_round1, plan_local_round2)])
     input_mean = (float(input_mean[0]), float(input_mean[1]))
+    state = displace(append_vacuum(entangled, 1), 2, input_mean[0], input_mean[1])
 
-    response = _linear_response(entangled, plans)
+    manual = None if gain is None else np.array([[[0.0, gain[0]], [gain[1], 0.0]]], float)
+    channel, joint, weights, averaged_cov = _deferred_teleport(
+        entangled.cov[None], rounds, manual
+    )
+    joint, weights = joint[0], weights[0]
+    # The calibrated offset cancels what the entangled pair's mean feeds into
+    # the displaced output; a manual gain comes without offset.
+    offset = np.zeros(2)
     if gain is None:
-        gain_matrix, offset = _calibrated_gain(response)
-    else:
-        gain_matrix = np.array([[0.0, float(gain[0])], [float(gain[1]), 0.0]])
-        offset = np.zeros(2)
+        offset = -(weights @ joint[:, :4] @ entangled.mean)
+    averaged = GaussianState(weights @ joint @ state.mean + offset, averaged_cov[0])
+    fidelity = fidelity_coherent(averaged, 0, input_mean)
 
-    # Outcome-averaged output state: the conditional covariance is outcome
-    # independent, and the innovation-driven wander of the displaced mean adds
-    # sum_k v_k * drift_k drift_k^T on top of it.
-    drift = [
-        c_k + gain_matrix @ feed_k
-        for c_k, feed_k in zip(response.c, response.innovation_feeds())
-    ]
-    u = np.array(input_mean)
-    marg_cov = response.cond_cov + sum(
-        v * np.outer(r, r) for v, r in zip(response.prior_vars, drift)
-    )
-    marg_mean = (
-        response.base_mean
-        + response.b_mat @ u
-        + gain_matrix @ (response.base_m + response.d_mat @ u)
-        + offset
-    )
-    marg_state = GaussianState(marg_mean, marg_cov)
-    fidelity = fidelity_coherent(marg_state, 0, input_mean)
-
-    # Physical (conditional) run with sampled or forced outcomes.
-    directives = _directives(forced_outcomes, rng)
-    final_state, results = _teleport_run(entangled, input_mean, plans, directives, rng)
-    outcomes = np.array([res.outcome for res in results])
-    shift = gain_matrix @ outcomes + offset
+    final_state, records = _bell_rounds(state, channel, forced_outcomes, rng, "teleport")
+    shift = weights[:, 2:] @ np.array([rec.outcome for rec in records]) + offset
     output = displace(marginal(final_state, [1]), 0, shift[0], shift[1])
 
-    epr_x = variance_of(entangled, [1.0, 0.0, -1.0, 0.0])
-    epr_p = variance_of(entangled, [0.0, 1.0, 0.0, 1.0])
-    report = ProtocolReport(
-        r=-0.25 * math.log(epr_x * epr_p),
-        epr_x=epr_x,
-        epr_p=epr_p,
-        fidelity=fidelity,
-        records=tuple(res.record for res in results),
-        seed=seed,
-        config_echo=config_echo,
-    )
-    return output, report
+    return output, _report(entangled, fidelity, records, seed, config_echo)
 
 
 # ---------------------------------------------------------------------------
@@ -466,20 +417,41 @@ def make_plans(kappa2, eta_t, kappa1_multiplier=10.0, eps_p=0.0, eps_a=0.0,
     }
 
 
+def _lossy_fidelities(kappa2_values, eta_t, **plan_kwargs):
+    """Teleportation fidelity of the loss-adapted strategy at every kappa2, batched.
+
+    Entangling with forced outcomes leaves a covariance that is the Schur
+    complement of the entangling channel's output on the pulses' x.
+    """
+    plans = [make_plans(k2, eta_t, **plan_kwargs) for k2 in kappa2_values]
+    transfer, noise = _bell_channel(
+        2, 0, 1, _stack([(p["entangle1"], p["entangle2"]) for p in plans])
+    )
+    _, cov = _propagate(None, VACUUM_VARIANCE * np.eye(4), transfer, noise)
+    samples, pulses = np.arange(4), np.array([4, 6])
+    cross = cov[:, samples][:, :, pulses]
+    entangled_cov = cov[:, samples][:, :, samples] - cross @ np.linalg.solve(
+        cov[:, pulses][:, :, pulses], np.swapaxes(cross, -1, -2)
+    )
+    _, _, _, averaged_cov = _deferred_teleport(
+        entangled_cov, _stack([(p["local1"], p["local2"]) for p in plans])
+    )
+    overlap = averaged_cov + VACUUM_VARIANCE * np.eye(2)
+    det = overlap[:, 0, 0] * overlap[:, 1, 1] - overlap[:, 0, 1] * overlap[:, 1, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fidelities = 1.0 / np.sqrt(det)
+    bad = np.flatnonzero(~((fidelities >= 0.0) & (fidelities <= 1.0)))
+    if bad.size:
+        raise ValueError(
+            f"fidelity must lie in [0, 1], got {fidelities[bad[0]]} at "
+            f"kappa2 = {kappa2_values[bad[0]]!r}"
+        )
+    return fidelities
+
+
 def simulated_lossy_fidelity(kappa2, eta_t, **plan_kwargs):
     """Teleportation fidelity of the loss-adapted strategy at one operating point."""
-    plans = make_plans(kappa2, eta_t, **plan_kwargs)
-    entangled, _ = entangle(
-        plans["entangle1"], plans["entangle2"], forced_outcomes=(0.0, 0.0)
-    )
-    _, report = teleport(
-        entangled,
-        (0.0, 0.0),
-        plans["local1"],
-        plans["local2"],
-        forced_outcomes=(0.0, 0.0),
-    )
-    return report.fidelity
+    return float(_lossy_fidelities([float(kappa2)], eta_t, **plan_kwargs)[0])
 
 
 def lossy_fidelity_sweep(kappa2_values, eta_t, **plan_kwargs):
@@ -487,15 +459,13 @@ def lossy_fidelity_sweep(kappa2_values, eta_t, **plan_kwargs):
     kappa2_values = [float(k) for k in kappa2_values]
     if len(kappa2_values) < 2:
         raise ValueError("sweep needs at least two kappa2 values")
-    fids = [
-        simulated_lossy_fidelity(k2, eta_t, **plan_kwargs) for k2 in kappa2_values
-    ]
+    fids = _lossy_fidelities(kappa2_values, eta_t, **plan_kwargs)
     best = int(np.argmax(fids))
     return [
         SweepPoint(
             kappa2=k2,
             eta_t=eta_t,
-            f_simulated=f,
+            f_simulated=float(f),
             f_closed_form=fidelity_lossy(k2, eta_t),
             is_argmax=(i == best),
         )

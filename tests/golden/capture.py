@@ -1,0 +1,93 @@
+"""Golden CLI artifacts for fixed (config, seed) runs.
+
+Regenerate with ``PYTHONPATH=src python tests/golden/capture.py`` from the
+repository root.  Each case runs ``spinlight.cli.main`` on one of the
+configs below and stores the artifact bytes as ``<case>.json``; the exit
+code of every case goes to ``exit_codes.json``.  ``tests/test_golden.py``
+re-runs the cases and compares against these files.
+"""
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+
+# The two configs from README.md: the reference physical operating point
+# (kappa = 5, eps_p = eps_a = 1/120) and the lossy teleportation sweep.
+CONFIGS = {
+    "reference": """\
+physical.lambda0 = 6.283185307179586e-07
+physical.length = 0.02
+physical.rho = 5e12 cm^-3
+physical.gamma = 3.141592653589793e7
+physical.gamma_prime = 3.141592653589793e7
+physical.delta = 9.42477796076938e9
+""",
+    "lossy": """\
+channel.kappa = 1.0
+noise.eta_t = 0.2
+sweep.min = 0.2
+sweep.max = 10.0
+sweep.steps = 200
+seed = 42
+""",
+    # Damped, high-loss corner: kappa1 reaches 100 at the top of the sweep.
+    "corner": """\
+channel.kappa = 1.0
+channel.eps_p = 0.008333333333333333
+channel.eps_a = 0.008333333333333333
+noise.eta_t = 0.05
+noise.eta_d = 0.05
+sweep.min = 0.2
+sweep.max = 10.0
+sweep.steps = 200
+seed = 42
+""",
+}
+
+COMMANDS = ("derive", "entangle", "teleport", "sweep", "mb-validate")
+
+# Sampled subcommands run several trials so every record row is covered.
+TRIAL_FLAGS = {"entangle": ["--trials", "3"], "teleport": ["--trials", "3"]}
+
+CASES = {
+    f"{command}-{config}": (config, [command] + TRIAL_FLAGS.get(command, []))
+    for config in ("reference", "lossy")
+    for command in COMMANDS
+}
+CASES["sweep-corner"] = ("corner", ["sweep"])
+
+
+def run_case(name, workdir):
+    """Run one case in ``workdir``; returns (exit code, artifact bytes or None)."""
+    from spinlight.cli import main
+
+    config, argv = CASES[name]
+    workdir = Path(workdir)
+    cfg = workdir / f"{config}.cfg"
+    cfg.write_text(CONFIGS[config])
+    out = workdir / f"{name}.json"
+    if out.exists():
+        out.unlink()
+    code = main(argv + ["--config", str(cfg), "--out", str(out)])
+    return code, out.read_bytes() if out.exists() else None
+
+
+def main():
+    codes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in CASES:
+            code, data = run_case(name, tmp)
+            codes[name] = code
+            target = HERE / f"{name}.json"
+            if data is None:
+                target.unlink(missing_ok=True)
+            else:
+                target.write_bytes(data)
+    (HERE / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -152,3 +152,21 @@ def test_invalid_values_are_rejected():
         mapping[key] = value
         with pytest.raises(ConfigError):
             resolve_run_config(mapping)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "key",
+    ["channel.kappa", "channel.eps_p", "sweep.max", "gain.x", "input.p",
+     "noise.eta_t", "rounds.local2.kappa", "physical.rho", "mb.tol_eps"],
+)
+def test_non_finite_values_are_rejected_by_key(key, value):
+    base = PHYSICAL if key.startswith("physical.") else IDEAL
+    mapping = parse_config_text(base)
+    mapping.update({"sweep.min": 0.2, "sweep.max": 10.0, "sweep.steps": 20,
+                    "gain.x": 1.0, "gain.p": 1.0})
+    mapping[key] = value
+    with pytest.raises(ConfigError) as err:
+        resolve_run_config(mapping)
+    assert err.value.key == key
+    assert "must be finite" in str(err.value)

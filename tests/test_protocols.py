@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spinlight import (
+    GaussianState,
     RoundPlan,
     append_vacuum,
     apply_pass,
@@ -12,6 +13,7 @@ from spinlight import (
     entangle,
     fidelity_ideal,
     fidelity_lossy,
+    homodyne,
     loss_channel,
     lossy_fidelity_bound,
     lossy_fidelity_sweep,
@@ -164,19 +166,21 @@ def test_measured_combination_weights_under_loss():
 
 def test_round_two_weights_under_loss():
     # After the inter-round rotations the second round reads
-    # sqrt(1 - eta_t) x1 - x2 of the original variables.
-    from spinlight.protocols import _bell_rounds
+    # sqrt(1 - eta_t) x1 - x2 of the original variables: the prior mean of
+    # the second outcome, once the first is conditioned on a zero outcome.
+    from spinlight.protocols import _bell_channel, _stack
 
     eta_t = 0.37
     plan = RoundPlan(kappa=1.3, eta_t=eta_t)
+    transfer, noise = _bell_channel(2, 0, 1, _stack([(plan, plan)]))
 
     def second_round_mean(displaced_mode):
         state = displace(vacuum_state(2), displaced_mode, 1.0, 0.0)
-        _, results = _bell_rounds(
-            state, 0, 1, (plan, plan),
-            [("forced", 0.0), ("forced", 0.0)], None, "weights",
+        deferred = GaussianState(
+            transfer[0] @ state.mean, transfer[0] @ state.cov @ transfer[0].T + noise[0]
         )
-        return results[1].prior_mean
+        _, after_first = homodyne(deferred, 2, "x", forced=0.0)
+        return after_first.mean[4]
 
     ratio = second_round_mean(0) / second_round_mean(1)
     assert ratio == pytest.approx(-math.sqrt(1.0 - eta_t), abs=1e-10)
@@ -217,35 +221,41 @@ def test_fidelity_independent_of_input_mean():
     assert max(fidelities) - min(fidelities) < 1e-9
 
 
+def _prior_outcome_means(entangled, input_mean, plans):
+    """Outcome means with zero innovation: the pulses' x means of the deferred
+    local Bell channel applied to the entangled pair plus the input sample."""
+    from spinlight.protocols import _bell_channel, _stack
+
+    transfer, _ = _bell_channel(3, 0, 2, _stack([plans]))
+    register = displace(append_vacuum(entangled, 1), 2, *input_mean)
+    return tuple(transfer[0][[6, 8]] @ register.mean)
+
+
 def test_output_mean_tracks_input_zero_innovation():
     # Zero-innovation outcomes leave the conditional output mean exactly on
     # the input mean when the calibrated unit gain is used.
-    state = _entangled(3.0)
-    from spinlight.protocols import _calibrated_gain, _linear_response, _teleport_run
-
-    for mean in [(0.0, 0.0), (1.7, -0.4)]:
-        final, results = _teleport_run(
-            state, mean, (_ideal(3.0), _ideal(3.0)),
-            [("innovate", 0.0), ("innovate", 0.0)], None,
-        )
-        gain, offset = _calibrated_gain(
-            _linear_response(state, (_ideal(3.0), _ideal(3.0)))
-        )
-        outcomes = np.array([r.outcome for r in results])
-        out_mean = final.mean[2:4] + gain @ outcomes + offset
-        assert np.allclose(out_mean, mean, atol=1e-10)
+    plans = (_ideal(3.0), _ideal(3.0))
+    for entangle_outcomes in [(0.0, 0.0), (0.8, -1.1)]:
+        state, _ = entangle(*plans, forced_outcomes=entangle_outcomes)
+        for mean in [(0.0, 0.0), (1.7, -0.4)]:
+            output, _ = teleport(
+                state, mean, *plans,
+                forced_outcomes=_prior_outcome_means(state, mean, plans),
+            )
+            assert np.allclose(output.mean, mean, atol=1e-10)
 
 
 def test_manual_unit_gain_reproduces_calibrated_fidelity():
     # Supplying the calibrated gains by hand must give the same averaged
     # fidelity as automatic calibration (same displacement rule, zero offset
     # at zero input).
-    state = _entangled(3.0)
-    from spinlight.protocols import _calibrated_gain, _linear_response
+    from spinlight.protocols import _deferred_teleport, _stack
 
-    gain_matrix, _ = _calibrated_gain(
-        _linear_response(state, (_ideal(3.0), _ideal(3.0)))
+    state = _entangled(3.0)
+    _, _, weights, _ = _deferred_teleport(
+        state.cov[None], _stack([(_ideal(3.0), _ideal(3.0))])
     )
+    gain_matrix = weights[0][:, 2:]
     assert gain_matrix[0, 0] == pytest.approx(0.0, abs=1e-12)
     assert gain_matrix[1, 1] == pytest.approx(0.0, abs=1e-12)
     manual = (gain_matrix[0, 1], gain_matrix[1, 0])
@@ -327,6 +337,29 @@ def test_gain_calibration_needs_responsive_outcomes():
         )
 
 
+def test_sweep_names_the_row_whose_gain_calibration_fails():
+    with pytest.raises(ValueError, match=r"gain calibration failed: .*kappa2 = 0\.0"):
+        lossy_fidelity_sweep([0.0, 1.0], 0.2)
+    with pytest.raises(ValueError, match=r"gain calibration failed: .*kappa2 = 0\.0"):
+        lossy_fidelity_sweep([1.0, 2.0, 0.0], 0.2)
+
+
+def test_sweep_rejects_fidelity_outside_unit_interval(monkeypatch):
+    import spinlight.protocols as protocols
+
+    real = protocols._deferred_teleport
+
+    def inflated(*args, **kwargs):
+        channel, joint, weights, averaged_cov = real(*args, **kwargs)
+        averaged_cov = averaged_cov.copy()
+        averaged_cov[1] = -0.4 * np.eye(2)  # det(cov + I/2) = 0.01, so F = 10
+        return channel, joint, weights, averaged_cov
+
+    monkeypatch.setattr(protocols, "_deferred_teleport", inflated)
+    with pytest.raises(ValueError, match=r"fidelity must lie in \[0, 1\].*kappa2 = 2\.0"):
+        lossy_fidelity_sweep([1.0, 2.0, 3.0], 0.2)
+
+
 # ---------------------------------------------------------------------------
 # loss-adapted strategy
 
@@ -389,8 +422,9 @@ def test_high_loss_can_defeat_the_bound():
 
 
 def test_round_plan_validation():
-    with pytest.raises(ValueError):
-        RoundPlan(kappa=-1.0)
+    for kappa in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="kappa"):
+            RoundPlan(kappa=kappa)
     with pytest.raises(ValueError):
         RoundPlan(kappa=1.0, eta_t=1.0)
     with pytest.raises(ValueError):
