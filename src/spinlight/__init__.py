@@ -48,6 +48,7 @@ from .maxwell_bloch import (
     build_transfer_from_channel,
     commutator_defect,
     extract_collective,
+    extract_collective_from_channel,
 )
 from .protocols import (
     ProtocolReport,

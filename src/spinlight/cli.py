@@ -36,7 +36,7 @@ from .config import (
     resolve_run_config,
 )
 from .interaction import derive_channel, validate_regime
-from .maxwell_bloch import Grid, build_transfer, extract_collective
+from .maxwell_bloch import Grid, extract_collective_from_channel
 from .protocols import (
     classical_bound_check,
     entangle,
@@ -322,7 +322,7 @@ def _cmd_mb_validate(cfg, args):
     rows = []
     for size in cfg.mb.grids():
         grid = Grid(n_z=size, n_tau=size, L=cfg.physical.L, T=cfg.physical.T)
-        extraction = extract_collective(build_transfer(cfg.physical, grid))
+        extraction = extract_collective_from_channel(channel, grid)
         dev_kappa = abs(extraction.kappa_eff - channel.kappa) / channel.kappa
         dev_eps_p = (
             abs(extraction.eps_p_eff - channel.eps_p) / channel.eps_p

@@ -21,13 +21,14 @@ mind when comparing against photon-counting conventions.
 import dataclasses
 import math
 
-from scipy.constants import c as SPEED_OF_LIGHT
-from scipy.constants import epsilon_0 as EPSILON_0
-from scipy.constants import hbar as HBAR
-
 import numpy as np
 
 from .gaussian import SymplecticMap, _apply_form, _loss_form, _mode_of, _propagate
+
+# CODATA 2022 values, bit-equal to scipy.constants (c, epsilon_0, hbar).
+SPEED_OF_LIGHT = 299792458.0  # m/s
+EPSILON_0 = 8.8541878188e-12  # F/m
+HBAR = 1.0545718176461565e-34  # J s
 
 __all__ = [
     "PhysicalParams",

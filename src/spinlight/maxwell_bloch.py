@@ -18,6 +18,15 @@ interleave reproduces the analytic coefficients up to O(eps^2).
 Only fluctuation dynamics are propagated: the deterministic global phase from
 the mean populations is dropped, matching the canonical-operator
 linearization, and the pulse envelope is taken flat (uniform grid weights).
+
+Only the four collective output rows are ever read, so
+:func:`extract_collective_from_channel` computes them by an adjoint sweep: the
+rows are pulled back through the transposed cell updates in reverse causal
+order, one vectorized step per anti-diagonal of the grid, in
+O(n_z * n_tau) time and O(n_z + n_tau) memory.  The dense composed map of
+:func:`build_transfer` has 2 (n_tau + n_z) rows and 4 n_z n_tau noise columns;
+it is kept as the small-grid reference for :func:`commutator_defect` and the
+tests.
 """
 
 import dataclasses
@@ -35,6 +44,7 @@ __all__ = [
     "build_transfer",
     "build_transfer_from_channel",
     "extract_collective",
+    "extract_collective_from_channel",
     "collective_signal_block",
     "commutator_defect",
 ]
@@ -179,50 +189,101 @@ def build_transfer_from_channel(channel, grid):
     )
 
 
-def _collective_vectors(tm):
+def _collective_vectors(n_tau, n_z):
     """Uniform-weight normalized (x_light, p_light, x_atom, p_atom) directions."""
-    dim = tm.signal.shape[0]
-    vectors = np.zeros((4, dim))
-    vectors[0, 0 : 2 * tm.n_tau : 2] = 1.0 / math.sqrt(tm.n_tau)
-    vectors[1, 1 : 2 * tm.n_tau : 2] = 1.0 / math.sqrt(tm.n_tau)
-    vectors[2, 2 * tm.n_tau :: 2] = 1.0 / math.sqrt(tm.n_z)
-    vectors[3, 2 * tm.n_tau + 1 :: 2] = 1.0 / math.sqrt(tm.n_z)
+    vectors = np.zeros((4, 2 * (n_tau + n_z)))
+    vectors[0, 0 : 2 * n_tau : 2] = 1.0 / math.sqrt(n_tau)
+    vectors[1, 1 : 2 * n_tau : 2] = 1.0 / math.sqrt(n_tau)
+    vectors[2, 2 * n_tau :: 2] = 1.0 / math.sqrt(n_z)
+    vectors[3, 2 * n_tau + 1 :: 2] = 1.0 / math.sqrt(n_z)
     return vectors
 
 
 def collective_signal_block(tm):
     """4x4 signal block of the collective (x_l, p_l, x_a, p_a) modes."""
-    u = _collective_vectors(tm)
+    u = _collective_vectors(tm.n_tau, tm.n_z)
     return u @ tm.signal @ u.T
 
 
-def extract_collective(tm):
-    """Read the channel coefficients and residuals off a transfer map."""
-    u = _collective_vectors(tm)
-    rows = u @ tm.signal  # coefficient vectors of the four collective outputs
-    block = rows @ u.T
+def _extraction(rows, u, light_noise, atom_noise):
+    """Channel coefficients and residuals of the four collective output rows.
 
-    kappa_eff = abs(block[0, 3])
-    eps_p_eff = 1.0 - block[0, 0] ** 2
-    eps_a_eff = 1.0 - block[2, 2] ** 2
+    ``rows`` holds the signal coefficients of the collective outputs (``u``
+    times the signal map); ``light_noise`` / ``atom_noise`` hold, per output,
+    the summed squared coefficients of the light / atomic damping vacua.
+    """
+    block = rows @ u.T
 
     residual = rows - block @ u
     signal_leak = float(np.max(np.sum(residual**2, axis=1)) * VACUUM_VARIANCE)
-
-    noise_rows = u @ tm.noise
-    def _var(row, cols):
-        return float(np.sum(row[cols] ** 2) * VACUUM_VARIANCE)
+    total_noise = light_noise + atom_noise
 
     return CollectiveExtraction(
-        kappa_eff=float(kappa_eff),
-        eps_p_eff=float(eps_p_eff),
-        eps_a_eff=float(eps_a_eff),
+        kappa_eff=float(abs(block[0, 3])),
+        eps_p_eff=float(1.0 - block[0, 0] ** 2),
+        eps_a_eff=float(1.0 - block[2, 2] ** 2),
         signal_leak=signal_leak,
-        noise_var_light_x=_var(noise_rows[0], tm.light_cols),
-        noise_var_atom_x=_var(noise_rows[2], tm.atom_cols),
-        noise_var_light_x_total=float(np.sum(noise_rows[0] ** 2) * VACUUM_VARIANCE),
-        noise_var_atom_x_total=float(np.sum(noise_rows[2] ** 2) * VACUUM_VARIANCE),
+        noise_var_light_x=float(light_noise[0] * VACUUM_VARIANCE),
+        noise_var_atom_x=float(atom_noise[2] * VACUUM_VARIANCE),
+        noise_var_light_x_total=float(total_noise[0] * VACUUM_VARIANCE),
+        noise_var_atom_x_total=float(total_noise[2] * VACUUM_VARIANCE),
     )
+
+
+def extract_collective(tm):
+    """Read the channel coefficients and residuals off a dense transfer map."""
+    u = _collective_vectors(tm.n_tau, tm.n_z)
+    noise_rows = u @ tm.noise
+    return _extraction(
+        u @ tm.signal,
+        u,
+        np.sum(noise_rows[:, tm.light_cols] ** 2, axis=1),
+        np.sum(noise_rows[:, tm.atom_cols] ** 2, axis=1),
+    )
+
+
+def extract_collective_from_channel(channel, grid):
+    """Collective channel coefficients of the grid, without the dense map.
+
+    Equal to ``extract_collective(build_transfer_from_channel(channel, grid))``
+    up to rounding.  The four collective output rows are pulled back through
+    the cells in reverse order (the transposed cell updates), and each
+    cell's vacuum injections add their squared coefficients to per-output
+    noise sums.  Cell (m, j) touches only light bin m and atomic slice j, so
+    the cells of one anti-diagonal m + j = d act on disjoint columns and are
+    applied together: n_tau + n_z - 1 vectorized steps, O(n_tau + n_z) memory.
+    """
+    nt, nz = grid.n_tau, grid.n_z
+    eps_cell_p = channel.eps_p / nz
+    eps_cell_a = channel.eps_a / nt
+    k_cell = channel.kappa / math.sqrt(nz * nt)
+    tp, ta = math.sqrt(1.0 - eps_cell_p), math.sqrt(1.0 - eps_cell_a)
+
+    u = _collective_vectors(nt, nz)
+    # pulled-back rows, indexed (output, light bin or atomic slice, x/p)
+    light = u[:, : 2 * nt].reshape(4, nt, 2).copy()
+    atom = u[:, 2 * nt :].reshape(4, nz, 2).copy()
+    light_noise = np.zeros(4)
+    atom_noise = np.zeros(4)
+
+    for d in range(nt + nz - 2, -1, -1):
+        m_lo, m_hi = max(0, d - nz + 1), min(d, nt - 1)
+        lt = light[:, m_lo : m_hi + 1]
+        # slices j = d - m for m = m_lo..m_hi, i.e. descending
+        at = atom[:, d - m_hi : d - m_lo + 1][:, ::-1]
+        # The forward cell is kick, light damping, atom damping; its transpose
+        # runs the other way round.  A damping step injects vacuum with
+        # coefficient sqrt(eps_cell) times the row entries it scales; the
+        # common eps_cell factor is applied once, after the sweep.
+        atom_noise += np.einsum("rcq,rcq->r", at, at)
+        at *= ta
+        light_noise += np.einsum("rcq,rcq->r", lt, lt)
+        lt *= tp
+        at[..., 1] -= k_cell * lt[..., 0]
+        lt[..., 1] -= k_cell * at[..., 0]
+
+    rows = np.concatenate([light.reshape(4, -1), atom.reshape(4, -1)], axis=1)
+    return _extraction(rows, u, eps_cell_p * light_noise, eps_cell_a * atom_noise)
 
 
 def commutator_defect(tm):

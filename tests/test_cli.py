@@ -257,6 +257,16 @@ def test_mb_validate_reference_regime(tmp_path):
     assert float(rows[0]["dev_kappa"]) >= float(rows[-1]["dev_kappa"])
 
 
+def test_mb_validate_large_grid(tmp_path):
+    # 256^2 needs no dense transfer map (that would be 2.1 GB of noise
+    # coefficients), so the ladder runs to the top at the reference point.
+    cfg = _write(tmp_path, "run.cfg", PHYSICAL + "mb.max_grid = 256\n")
+    out = tmp_path / "mb.json"
+    assert _run(["mb-validate", "--config", cfg, "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [row["grid"] for row in rows] == [4, 8, 16, 32, 64, 128, 256]
+
+
 def test_mb_validate_lossless_is_exact(tmp_path):
     text = PHYSICAL + (
         "physical.gamma = 0.0\n"

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import constants
 
 from spinlight import (
     ChannelParams,
@@ -17,6 +18,7 @@ from spinlight import (
     validate_regime,
     variance_of,
 )
+from spinlight import interaction
 from spinlight.gaussian import homodyne
 from conftest import (
     REFERENCE_LAMBDA0,
@@ -37,6 +39,16 @@ def _symmetric_params(**overrides):
     )
     base.update(overrides)
     return PhysicalParams(**base)
+
+
+# ---------------------------------------------------------------------------
+# physical constants
+
+
+def test_constants_equal_scipy_values():
+    assert interaction.SPEED_OF_LIGHT == constants.c
+    assert interaction.EPSILON_0 == constants.epsilon_0
+    assert interaction.HBAR == constants.hbar
 
 
 # ---------------------------------------------------------------------------

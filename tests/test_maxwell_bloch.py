@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from spinlight import (
     commutator_defect,
     derive_channel,
     extract_collective,
+    extract_collective_from_channel,
     vacuum_state,
 )
 from spinlight.maxwell_bloch import collective_signal_block
@@ -51,10 +54,13 @@ def test_lossless_map_is_exact_on_collective_modes(n_z, n_tau):
     ideal[2, 1] = -channel.kappa
     assert np.allclose(block, ideal, atol=1e-12)
 
-    extraction = extract_collective(tm)
-    assert extraction.kappa_eff == pytest.approx(channel.kappa, abs=1e-12)
-    assert extraction.eps_p_eff == pytest.approx(0.0, abs=1e-12)
-    assert extraction.signal_leak == pytest.approx(0.0, abs=1e-24)
+    for extraction in (
+        extract_collective(tm),
+        extract_collective_from_channel(channel, _grid(n_z, n_tau)),
+    ):
+        assert extraction.kappa_eff == pytest.approx(channel.kappa, abs=1e-12)
+        assert extraction.eps_p_eff == pytest.approx(0.0, abs=1e-12)
+        assert extraction.signal_leak == pytest.approx(0.0, abs=1e-24)
 
 
 def test_lossless_signal_is_symplectic():
@@ -101,10 +107,12 @@ def test_convergence_fixture_and_tolerances(reference_params, reference_channel)
         extraction = extract_collective(
             build_transfer(reference_params, _grid(size))
         )
-        # regression against the recorded study
-        assert extraction.kappa_eff == pytest.approx(kappa_rec, rel=1e-12)
-        assert extraction.eps_p_eff == pytest.approx(eps_rec, rel=1e-12)
-        assert extraction.eps_a_eff == pytest.approx(eps_rec, rel=1e-12)
+        adjoint = extract_collective_from_channel(reference_channel, _grid(size))
+        # regression against the recorded study, dense and adjoint
+        for result in (extraction, adjoint):
+            assert result.kappa_eff == pytest.approx(kappa_rec, rel=1e-12)
+            assert result.eps_p_eff == pytest.approx(eps_rec, rel=1e-12)
+            assert result.eps_a_eff == pytest.approx(eps_rec, rel=1e-12)
         deviations.append(abs(extraction.kappa_eff - kappa))
 
     # final-grid tolerances: 1% on kappa, 5% on the damping coefficients
@@ -115,6 +123,21 @@ def test_convergence_fixture_and_tolerances(reference_params, reference_channel)
     # here flags the discretization for investigation, not for tolerance.
     for coarse, fine in zip(deviations, deviations[1:]):
         assert fine <= coarse + 1e-15
+
+
+def test_convergence_continues_past_fixture(reference_channel):
+    # Grids the dense map cannot reach cheaply (at 256^2 its noise matrix
+    # alone is 2.1 GB): kappa_eff keeps approaching kappa monotonically.
+    kappa = reference_channel.kappa
+    deviations = [abs(CONVERGENCE_FIXTURE[64][0] - kappa)]
+    for size in (128, 256):
+        extraction = extract_collective_from_channel(reference_channel, _grid(size))
+        deviations.append(abs(extraction.kappa_eff - kappa))
+        assert abs(extraction.eps_p_eff - reference_channel.eps_p) < (
+            0.05 * reference_channel.eps_p
+        )
+    for coarse, fine in zip(deviations, deviations[1:]):
+        assert fine < coarse
 
 
 def test_doubling_resolution_shifts_outputs_at_second_order(reference_channel):
@@ -139,6 +162,38 @@ def test_noise_admixture_matches_channel_noise(reference_params, reference_chann
     # first-order channel drops; it is bounded by kappa^2 eps / 4.
     cross = extraction.noise_var_light_x_total - extraction.noise_var_light_x
     assert 0.0 < cross < reference_channel.kappa**2 * reference_channel.eps_a / 4
+
+
+# ---------------------------------------------------------------------------
+# adjoint extraction against the dense map
+
+
+ORACLE_CHANNELS = {
+    "lossless": ChannelParams(kappa=3.1, eps_p=0.0, eps_a=0.0),
+    "eps_p": ChannelParams(kappa=3.1, eps_p=0.05, eps_a=0.0),
+    "eps_a": ChannelParams(kappa=3.1, eps_p=0.0, eps_a=0.05),
+}
+
+
+@pytest.mark.parametrize("channel_name", ["lossless", "eps_p", "eps_a", "reference"])
+@pytest.mark.parametrize(
+    "n_z,n_tau", [(1, 1), (2, 2), (3, 5), (5, 3), (4, 16), (16, 4), (8, 8)]
+)
+def test_adjoint_matches_dense_extraction(
+    n_z, n_tau, channel_name, reference_channel
+):
+    if channel_name == "reference":
+        channel = reference_channel
+    else:
+        channel = ORACLE_CHANNELS[channel_name]
+    grid = _grid(n_z, n_tau)
+    dense = extract_collective(build_transfer_from_channel(channel, grid))
+    adjoint = extract_collective_from_channel(channel, grid)
+    for field in dataclasses.fields(dense):
+        # The absolute floor only covers leaks at rounding level (~1e-31).
+        assert getattr(adjoint, field.name) == pytest.approx(
+            getattr(dense, field.name), rel=1e-12, abs=1e-24
+        ), field.name
 
 
 # ---------------------------------------------------------------------------
