@@ -22,6 +22,7 @@ byte-identical artifacts no matter how trials are scheduled.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -35,7 +36,7 @@ from .config import (
     parse_config_text,
     resolve_run_config,
 )
-from .interaction import derive_channel, validate_regime
+from .interaction import validate_regime
 from .maxwell_bloch import Grid, extract_collective_from_channel
 from .protocols import (
     classical_bound_check,
@@ -65,30 +66,59 @@ def _fmt(value):
     return str(value)
 
 
+_ENCODE_STR = json.encoder.encode_basestring_ascii
+
+# Text of the common leaf types, keyed by exact type (bool is not int here).
+_LEAF_TEXT = {
+    float: "%.17g".__mod__,
+    int: str,
+    str: _ENCODE_STR,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+@functools.lru_cache(maxsize=1024, typed=True)
+def _key_text(key):
+    """Encoded dict key with its separator; typed, since 1 and True are equal keys."""
+    return _ENCODE_STR(str(key)) + ": "
+
+
 def _json_text(obj, indent=0):
-    pad = "  " * indent
+    """JSON text with a two-space indent, ASCII escapes and 17-digit floats."""
+    return _json_value(obj, "\n" + "  " * indent)
+
+
+def _json_value(obj, pad):
+    """Text of one value whose own line starts with ``pad``; leaves inline."""
+    leaf_text = _LEAF_TEXT.get
     if isinstance(obj, dict):
         if not obj:
             return "{}"
+        item_pad = pad + "  "
         items = [
-            f'{pad}  {json.dumps(str(k))}: {_json_text(v, indent + 1)}'
-            for k, v in obj.items()
+            _key_text(key)
+            + (leaf(value) if (leaf := leaf_text(type(value))) else _json_value(value, item_pad))
+            for key, value in obj.items()
         ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        return "{" + item_pad + ("," + item_pad).join(items) + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [f"{pad}  {_json_text(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
+        item_pad = pad + "  "
+        items = [
+            leaf(value) if (leaf := leaf_text(type(value))) else _json_value(value, item_pad)
+            for value in obj
+        ]
+        return "[" + item_pad + ("," + item_pad).join(items) + pad + "]"
+    if (leaf := leaf_text(type(obj))) is not None:
+        return leaf(obj)
+    # Numpy scalars, subclasses and anything else (bool has no subclasses).
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _fmt(obj)
-    return json.dumps(str(obj))
+    return _ENCODE_STR(str(obj))
 
 
 def _csv_text(echo, header, rows):
@@ -127,7 +157,7 @@ def _record_rows(records):
 def _cmd_derive(cfg, args):
     if cfg.physical is None:
         raise ConfigError("physical", "derive needs the physical.* section")
-    channel = derive_channel(cfg.physical)
+    channel = cfg.channel
     report = validate_regime(cfg.physical, channel)
     payload = {
         "command": "derive",
@@ -313,7 +343,7 @@ def _cmd_sweep(cfg, args):
 def _cmd_mb_validate(cfg, args):
     if cfg.physical is None:
         raise ConfigError("physical", "mb-validate needs the physical.* section")
-    channel = derive_channel(cfg.physical)
+    channel = cfg.channel
     header = [
         "grid", "kappa_eff", "eps_p_eff", "eps_a_eff",
         "dev_kappa", "dev_eps_p", "dev_eps_a",
@@ -389,7 +419,12 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call rather than at import.
+
+    Parsing keeps no state in the parser, so every call shares one.
+    """
     parser = _Parser(prog="spinlight", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
@@ -403,9 +438,8 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
 

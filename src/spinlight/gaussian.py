@@ -7,6 +7,16 @@ fidelity formula in this package relies on that normalization; do not rescale.
 States are immutable values: every operation returns a new ``GaussianState``.
 Measurement sampling takes an explicit ``numpy.random.Generator``; nothing in
 this module keeps hidden RNG state.
+
+Underneath, each elementary step (loss of one mode, rotation of one mode, and
+in :mod:`~spinlight.interaction` the two-mode kick) is an in-place kernel that
+updates only the rows it touches, never building the identity-padded transfer
+matrix T.  A kernel acts on arrays whose leading axis is the quadrature (both
+leading axes for a covariance) and whose trailing axes, if any, are a batch of
+operating points: transfer columns or a mean become T X, a covariance
+T N T^T + Y, and each update is a few vector operations over the batch.
+``rotate`` and ``loss_channel`` copy a state's moments and apply a kernel;
+``apply_symplectic`` keeps the dense product for general matrices.
 """
 
 import dataclasses
@@ -216,37 +226,52 @@ def _propagate(mean, cov, transfer, noise):
     return (None if mean is None else transfer @ mean), cov
 
 
-def _apply_form(state, transfer, noise=0.0):
-    """Apply a transfer/noise pair to a state without symplectic validation.
+def _targets(rows, cov):
+    """The arrays a step updates along their leading (quadrature) axis.
 
-    Internal fast path for maps that are physical by construction (rotations,
-    interaction kicks, losses); public callers go through
-    :func:`apply_symplectic`.
+    ``rows`` (a mean vector or a block of transfer columns) and ``cov`` may
+    each be None.  A covariance is updated on its rows and then, through a
+    transposed view, on its columns, which is T cov T^T for the step's T.
     """
-    return GaussianState(*_propagate(state.mean, state.cov, transfer, noise))
+    if rows is not None:
+        yield rows
+    if cov is not None:
+        yield cov
+        yield np.swapaxes(cov, 0, 1)
 
 
-def _rotation_form(dim, mode, theta):
-    """Transfer matrix of a phase-space rotation of one mode of a register."""
+def _damp(rows, cov, mode, eps):
+    """In place: admix a fraction ``eps`` of vacuum into one mode.
+
+    The mode's rows (and covariance columns) scale by sqrt(1 - eps) and its
+    two diagonal covariance entries gain eps / 2.  ``eps`` is a scalar or an
+    array over the trailing batch axes.
+    """
+    keep = np.sqrt(1.0 - eps)
+    quads = slice(2 * mode, 2 * mode + 2)
+    for block in _targets(rows, cov):
+        block[quads] *= keep
+    if cov is not None:
+        added = VACUUM_VARIANCE * eps
+        cov[2 * mode, 2 * mode] += added
+        cov[2 * mode + 1, 2 * mode + 1] += added
+
+
+def _turn(rows, cov, mode, theta):
+    """In place: phase-space rotation of one mode by a scalar angle."""
     c, s = math.cos(theta), math.sin(theta)
-    matrix = np.eye(dim)
-    matrix[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = [[c, s], [-s, c]]
-    return matrix
+    x, p = 2 * mode, 2 * mode + 1
+    for block in _targets(rows, cov):
+        old_x = block[x].copy()
+        block[x] = c * old_x + s * block[p]
+        block[p] = c * block[p] - s * old_x
 
 
-def _loss_form(dim, mode, eps):
-    """Transfer and noise matrices of a loss channel on one mode of a register.
-
-    ``eps`` may be an array; the matrices then carry its shape as leading
-    batch axes.
-    """
-    eps = np.asarray(eps, dtype=float)
-    transfer = np.broadcast_to(np.eye(dim), eps.shape + (dim, dim)).copy()
-    noise = np.zeros(eps.shape + (dim, dim))
-    quads = [2 * mode, 2 * mode + 1]
-    transfer[..., quads, quads] = np.sqrt(1.0 - eps)[..., None]
-    noise[..., quads, quads] = (VACUUM_VARIANCE * eps)[..., None]
-    return transfer, noise
+def _state_step(state, step, *args):
+    """Copy a state, apply one in-place step to its moments, rebuild it."""
+    mean, cov = state.mean.copy(), state.cov.copy()
+    step(mean, cov, *args)
+    return GaussianState(mean, cov)
 
 
 def rotate(state, mode, theta):
@@ -255,8 +280,7 @@ def rotate(state, mode, theta):
     The (x, p) pair is mapped by [[cos t, sin t], [-sin t, cos t]], so
     theta = -pi/2 sends x -> -p and p -> x.
     """
-    m = _mode_of(state, mode)
-    return _apply_form(state, _rotation_form(state.mean.size, m, theta))
+    return _state_step(state, _turn, _mode_of(state, mode), theta)
 
 
 def apply_symplectic(state, smap):
@@ -279,8 +303,7 @@ def loss_channel(state, mode, eps):
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"loss fraction must lie in [0, 1], got {eps}")
-    m = _mode_of(state, mode)
-    return _apply_form(state, *_loss_form(state.mean.size, m, eps))
+    return _state_step(state, _damp, _mode_of(state, mode), eps)
 
 
 def homodyne(state, mode, quadrature, rng=None, forced=None):

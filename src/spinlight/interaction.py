@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .gaussian import SymplecticMap, _apply_form, _loss_form, _mode_of, _propagate
+from .gaussian import SymplecticMap, _damp, _mode_of, _state_step, _targets
 
 # CODATA 2022 values, bit-equal to scipy.constants (c, epsilon_0, hbar).
 SPEED_OF_LIGHT = 299792458.0  # m/s
@@ -285,26 +285,32 @@ def validate_regime(params, channel, thresholds=RegimeThresholds()):
     )
 
 
-def _pass_form(dim, light, atom, kappa, eps_p, eps_a):
-    """Transfer and noise matrices of one pass on a register of ``dim`` quadratures.
+def _kick(rows, cov, light, atom, kappa):
+    """In place: the lossless two-mode kick x_p -= kappa p_a, x_a -= kappa p_p.
 
-    The lossless kick x_p -= kappa p_a, x_a -= kappa p_p is followed by the
-    light damping eps_p and the atomic damping eps_a.  The parameters may be
-    arrays of one shape; the matrices then carry it as leading batch axes.
+    Acts along the leading (quadrature) axis of ``rows`` and of both axes of
+    ``cov`` (see :func:`~spinlight.gaussian._targets`); ``kappa`` is a scalar
+    or an array over the trailing batch axes.  Neither updated row feeds the
+    other, so the order of the two updates does not matter.
     """
-    kappa = np.asarray(kappa, dtype=float)
-    kick = np.broadcast_to(np.eye(dim), kappa.shape + (dim, dim)).copy()
-    kick[..., 2 * light, 2 * atom + 1] = -kappa
-    kick[..., 2 * atom, 2 * light + 1] = -kappa
-    keep_p, add_p = _loss_form(dim, light, eps_p)
-    return _propagate(keep_p @ kick, add_p, *_loss_form(dim, atom, eps_a))
+    for block in _targets(rows, cov):
+        block[2 * light] -= kappa * block[2 * atom + 1]
+        block[2 * atom] -= kappa * block[2 * light + 1]
+
+
+def _pass(rows, cov, light, atom, kappa, eps_p, eps_a):
+    """In place: one pass, the kick followed by light damping and atomic damping."""
+    _kick(rows, cov, light, atom, kappa)
+    _damp(rows, cov, light, eps_p)
+    _damp(rows, cov, atom, eps_a)
 
 
 def qnd_pass_map(kappa, light, atom, n_modes):
     """Symplectic matrix of the lossless pass: x_p -= kappa p_a, x_a -= kappa p_p."""
     if light == atom:
         raise ValueError("light and atom must be distinct modes")
-    kick, _ = _pass_form(2 * n_modes, light, atom, kappa, 0.0, 0.0)
+    kick = np.eye(2 * n_modes)
+    _kick(kick, None, light, atom, kappa)
     return SymplecticMap(kick, np.zeros(2 * n_modes))
 
 
@@ -318,8 +324,6 @@ def apply_pass(state, light, atom, channel):
     atom_idx = _mode_of(state, atom)
     if light_idx == atom_idx:
         raise ValueError("light and atom must be distinct modes")
-    return _apply_form(
-        state,
-        *_pass_form(state.mean.size, light_idx, atom_idx, channel.kappa,
-                    channel.eps_p, channel.eps_a),
+    return _state_step(
+        state, _pass, light_idx, atom_idx, channel.kappa, channel.eps_p, channel.eps_a
     )

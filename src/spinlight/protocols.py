@@ -15,21 +15,28 @@ outcomes, so measurement with linear feed-forward is deferred to the end of
 the run (Braunstein & Kimble, PRL 80, 869 (1998)).  The two rounds of a Bell
 measurement compose into one affine-Gaussian channel (X, Y) over a register
 that keeps both light pulses unmeasured: samples with mean mu and covariance
-S leave as mean X mu and covariance X S X^T + Y.  Round parameters carry a
-leading batch axis, so a whole sweep of operating points is one pass.
+S leave as mean X mu and covariance X S X^T + Y.  The rounds are applied as
+in-place row/column updates (the step kernels of
+:mod:`~spinlight.gaussian` and :mod:`~spinlight.interaction`) to transfer
+columns and a covariance together, so X S X^T + Y is pushed through directly
+and never formed as a product.  Round parameters are per-row arrays on the
+trailing batch axis, so a whole sweep of operating points is one pass.
 
-``entangle`` applies the channel to two samples in vacuum and conditions on
-each pulse's x in round order with :func:`~spinlight.gaussian.homodyne`; the
-conditional EPR variances are exact and independent of the outcomes.
-``teleport`` applies the local Bell channel to the entangled pair plus a fresh
-input sample and displaces sample 2 by the outcomes.  The channel's mean map
-gives the responses A of sample 2 and C of the outcomes to the input mean,
-and the gain G = (I - A) C^-1 makes the end-to-end mean transfer exactly one.
+``entangle`` pushes two samples in vacuum through the channel and conditions
+on each pulse's x in round order with :func:`~spinlight.gaussian.homodyne`;
+the conditional EPR variances are exact and independent of the outcomes.
+``teleport`` pushes the entangled pair plus a fresh input sample through the
+local Bell channel and displaces sample 2 by the outcomes.  The channel's
+mean map gives the responses A of sample 2 and C of the outcomes to the input
+mean, and the gain G = (I - A) C^-1 makes the end-to-end mean transfer
+exactly one.
 The reported fidelity is that of the outcome-averaged output,
 F = det(W Sigma W^T + I/2)^(-1/2) with W = [I G] and Sigma the joint
 covariance of sample 2 and both outcomes; the unit gain makes it independent
-of the input amplitude.  The lossy sweep takes the entangled covariance as a
-Schur complement on the entangling pulses' x.
+of the input amplitude.  The lossy sweep pushes the vacuum covariance through
+the entangling rounds, takes the entangled covariance as a Schur complement
+on the pulses' x, and pushes it through the local rounds with the mean map's
+columns; its round table is built as arrays from the kappa2 values.
 """
 
 import dataclasses
@@ -43,18 +50,16 @@ from .gaussian import (
     MeasurementRecord,
     ModeIndex,
     ModeLabel,
+    _damp,
     _propagate,
-    _loss_form,
-    _rotation_form,
-    append_vacuum,
+    _turn,
     displace,
     homodyne,
     marginal,
     variance_of,
-    vacuum_state,
     fidelity_coherent,
 )
-from .interaction import ChannelParams, _pass_form
+from .interaction import ChannelParams, _pass
 
 __all__ = [
     "RoundPlan",
@@ -184,8 +189,39 @@ def _stack(rows):
     return np.array(table).transpose(1, 0, 2)
 
 
+def _register(dim, batch, vacuum_from):
+    """Batch-last (dim, dim, B) covariance, vacuum from quadrature ``vacuum_from`` on."""
+    cov = np.zeros((dim, dim, batch))
+    vacuum = np.arange(vacuum_from, dim)
+    cov[vacuum, vacuum] = VACUUM_VARIANCE
+    return cov
+
+
+def _push_bell(rows, cov, n_atoms, first, second, rounds):
+    """Push moments through the two rounds of a Bell measurement, in place.
+
+    The register is the ``n_atoms`` samples followed by the light pulse of
+    each round, none of them measured.  ``rows`` (transfer columns or a mean,
+    may be None) has the quadrature on its leading axis and ``cov`` on its
+    two leading axes; the batch of operating points is the trailing axis.
+    ``rounds`` is a :func:`_stack` array.
+    """
+    for number, params in enumerate(rounds):
+        kappa, eps_p, eps_a, eta_t, eta_d = params.T
+        light = n_atoms + number
+        # Pass the first sample, transmission loss, pass the second sample,
+        # detector loss.
+        _pass(rows, cov, light, first, kappa, eps_p, eps_a)
+        _damp(rows, cov, light, eta_t)
+        _pass(rows, cov, light, second, kappa, eps_p, eps_a)
+        _damp(rows, cov, light, eta_d)
+        if number == 0:
+            _turn(rows, cov, first, _ROTATION_FIRST)
+            _turn(rows, cov, second, _ROTATION_SECOND)
+
+
 def _bell_channel(n_atoms, first, second, rounds):
-    """Compose the two rounds of a Bell measurement into one affine-Gaussian channel.
+    """The two rounds of a Bell measurement as one affine-Gaussian channel.
 
     ``rounds`` is a :func:`_stack` array.  The output register is the
     ``n_atoms`` samples followed by the light pulse of each round, none of
@@ -193,36 +229,21 @@ def _bell_channel(n_atoms, first, second, rounds):
     (B, d, d): samples with mean mu and covariance S leave as mean X mu and
     covariance X S X^T + Y, the pulses entering in vacuum.
     """
-    dim = 2 * (n_atoms + len(rounds))
-    batch = len(rounds[0])
-    transfer = np.broadcast_to(np.eye(dim)[:, : 2 * n_atoms], (batch, dim, 2 * n_atoms))
-    noise = np.zeros((batch, dim, dim))
-    pulses = np.arange(2 * n_atoms, dim)
-    noise[:, pulses, pulses] = VACUUM_VARIANCE
-    turn = _rotation_form(dim, second, _ROTATION_SECOND) @ _rotation_form(
-        dim, first, _ROTATION_FIRST
-    )
-    for number, params in enumerate(rounds):
-        kappa, eps_p, eps_a, eta_t, eta_d = params.T
-        light = n_atoms + number
-        # Pass the first sample, transmission loss, pass the second sample,
-        # detector loss.
-        for atom, eta in ((first, eta_t), (second, eta_d)):
-            form = _pass_form(dim, light, atom, kappa, eps_p, eps_a)
-            transfer, noise = _propagate(transfer, noise, *form)
-            transfer, noise = _propagate(transfer, noise, *_loss_form(dim, light, eta))
-        if number == 0:
-            transfer, noise = _propagate(transfer, noise, turn, 0.0)
-    return transfer, noise
+    dim, batch = 2 * (n_atoms + len(rounds)), rounds.shape[1]
+    transfer = np.eye(dim, 2 * n_atoms)[:, :, None].repeat(batch, axis=2)
+    noise = _register(dim, batch, 2 * n_atoms)
+    _push_bell(transfer, noise, n_atoms, first, second, rounds)
+    return np.moveaxis(transfer, -1, 0), np.moveaxis(noise, -1, 0)
 
 
-def _bell_rounds(state, channel, forced_outcomes, rng, tag):
-    """Apply a Bell channel to ``state`` and measure each pulse's x in round order.
+def _bell_rounds(state, forced_outcomes, rng, tag):
+    """Measure each pulse's x of a register in round order.
 
-    ``forced_outcomes`` (one value per round) or ``rng`` supplies the
-    outcomes.  The measured pulse leaves the register, so each pulse in turn
-    sits right after the samples.  Returns the conditional state of the
-    samples and the measurement records.
+    ``state`` is the register after a Bell channel: the samples followed by
+    the two pulses.  ``forced_outcomes`` (one value per round) or ``rng``
+    supplies the outcomes.  The measured pulse leaves the register, so each
+    pulse in turn sits right after the samples.  Returns the conditional
+    state of the samples and the measurement records.
     """
     if forced_outcomes is not None:
         if len(forced_outcomes) != 2:
@@ -232,9 +253,7 @@ def _bell_rounds(state, channel, forced_outcomes, rng, tag):
         raise ValueError("provide rng for sampled outcomes or forced_outcomes")
     else:
         sources = [{"rng": rng}] * 2
-    transfer, noise = channel
-    light = state.n_modes
-    state = GaussianState(*_propagate(state.mean, state.cov, transfer[0], noise[0]))
+    light = state.n_modes - 2
     records = []
     for number, source in enumerate(sources, start=1):
         outcome, state = homodyne(state, light, "x", **source)
@@ -255,17 +274,21 @@ def _deferred_teleport(entangled_cov, rounds, gain=None):
 
     ``entangled_cov`` is the (B, 4, 4) covariance of the entangled pair and
     ``gain`` an optional (B, 2, 2) manual gain, calibrated for unit
-    end-to-end mean transfer if None.  Returns the channel, the (B, 4, 6)
-    joint rows of its mean map, the (B, 2, 4) weights W = [I G] and the
-    (B, 2, 2) covariance of the displaced, outcome-averaged sample 2.
+    end-to-end mean transfer if None.  The pair, a vacuum input sample and
+    the vacuum pulses are pushed through the channel together with the mean
+    map's columns.  Returns the (B, 10, 6) mean map X and the (B, 10, 10)
+    output covariance X S X^T + Y of the register, the (B, 4, 6) joint rows
+    of X, the (B, 2, 4) weights W = [I G] and the (B, 2, 2) covariance of the
+    displaced, outcome-averaged sample 2.
     """
-    channel = _bell_channel(3, 0, 2, rounds)
-    transfer, noise = channel
-    cov_in = np.zeros((len(entangled_cov), 6, 6))
-    cov_in[:, :4, :4] = entangled_cov
-    cov_in[:, 4:, 4:] = VACUUM_VARIANCE * np.eye(2)
+    batch = len(entangled_cov)
+    cov = _register(10, batch, 4)
+    cov[:4, :4] = np.moveaxis(entangled_cov, 0, -1)
+    transfer = np.eye(10, 6)[:, :, None].repeat(batch, axis=2)
+    _push_bell(transfer, cov, 3, 0, 2, rounds)
+    transfer, cov = np.moveaxis(transfer, -1, 0), np.moveaxis(cov, -1, 0)
     joint = transfer[:, _JOINT]
-    _, sigma = _propagate(None, cov_in, joint, noise[:, _JOINT][:, :, _JOINT])
+    sigma = cov[:, _JOINT][:, :, _JOINT]
     if gain is None:
         # G C = I - A for the responses A (sample 2) and C (outcomes) to the
         # input mean; a singular C names its row's first local kappa, the
@@ -282,7 +305,7 @@ def _deferred_teleport(entangled_cov, rounds, gain=None):
             ) from exc
     weights = np.concatenate([np.broadcast_to(np.eye(2), gain.shape), gain], axis=-1)
     _, averaged_cov = _propagate(None, sigma, weights, 0.0)
-    return channel, joint, weights, averaged_cov
+    return (transfer, cov), joint, weights, averaged_cov
 
 
 def _report(pair, fidelity, records, seed, config_echo):
@@ -313,10 +336,11 @@ def entangle(plan_round1, plan_round2, rng=None, forced_outcomes=None, seed=None
     variances var(x1 - x2), var(p1 + p2) are exact consequences of the
     Gaussian conditioning, independent of the measurement outcomes.
     """
-    channel = _bell_channel(2, 0, 1, _stack([(plan_round1, plan_round2)]))
-    state, records = _bell_rounds(
-        vacuum_state(2), channel, forced_outcomes, rng, "entangle"
-    )
+    cov = _register(8, 1, 0)
+    _push_bell(None, cov, 2, 0, 1, _stack([(plan_round1, plan_round2)]))
+    # The vacuum mean is zero, and so is its image under the linear channel.
+    register = GaussianState(np.zeros(8), cov[..., 0])
+    state, records = _bell_rounds(register, forced_outcomes, rng, "entangle")
     return state, _report(state, None, records, seed, config_echo)
 
 
@@ -360,10 +384,10 @@ def teleport(entangled, input_mean, plan_local_round1, plan_local_round2, gain=N
         )
     rounds = _stack([(plan_local_round1, plan_local_round2)])
     input_mean = (float(input_mean[0]), float(input_mean[1]))
-    state = displace(append_vacuum(entangled, 1), 2, input_mean[0], input_mean[1])
+    mean = np.concatenate([entangled.mean, input_mean])
 
     manual = None if gain is None else np.array([[[0.0, gain[0]], [gain[1], 0.0]]], float)
-    channel, joint, weights, averaged_cov = _deferred_teleport(
+    (transfer, cov), joint, weights, averaged_cov = _deferred_teleport(
         entangled.cov[None], rounds, manual
     )
     joint, weights = joint[0], weights[0]
@@ -372,10 +396,11 @@ def teleport(entangled, input_mean, plan_local_round1, plan_local_round2, gain=N
     offset = np.zeros(2)
     if gain is None:
         offset = -(weights @ joint[:, :4] @ entangled.mean)
-    averaged = GaussianState(weights @ joint @ state.mean + offset, averaged_cov[0])
+    averaged = GaussianState(weights @ joint @ mean + offset, averaged_cov[0])
     fidelity = fidelity_coherent(averaged, 0, input_mean)
 
-    final_state, records = _bell_rounds(state, channel, forced_outcomes, rng, "teleport")
+    register = GaussianState(transfer[0] @ mean, cov[0])
+    final_state, records = _bell_rounds(register, forced_outcomes, rng, "teleport")
     shift = weights[:, 2:] @ np.array([rec.outcome for rec in records]) + offset
     output = displace(marginal(final_state, [1]), 0, shift[0], shift[1])
 
@@ -417,25 +442,55 @@ def make_plans(kappa2, eta_t, kappa1_multiplier=10.0, eps_p=0.0, eps_a=0.0,
     }
 
 
+def _sweep_rounds(kappa2_values, eta_t, kappa1_multiplier=10.0, eps_p=0.0, eps_a=0.0,
+                  eta_d=0.0, eta_t_local=None):
+    """Entangling and local :func:`_stack` tables of :func:`make_plans`, per kappa2.
+
+    Built as arrays rather than from 4 RoundPlans per row, with the same
+    checks: the noise settings through RoundPlan once, and every kappa finite
+    and non-negative, a bad row being named by its kappa2.
+    """
+    if eta_t_local is None:
+        eta_t_local = eta_t
+    for transmission in (eta_t, eta_t_local):
+        RoundPlan(kappa=0.0, eps_p=eps_p, eps_a=eps_a, eta_t=transmission, eta_d=eta_d)
+    kappa2 = np.array(kappa2_values, dtype=float)
+    kappa1 = kappa1_multiplier * kappa2
+    with np.errstate(invalid="ignore"):
+        bad = ~(np.isfinite(kappa1) & np.isfinite(kappa2) & (kappa1 >= 0) & (kappa2 >= 0))
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(
+            "kappa must be finite and non-negative, got kappa1 = "
+            f"{float(kappa1[row])!r} at kappa2 = {kappa2_values[row]!r}"
+        )
+
+    def table(kappa_first, kappa_second, transmission):
+        rounds = np.empty((2, len(kappa2), 5))
+        rounds[0, :, 0], rounds[1, :, 0] = kappa_first, kappa_second
+        rounds[:, :, 1:] = (eps_p, eps_a, transmission, eta_d)
+        return rounds
+
+    return table(kappa1, kappa2, eta_t), table(kappa2, kappa1, eta_t_local)
+
+
 def _lossy_fidelities(kappa2_values, eta_t, **plan_kwargs):
     """Teleportation fidelity of the loss-adapted strategy at every kappa2, batched.
 
     Entangling with forced outcomes leaves a covariance that is the Schur
-    complement of the entangling channel's output on the pulses' x.
+    complement of the entangling channel's output on the pulses' x.  The
+    channel acts on the vacuum covariance in place, so no transfer map is
+    formed for it.
     """
-    plans = [make_plans(k2, eta_t, **plan_kwargs) for k2 in kappa2_values]
-    transfer, noise = _bell_channel(
-        2, 0, 1, _stack([(p["entangle1"], p["entangle2"]) for p in plans])
-    )
-    _, cov = _propagate(None, VACUUM_VARIANCE * np.eye(4), transfer, noise)
-    samples, pulses = np.arange(4), np.array([4, 6])
-    cross = cov[:, samples][:, :, pulses]
-    entangled_cov = cov[:, samples][:, :, samples] - cross @ np.linalg.solve(
-        cov[:, pulses][:, :, pulses], np.swapaxes(cross, -1, -2)
-    )
-    _, _, _, averaged_cov = _deferred_teleport(
-        entangled_cov, _stack([(p["local1"], p["local2"]) for p in plans])
-    )
+    entangling, local = _sweep_rounds(kappa2_values, eta_t, **plan_kwargs)
+    cov = _register(8, len(kappa2_values), 0)
+    _push_bell(None, cov, 2, 0, 1, entangling)
+    # Conditioning on one pulse's x and then the other's is the Schur
+    # complement on both.
+    for pulse_x in (4, 6):
+        column = cov[:, pulse_x] / np.sqrt(cov[pulse_x, pulse_x])
+        cov -= column[:, None] * column[None, :]
+    _, _, _, averaged_cov = _deferred_teleport(np.moveaxis(cov[:4, :4], -1, 0), local)
     overlap = averaged_cov + VACUUM_VARIANCE * np.eye(2)
     det = overlap[:, 0, 0] * overlap[:, 1, 1] - overlap[:, 0, 1] * overlap[:, 1, 0]
     with np.errstate(divide="ignore", invalid="ignore"):

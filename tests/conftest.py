@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from spinlight import PhysicalParams
@@ -33,6 +34,38 @@ def random_physical_state(rng, n_modes):
                 state, mode, float(rng.normal(0, 2)), float(rng.normal(0, 2))
             )
     return state
+
+
+def assert_step_matches_dense(step, dense, args, batch, dim=6, seed=0):
+    """Check an in-place step kernel against its dense transfer/noise matrices.
+
+    ``step(rows, cov, *args)`` updates moments in place; ``dense(dim, *args)``
+    returns the (T, Y) pair of one operating point.  Array arguments carry the
+    batch (shape ``(batch,)``); with ``batch`` None the moments have no batch
+    axis and every argument is a scalar.  Transfer columns must become T X, a
+    mean T mu and a covariance T N T^T + Y, each within 1e-15 absolute.
+    """
+    rng = np.random.default_rng(seed)
+    tail = () if batch is None else (batch,)
+    rows = rng.uniform(-1.0, 1.0, (dim, 3) + tail)
+    mean = rng.uniform(-1.0, 1.0, (dim,) + tail)
+    half = rng.uniform(-1.0, 1.0, (dim, dim) + tail)
+    cov = 0.5 * (half + np.swapaxes(half, 0, 1))
+    expected = []
+    for b in [None] if batch is None else range(batch):
+        at = (...,) if b is None else (..., b)
+        point = [a[b] if isinstance(a, np.ndarray) else a for a in args]
+        transfer, noise = dense(dim, *point)
+        expected.append((
+            at, transfer @ rows[at], transfer @ mean[at],
+            transfer @ cov[at] @ transfer.T + noise,
+        ))
+    step(rows, cov, *args)
+    step(mean, None, *args)
+    for at, want_rows, want_mean, want_cov in expected:
+        assert np.max(np.abs(rows[at] - want_rows)) <= 1e-15
+        assert np.max(np.abs(mean[at] - want_mean)) <= 1e-15
+        assert np.max(np.abs(cov[at] - want_cov)) <= 1e-15
 
 
 # Operating point from the headline estimate: rho = 5e12 cm^-3, L = 2 cm,

@@ -1,8 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from spinlight import cli
 from spinlight.cli import main
 
 IDEAL = """
@@ -297,3 +301,104 @@ def test_mb_validate_tolerance_failure_exit_code(tmp_path):
 def test_usage_error_exit_code():
     assert _run(["entangle"]) == 1
     assert _run(["frobnicate", "--config", "x"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# parser reuse
+
+
+def test_repeated_in_process_runs_match_first_calls(tmp_path):
+    sweep = _write(tmp_path, "sweep.cfg", SWEEP)
+    ideal = _write(tmp_path, "ideal.cfg", IDEAL)
+    out = str(tmp_path / "artifact")
+    runs = [
+        ["sweep", "--config", sweep, "--format", "csv"],
+        ["sweep", "--config", sweep],
+        ["entangle", "--config", ideal, "--seed", "7", "--trials", "2"],
+        ["entangle", "--config", ideal],
+        ["sweep", "--config", sweep, "--format", "csv"],
+    ]
+
+    def artifact(argv):
+        assert main(argv + ["--out", out]) == 0
+        with open(out, "rb") as handle:
+            return handle.read()
+
+    first_calls = []
+    for argv in runs:
+        cli._build_parser.cache_clear()
+        first_calls.append(artifact(argv))
+    assert first_calls[0] != first_calls[1] and first_calls[2] != first_calls[3]
+
+    cli._build_parser.cache_clear()
+    assert [artifact(argv) for argv in runs] == first_calls
+    assert cli._build_parser.cache_info().misses == 1
+
+
+# ---------------------------------------------------------------------------
+# artifact writer
+
+
+def _reference_json_text(obj, indent=0):
+    """The artifact writer as first written: one recursive call per value."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f'{pad}  {json.dumps(str(k))}: {_reference_json_text(v, indent + 1)}'
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [f"{pad}  {_reference_json_text(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format(float(obj), ".17g")
+    return json.dumps(str(obj))
+
+
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.sampled_from([-0.0, 1e-300, 5e300, 5e-324, 0.1]),
+    st.text(),
+    st.sampled_from(['"quoted"', "back\\slash", "tab\tnewline\n", "kappa\u2082", "\U0001f300"]),
+)
+_KEYS = st.one_of(st.text(), st.integers(), st.booleans(), st.sampled_from(["f_simulated", "\u00e9t\u00e9"]))
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(_KEYS, children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@given(payload=_PAYLOADS, indent=st.integers(0, 3))
+@example(payload={"a": [], "b": {}, "c": [{"d": -0.0, "e": 1e-300}], "f": 5e300}, indent=0)
+@example(payload=[{"x": np.float64(0.1), "y": np.int64(-3), "z": np.bool_(True)}], indent=1)
+@settings(max_examples=150, deadline=None)
+def test_json_writer_matches_reference_writer(payload, indent):
+    assert cli._json_text(payload, indent) == _reference_json_text(payload, indent)
+
+
+def test_json_writer_key_cache_tells_equal_keys_apart():
+    text = cli._json_text([{1: 0}, {True: 0}, {1.0: 0}])
+    assert text == _reference_json_text([{1: 0}, {True: 0}, {1.0: 0}])
+    assert '"True": 0' in text and '"1.0": 0' in text

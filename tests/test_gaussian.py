@@ -22,7 +22,8 @@ from spinlight import (
     vacuum_state,
     variance_of,
 )
-from conftest import random_physical_state
+from spinlight.gaussian import _damp, _turn
+from conftest import assert_step_matches_dense, random_physical_state
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +213,38 @@ def test_loss_rejects_out_of_range():
         loss_channel(vacuum_state(1), 0, 1.5)
     with pytest.raises(ValueError):
         loss_channel(vacuum_state(1), 0, -0.1)
+
+
+# ---------------------------------------------------------------------------
+# in-place step kernels against their dense matrix forms
+
+
+def _dense_loss(dim, mode, eps):
+    transfer, noise = np.eye(dim), np.zeros((dim, dim))
+    for q in (2 * mode, 2 * mode + 1):
+        transfer[q, q] = math.sqrt(1.0 - eps)
+        noise[q, q] = 0.5 * eps
+    return transfer, noise
+
+
+def _dense_rotation(dim, mode, theta):
+    transfer = np.eye(dim)
+    c, s = math.cos(theta), math.sin(theta)
+    transfer[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = [[c, s], [-s, c]]
+    return transfer, np.zeros((dim, dim))
+
+
+@pytest.mark.parametrize("batch", [None, 1, 7])
+@pytest.mark.parametrize("mode", [0, 2])
+def test_loss_kernel_matches_dense_form(batch, mode):
+    eps = np.random.default_rng(11).uniform(0.0, 0.95, size=batch)
+    assert_step_matches_dense(_damp, _dense_loss, (mode, eps), batch)
+
+
+@pytest.mark.parametrize("batch", [None, 1, 7])
+@pytest.mark.parametrize("theta", [0.73, -math.pi / 2, math.pi / 2, 2.9])
+def test_rotation_kernel_matches_dense_form(batch, theta):
+    assert_step_matches_dense(_turn, _dense_rotation, (1, theta), batch)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from spinlight import interaction
 from spinlight.gaussian import homodyne
 from conftest import (
     REFERENCE_LAMBDA0,
+    assert_step_matches_dense,
     random_physical_state,
     reference_lambda0,
 )
@@ -257,6 +258,22 @@ def test_pass_moments_match_matrix_oracle():
     assert out.cov[0, 0] == pytest.approx((1 + kappa**2) / 2, abs=1e-14)
     assert out.cov[1, 1] == pytest.approx(0.5, abs=1e-15)
     assert out.cov[0, 3] == pytest.approx(-kappa / 2, abs=1e-14)
+
+
+def _dense_kick(dim, light, atom, kappa):
+    transfer = np.eye(dim)
+    transfer[2 * light, 2 * atom + 1] = -kappa
+    transfer[2 * atom, 2 * light + 1] = -kappa
+    return transfer, np.zeros((dim, dim))
+
+
+@pytest.mark.parametrize("batch", [None, 1, 7])
+@pytest.mark.parametrize("light, atom", [(2, 0), (0, 1)])
+def test_kick_kernel_matches_dense_form(batch, light, atom):
+    kappa = np.random.default_rng(12).uniform(0.0, 1.0, size=batch)
+    assert_step_matches_dense(
+        interaction._kick, _dense_kick, (light, atom, kappa), batch
+    )
 
 
 def test_pass_with_zero_kappa_is_pure_loss():

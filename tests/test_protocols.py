@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from spinlight import (
     loss_channel,
     lossy_fidelity_bound,
     lossy_fidelity_sweep,
+    make_plans,
     optimal_kappa2,
     simulated_lossy_fidelity,
     squeezing_parameter,
@@ -429,3 +431,45 @@ def test_round_plan_validation():
         RoundPlan(kappa=1.0, eta_t=1.0)
     with pytest.raises(ValueError):
         RoundPlan(kappa=1.0, eps_p=-0.1)
+
+
+# ---------------------------------------------------------------------------
+# the sweep's vectorised round table
+
+
+def test_sweep_round_table_equals_round_plans():
+    from spinlight.protocols import _stack, _sweep_rounds
+
+    kappa2 = [0.3, 1.5, 9.5]
+    kwargs = dict(kappa1_multiplier=3.0, eps_p=0.02, eps_a=0.01, eta_d=0.1,
+                  eta_t_local=0.3)
+    entangling, local = _sweep_rounds(kappa2, 0.2, **kwargs)
+    plans = [make_plans(k2, 0.2, **kwargs) for k2 in kappa2]
+    assert np.array_equal(
+        entangling, _stack([(p["entangle1"], p["entangle2"]) for p in plans])
+    )
+    assert np.array_equal(local, _stack([(p["local1"], p["local2"]) for p in plans]))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -0.5])
+def test_sweep_names_the_row_with_a_bad_kappa2(bad):
+    pattern = rf"kappa must be finite and non-negative.*kappa2 = {re.escape(repr(bad))}"
+    with pytest.raises(ValueError, match=pattern):
+        lossy_fidelity_sweep([1.0, bad, 2.0], 0.2)
+    with pytest.raises(ValueError, match=pattern):
+        simulated_lossy_fidelity(bad, 0.2)
+
+
+@pytest.mark.parametrize("multiplier", [float("nan"), float("inf"), -float("inf")])
+def test_sweep_rejects_non_finite_kappa1_multiplier(multiplier):
+    with pytest.raises(ValueError, match=r"kappa must be finite.*kappa2 = 1\.0"):
+        lossy_fidelity_sweep([1.0, 2.0], 0.2, kappa1_multiplier=multiplier)
+
+
+@pytest.mark.parametrize("name, field", [
+    ("eps_p", "eps_p"), ("eps_a", "eps_a"), ("eta_d", "eta_d"), ("eta_t_local", "eta_t"),
+])
+@pytest.mark.parametrize("value", [1.0, -0.1, float("nan")])
+def test_sweep_rejects_noise_outside_unit_interval(name, field, value):
+    with pytest.raises(ValueError, match=rf"{field} must lie in \[0, 1\)"):
+        lossy_fidelity_sweep([1.0, 2.0], 0.2, **{name: value})
