@@ -19,6 +19,11 @@ Every artifact embeds the fully resolved configuration and the seed, floats
 are emitted with 17 significant digits, and per-trial RNG streams are derived
 as ``seed XOR trial_index``, so identical (config, seed) pairs give
 byte-identical artifacts no matter how trials are scheduled.
+
+Each subcommand only computes: it returns its JSON payload, its CSV header
+and rows, its summary lines and its exit code.  ``main`` renders the
+artifact in the configured format, writes it to the configured path or to
+stdout, and prints the summary.
 """
 
 import argparse
@@ -59,7 +64,7 @@ EXIT_TOLERANCE_FAILURE = 3
 
 def _fmt(value):
     """Text form of one scalar; floats carry 17 significant digits."""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
@@ -74,6 +79,7 @@ _LEAF_TEXT = {
     int: str,
     str: _ENCODE_STR,
     bool: lambda value: "true" if value else "false",
+    np.bool_: lambda value: "true" if value else "false",
     type(None): lambda value: "null",
 }
 
@@ -113,7 +119,7 @@ def _json_value(obj, pad):
         return "[" + item_pad + ("," + item_pad).join(items) + pad + "]"
     if (leaf := leaf_text(type(obj))) is not None:
         return leaf(obj)
-    # Numpy scalars, subclasses and anything else (bool has no subclasses).
+    # Other numpy scalars, subclasses and anything else (bool has no subclasses).
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
@@ -127,14 +133,6 @@ def _csv_text(echo, header, rows):
     for row in rows:
         lines.append(",".join(_fmt(cell) for cell in row))
     return "\n".join(lines) + "\n"
-
-
-def _emit(args, text):
-    if args.out:
-        with open(args.out, "w", newline="\n") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _trial_seed(seed, trial):
@@ -151,10 +149,11 @@ def _record_rows(records):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (payload, csv_header, csv_rows, summary_lines,
+# exit_code)
 
 
-def _cmd_derive(cfg, args):
+def _cmd_derive(cfg):
     if cfg.physical is None:
         raise ConfigError("physical", "derive needs the physical.* section")
     channel = cfg.channel
@@ -179,19 +178,15 @@ def _cmd_derive(cfg, args):
         "regime_pass": report.all_pass,
         "config": cfg.echo,
     }
-    if cfg.out_format == "csv":
-        header = [k for k in payload if k not in ("command", "config")]
-        text = _csv_text(cfg.echo, header, [[payload[k] for k in header]])
-    else:
-        text = _json_text(payload) + "\n"
-    _emit(args, text)
-    for name in ("kappa", "eps_p", "eps_a", "fresnel"):
-        print(f"{name} = {_fmt(payload[name])}")
-    print("regime: " + ("PASS" if report.all_pass else "WARN"))
-    return EXIT_OK if report.all_pass else EXIT_REGIME_WARNING
+    header = [k for k in payload if k not in ("command", "config")]
+    summary = [f"{name} = {_fmt(payload[name])}"
+               for name in ("kappa", "eps_p", "eps_a", "fresnel")]
+    summary.append("regime: " + ("PASS" if report.all_pass else "WARN"))
+    code = EXIT_OK if report.all_pass else EXIT_REGIME_WARNING
+    return payload, header, [[payload[k] for k in header]], summary, code
 
 
-def _cmd_entangle(cfg, args):
+def _cmd_entangle(cfg):
     plan1, plan2 = cfg.plans["entangle1"], cfg.plans["entangle2"]
     trials = []
     for trial in range(cfg.trials):
@@ -224,24 +219,17 @@ def _cmd_entangle(cfg, args):
             "round2_mean": float(outcomes[:, 1].mean()),
             "round2_var": float(outcomes[:, 1].var(ddof=1)),
         }
-    if cfg.out_format == "csv":
-        header = ["trial", "outcome_round1", "outcome_round2", "epr_x", "epr_p", "r"]
-        rows = [
-            [i, rep.records[0].outcome, rep.records[1].outcome,
-             rep.epr_x, rep.epr_p, rep.r]
-            for i, rep in enumerate(trials)
-        ]
-        text = _csv_text(cfg.echo, header, rows)
-    else:
-        text = _json_text(payload) + "\n"
-    _emit(args, text)
-    print(f"epr_x = {_fmt(base.epr_x)}")
-    print(f"epr_p = {_fmt(base.epr_p)}")
-    print(f"r = {_fmt(base.r)}")
-    return EXIT_OK
+    header = ["trial", "outcome_round1", "outcome_round2", "epr_x", "epr_p", "r"]
+    rows = [
+        [i, rep.records[0].outcome, rep.records[1].outcome, rep.epr_x, rep.epr_p, rep.r]
+        for i, rep in enumerate(trials)
+    ]
+    summary = [f"epr_x = {_fmt(base.epr_x)}", f"epr_p = {_fmt(base.epr_p)}",
+               f"r = {_fmt(base.r)}"]
+    return payload, header, rows, summary, EXIT_OK
 
 
-def _cmd_teleport(cfg, args):
+def _cmd_teleport(cfg):
     plans = cfg.plans
     kappa2 = plans["entangle2"].kappa
     trials = []
@@ -285,25 +273,19 @@ def _cmd_teleport(cfg, args):
         ],
         "config": cfg.echo,
     }
-    if cfg.out_format == "csv":
-        header = ["trial", "fidelity_simulated", "fidelity_ideal_closed_form",
-                  "fidelity_lossy_closed_form", "classical_bound_exceeded"]
-        rows = [
-            [i, tel.fidelity, payload["fidelity_ideal_closed_form"],
-             payload["fidelity_lossy_closed_form"],
-             classical_bound_check(tel.fidelity)]
-            for i, (_, tel) in enumerate(trials)
-        ]
-        text = _csv_text(cfg.echo, header, rows)
-    else:
-        text = _json_text(payload) + "\n"
-    _emit(args, text)
-    print(f"fidelity = {_fmt(fidelity)}")
-    print(f"classical bound exceeded: {_fmt(payload['classical_bound_exceeded'])}")
-    return EXIT_OK
+    header = ["trial", "fidelity_simulated", "fidelity_ideal_closed_form",
+              "fidelity_lossy_closed_form", "classical_bound_exceeded"]
+    rows = [
+        [i, tel.fidelity, payload["fidelity_ideal_closed_form"],
+         payload["fidelity_lossy_closed_form"], classical_bound_check(tel.fidelity)]
+        for i, (_, tel) in enumerate(trials)
+    ]
+    summary = [f"fidelity = {_fmt(fidelity)}",
+               f"classical bound exceeded: {_fmt(payload['classical_bound_exceeded'])}"]
+    return payload, header, rows, summary, EXIT_OK
 
 
-def _cmd_sweep(cfg, args):
+def _cmd_sweep(cfg):
     if cfg.sweep is None:
         raise ConfigError("sweep.min", "sweep needs a sweep.* section")
     points = lossy_fidelity_sweep(
@@ -320,27 +302,20 @@ def _cmd_sweep(cfg, args):
         [pt.kappa2, pt.eta_t, pt.f_simulated, pt.f_closed_form, pt.is_argmax]
         for pt in points
     ]
-    if cfg.out_format == "json":
-        payload = {
-            "command": "sweep",
-            "seed": cfg.seed,
-            "eta_t": cfg.eta_t,
-            "kappa2_optimal_closed_form": optimal_kappa2(cfg.eta_t)
-            if cfg.eta_t > 0
-            else None,
-            "points": [dict(zip(header, row)) for row in rows],
-            "config": cfg.echo,
-        }
-        text = _json_text(payload) + "\n"
-    else:
-        text = _csv_text(cfg.echo, header, rows)
-    _emit(args, text)
+    payload = {
+        "command": "sweep",
+        "seed": cfg.seed,
+        "eta_t": cfg.eta_t,
+        "kappa2_optimal_closed_form": optimal_kappa2(cfg.eta_t) if cfg.eta_t > 0 else None,
+        "points": [dict(zip(header, row)) for row in rows],
+        "config": cfg.echo,
+    }
     best = next(pt for pt in points if pt.is_argmax)
-    print(f"argmax kappa2 = {_fmt(best.kappa2)} (f = {_fmt(best.f_simulated)})")
-    return EXIT_OK
+    summary = [f"argmax kappa2 = {_fmt(best.kappa2)} (f = {_fmt(best.f_simulated)})"]
+    return payload, header, rows, summary, EXIT_OK
 
 
-def _cmd_mb_validate(cfg, args):
+def _cmd_mb_validate(cfg):
     if cfg.physical is None:
         raise ConfigError("physical", "mb-validate needs the physical.* section")
     channel = cfg.channel
@@ -376,27 +351,22 @@ def _cmd_mb_validate(cfg, args):
         and final[5] <= cfg.mb.tol_eps
         and final[6] <= cfg.mb.tol_eps
     )
-    if cfg.out_format == "json":
-        payload = {
-            "command": "mb-validate",
-            "seed": cfg.seed,
-            "kappa_analytic": channel.kappa,
-            "eps_p_analytic": channel.eps_p,
-            "eps_a_analytic": channel.eps_a,
-            "rows": [dict(zip(header, row)) for row in rows],
-            "within_tolerance": within,
-            "config": cfg.echo,
-        }
-        text = _json_text(payload) + "\n"
-    else:
-        text = _csv_text(cfg.echo, header, rows)
-    _emit(args, text)
-    print(
+    payload = {
+        "command": "mb-validate",
+        "seed": cfg.seed,
+        "kappa_analytic": channel.kappa,
+        "eps_p_analytic": channel.eps_p,
+        "eps_a_analytic": channel.eps_a,
+        "rows": [dict(zip(header, row)) for row in rows],
+        "within_tolerance": within,
+        "config": cfg.echo,
+    }
+    summary = [
         f"final grid {final[0]}x{final[0]}: dev_kappa = {_fmt(final[4])}, "
-        f"dev_eps_p = {_fmt(final[5])}, dev_eps_a = {_fmt(final[6])}"
-    )
-    print("tolerance: " + ("PASS" if within else "FAIL"))
-    return EXIT_OK if within else EXIT_TOLERANCE_FAILURE
+        f"dev_eps_p = {_fmt(final[5])}, dev_eps_a = {_fmt(final[6])}",
+        "tolerance: " + ("PASS" if within else "FAIL"),
+    ]
+    return payload, header, rows, summary, EXIT_OK if within else EXIT_TOLERANCE_FAILURE
 
 
 # ---------------------------------------------------------------------------
@@ -456,11 +426,19 @@ def main(argv=None):
         if args.format is not None:
             mapping["output.format"] = args.format
         cfg = resolve_run_config(mapping)
-        if args.out is None and cfg.out_path is not None:
-            args.out = cfg.out_path
-        if args.format is None:
-            args.format = cfg.out_format
-        return _COMMANDS[args.command](cfg, args)
+        payload, header, rows, summary, code = _COMMANDS[args.command](cfg)
+        if cfg.out_format == "csv":
+            text = _csv_text(cfg.echo, header, rows)
+        else:
+            text = _json_text(payload) + "\n"
+        if cfg.out_path:
+            with open(cfg.out_path, "w", newline="\n") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+        for line in summary:
+            print(line)
+        return code
     except (ConfigError, OSError, ValueError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_USAGE

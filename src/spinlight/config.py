@@ -158,13 +158,11 @@ def serialize_config(mapping):
 def apply_env_overrides(mapping, environ):
     """Overlay SPINLIGHT_* environment variables onto a parsed mapping."""
     merged = dict(mapping)
-    for name, value in sorted(environ.items()):
-        if not name.startswith(ENV_PREFIX):
-            continue
+    for name in sorted(name for name in environ if name.startswith(ENV_PREFIX)):
         key = name[len(ENV_PREFIX):].lower().replace("__", ".")
         if not _KEY_RE.match(key):
             raise ConfigError(name, "environment override is not a valid key")
-        merged[key] = _parse_scalar(value)
+        merged[key] = _parse_scalar(environ[name])
     return merged
 
 

@@ -16,7 +16,9 @@ leading axes for a covariance) and whose trailing axes, if any, are a batch of
 operating points: transfer columns or a mean become T X, a covariance
 T N T^T + Y, and each update is a few vector operations over the batch.
 ``rotate`` and ``loss_channel`` copy a state's moments and apply a kernel;
-``apply_symplectic`` keeps the dense product for general matrices.
+``apply_symplectic`` keeps the dense product for general matrices.  The
+conditioning rule of a homodyne measurement is one kernel of the same kind,
+``_condition``, which ``homodyne`` and the batched protocol sweep both call.
 """
 
 import dataclasses
@@ -267,6 +269,20 @@ def _turn(rows, cov, mode, theta):
         block[p] = c * block[p] - s * old_x
 
 
+def _condition(mean, cov, k, outcome):
+    """In place: condition on quadrature ``k`` having given ``outcome``.
+
+    With c = cov[:, k] and v = cov[k, k], the mean gains
+    c (outcome - mean[k]) / v and the covariance loses c c^T / v; the
+    measured rows are kept.  ``mean`` may be None (then ``outcome`` is not
+    read); ``outcome`` is a scalar or an array over the trailing batch axes.
+    """
+    column, v = cov[:, k].copy(), cov[k, k].copy()
+    if mean is not None:
+        mean += column * ((outcome - mean[k]) / v)
+    cov -= column[:, None] * column[None, :] / v
+
+
 def _state_step(state, step, *args):
     """Copy a state, apply one in-place step to its moments, rebuild it."""
     mean, cov = state.mean.copy(), state.cov.copy()
@@ -337,13 +353,11 @@ def homodyne(state, mode, quadrature, rng=None, forced=None):
     v = state.cov[k, k]
     if v <= 0.0:
         raise DegeneracyError(f"measured quadrature has non-positive variance {v}")
-    prior_mean = state.mean[k]
     outcome = float(forced) if forced is not None else float(
-        rng.normal(prior_mean, math.sqrt(v))
+        rng.normal(state.mean[k], math.sqrt(v))
     )
-    column = state.cov[:, k]
-    mean = state.mean + column * ((outcome - prior_mean) / v)
-    cov = state.cov - np.outer(column, column) / v
+    mean, cov = state.mean.copy(), state.cov.copy()
+    _condition(mean, cov, k, outcome)
     keep = np.array(
         [i for i in range(state.mean.size) if i not in (2 * m, 2 * m + 1)], dtype=int
     )

@@ -26,17 +26,19 @@ trailing batch axis, so a whole sweep of operating points is one pass.
 on each pulse's x in round order with :func:`~spinlight.gaussian.homodyne`;
 the conditional EPR variances are exact and independent of the outcomes.
 ``teleport`` pushes the entangled pair plus a fresh input sample through the
-local Bell channel and displaces sample 2 by the outcomes.  The channel's
-mean map gives the responses A of sample 2 and C of the outcomes to the input
-mean, and the gain G = (I - A) C^-1 makes the end-to-end mean transfer
-exactly one.
+local Bell channel and displaces sample 2 by the outcomes.  Besides the
+covariance, only the mean map's two columns for the input sample's x and p
+are pushed (and the register mean itself in ``teleport``): they give the
+responses A of sample 2 and C of the outcomes to the input mean, and the
+gain G = (I - A) C^-1 makes the end-to-end mean transfer exactly one.
 The reported fidelity is that of the outcome-averaged output,
 F = det(W Sigma W^T + I/2)^(-1/2) with W = [I G] and Sigma the joint
 covariance of sample 2 and both outcomes; the unit gain makes it independent
 of the input amplitude.  The lossy sweep pushes the vacuum covariance through
-the entangling rounds, takes the entangled covariance as a Schur complement
-on the pulses' x, and pushes it through the local rounds with the mean map's
-columns; its round table is built as arrays from the kappa2 values.
+the entangling rounds, conditions it on each pulse's x with the same kernel
+as :func:`~spinlight.gaussian.homodyne`, and pushes the entangled covariance
+through the local rounds; its round table is built as arrays from the kappa2
+values.
 """
 
 import dataclasses
@@ -50,6 +52,7 @@ from .gaussian import (
     MeasurementRecord,
     ModeIndex,
     ModeLabel,
+    _condition,
     _damp,
     _propagate,
     _turn,
@@ -269,31 +272,34 @@ def _bell_rounds(state, forced_outcomes, rng, tag):
 _JOINT = [2, 3, 6, 8]
 
 
-def _deferred_teleport(entangled_cov, rounds, gain=None):
+def _deferred_teleport(entangled_cov, rounds, gain=None, mean=None):
     """Local Bell channel, gain and outcome-averaged output, batched over rows.
 
-    ``entangled_cov`` is the (B, 4, 4) covariance of the entangled pair and
+    ``entangled_cov`` is the (B, 4, 4) covariance of the entangled pair,
     ``gain`` an optional (B, 2, 2) manual gain, calibrated for unit
-    end-to-end mean transfer if None.  The pair, a vacuum input sample and
+    end-to-end mean transfer if None, and ``mean`` an optional (B, 6) mean
+    of the pair and the input sample.  The pair, a vacuum input sample and
     the vacuum pulses are pushed through the channel together with the mean
-    map's columns.  Returns the (B, 10, 6) mean map X and the (B, 10, 10)
-    output covariance X S X^T + Y of the register, the (B, 4, 6) joint rows
-    of X, the (B, 2, 4) weights W = [I G] and the (B, 2, 2) covariance of the
-    displaced, outcome-averaged sample 2.
+    map's columns for the input's x and p and, if given, the mean.  Returns
+    the (B, 10) output mean of the register (None without ``mean``), its
+    (B, 10, 10) output covariance, the (B, 2, 4) weights W = [I G] and the
+    (B, 2, 2) covariance of the displaced, outcome-averaged sample 2.
     """
     batch = len(entangled_cov)
     cov = _register(10, batch, 4)
     cov[:4, :4] = np.moveaxis(entangled_cov, 0, -1)
-    transfer = np.eye(10, 6)[:, :, None].repeat(batch, axis=2)
-    _push_bell(transfer, cov, 3, 0, 2, rounds)
-    transfer, cov = np.moveaxis(transfer, -1, 0), np.moveaxis(cov, -1, 0)
-    joint = transfer[:, _JOINT]
+    columns = np.zeros((10, 2 if mean is None else 3, batch))
+    columns[4, 0] = columns[5, 1] = 1.0
+    if mean is not None:
+        columns[:6, 2] = mean.T
+    _push_bell(columns, cov, 3, 0, 2, rounds)
+    columns, cov = np.moveaxis(columns, -1, 0), np.moveaxis(cov, -1, 0)
     sigma = cov[:, _JOINT][:, :, _JOINT]
     if gain is None:
         # G C = I - A for the responses A (sample 2) and C (outcomes) to the
         # input mean; a singular C names its row's first local kappa, the
         # kappa2 of the loss-adapted strategy.
-        a, c = joint[:, :2, 4:], joint[:, 2:, 4:]
+        a, c = columns[:, _JOINT[:2], :2], columns[:, _JOINT[2:], :2]
         c_t, rhs_t = np.swapaxes(c, -1, -2), np.swapaxes(np.eye(2) - a, -1, -2)
         try:
             gain = np.swapaxes(np.linalg.solve(c_t, rhs_t), -1, -2)
@@ -305,7 +311,7 @@ def _deferred_teleport(entangled_cov, rounds, gain=None):
             ) from exc
     weights = np.concatenate([np.broadcast_to(np.eye(2), gain.shape), gain], axis=-1)
     _, averaged_cov = _propagate(None, sigma, weights, 0.0)
-    return (transfer, cov), joint, weights, averaged_cov
+    return None if mean is None else columns[:, :, 2], cov, weights, averaged_cov
 
 
 def _report(pair, fidelity, records, seed, config_echo):
@@ -383,23 +389,24 @@ def teleport(entangled, input_mean, plan_local_round1, plan_local_round2, gain=N
             f"entangled resource must have exactly 2 modes, got {entangled.n_modes}"
         )
     rounds = _stack([(plan_local_round1, plan_local_round2)])
-    input_mean = (float(input_mean[0]), float(input_mean[1]))
+    input_mean = np.array([float(input_mean[0]), float(input_mean[1])])
     mean = np.concatenate([entangled.mean, input_mean])
 
     manual = None if gain is None else np.array([[[0.0, gain[0]], [gain[1], 0.0]]], float)
-    (transfer, cov), joint, weights, averaged_cov = _deferred_teleport(
-        entangled.cov[None], rounds, manual
+    pushed, cov, weights, averaged_cov = _deferred_teleport(
+        entangled.cov[None], rounds, manual, mean[None]
     )
-    joint, weights = joint[0], weights[0]
-    # The calibrated offset cancels what the entangled pair's mean feeds into
-    # the displaced output; a manual gain comes without offset.
-    offset = np.zeros(2)
-    if gain is None:
-        offset = -(weights @ joint[:, :4] @ entangled.mean)
-    averaged = GaussianState(weights @ joint @ mean + offset, averaged_cov[0])
+    pushed, weights = pushed[0], weights[0]
+    # Without offset the outcome-averaged output has mean W mu_J.  A calibrated
+    # gain's offset moves it to the input mean, cancelling what the entangled
+    # pair's mean feeds in; a manual gain comes without offset.
+    unshifted = weights @ pushed[_JOINT]
+    averaged_mean = input_mean if gain is None else unshifted
+    offset = averaged_mean - unshifted
+    averaged = GaussianState(averaged_mean, averaged_cov[0])
     fidelity = fidelity_coherent(averaged, 0, input_mean)
 
-    register = GaussianState(transfer[0] @ mean, cov[0])
+    register = GaussianState(pushed, cov[0])
     final_state, records = _bell_rounds(register, forced_outcomes, rng, "teleport")
     shift = weights[:, 2:] @ np.array([rec.outcome for rec in records]) + offset
     output = displace(marginal(final_state, [1]), 0, shift[0], shift[1])
@@ -477,19 +484,16 @@ def _sweep_rounds(kappa2_values, eta_t, kappa1_multiplier=10.0, eps_p=0.0, eps_a
 def _lossy_fidelities(kappa2_values, eta_t, **plan_kwargs):
     """Teleportation fidelity of the loss-adapted strategy at every kappa2, batched.
 
-    Entangling with forced outcomes leaves a covariance that is the Schur
-    complement of the entangling channel's output on the pulses' x.  The
-    channel acts on the vacuum covariance in place, so no transfer map is
-    formed for it.
+    The entangling channel acts on the vacuum covariance in place, so no
+    transfer map is formed for it, and the covariance is conditioned on each
+    pulse's x in round order as :func:`entangle` does; the outcomes never
+    enter a covariance.
     """
     entangling, local = _sweep_rounds(kappa2_values, eta_t, **plan_kwargs)
     cov = _register(8, len(kappa2_values), 0)
     _push_bell(None, cov, 2, 0, 1, entangling)
-    # Conditioning on one pulse's x and then the other's is the Schur
-    # complement on both.
     for pulse_x in (4, 6):
-        column = cov[:, pulse_x] / np.sqrt(cov[pulse_x, pulse_x])
-        cov -= column[:, None] * column[None, :]
+        _condition(None, cov, pulse_x, None)
     _, _, _, averaged_cov = _deferred_teleport(np.moveaxis(cov[:4, :4], -1, 0), local)
     overlap = averaged_cov + VACUUM_VARIANCE * np.eye(2)
     det = overlap[:, 0, 0] * overlap[:, 1, 1] - overlap[:, 0, 1] * overlap[:, 1, 0]

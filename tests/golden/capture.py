@@ -2,9 +2,10 @@
 
 Regenerate with ``PYTHONPATH=src python tests/golden/capture.py`` from the
 repository root.  Each case runs ``spinlight.cli.main`` on one of the
-configs below and stores the artifact bytes as ``<case>.json``; the exit
-code of every case goes to ``exit_codes.json``.  ``tests/test_golden.py``
-re-runs the cases and compares against these files.
+configs below, once per artifact format, and stores the artifact bytes as
+``<case>.json`` and ``<case>.csv``; the exit code of every run goes to
+``exit_codes.json``, keyed ``<case>`` for JSON and ``<case>.csv`` for CSV.
+``tests/test_golden.py`` re-runs the cases and compares against these files.
 """
 
 import json
@@ -60,32 +61,44 @@ CASES = {
 CASES["sweep-corner"] = ("corner", ["sweep"])
 
 
-def run_case(name, workdir):
-    """Run one case in ``workdir``; returns (exit code, artifact bytes or None)."""
+FORMATS = ("json", "csv")
+
+
+def exit_code_key(name, fmt):
+    return name if fmt == "json" else f"{name}.{fmt}"
+
+
+def run_case(name, workdir, fmt="json"):
+    """Run one case in ``workdir``; returns (exit code, artifact bytes or None).
+
+    ``fmt`` other than ``json`` (the default format) is passed as ``--format``.
+    """
     from spinlight.cli import main
 
     config, argv = CASES[name]
     workdir = Path(workdir)
     cfg = workdir / f"{config}.cfg"
     cfg.write_text(CONFIGS[config])
-    out = workdir / f"{name}.json"
+    out = workdir / f"{name}.{fmt}"
     if out.exists():
         out.unlink()
-    code = main(argv + ["--config", str(cfg), "--out", str(out)])
+    flags = [] if fmt == "json" else ["--format", fmt]
+    code = main(argv + flags + ["--config", str(cfg), "--out", str(out)])
     return code, out.read_bytes() if out.exists() else None
 
 
 def main():
     codes = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name in CASES:
-            code, data = run_case(name, tmp)
-            codes[name] = code
-            target = HERE / f"{name}.json"
-            if data is None:
-                target.unlink(missing_ok=True)
-            else:
-                target.write_bytes(data)
+        for fmt in FORMATS:
+            for name in CASES:
+                code, data = run_case(name, tmp, fmt)
+                codes[exit_code_key(name, fmt)] = code
+                target = HERE / f"{name}.{fmt}"
+                if data is None:
+                    target.unlink(missing_ok=True)
+                else:
+                    target.write_bytes(data)
     (HERE / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")
 
 

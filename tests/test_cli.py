@@ -357,7 +357,7 @@ def _reference_json_text(obj, indent=0):
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if obj is None:
         return "null"
-    if isinstance(obj, bool):
+    if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
@@ -402,3 +402,8 @@ def test_json_writer_key_cache_tells_equal_keys_apart():
     text = cli._json_text([{1: 0}, {True: 0}, {1.0: 0}])
     assert text == _reference_json_text([{1: 0}, {True: 0}, {1.0: 0}])
     assert '"True": 0' in text and '"1.0": 0' in text
+
+
+def test_csv_writer_writes_numpy_booleans_as_literals():
+    text = cli._csv_text({"flag": np.bool_(False)}, ["a", "b"], [[np.bool_(True), True]])
+    assert text == "# flag = false\na,b\ntrue,true\n"

@@ -1,3 +1,5 @@
+import collections.abc
+
 import pytest
 
 from spinlight.config import (
@@ -110,6 +112,26 @@ def test_env_overrides_and_precedence():
     assert cfg.seed == 7
     assert cfg.plans["entangle1"].kappa == 2.5
     assert cfg.plans["entangle2"].kappa == 5.0
+
+
+def test_env_overrides_read_only_prefixed_variables():
+    class Environ(collections.abc.Mapping):
+        """Holds one override among variables whose values must not be read."""
+
+        names = ("HOME", "SPINLIGHT_SEED", "PATH")
+
+        def __getitem__(self, name):
+            if not name.startswith("SPINLIGHT_"):
+                raise AssertionError(f"read {name}")
+            return "7"
+
+        def __iter__(self):
+            return iter(self.names)
+
+        def __len__(self):
+            return len(self.names)
+
+    assert apply_env_overrides({}, Environ()) == {"seed": 7}
 
 
 def test_round_and_noise_defaults():

@@ -7,6 +7,11 @@ stay byte-identical.  ``entangle``, ``teleport``, ``sweep`` and
 ``mb-validate`` sum in a different order than at capture and may move in the
 last digits: keys, strings, booleans and integers (so every ``is_argmax`` row
 and every grid size) must match exactly, floats within 1e-11 relative.
+
+The CSV goldens were captured later, before the CLI moved to one renderer,
+and follow the same classes: ``derive`` byte-identical; elsewhere the ``#``
+echo lines and the header exactly, integer and non-numeric cells exactly and
+the other numeric cells within 1e-11 relative.
 """
 
 import json
@@ -15,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from golden.capture import CASES, run_case
+from golden.capture import CASES, exit_code_key, run_case
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
@@ -54,3 +59,42 @@ def test_artifact_matches_golden(name, tmp_path):
         assert data == want
     else:
         _assert_close(json.loads(data), json.loads(want))
+
+
+def _assert_csv_cell_close(got, want, where):
+    try:
+        want_value = float(want)
+    except ValueError:
+        want_value = None
+    if want_value is None or want.lstrip("-").isdigit():
+        assert got == want, f"{where}: {got!r} != {want!r}"
+    else:
+        assert math.isclose(float(got), want_value, rel_tol=REL_TOL, abs_tol=0.0), (
+            f"{where}: {got!r} != {want!r}"
+        )
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_csv_artifact_matches_golden(name, tmp_path):
+    code, data = run_case(name, tmp_path, "csv")
+    assert code == EXIT_CODES[exit_code_key(name, "csv")]
+    golden = GOLDEN / f"{name}.csv"
+    if code != 0:
+        assert not golden.exists()
+        return
+    want = golden.read_bytes()
+    if CASES[name][1][0] in BYTE_IDENTICAL:
+        assert data == want
+        return
+    got_lines, want_lines = data.decode().split("\n"), want.decode().split("\n")
+    assert len(got_lines) == len(want_lines)
+    echo = sum(line.startswith("#") for line in want_lines)
+    # The echo lines and the header line.
+    assert got_lines[:echo + 1] == want_lines[:echo + 1]
+    for number, (got, want) in enumerate(zip(got_lines, want_lines)):
+        if number <= echo:
+            continue
+        got_cells, want_cells = got.split(","), want.split(",")
+        assert len(got_cells) == len(want_cells), f"line {number + 1}: cell counts differ"
+        for column, (g, w) in enumerate(zip(got_cells, want_cells)):
+            _assert_csv_cell_close(g, w, f"line {number + 1}, column {column + 1}")

@@ -451,6 +451,31 @@ def test_sweep_round_table_equals_round_plans():
     assert np.array_equal(local, _stack([(p["local1"], p["local2"]) for p in plans]))
 
 
+def test_sweep_conditions_like_entangle(monkeypatch):
+    # The sweep conditions its batched covariance with the kernel homodyne
+    # uses, so each row's entangled pair equals entangle's, bit for bit.
+    import spinlight.protocols as protocols
+
+    real = protocols._deferred_teleport
+    seen = []
+
+    def spy(entangled_cov, *args, **kwargs):
+        seen.append(entangled_cov.copy())
+        return real(entangled_cov, *args, **kwargs)
+
+    monkeypatch.setattr(protocols, "_deferred_teleport", spy)
+    kappa2 = [0.3, 1.5, 9.5]
+    kwargs = dict(kappa1_multiplier=3.0, eps_p=0.02, eps_a=0.01, eta_d=0.1,
+                  eta_t_local=0.3)
+    lossy_fidelity_sweep(kappa2, 0.2, **kwargs)
+    (pairs,) = seen
+    for k2, pair in zip(kappa2, pairs):
+        plans = make_plans(k2, 0.2, **kwargs)
+        state, _ = entangle(plans["entangle1"], plans["entangle2"],
+                            forced_outcomes=(0.4, -1.1))
+        assert np.array_equal(pair, state.cov)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -0.5])
 def test_sweep_names_the_row_with_a_bad_kappa2(bad):
     pattern = rf"kappa must be finite and non-negative.*kappa2 = {re.escape(repr(bad))}"
