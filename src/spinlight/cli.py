@@ -190,9 +190,8 @@ def _cmd_entangle(cfg):
     plan1, plan2 = cfg.plans["entangle1"], cfg.plans["entangle2"]
     trials = []
     for trial in range(cfg.trials):
-        tseed = _trial_seed(cfg.seed, trial)
-        rng = np.random.default_rng(tseed)
-        _, report = entangle(plan1, plan2, rng=rng, seed=tseed, config_echo=cfg.echo)
+        rng = np.random.default_rng(_trial_seed(cfg.seed, trial))
+        _, report = entangle(plan1, plan2, rng=rng)
         trials.append(report)
     base = trials[0]
     payload = {
@@ -234,11 +233,8 @@ def _cmd_teleport(cfg):
     kappa2 = plans["entangle2"].kappa
     trials = []
     for trial in range(cfg.trials):
-        tseed = _trial_seed(cfg.seed, trial)
-        rng = np.random.default_rng(tseed)
-        ent_state, ent_rep = entangle(
-            plans["entangle1"], plans["entangle2"], rng=rng, seed=tseed
-        )
+        rng = np.random.default_rng(_trial_seed(cfg.seed, trial))
+        ent_state, ent_rep = entangle(plans["entangle1"], plans["entangle2"], rng=rng)
         _, rep = teleport(
             ent_state,
             cfg.input_mean,
@@ -246,7 +242,6 @@ def _cmd_teleport(cfg):
             plans["local2"],
             gain=cfg.gain,
             rng=rng,
-            seed=tseed,
         )
         trials.append((ent_rep, rep))
     fidelity = trials[0][1].fidelity

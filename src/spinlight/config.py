@@ -177,10 +177,6 @@ class SweepSpec:
         step = (self.maximum - self.minimum) / (self.steps - 1)
         return [self.minimum + i * step for i in range(self.steps)]
 
-    @property
-    def step_size(self):
-        return (self.maximum - self.minimum) / (self.steps - 1)
-
 
 @dataclasses.dataclass(frozen=True)
 class MbSpec:

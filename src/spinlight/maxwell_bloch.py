@@ -19,11 +19,17 @@ Only fluctuation dynamics are propagated: the deterministic global phase from
 the mean populations is dropped, matching the canonical-operator
 linearization, and the pulse envelope is taken flat (uniform grid weights).
 
-Only the four collective output rows are ever read, so
-:func:`extract_collective_from_channel` computes them by an adjoint sweep: the
-rows are pulled back through the transposed cell updates in reverse causal
-order, one vectorized step per anti-diagonal of the grid, in
-O(n_z * n_tau) time and O(n_z + n_tau) memory.  The dense composed map of
+Only the four collective output rows are ever read, and they have a closed
+form.  The kicks read only p and write only x, and every damping step is
+diagonal, so the p quadratures are damped but never driven.  With the
+per-cell transmissions tp = sqrt(1 - eps_p / n_z) and
+ta = sqrt(1 - eps_a / n_tau), p_l(m) reaches slice j as tp^j p_l_in(m) and
+p_a(j) reaches bin m as ta^m p_a_in(j), plus vacua.  The x quadratures are
+driven by those p values and damped after each kick.  Every collective row
+coefficient is then a per-bin power times a per-slice one, and every noise
+sum factors into a bin sum times a slice sum, so
+:func:`extract_collective_from_channel` needs O(n_z + n_tau) time and memory
+and no loop over the grid.  The dense composed map of
 :func:`build_transfer` has 2 (n_tau + n_z) rows and 4 n_z n_tau noise columns;
 it is kept as the small-grid reference for :func:`commutator_defect` and the
 tests.
@@ -242,48 +248,65 @@ def extract_collective(tm):
     )
 
 
+def _powers(t, n):
+    """t**0 .. t**n as sequential products, the order the cell updates apply."""
+    powers = np.full(n + 1, t)
+    powers[0] = 1.0
+    return np.cumprod(powers)
+
+
 def extract_collective_from_channel(channel, grid):
     """Collective channel coefficients of the grid, without the dense map.
 
     Equal to ``extract_collective(build_transfer_from_channel(channel, grid))``
-    up to rounding.  The four collective output rows are pulled back through
-    the cells in reverse order (the transposed cell updates), and each
-    cell's vacuum injections add their squared coefficients to per-output
-    noise sums.  Cell (m, j) touches only light bin m and atomic slice j, so
-    the cells of one anti-diagonal m + j = d act on disjoint columns and are
-    applied together: n_tau + n_z - 1 vectorized steps, O(n_tau + n_z) memory.
+    up to rounding, in O(n_z + n_tau) time and memory.  Kicks read only p and
+    write only x, and the damping steps are diagonal, so the map has a closed
+    form.  Write tp, ta for the per-cell transmissions and k for the per-cell
+    kick.  Light bin m meets slice j after j light dampings and m atomic
+    ones: p_l(m) reaches it as tp^j p_l_in(m) and p_a(j) as ta^m p_a_in(j),
+    each plus damping vacua.  A kick at cell (m, j) is then damped by the
+    remaining tp^(n_z - j) (light) or ta^(n_tau - m) (atoms), so
+
+      x_l_out(m) = tp^n_z x_l_in(m) - k sum_j tp^(n_z - j) [p_a at (m, j)],
+
+    plus light vacua, and x_a_out(j) is its mirror image.  Every collective
+    row coefficient is a per-bin power times a per-slice one, and every
+    per-output noise sum, the kick-mediated cross admixture included,
+    factors into a sum over bins times a sum over slices of geometric terms.
     """
     nt, nz = grid.n_tau, grid.n_z
     eps_cell_p = channel.eps_p / nz
     eps_cell_a = channel.eps_a / nt
     k_cell = channel.kappa / math.sqrt(nz * nt)
-    tp, ta = math.sqrt(1.0 - eps_cell_p), math.sqrt(1.0 - eps_cell_a)
+    # tp**i for i light dampings (i = 0..n_z), ta**i for i atomic ones
+    tp = _powers(math.sqrt(1.0 - eps_cell_p), nz)
+    ta = _powers(math.sqrt(1.0 - eps_cell_a), nt)
+    ul, ua = 1.0 / math.sqrt(nt), 1.0 / math.sqrt(nz)
 
     u = _collective_vectors(nt, nz)
-    # pulled-back rows, indexed (output, light bin or atomic slice, x/p)
-    light = u[:, : 2 * nt].reshape(4, nt, 2).copy()
-    atom = u[:, 2 * nt :].reshape(4, nz, 2).copy()
-    light_noise = np.zeros(4)
-    atom_noise = np.zeros(4)
+    rows = np.zeros_like(u)
+    x_l, p_l = slice(0, 2 * nt, 2), slice(1, 2 * nt, 2)
+    x_a, p_a = slice(2 * nt, None, 2), slice(2 * nt + 1, None, 2)
+    rows[0, x_l] = ul * tp[nz]
+    rows[1, p_l] = ul * tp[nz]
+    rows[2, x_a] = ua * ta[nt]
+    rows[3, p_a] = ua * ta[nt]
+    # x_l <- p_a(j): ta^m summed over the bins, tp^(n_z - j) after the kick;
+    # x_a <- p_l(m) mirrors it.
+    rows[0, p_a] = -k_cell * ul * ta[:nt].sum() * tp[nz:0:-1]
+    rows[2, p_l] = -k_cell * ua * tp[:nz].sum() * ta[nt:0:-1]
 
-    for d in range(nt + nz - 2, -1, -1):
-        m_lo, m_hi = max(0, d - nz + 1), min(d, nt - 1)
-        lt = light[:, m_lo : m_hi + 1]
-        # slices j = d - m for m = m_lo..m_hi, i.e. descending
-        at = atom[:, d - m_hi : d - m_lo + 1][:, ::-1]
-        # The forward cell is kick, light damping, atom damping; its transpose
-        # runs the other way round.  A damping step injects vacuum with
-        # coefficient sqrt(eps_cell) times the row entries it scales; the
-        # common eps_cell factor is applied once, after the sweep.
-        atom_noise += np.einsum("rcq,rcq->r", at, at)
-        at *= ta
-        light_noise += np.einsum("rcq,rcq->r", lt, lt)
-        lt *= tp
-        at[..., 1] -= k_cell * lt[..., 0]
-        lt[..., 1] -= k_cell * at[..., 0]
-
-    rows = np.concatenate([light.reshape(4, -1), atom.reshape(4, -1)], axis=1)
-    return _extraction(rows, u, eps_cell_p * light_noise, eps_cell_a * atom_noise)
+    # Same-channel vacua: a vacuum injected i dampings before the output.
+    own_p, own_a = tp[:nz] @ tp[:nz], ta[:nt] @ ta[:nt]
+    # Cross vacua: a light p vacuum injected at slice j' reaches the x_a kicks
+    # of the later slices with weight sum_{i < n_z - 1 - j'} tp^i, then is
+    # damped like the kick itself; mirrored for atomic p into x_l.
+    part_p, part_a = np.cumsum(tp[: nz - 1]), np.cumsum(ta[: nt - 1])
+    cross_p = k_cell**2 / nz * (ta[1:] @ ta[1:]) * (part_p @ part_p)
+    cross_a = k_cell**2 / nt * (tp[1:] @ tp[1:]) * (part_a @ part_a)
+    light_noise = eps_cell_p * np.array([own_p, own_p, cross_p, 0.0])
+    atom_noise = eps_cell_a * np.array([cross_a, 0.0, own_a, own_a])
+    return _extraction(rows, u, light_noise, atom_noise)
 
 
 def commutator_defect(tm):

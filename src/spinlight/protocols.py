@@ -223,22 +223,6 @@ def _push_bell(rows, cov, n_atoms, first, second, rounds):
             _turn(rows, cov, second, _ROTATION_SECOND)
 
 
-def _bell_channel(n_atoms, first, second, rounds):
-    """The two rounds of a Bell measurement as one affine-Gaussian channel.
-
-    ``rounds`` is a :func:`_stack` array.  The output register is the
-    ``n_atoms`` samples followed by the light pulse of each round, none of
-    them measured.  Returns (X, Y) of shapes (B, d, 2 n_atoms) and
-    (B, d, d): samples with mean mu and covariance S leave as mean X mu and
-    covariance X S X^T + Y, the pulses entering in vacuum.
-    """
-    dim, batch = 2 * (n_atoms + len(rounds)), rounds.shape[1]
-    transfer = np.eye(dim, 2 * n_atoms)[:, :, None].repeat(batch, axis=2)
-    noise = _register(dim, batch, 2 * n_atoms)
-    _push_bell(transfer, noise, n_atoms, first, second, rounds)
-    return np.moveaxis(transfer, -1, 0), np.moveaxis(noise, -1, 0)
-
-
 def _bell_rounds(state, forced_outcomes, rng, tag):
     """Measure each pulse's x of a register in round order.
 

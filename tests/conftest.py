@@ -68,6 +68,71 @@ def assert_step_matches_dense(step, dense, args, batch, dim=6, seed=0):
         assert np.max(np.abs(cov[at] - want_cov)) <= 1e-15
 
 
+def bell_channel(n_atoms, first, second, rounds):
+    """The two rounds of a Bell measurement as one affine-Gaussian channel.
+
+    The dense reference for the round kernels.  ``rounds`` is a
+    ``protocols._stack`` array.  The output register is the ``n_atoms``
+    samples followed by the light pulse of each round, none of them measured.
+    Returns (X, Y) of shapes (B, d, 2 n_atoms) and (B, d, d): samples with
+    mean mu and covariance S leave as mean X mu and covariance X S X^T + Y,
+    the pulses entering in vacuum.
+    """
+    from spinlight.protocols import _push_bell, _register
+
+    dim, batch = 2 * (n_atoms + len(rounds)), rounds.shape[1]
+    transfer = np.eye(dim, 2 * n_atoms)[:, :, None].repeat(batch, axis=2)
+    noise = _register(dim, batch, 2 * n_atoms)
+    _push_bell(transfer, noise, n_atoms, first, second, rounds)
+    return np.moveaxis(transfer, -1, 0), np.moveaxis(noise, -1, 0)
+
+
+def sweep_collective_extraction(channel, grid):
+    """Grid extraction by an adjoint sweep: the large-grid oracle.
+
+    The four collective output rows are pulled back through the cells in
+    reverse order (the transposed cell updates), and each cell's vacuum
+    injections add their squared coefficients to per-output noise sums.  Cell
+    (m, j) touches only light bin m and atomic slice j, so the cells of one
+    anti-diagonal m + j = d act on disjoint columns and are applied together:
+    n_tau + n_z - 1 vectorized steps in O(n_tau + n_z) memory, which reaches
+    grids the dense map cannot.
+    """
+    from spinlight.maxwell_bloch import _collective_vectors, _extraction
+
+    nt, nz = grid.n_tau, grid.n_z
+    eps_cell_p = channel.eps_p / nz
+    eps_cell_a = channel.eps_a / nt
+    k_cell = channel.kappa / math.sqrt(nz * nt)
+    tp, ta = math.sqrt(1.0 - eps_cell_p), math.sqrt(1.0 - eps_cell_a)
+
+    u = _collective_vectors(nt, nz)
+    # pulled-back rows, indexed (output, light bin or atomic slice, x/p)
+    light = u[:, : 2 * nt].reshape(4, nt, 2).copy()
+    atom = u[:, 2 * nt :].reshape(4, nz, 2).copy()
+    light_noise = np.zeros(4)
+    atom_noise = np.zeros(4)
+
+    for d in range(nt + nz - 2, -1, -1):
+        m_lo, m_hi = max(0, d - nz + 1), min(d, nt - 1)
+        lt = light[:, m_lo : m_hi + 1]
+        # slices j = d - m for m = m_lo..m_hi, i.e. descending
+        at = atom[:, d - m_hi : d - m_lo + 1][:, ::-1]
+        # The forward cell is kick, light damping, atom damping; its transpose
+        # runs the other way round.  A damping step injects vacuum with
+        # coefficient sqrt(eps_cell) times the row entries it scales; the
+        # common eps_cell factor is applied once, after the sweep.
+        atom_noise += np.einsum("rcq,rcq->r", at, at)
+        at *= ta
+        light_noise += np.einsum("rcq,rcq->r", lt, lt)
+        lt *= tp
+        at[..., 1] -= k_cell * lt[..., 0]
+        lt[..., 1] -= k_cell * at[..., 0]
+
+    rows = np.concatenate([light.reshape(4, -1), atom.reshape(4, -1)], axis=1)
+    return _extraction(rows, u, eps_cell_p * light_noise, eps_cell_a * atom_noise)
+
+
 # Operating point from the headline estimate: rho = 5e12 cm^-3, L = 2 cm,
 # Delta = 300 gamma, number matching, and the wavelength fixed by inverting
 # the column-density form 3 rho lambda0^2 L gamma / (8 pi^2 Delta) = 5.

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spinlight import (
     ChannelParams,
@@ -16,6 +18,7 @@ from spinlight import (
     vacuum_state,
 )
 from spinlight.maxwell_bloch import collective_signal_block
+from conftest import sweep_collective_extraction
 
 # Convergence study at the reference operating point (kappa = 5,
 # eps_p = eps_a = 1/120), recorded from dyadic grid refinement.  The drift
@@ -126,11 +129,12 @@ def test_convergence_fixture_and_tolerances(reference_params, reference_channel)
 
 
 def test_convergence_continues_past_fixture(reference_channel):
-    # Grids the dense map cannot reach cheaply (at 256^2 its noise matrix
-    # alone is 2.1 GB): kappa_eff keeps approaching kappa monotonically.
+    # Grids the dense map cannot reach (at 256^2 its noise matrix alone is
+    # 2.1 GB): kappa_eff keeps approaching kappa monotonically up to 4096^2,
+    # where one doubling still moves it by about 2e-8.
     kappa = reference_channel.kappa
     deviations = [abs(CONVERGENCE_FIXTURE[64][0] - kappa)]
-    for size in (128, 256):
+    for size in (128, 256, 512, 1024, 2048, 4096):
         extraction = extract_collective_from_channel(reference_channel, _grid(size))
         deviations.append(abs(extraction.kappa_eff - kappa))
         assert abs(extraction.eps_p_eff - reference_channel.eps_p) < (
@@ -165,7 +169,15 @@ def test_noise_admixture_matches_channel_noise(reference_params, reference_chann
 
 
 # ---------------------------------------------------------------------------
-# adjoint extraction against the dense map
+# closed-form extraction against the dense map and the sweep oracle
+
+
+def _assert_extractions_close(got, want):
+    for field in dataclasses.fields(want):
+        # The absolute floor only covers leaks at rounding level (~1e-31).
+        assert getattr(got, field.name) == pytest.approx(
+            getattr(want, field.name), rel=1e-12, abs=1e-24
+        ), field.name
 
 
 ORACLE_CHANNELS = {
@@ -189,11 +201,49 @@ def test_adjoint_matches_dense_extraction(
     grid = _grid(n_z, n_tau)
     dense = extract_collective(build_transfer_from_channel(channel, grid))
     adjoint = extract_collective_from_channel(channel, grid)
-    for field in dataclasses.fields(dense):
-        # The absolute floor only covers leaks at rounding level (~1e-31).
-        assert getattr(adjoint, field.name) == pytest.approx(
-            getattr(dense, field.name), rel=1e-12, abs=1e-24
-        ), field.name
+    _assert_extractions_close(adjoint, dense)
+
+
+@pytest.mark.parametrize("channel_name", ["lossless", "eps_p", "eps_a", "reference"])
+@pytest.mark.parametrize(
+    "n_z,n_tau", [(128, 128), (256, 64), (64, 256), (1000, 3), (3, 1000)]
+)
+def test_closed_form_matches_sweep_on_large_grids(
+    n_z, n_tau, channel_name, reference_channel
+):
+    # The adjoint sweep reaches grids the dense map cannot, one anti-diagonal
+    # at a time; the closed form must agree with it there too.
+    if channel_name == "reference":
+        channel = reference_channel
+    else:
+        channel = ORACLE_CHANNELS[channel_name]
+    grid = _grid(n_z, n_tau)
+    _assert_extractions_close(
+        extract_collective_from_channel(channel, grid),
+        sweep_collective_extraction(channel, grid),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_z=st.integers(1, 12),
+    n_tau=st.integers(1, 12),
+    kappa=st.floats(0.0, 10.0),
+    eps_p=st.floats(0.01, 0.3),
+    eps_a=st.floats(0.01, 0.3),
+)
+def test_closed_form_matches_dense_property(n_z, n_tau, kappa, eps_p, eps_a):
+    # Unequal damping on non-square grids, so that swapping tp and ta or n_z
+    # and n_tau moves some field.  The damping stays above 0.01: signal_leak
+    # is a difference of nearly equal entries, and at eps ~ 1e-6 the two
+    # computations of it agree only to about 1e-6.
+    assume(n_z != n_tau and eps_p != eps_a)
+    channel = ChannelParams(kappa=kappa, eps_p=eps_p, eps_a=eps_a)
+    grid = _grid(n_z, n_tau)
+    _assert_extractions_close(
+        extract_collective_from_channel(channel, grid),
+        extract_collective(build_transfer_from_channel(channel, grid)),
+    )
 
 
 # ---------------------------------------------------------------------------

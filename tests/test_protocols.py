@@ -26,6 +26,7 @@ from spinlight import (
     vacuum_state,
     variance_of,
 )
+from conftest import bell_channel
 
 
 def _ideal(kappa):
@@ -170,11 +171,11 @@ def test_round_two_weights_under_loss():
     # After the inter-round rotations the second round reads
     # sqrt(1 - eta_t) x1 - x2 of the original variables: the prior mean of
     # the second outcome, once the first is conditioned on a zero outcome.
-    from spinlight.protocols import _bell_channel, _stack
+    from spinlight.protocols import _stack
 
     eta_t = 0.37
     plan = RoundPlan(kappa=1.3, eta_t=eta_t)
-    transfer, noise = _bell_channel(2, 0, 1, _stack([(plan, plan)]))
+    transfer, noise = bell_channel(2, 0, 1, _stack([(plan, plan)]))
 
     def second_round_mean(displaced_mode):
         state = displace(vacuum_state(2), displaced_mode, 1.0, 0.0)
@@ -226,9 +227,9 @@ def test_fidelity_independent_of_input_mean():
 def _prior_outcome_means(entangled, input_mean, plans):
     """Outcome means with zero innovation: the pulses' x means of the deferred
     local Bell channel applied to the entangled pair plus the input sample."""
-    from spinlight.protocols import _bell_channel, _stack
+    from spinlight.protocols import _stack
 
-    transfer, _ = _bell_channel(3, 0, 2, _stack([plans]))
+    transfer, _ = bell_channel(3, 0, 2, _stack([plans]))
     register = displace(append_vacuum(entangled, 1), 2, *input_mean)
     return tuple(transfer[0][[6, 8]] @ register.mean)
 
