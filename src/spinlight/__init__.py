@@ -60,6 +60,7 @@ from .protocols import (
     fidelity_lossy,
     lossy_fidelity_bound,
     lossy_fidelity_sweep,
+    lossy_fidelity_table,
     make_plans,
     optimal_kappa2,
     simulated_lossy_fidelity,

@@ -23,11 +23,16 @@ byte-identical artifacts no matter how trials are scheduled.
 Each subcommand only computes: it returns its JSON payload, its CSV header
 and rows, its summary lines and its exit code.  ``main`` renders the
 artifact in the configured format, writes it to the configured path or to
-stdout, and prints the summary.
+stdout, and prints the summary.  ``sweep`` builds its rows straight from the
+columns of :func:`~spinlight.protocols.lossy_fidelity_table`.  The JSON
+writer renders a table (a list of flat dicts sharing their ``str`` keys and
+one leaf type per key, such as the sweep's points) with one %-template for
+the whole table, and everything else value by value, in the same bytes.
 """
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -48,7 +53,7 @@ from .protocols import (
     entangle,
     fidelity_ideal,
     fidelity_lossy,
-    lossy_fidelity_sweep,
+    lossy_fidelity_table,
     optimal_kappa2,
     squeezing_parameter,
     teleport,
@@ -73,9 +78,13 @@ def _fmt(value):
 
 _ENCODE_STR = json.encoder.encode_basestring_ascii
 
+# %-format of the leaf types a table template formats by itself; the other
+# leaf types go through _LEAF_TEXT first and into a %s.
+_TEMPLATE_FORMAT = {float: "%.17g", int: "%d"}
+
 # Text of the common leaf types, keyed by exact type (bool is not int here).
 _LEAF_TEXT = {
-    float: "%.17g".__mod__,
+    float: _TEMPLATE_FORMAT[float].__mod__,
     int: str,
     str: _ENCODE_STR,
     bool: lambda value: "true" if value else "false",
@@ -88,6 +97,40 @@ _LEAF_TEXT = {
 def _key_text(key):
     """Encoded dict key with its separator; typed, since 1 and True are equal keys."""
     return _ENCODE_STR(str(key)) + ": "
+
+
+def _table_text(rows, pad):
+    """Text of a list's items if they form a table, else None.
+
+    A table is a list of non-empty dicts with the same ``str`` keys in the
+    same order, where each key holds one exact ``_LEAF_TEXT`` type in every
+    row; ``rows[0]`` must be a dict.  Its rows, each on a line starting with
+    ``pad``, are rendered with one %-template for the whole table, in the
+    bytes the generic path would give.
+    """
+    keys = tuple(rows[0])
+    if (
+        not keys
+        or set(map(type, rows)) != {dict}
+        or set(map(tuple, rows)) != {keys}
+        or set(map(type, itertools.chain.from_iterable(rows))) != {str}
+    ):
+        return None
+    columns = list(zip(*map(dict.values, rows)))
+    pieces = []
+    for number, (key, column) in enumerate(zip(keys, columns)):
+        kinds = set(map(type, column))
+        kind = kinds.pop()
+        if kinds or kind not in _LEAF_TEXT:
+            return None
+        if kind not in _TEMPLATE_FORMAT:
+            columns[number] = map(_LEAF_TEXT[kind], column)
+        pieces.append(_key_text(key).replace("%", "%%") + _TEMPLATE_FORMAT.get(kind, "%s"))
+    row_pad = pad + "  "
+    template = "{" + row_pad + ("," + row_pad).join(pieces) + pad + "}"
+    return ("," + pad).join([template] * len(rows)) % tuple(
+        itertools.chain.from_iterable(zip(*columns))
+    )
 
 
 def _json_text(obj, indent=0):
@@ -112,11 +155,13 @@ def _json_value(obj, pad):
         if not obj:
             return "[]"
         item_pad = pad + "  "
-        items = [
-            leaf(value) if (leaf := leaf_text(type(value))) else _json_value(value, item_pad)
-            for value in obj
-        ]
-        return "[" + item_pad + ("," + item_pad).join(items) + pad + "]"
+        text = _table_text(obj, item_pad) if type(obj[0]) is dict else None
+        if text is None:
+            text = ("," + item_pad).join([
+                leaf(value) if (leaf := leaf_text(type(value))) else _json_value(value, item_pad)
+                for value in obj
+            ])
+        return "[" + item_pad + text + pad + "]"
     if (leaf := leaf_text(type(obj))) is not None:
         return leaf(obj)
     # Other numpy scalars, subclasses and anything else (bool has no subclasses).
@@ -283,7 +328,7 @@ def _cmd_teleport(cfg):
 def _cmd_sweep(cfg):
     if cfg.sweep is None:
         raise ConfigError("sweep.min", "sweep needs a sweep.* section")
-    points = lossy_fidelity_sweep(
+    kappa2, f_simulated, f_closed_form, best = lossy_fidelity_table(
         cfg.sweep.values(),
         cfg.eta_t,
         kappa1_multiplier=cfg.kappa1_multiplier,
@@ -293,10 +338,10 @@ def _cmd_sweep(cfg):
         eta_t_local=cfg.eta_t_local,
     )
     header = ["kappa2", "eta_t", "f_simulated", "f_closed_form", "is_argmax"]
-    rows = [
-        [pt.kappa2, pt.eta_t, pt.f_simulated, pt.f_closed_form, pt.is_argmax]
-        for pt in points
-    ]
+    is_argmax = [False] * len(kappa2)
+    is_argmax[best] = True
+    rows = list(zip(kappa2.tolist(), [cfg.eta_t] * len(kappa2), f_simulated.tolist(),
+                    f_closed_form.tolist(), is_argmax))
     payload = {
         "command": "sweep",
         "seed": cfg.seed,
@@ -305,8 +350,7 @@ def _cmd_sweep(cfg):
         "points": [dict(zip(header, row)) for row in rows],
         "config": cfg.echo,
     }
-    best = next(pt for pt in points if pt.is_argmax)
-    summary = [f"argmax kappa2 = {_fmt(best.kappa2)} (f = {_fmt(best.f_simulated)})"]
+    summary = [f"argmax kappa2 = {_fmt(rows[best][0])} (f = {_fmt(rows[best][2])})"]
     return payload, header, rows, summary, EXIT_OK
 
 

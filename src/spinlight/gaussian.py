@@ -15,10 +15,12 @@ matrix T.  A kernel acts on arrays whose leading axis is the quadrature (both
 leading axes for a covariance) and whose trailing axes, if any, are a batch of
 operating points: transfer columns or a mean become T X, a covariance
 T N T^T + Y, and each update is a few vector operations over the batch.
-``rotate`` and ``loss_channel`` copy a state's moments and apply a kernel;
-``apply_symplectic`` keeps the dense product for general matrices.  The
-conditioning rule of a homodyne measurement is one kernel of the same kind,
-``_condition``, which ``homodyne`` and the batched protocol sweep both call.
+A quarter turn, as between the rounds of a Bell measurement, is an exact
+signed swap of the mode's rows.  ``rotate`` and ``loss_channel`` copy a
+state's moments and apply a kernel; ``apply_symplectic`` keeps the dense
+product for general matrices.  The conditioning rule of a homodyne
+measurement is one kernel of the same kind, ``_condition``, which
+``homodyne`` and the batched protocol sweep both call.
 """
 
 import dataclasses
@@ -267,6 +269,20 @@ def _turn(rows, cov, mode, theta):
         old_x = block[x].copy()
         block[x] = c * old_x + s * block[p]
         block[p] = c * block[p] - s * old_x
+
+
+def _quarter_turn(rows, cov, mode, sign):
+    """In place: rotation of one mode by ``sign`` * pi/2, an exact signed swap.
+
+    x becomes sign * p and p becomes -sign * x, with no cos(pi/2) = 6.1e-17
+    leaking into either.
+    """
+    x, p = 2 * mode, 2 * mode + 1
+    for block in _targets(rows, cov):
+        old_x = block[x].copy()
+        block[x] = block[p]
+        block[p] = old_x
+        block[p if sign > 0 else x] *= -1.0
 
 
 def _condition(mean, cov, k, outcome):

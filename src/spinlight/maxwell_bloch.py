@@ -211,19 +211,25 @@ def collective_signal_block(tm):
     return u @ tm.signal @ u.T
 
 
-def _extraction(rows, u, light_noise, atom_noise):
-    """Channel coefficients and residuals of the four collective output rows.
+def _signal_leak(rows, u, block):
+    """Largest variance weight any collective output row leaves outside ``u``.
 
     ``rows`` holds the signal coefficients of the collective outputs (``u``
-    times the signal map); ``light_noise`` / ``atom_noise`` hold, per output,
-    the summed squared coefficients of the light / atomic damping vacua.
+    times the signal map) and ``block`` their collective part ``rows u^T``.
     """
-    block = rows @ u.T
-
     residual = rows - block @ u
-    signal_leak = float(np.max(np.sum(residual**2, axis=1)) * VACUUM_VARIANCE)
-    total_noise = light_noise + atom_noise
+    return float(np.max(np.sum(residual**2, axis=1)) * VACUUM_VARIANCE)
 
+
+def _extraction(block, signal_leak, light_noise, atom_noise):
+    """Channel coefficients and residuals of the four collective output rows.
+
+    ``block`` is the 4x4 collective signal block and ``signal_leak`` the
+    largest non-collective variance weight of an output row;
+    ``light_noise`` / ``atom_noise`` hold, per output, the summed squared
+    coefficients of the light / atomic damping vacua.
+    """
+    total_noise = light_noise + atom_noise
     return CollectiveExtraction(
         kappa_eff=float(abs(block[0, 3])),
         eps_p_eff=float(1.0 - block[0, 0] ** 2),
@@ -239,10 +245,12 @@ def _extraction(rows, u, light_noise, atom_noise):
 def extract_collective(tm):
     """Read the channel coefficients and residuals off a dense transfer map."""
     u = _collective_vectors(tm.n_tau, tm.n_z)
+    rows = u @ tm.signal
+    block = rows @ u.T
     noise_rows = u @ tm.noise
     return _extraction(
-        u @ tm.signal,
-        u,
+        block,
+        _signal_leak(rows, u, block),
         np.sum(noise_rows[:, tm.light_cols] ** 2, axis=1),
         np.sum(noise_rows[:, tm.atom_cols] ** 2, axis=1),
     )
@@ -253,6 +261,17 @@ def _powers(t, n):
     powers = np.full(n + 1, t)
     powers[0] = 1.0
     return np.cumprod(powers)
+
+
+def _geometric_spread(eps_cell, n):
+    """Squared deviations of t^1 .. t^n from their mean, summed; t = sqrt(1 - eps_cell).
+
+    The terms are taken as t^i - 1 = expm1(i log1p(-eps_cell) / 2), so at
+    small damping nothing cancels, and the deviations in a second pass.
+    """
+    deviation = np.expm1(np.arange(1, n + 1) * (0.5 * math.log1p(-eps_cell)))
+    deviation -= deviation.sum() / n
+    return float(deviation @ deviation)
 
 
 def extract_collective_from_channel(channel, grid):
@@ -273,6 +292,9 @@ def extract_collective_from_channel(channel, grid):
     row coefficient is a per-bin power times a per-slice one, and every
     per-output noise sum, the kick-mediated cross admixture included,
     factors into a sum over bins times a sum over slices of geometric terms.
+    The only non-collective signal left is in x_l <- p_a and x_a <- p_l,
+    whose per-slice (per-bin) geometric factors deviate from their mean;
+    ``signal_leak`` is formed from those deviations directly.
     """
     nt, nz = grid.n_tau, grid.n_z
     eps_cell_p = channel.eps_p / nz
@@ -293,8 +315,13 @@ def extract_collective_from_channel(channel, grid):
     rows[3, p_a] = ua * ta[nt]
     # x_l <- p_a(j): ta^m summed over the bins, tp^(n_z - j) after the kick;
     # x_a <- p_l(m) mirrors it.
-    rows[0, p_a] = -k_cell * ul * ta[:nt].sum() * tp[nz:0:-1]
-    rows[2, p_l] = -k_cell * ua * tp[:nz].sum() * ta[nt:0:-1]
+    kick_l, kick_a = k_cell * ul * ta[:nt].sum(), k_cell * ua * tp[:nz].sum()
+    rows[0, p_a] = -kick_l * tp[nz:0:-1]
+    rows[2, p_l] = -kick_a * ta[nt:0:-1]
+    signal_leak = VACUUM_VARIANCE * max(
+        kick_l**2 * _geometric_spread(eps_cell_p, nz),
+        kick_a**2 * _geometric_spread(eps_cell_a, nt),
+    )
 
     # Same-channel vacua: a vacuum injected i dampings before the output.
     own_p, own_a = tp[:nz] @ tp[:nz], ta[:nt] @ ta[:nt]
@@ -306,7 +333,7 @@ def extract_collective_from_channel(channel, grid):
     cross_a = k_cell**2 / nt * (tp[1:] @ tp[1:]) * (part_a @ part_a)
     light_noise = eps_cell_p * np.array([own_p, own_p, cross_p, 0.0])
     atom_noise = eps_cell_a * np.array([cross_a, 0.0, own_a, own_a])
-    return _extraction(rows, u, light_noise, atom_noise)
+    return _extraction(rows @ u.T, signal_leak, light_noise, atom_noise)
 
 
 def commutator_defect(tm):

@@ -38,7 +38,14 @@ of the input amplitude.  The lossy sweep pushes the vacuum covariance through
 the entangling rounds, conditions it on each pulse's x with the same kernel
 as :func:`~spinlight.gaussian.homodyne`, and pushes the entangled covariance
 through the local rounds; its round table is built as arrays from the kappa2
-values.
+values.  :func:`lossy_fidelity_table` returns its results as columns (kappa2,
+simulated and closed-form fidelity) with the argmax row, and
+:func:`lossy_fidelity_sweep` is the same table as a list of SweepPoints.
+
+Within a round, the light's two consecutive losses (eps_p after a pass, then
+eta_t or eta_d) are one loss 1 - (1 - a)(1 - b), and the -pi/2 and +pi/2
+turns between the rounds are exact signed swaps, so each round is two kicks
+and four losses.
 """
 
 import dataclasses
@@ -55,14 +62,14 @@ from .gaussian import (
     _condition,
     _damp,
     _propagate,
-    _turn,
+    _quarter_turn,
     displace,
     homodyne,
     marginal,
     variance_of,
     fidelity_coherent,
 )
-from .interaction import ChannelParams, _pass
+from .interaction import ChannelParams, _kick
 
 __all__ = [
     "RoundPlan",
@@ -78,11 +85,13 @@ __all__ = [
     "teleport",
     "make_plans",
     "simulated_lossy_fidelity",
+    "lossy_fidelity_table",
     "lossy_fidelity_sweep",
 ]
 
-_ROTATION_FIRST = -math.pi / 2.0
-_ROTATION_SECOND = math.pi / 2.0
+# Quarter turns between the rounds: the first sample by -pi/2, the second by +pi/2.
+_TURN_FIRST = -1
+_TURN_SECOND = 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -149,12 +158,17 @@ def fidelity_ideal(kappa):
 
 
 def fidelity_lossy(kappa2, eta_t):
-    """First-order fidelity under transmission loss, 2 / (2 + 1/k2^2 + k2^2 eta_t)."""
-    if kappa2 <= 0:
+    """First-order fidelity under transmission loss, 2 / (2 + 1/k2^2 + k2^2 eta_t).
+
+    ``kappa2`` may also be a float array, giving the fidelity at each value
+    with the same bits as one call per value.
+    """
+    if np.any(kappa2 <= 0):
         raise ValueError("kappa2 must be positive")
     if not 0.0 <= eta_t < 1.0:
         raise ValueError(f"eta_t must lie in [0, 1), got {eta_t}")
-    return 2.0 / (2.0 + 1.0 / kappa2**2 + kappa2**2 * eta_t)
+    square = kappa2 * kappa2
+    return 2.0 / (2.0 + 1.0 / square + square * eta_t)
 
 
 def lossy_fidelity_bound(eta_t):
@@ -207,20 +221,22 @@ def _push_bell(rows, cov, n_atoms, first, second, rounds):
     each round, none of them measured.  ``rows`` (transfer columns or a mean,
     may be None) has the quadrature on its leading axis and ``cov`` on its
     two leading axes; the batch of operating points is the trailing axis.
-    ``rounds`` is a :func:`_stack` array.
+    ``rounds`` is a :func:`_stack` array.  The light's pass damping eps_p
+    and the loss after it are one loss; the sample's damping, applied
+    between them in a pass, acts on another mode and commutes with them.
     """
     for number, params in enumerate(rounds):
         kappa, eps_p, eps_a, eta_t, eta_d = params.T
         light = n_atoms + number
         # Pass the first sample, transmission loss, pass the second sample,
         # detector loss.
-        _pass(rows, cov, light, first, kappa, eps_p, eps_a)
-        _damp(rows, cov, light, eta_t)
-        _pass(rows, cov, light, second, kappa, eps_p, eps_a)
-        _damp(rows, cov, light, eta_d)
+        for sample, loss in ((first, eta_t), (second, eta_d)):
+            _kick(rows, cov, light, sample, kappa)
+            _damp(rows, cov, sample, eps_a)
+            _damp(rows, cov, light, 1.0 - (1.0 - eps_p) * (1.0 - loss))
         if number == 0:
-            _turn(rows, cov, first, _ROTATION_FIRST)
-            _turn(rows, cov, second, _ROTATION_SECOND)
+            _quarter_turn(rows, cov, first, _TURN_FIRST)
+            _quarter_turn(rows, cov, second, _TURN_SECOND)
 
 
 def _bell_rounds(state, forced_outcomes, rng, tag):
@@ -445,7 +461,7 @@ def _sweep_rounds(kappa2_values, eta_t, kappa1_multiplier=10.0, eps_p=0.0, eps_a
         eta_t_local = eta_t
     for transmission in (eta_t, eta_t_local):
         RoundPlan(kappa=0.0, eps_p=eps_p, eps_a=eps_a, eta_t=transmission, eta_d=eta_d)
-    kappa2 = np.array(kappa2_values, dtype=float)
+    kappa2 = np.asarray(kappa2_values, dtype=float)
     kappa1 = kappa1_multiplier * kappa2
     with np.errstate(invalid="ignore"):
         bad = ~(np.isfinite(kappa1) & np.isfinite(kappa2) & (kappa1 >= 0) & (kappa2 >= 0))
@@ -453,7 +469,7 @@ def _sweep_rounds(kappa2_values, eta_t, kappa1_multiplier=10.0, eps_p=0.0, eps_a
         row = int(np.argmax(bad))
         raise ValueError(
             "kappa must be finite and non-negative, got kappa1 = "
-            f"{float(kappa1[row])!r} at kappa2 = {kappa2_values[row]!r}"
+            f"{float(kappa1[row])!r} at kappa2 = {float(kappa2[row])!r}"
         )
 
     def table(kappa_first, kappa_second, transmission):
@@ -465,16 +481,16 @@ def _sweep_rounds(kappa2_values, eta_t, kappa1_multiplier=10.0, eps_p=0.0, eps_a
     return table(kappa1, kappa2, eta_t), table(kappa2, kappa1, eta_t_local)
 
 
-def _lossy_fidelities(kappa2_values, eta_t, **plan_kwargs):
+def _lossy_fidelities(kappa2, eta_t, **plan_kwargs):
     """Teleportation fidelity of the loss-adapted strategy at every kappa2, batched.
 
-    The entangling channel acts on the vacuum covariance in place, so no
-    transfer map is formed for it, and the covariance is conditioned on each
-    pulse's x in round order as :func:`entangle` does; the outcomes never
-    enter a covariance.
+    ``kappa2`` is a float array.  The entangling channel acts on the vacuum
+    covariance in place, so no transfer map is formed for it, and the
+    covariance is conditioned on each pulse's x in round order as
+    :func:`entangle` does; the outcomes never enter a covariance.
     """
-    entangling, local = _sweep_rounds(kappa2_values, eta_t, **plan_kwargs)
-    cov = _register(8, len(kappa2_values), 0)
+    entangling, local = _sweep_rounds(kappa2, eta_t, **plan_kwargs)
+    cov = _register(8, len(kappa2), 0)
     _push_bell(None, cov, 2, 0, 1, entangling)
     for pulse_x in (4, 6):
         _condition(None, cov, pulse_x, None)
@@ -487,30 +503,50 @@ def _lossy_fidelities(kappa2_values, eta_t, **plan_kwargs):
     if bad.size:
         raise ValueError(
             f"fidelity must lie in [0, 1], got {fidelities[bad[0]]} at "
-            f"kappa2 = {kappa2_values[bad[0]]!r}"
+            f"kappa2 = {float(kappa2[bad[0]])!r}"
         )
     return fidelities
 
 
 def simulated_lossy_fidelity(kappa2, eta_t, **plan_kwargs):
     """Teleportation fidelity of the loss-adapted strategy at one operating point."""
-    return float(_lossy_fidelities([float(kappa2)], eta_t, **plan_kwargs)[0])
+    return float(_lossy_fidelities(np.array([float(kappa2)]), eta_t, **plan_kwargs)[0])
+
+
+def lossy_fidelity_table(kappa2_values, eta_t, **plan_kwargs):
+    """Sweep kappa2 at fixed eta_t, as columns.
+
+    Returns ``(kappa2, f_simulated, f_closed_form, best)``: the kappa2 values,
+    the simulated fidelities and :func:`fidelity_lossy` as float arrays, and
+    the index of the simulated argmax.  ``plan_kwargs`` go to
+    :func:`make_plans`.  The whole column runs as one batch, and the closed
+    form is evaluated once over it, with the same checks.
+    """
+    kappa2 = np.array([float(k) for k in kappa2_values])
+    if len(kappa2) < 2:
+        raise ValueError("sweep needs at least two kappa2 values")
+    f_simulated = _lossy_fidelities(kappa2, eta_t, **plan_kwargs)
+    f_closed_form = fidelity_lossy(kappa2, eta_t)
+    return kappa2, f_simulated, f_closed_form, int(np.argmax(f_simulated))
 
 
 def lossy_fidelity_sweep(kappa2_values, eta_t, **plan_kwargs):
-    """Sweep kappa2 at fixed eta_t; marks the simulated argmax row."""
-    kappa2_values = [float(k) for k in kappa2_values]
-    if len(kappa2_values) < 2:
-        raise ValueError("sweep needs at least two kappa2 values")
-    fids = _lossy_fidelities(kappa2_values, eta_t, **plan_kwargs)
-    best = int(np.argmax(fids))
+    """Sweep kappa2 at fixed eta_t; marks the simulated argmax row.
+
+    One :class:`SweepPoint` per row of :func:`lossy_fidelity_table`.
+    """
+    kappa2, f_simulated, f_closed_form, best = lossy_fidelity_table(
+        kappa2_values, eta_t, **plan_kwargs
+    )
     return [
         SweepPoint(
             kappa2=k2,
             eta_t=eta_t,
-            f_simulated=float(f),
-            f_closed_form=fidelity_lossy(k2, eta_t),
+            f_simulated=f,
+            f_closed_form=closed,
             is_argmax=(i == best),
         )
-        for i, (k2, f) in enumerate(zip(kappa2_values, fids))
+        for i, (k2, f, closed) in enumerate(
+            zip(kappa2.tolist(), f_simulated.tolist(), f_closed_form.tolist())
+        )
     ]

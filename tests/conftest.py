@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -34,6 +35,33 @@ def random_physical_state(rng, n_modes):
                 state, mode, float(rng.normal(0, 2)), float(rng.normal(0, 2))
             )
     return state
+
+
+def reference_json_text(obj, indent=0):
+    """The artifact writer as first written: one recursive call per value."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f'{pad}  {json.dumps(str(k))}: {reference_json_text(v, indent + 1)}'
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [f"{pad}  {reference_json_text(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format(float(obj), ".17g")
+    return json.dumps(str(obj))
 
 
 def assert_step_matches_dense(step, dense, args, batch, dim=6, seed=0):
@@ -87,31 +115,33 @@ def bell_channel(n_atoms, first, second, rounds):
     return np.moveaxis(transfer, -1, 0), np.moveaxis(noise, -1, 0)
 
 
-def sweep_collective_extraction(channel, grid):
-    """Grid extraction by an adjoint sweep: the large-grid oracle.
+def _sweep_pull_back(channel, grid, dtype):
+    """Collective rows, directions and per-output noise sums by an adjoint sweep.
 
     The four collective output rows are pulled back through the cells in
     reverse order (the transposed cell updates), and each cell's vacuum
     injections add their squared coefficients to per-output noise sums.  Cell
     (m, j) touches only light bin m and atomic slice j, so the cells of one
     anti-diagonal m + j = d act on disjoint columns and are applied together:
-    n_tau + n_z - 1 vectorized steps in O(n_tau + n_z) memory, which reaches
-    grids the dense map cannot.
+    n_tau + n_z - 1 vectorized steps in O(n_tau + n_z) memory.  Every
+    quantity is formed in ``dtype``.
     """
-    from spinlight.maxwell_bloch import _collective_vectors, _extraction
-
     nt, nz = grid.n_tau, grid.n_z
-    eps_cell_p = channel.eps_p / nz
-    eps_cell_a = channel.eps_a / nt
-    k_cell = channel.kappa / math.sqrt(nz * nt)
-    tp, ta = math.sqrt(1.0 - eps_cell_p), math.sqrt(1.0 - eps_cell_a)
+    one = dtype(1)
+    eps_cell_p = dtype(channel.eps_p) / nz
+    eps_cell_a = dtype(channel.eps_a) / nt
+    k_cell = dtype(channel.kappa) / np.sqrt(one * nz * nt)
+    tp, ta = np.sqrt(one - eps_cell_p), np.sqrt(one - eps_cell_a)
 
-    u = _collective_vectors(nt, nz)
+    # uniform-weight (x_light, p_light, x_atom, p_atom) directions
+    u = np.zeros((4, 2 * (nt + nz)), dtype=dtype)
+    u[0, 0 : 2 * nt : 2] = u[1, 1 : 2 * nt : 2] = one / np.sqrt(one * nt)
+    u[2, 2 * nt :: 2] = u[3, 2 * nt + 1 :: 2] = one / np.sqrt(one * nz)
     # pulled-back rows, indexed (output, light bin or atomic slice, x/p)
     light = u[:, : 2 * nt].reshape(4, nt, 2).copy()
     atom = u[:, 2 * nt :].reshape(4, nz, 2).copy()
-    light_noise = np.zeros(4)
-    atom_noise = np.zeros(4)
+    light_noise = np.zeros(4, dtype=dtype)
+    atom_noise = np.zeros(4, dtype=dtype)
 
     for d in range(nt + nz - 2, -1, -1):
         m_lo, m_hi = max(0, d - nz + 1), min(d, nt - 1)
@@ -130,7 +160,28 @@ def sweep_collective_extraction(channel, grid):
         lt[..., 1] -= k_cell * at[..., 0]
 
     rows = np.concatenate([light.reshape(4, -1), atom.reshape(4, -1)], axis=1)
-    return _extraction(rows, u, eps_cell_p * light_noise, eps_cell_a * atom_noise)
+    return rows, u, eps_cell_p * light_noise, eps_cell_a * atom_noise
+
+
+def sweep_collective_extraction(channel, grid):
+    """Grid extraction by an adjoint sweep: the large-grid oracle.
+
+    It reaches grids the dense map cannot.  ``signal_leak`` is a difference
+    of nearly equal numbers, and the swept rows carry the rounding of
+    n_tau + n_z steps, which in double precision costs up to ~1e-11 of it on
+    these grids; so the leak comes from a second sweep in ``np.longdouble``
+    (64-bit significand on x86-64), every other field from the double one.
+    """
+    from spinlight.maxwell_bloch import _extraction, _signal_leak
+
+    rows, u, light_noise, atom_noise = _sweep_pull_back(channel, grid, np.float64)
+    wide_rows, wide_u, _, _ = _sweep_pull_back(channel, grid, np.longdouble)
+    return _extraction(
+        rows @ u.T,
+        _signal_leak(wide_rows, wide_u, wide_rows @ wide_u.T),
+        light_noise,
+        atom_noise,
+    )
 
 
 # Operating point from the headline estimate: rho = 5e12 cm^-3, L = 2 cm,

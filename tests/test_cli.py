@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from spinlight import cli
 from spinlight.cli import main
+from conftest import reference_json_text
 
 IDEAL = """
 channel.kappa = 5.0
@@ -231,6 +232,21 @@ def test_sweep_requires_sweep_section(tmp_path):
     assert _run(["sweep", "--config", cfg]) == 1
 
 
+@pytest.mark.parametrize("extra, message", [
+    ("protocol.kappa1_multiplier = 0.0\n",
+     "gain calibration failed: measurement outcomes do not respond to the input "
+     "mean at kappa2 = 0.2 (kappa too small?)"),
+    ("noise.eta_d = 1.0\n", "noise.eta_d: must lie in [0, 1), got 1.0"),
+    ("noise.eta_t_local = -0.1\n", "noise.eta_t_local: must lie in [0, 1), got -0.1"),
+])
+def test_sweep_rejects_a_bad_row_or_setting_with_exit_1(tmp_path, capsys, extra, message):
+    cfg = _write(tmp_path, "run.cfg", SWEEP + extra)
+    out = tmp_path / "sweep.json"
+    assert _run(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_sweep_json_deterministic(tmp_path):
     cfg = _write(tmp_path, "run.cfg", SWEEP.replace("sweep.steps = 120",
                                                     "sweep.steps = 40"))
@@ -339,33 +355,6 @@ def test_repeated_in_process_runs_match_first_calls(tmp_path):
 # artifact writer
 
 
-def _reference_json_text(obj, indent=0):
-    """The artifact writer as first written: one recursive call per value."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{pad}  {json.dumps(str(k))}: {_reference_json_text(v, indent + 1)}'
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{pad}  {_reference_json_text(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g")
-    return json.dumps(str(obj))
-
-
 _LEAVES = st.one_of(
     st.none(),
     st.booleans(),
@@ -379,12 +368,56 @@ _LEAVES = st.one_of(
     st.sampled_from(['"quoted"', "back\\slash", "tab\tnewline\n", "kappa\u2082", "\U0001f300"]),
 )
 _KEYS = st.one_of(st.text(), st.integers(), st.booleans(), st.sampled_from(["f_simulated", "\u00e9t\u00e9"]))
+# One leaf type per column, as the table template requires.
+_COLUMNS = st.sampled_from([
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.text(),
+    st.none(),
+])
+
+
+@st.composite
+def _tables(draw, children):
+    """Lists of flat dicts sharing keys and one leaf type per key, some broken.
+
+    The keys may hold ``%`` or be 1 / True / 1.0.  A broken table changes one
+    cell's leaf type or puts a container there, gives one row an equal key
+    of another type, or reorders one row's keys.
+    """
+    keys = draw(st.lists(
+        st.one_of(st.text(), st.sampled_from(["%", "%s%%", "kappa2", 1, True, 1.0])),
+        min_size=1, max_size=4, unique=True,
+    ))
+    columns = [draw(_COLUMNS) for _ in keys]
+    rows = [
+        {key: draw(column) for key, column in zip(keys, columns)}
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    row = draw(st.integers(0, len(rows) - 1))
+    key = draw(st.sampled_from(keys))
+    breakage = draw(st.sampled_from(["none", "leaf", "key", "order"]))
+    if breakage == "leaf":
+        rows[row][key] = draw(st.one_of(_LEAVES, children))
+    elif breakage == "key" and key in (1, True, 1.0):
+        twin = draw(st.sampled_from([k for k in (1, True, 1.0) if type(k) is not type(key)]))
+        rows[row] = {twin if k == key else k: v for k, v in rows[row].items()}
+    elif breakage == "order":
+        rows[row] = dict(reversed(rows[row].items()))
+    return draw(st.sampled_from([list, tuple]))(rows)
+
+
 _PAYLOADS = st.recursive(
     _LEAVES,
     lambda children: st.one_of(
         st.lists(children, max_size=5),
         st.lists(children, max_size=5).map(tuple),
         st.dictionaries(_KEYS, children, max_size=5),
+        _tables(children),
     ),
     max_leaves=40,
 )
@@ -393,14 +426,23 @@ _PAYLOADS = st.recursive(
 @given(payload=_PAYLOADS, indent=st.integers(0, 3))
 @example(payload={"a": [], "b": {}, "c": [{"d": -0.0, "e": 1e-300}], "f": 5e300}, indent=0)
 @example(payload=[{"x": np.float64(0.1), "y": np.int64(-3), "z": np.bool_(True)}], indent=1)
-@settings(max_examples=150, deadline=None)
+@example(payload=[{"kappa2": 0.2, "n": 3, "ok": True, "tag": "a%sb", "none": None}] * 3, indent=1)
+@example(payload=[{1: 0.5}, {True: 0.5}, {1.0: 0.5}], indent=0)
+@example(payload=[{"a": 1.0, "b": "x"}, {"a": 1, "b": "y"}, {"a": 2.0, "b": "z"}], indent=2)
+@example(payload=[{"a": 0.1}, {"a": np.float64(0.1)}, {"a": np.bool_(False)}], indent=0)
+@example(payload=({"a": [1.0, None]}, {"a": {"b": True}}), indent=1)
+@example(payload=[{"a": 1.0, "b": 2.0}, {"b": 3.0, "a": 4.0}], indent=0)
+@example(payload=[{"a": 1.0}, {"b": 2.0}], indent=0)
+@example(payload=[{}, {}], indent=0)
+@example(payload={"rows": [{"%": -0.0, "%d": float("nan"), "\u00e9": "\U0001f300"}] * 2}, indent=3)
+@settings(max_examples=300, deadline=None)
 def test_json_writer_matches_reference_writer(payload, indent):
-    assert cli._json_text(payload, indent) == _reference_json_text(payload, indent)
+    assert cli._json_text(payload, indent) == reference_json_text(payload, indent)
 
 
 def test_json_writer_key_cache_tells_equal_keys_apart():
     text = cli._json_text([{1: 0}, {True: 0}, {1.0: 0}])
-    assert text == _reference_json_text([{1: 0}, {True: 0}, {1.0: 0}])
+    assert text == reference_json_text([{1: 0}, {True: 0}, {1.0: 0}])
     assert '"True": 0' in text and '"1.0": 0' in text
 
 

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import reference_json_text
 from golden.capture import CASES, exit_code_key, run_case
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -59,6 +60,17 @@ def test_artifact_matches_golden(name, tmp_path):
         assert data == want
     else:
         _assert_close(json.loads(data), json.loads(want))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_artifact_text_matches_reference_writer(name, tmp_path):
+    # The value comparison above would pass a layout slip; this pins the
+    # text.  Every float is written with 17 digits, so parsing it back and
+    # writing it again gives the same bytes.
+    code, data = run_case(name, tmp_path)
+    if code != 0:
+        return
+    assert data.decode() == reference_json_text(json.loads(data)) + "\n"
 
 
 def _assert_csv_cell_close(got, want, where):

@@ -1,5 +1,6 @@
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -244,6 +245,67 @@ def test_closed_form_matches_dense_property(n_z, n_tau, kappa, eps_p, eps_a):
         extract_collective_from_channel(channel, grid),
         extract_collective(build_transfer_from_channel(channel, grid)),
     )
+
+
+def _mp_signal_leak(channel, grid):
+    """signal_leak of the grid's signal map composed cell by cell in mpmath.
+
+    The same kick / light damping / atomic damping updates as
+    :func:`build_transfer_from_channel`, on the exact float inputs, then the
+    largest squared residual of a collective output row off the collective
+    directions, times the vacuum variance.
+    """
+    nt, nz = grid.n_tau, grid.n_z
+    dim = 2 * (nt + nz)
+    tp = mpmath.sqrt(1 - mpmath.mpf(channel.eps_p) / nz)
+    ta = mpmath.sqrt(1 - mpmath.mpf(channel.eps_a) / nt)
+    k = mpmath.mpf(channel.kappa) / mpmath.sqrt(nz * nt)
+    signal = mpmath.eye(dim)
+    for m in range(nt):
+        xl, pl = 2 * m, 2 * m + 1
+        for j in range(nz):
+            xa, pa = 2 * (nt + j), 2 * (nt + j) + 1
+            for c in range(dim):
+                signal[xl, c] = tp * (signal[xl, c] - k * signal[pa, c])
+                signal[xa, c] = ta * (signal[xa, c] - k * signal[pl, c])
+                signal[pl, c] *= tp
+                signal[pa, c] *= ta
+    u = mpmath.zeros(4, dim)
+    for m in range(nt):
+        u[0, 2 * m] = u[1, 2 * m + 1] = 1 / mpmath.sqrt(nt)
+    for j in range(nz):
+        u[2, 2 * (nt + j)] = u[3, 2 * (nt + j) + 1] = 1 / mpmath.sqrt(nz)
+    rows = u * signal
+    residual = rows - rows * u.T * u
+    return max(
+        sum(residual[r, c] ** 2 for c in range(dim)) for r in range(4)
+    ) / 2
+
+
+@pytest.mark.parametrize("n_z, n_tau, eps_p, eps_a", [
+    (4, 1, 6.7e-10, 3.9e-6),
+    (1, 4, 6.7e-10, 3.9e-6),
+    (3, 5, 1e-8, 2e-7),
+    (5, 3, 1e-8, 2e-7),
+    (4, 4, None, None),
+    (8, 8, None, None),
+])
+def test_closed_form_signal_leak_against_50_digits(
+    n_z, n_tau, eps_p, eps_a, reference_channel
+):
+    # At small damping the leak is a variance of nearly equal geometric
+    # terms; the closed form keeps its digits where the dense map's
+    # residual (rows - block u) lost up to 8e-7 of them.  None takes the
+    # reference point's eps_p = eps_a = 1/120.
+    if eps_p is None:
+        channel = reference_channel
+    else:
+        channel = ChannelParams(kappa=reference_channel.kappa, eps_p=eps_p, eps_a=eps_a)
+    grid = _grid(n_z, n_tau)
+    with mpmath.workdps(50):
+        reference = _mp_signal_leak(channel, grid)
+        got = extract_collective_from_channel(channel, grid).signal_leak
+        assert abs(mpmath.mpf(got) / reference - 1) <= 2e-15
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from spinlight import (
     loss_channel,
     lossy_fidelity_bound,
     lossy_fidelity_sweep,
+    lossy_fidelity_table,
     make_plans,
     optimal_kappa2,
     simulated_lossy_fidelity,
@@ -340,11 +341,17 @@ def test_gain_calibration_needs_responsive_outcomes():
         )
 
 
+# The SweepPoint list and the table it views take the same inputs and
+# must reject them with the same messages.
+_SWEEPS = (lossy_fidelity_sweep, lossy_fidelity_table)
+
+
 def test_sweep_names_the_row_whose_gain_calibration_fails():
-    with pytest.raises(ValueError, match=r"gain calibration failed: .*kappa2 = 0\.0"):
-        lossy_fidelity_sweep([0.0, 1.0], 0.2)
-    with pytest.raises(ValueError, match=r"gain calibration failed: .*kappa2 = 0\.0"):
-        lossy_fidelity_sweep([1.0, 2.0, 0.0], 0.2)
+    for sweep in _SWEEPS:
+        with pytest.raises(ValueError, match=r"gain calibration failed: .*kappa2 = 0\.0"):
+            sweep([0.0, 1.0], 0.2)
+        with pytest.raises(ValueError, match=r"gain calibration failed: .*kappa2 = 0\.0"):
+            sweep([1.0, 2.0, 0.0], 0.2)
 
 
 def test_sweep_rejects_fidelity_outside_unit_interval(monkeypatch):
@@ -359,8 +366,9 @@ def test_sweep_rejects_fidelity_outside_unit_interval(monkeypatch):
         return channel, joint, weights, averaged_cov
 
     monkeypatch.setattr(protocols, "_deferred_teleport", inflated)
-    with pytest.raises(ValueError, match=r"fidelity must lie in \[0, 1\].*kappa2 = 2\.0"):
-        lossy_fidelity_sweep([1.0, 2.0, 3.0], 0.2)
+    for sweep in _SWEEPS:
+        with pytest.raises(ValueError, match=r"fidelity must lie in \[0, 1\].*kappa2 = 2\.0"):
+            sweep([1.0, 2.0, 3.0], 0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -480,16 +488,18 @@ def test_sweep_conditions_like_entangle(monkeypatch):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -0.5])
 def test_sweep_names_the_row_with_a_bad_kappa2(bad):
     pattern = rf"kappa must be finite and non-negative.*kappa2 = {re.escape(repr(bad))}"
-    with pytest.raises(ValueError, match=pattern):
-        lossy_fidelity_sweep([1.0, bad, 2.0], 0.2)
+    for sweep in _SWEEPS:
+        with pytest.raises(ValueError, match=pattern):
+            sweep([1.0, bad, 2.0], 0.2)
     with pytest.raises(ValueError, match=pattern):
         simulated_lossy_fidelity(bad, 0.2)
 
 
 @pytest.mark.parametrize("multiplier", [float("nan"), float("inf"), -float("inf")])
 def test_sweep_rejects_non_finite_kappa1_multiplier(multiplier):
-    with pytest.raises(ValueError, match=r"kappa must be finite.*kappa2 = 1\.0"):
-        lossy_fidelity_sweep([1.0, 2.0], 0.2, kappa1_multiplier=multiplier)
+    for sweep in _SWEEPS:
+        with pytest.raises(ValueError, match=r"kappa must be finite.*kappa2 = 1\.0"):
+            sweep([1.0, 2.0], 0.2, kappa1_multiplier=multiplier)
 
 
 @pytest.mark.parametrize("name, field", [
@@ -497,5 +507,41 @@ def test_sweep_rejects_non_finite_kappa1_multiplier(multiplier):
 ])
 @pytest.mark.parametrize("value", [1.0, -0.1, float("nan")])
 def test_sweep_rejects_noise_outside_unit_interval(name, field, value):
-    with pytest.raises(ValueError, match=rf"{field} must lie in \[0, 1\)"):
-        lossy_fidelity_sweep([1.0, 2.0], 0.2, **{name: value})
+    for sweep in _SWEEPS:
+        with pytest.raises(ValueError, match=rf"{field} must lie in \[0, 1\)"):
+            sweep([1.0, 2.0], 0.2, **{name: value})
+
+
+@pytest.mark.parametrize("values, eta_t, message", [
+    ([1.0], 0.2, "sweep needs at least two kappa2 values"),
+    ([1.0, 2.0], 1.0, r"eta_t must lie in \[0, 1\), got 1\.0"),
+    ([1.0, 2.0], -0.1, r"eta_t must lie in \[0, 1\), got -0\.1"),
+    ([1.0, "x"], 0.2, "could not convert string to float"),
+])
+def test_sweep_rejects_bad_arguments(values, eta_t, message):
+    for sweep in _SWEEPS:
+        with pytest.raises(ValueError, match=message):
+            sweep(values, eta_t)
+
+
+def test_sweep_points_equal_the_table_rows():
+    kappa2_values = np.linspace(0.2, 10.0, 57)
+    kwargs = dict(kappa1_multiplier=3.0, eps_p=0.02, eps_a=0.01, eta_d=0.1,
+                  eta_t_local=0.3)
+    kappa2, f_simulated, f_closed_form, best = lossy_fidelity_table(
+        kappa2_values, 0.2, **kwargs
+    )
+    assert kappa2.dtype == f_simulated.dtype == f_closed_form.dtype == np.float64
+    assert best == int(np.argmax(f_simulated))
+    points = lossy_fidelity_sweep(kappa2_values, 0.2, **kwargs)
+    assert [(p.kappa2, p.eta_t, p.f_simulated, p.f_closed_form, p.is_argmax)
+            for p in points] == [
+        (k2, 0.2, f, closed, i == best)
+        for i, (k2, f, closed) in enumerate(zip(kappa2, f_simulated, f_closed_form))
+    ]
+    # The closed-form column is fidelity_lossy's value at each row, bit for bit.
+    assert [p.f_closed_form for p in points] == [
+        fidelity_lossy(float(k2), 0.2) for k2 in kappa2_values
+    ]
+    assert all(type(value) is float for p in points
+               for value in (p.kappa2, p.f_simulated, p.f_closed_form))
