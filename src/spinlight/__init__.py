@@ -63,6 +63,7 @@ from .protocols import (
     lossy_fidelity_table,
     make_plans,
     optimal_kappa2,
+    run_trials,
     simulated_lossy_fidelity,
     squeezing_parameter,
     teleport,

@@ -23,11 +23,13 @@ byte-identical artifacts no matter how trials are scheduled.
 Each subcommand only computes: it returns its JSON payload, its CSV header
 and rows, its summary lines and its exit code.  ``main`` renders the
 artifact in the configured format, writes it to the configured path or to
-stdout, and prints the summary.  ``sweep`` builds its rows straight from the
-columns of :func:`~spinlight.protocols.lossy_fidelity_table`.  The JSON
-writer renders a table (a list of flat dicts sharing their ``str`` keys and
-one leaf type per key, such as the sweep's points) with one %-template for
-the whole table, and everything else value by value, in the same bytes.
+stdout, and prints the summary.  ``entangle`` and ``teleport`` run all their
+trials in one :func:`~spinlight.protocols.run_trials` call, and ``sweep``
+builds its rows from the columns of
+:func:`~spinlight.protocols.lossy_fidelity_table`.  The JSON writer renders
+a table (a list of flat dicts sharing their ``str`` keys and one leaf type
+per key, such as the sweep's points) with one %-template for the whole
+table, and everything else value by value, in the same bytes.
 """
 
 import argparse
@@ -49,14 +51,14 @@ from .config import (
 from .interaction import validate_regime
 from .maxwell_bloch import Grid, extract_collective_from_channel
 from .protocols import (
+    _PULSES,
     classical_bound_check,
-    entangle,
     fidelity_ideal,
     fidelity_lossy,
     lossy_fidelity_table,
     optimal_kappa2,
+    run_trials,
     squeezing_parameter,
-    teleport,
 )
 
 __all__ = ["main"]
@@ -180,17 +182,17 @@ def _csv_text(echo, header, rows):
     return "\n".join(lines) + "\n"
 
 
-def _trial_seed(seed, trial):
-    """Documented per-trial splitting rule: seed XOR trial index."""
-    return seed ^ trial
+def _trial_rngs(cfg):
+    """One generator per trial, by the documented rule: seed XOR trial index."""
+    return [np.random.default_rng(cfg.seed ^ trial) for trial in range(cfg.trials)]
 
 
-def _record_rows(records):
-    return [
-        {"round_tag": rec.round_tag, "mode": rec.mode.index,
-         "quadrature": rec.quadrature, "outcome": rec.outcome}
-        for rec in records
-    ]
+def _records(outcomes):
+    """Per-trial record rows of a (trials, rounds) outcome array."""
+    return [{"trial": trial, "outcomes": [
+        {"round_tag": tag, "mode": mode, "quadrature": "x", "outcome": outcome}
+        for (tag, mode), outcome in zip(_PULSES, row)
+    ]} for trial, row in enumerate(outcomes.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -232,31 +234,19 @@ def _cmd_derive(cfg):
 
 
 def _cmd_entangle(cfg):
-    plan1, plan2 = cfg.plans["entangle1"], cfg.plans["entangle2"]
-    trials = []
-    for trial in range(cfg.trials):
-        rng = np.random.default_rng(_trial_seed(cfg.seed, trial))
-        _, report = entangle(plan1, plan2, rng=rng)
-        trials.append(report)
-    base = trials[0]
+    outcomes, report, _ = run_trials(cfg.plans, _trial_rngs(cfg))
     payload = {
         "command": "entangle",
         "seed": cfg.seed,
         "trials": cfg.trials,
-        "epr_x": base.epr_x,
-        "epr_p": base.epr_p,
-        "r": base.r,
-        "r_closed_form": squeezing_parameter(plan2.kappa),
-        "records": [
-            {"trial": i, "outcomes": _record_rows(rep.records)}
-            for i, rep in enumerate(trials)
-        ],
+        "epr_x": report.epr_x,
+        "epr_p": report.epr_p,
+        "r": report.r,
+        "r_closed_form": squeezing_parameter(cfg.plans["entangle2"].kappa),
+        "records": _records(outcomes),
         "config": cfg.echo,
     }
     if cfg.trials > 1:
-        outcomes = np.array(
-            [[rec.outcome for rec in rep.records] for rep in trials]
-        )
         payload["monte_carlo"] = {
             "round1_mean": float(outcomes[:, 0].mean()),
             "round1_var": float(outcomes[:, 0].var(ddof=1)),
@@ -264,32 +254,18 @@ def _cmd_entangle(cfg):
             "round2_var": float(outcomes[:, 1].var(ddof=1)),
         }
     header = ["trial", "outcome_round1", "outcome_round2", "epr_x", "epr_p", "r"]
-    rows = [
-        [i, rep.records[0].outcome, rep.records[1].outcome, rep.epr_x, rep.epr_p, rep.r]
-        for i, rep in enumerate(trials)
-    ]
-    summary = [f"epr_x = {_fmt(base.epr_x)}", f"epr_p = {_fmt(base.epr_p)}",
-               f"r = {_fmt(base.r)}"]
+    rows = [[i, *row, report.epr_x, report.epr_p, report.r]
+            for i, row in enumerate(outcomes.tolist())]
+    summary = [f"epr_x = {_fmt(report.epr_x)}", f"epr_p = {_fmt(report.epr_p)}",
+               f"r = {_fmt(report.r)}"]
     return payload, header, rows, summary, EXIT_OK
 
 
 def _cmd_teleport(cfg):
-    plans = cfg.plans
-    kappa2 = plans["entangle2"].kappa
-    trials = []
-    for trial in range(cfg.trials):
-        rng = np.random.default_rng(_trial_seed(cfg.seed, trial))
-        ent_state, ent_rep = entangle(plans["entangle1"], plans["entangle2"], rng=rng)
-        _, rep = teleport(
-            ent_state,
-            cfg.input_mean,
-            plans["local1"],
-            plans["local2"],
-            gain=cfg.gain,
-            rng=rng,
-        )
-        trials.append((ent_rep, rep))
-    fidelity = trials[0][1].fidelity
+    kappa2 = cfg.plans["entangle2"].kappa
+    outcomes, report, fidelities = run_trials(cfg.plans, _trial_rngs(cfg), cfg.input_mean, cfg.gain)
+    fidelities = fidelities.tolist()
+    fidelity = fidelities[0]
     payload = {
         "command": "teleport",
         "seed": cfg.seed,
@@ -300,25 +276,19 @@ def _cmd_teleport(cfg):
         if kappa2 > 0
         else None,
         "classical_bound_exceeded": classical_bound_check(fidelity),
-        "epr_x": trials[0][1].epr_x,
-        "epr_p": trials[0][1].epr_p,
-        "r": trials[0][1].r,
+        "epr_x": report.epr_x,
+        "epr_p": report.epr_p,
+        "r": report.r,
         "input_mean": list(cfg.input_mean),
-        "records": [
-            {
-                "trial": i,
-                "outcomes": _record_rows(ent.records) + _record_rows(tel.records),
-            }
-            for i, (ent, tel) in enumerate(trials)
-        ],
+        "records": _records(outcomes),
         "config": cfg.echo,
     }
     header = ["trial", "fidelity_simulated", "fidelity_ideal_closed_form",
               "fidelity_lossy_closed_form", "classical_bound_exceeded"]
     rows = [
-        [i, tel.fidelity, payload["fidelity_ideal_closed_form"],
-         payload["fidelity_lossy_closed_form"], classical_bound_check(tel.fidelity)]
-        for i, (_, tel) in enumerate(trials)
+        [i, value, payload["fidelity_ideal_closed_form"],
+         payload["fidelity_lossy_closed_form"], classical_bound_check(value)]
+        for i, value in enumerate(fidelities)
     ]
     summary = [f"fidelity = {_fmt(fidelity)}",
                f"classical bound exceeded: {_fmt(payload['classical_bound_exceeded'])}"]

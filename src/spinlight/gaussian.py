@@ -20,7 +20,7 @@ signed swap of the mode's rows.  ``rotate`` and ``loss_channel`` copy a
 state's moments and apply a kernel; ``apply_symplectic`` keeps the dense
 product for general matrices.  The conditioning rule of a homodyne
 measurement is one kernel of the same kind, ``_condition``, which
-``homodyne`` and the batched protocol sweep both call.
+``homodyne`` and the protocols' batched pulse measurement both call.
 """
 
 import dataclasses

@@ -22,25 +22,23 @@ columns and a covariance together, so X S X^T + Y is pushed through directly
 and never formed as a product.  Round parameters are per-row arrays on the
 trailing batch axis, so a whole sweep of operating points is one pass.
 
-``entangle`` pushes two samples in vacuum through the channel and conditions
-on each pulse's x in round order with :func:`~spinlight.gaussian.homodyne`;
-the conditional EPR variances are exact and independent of the outcomes.
-``teleport`` pushes the entangled pair plus a fresh input sample through the
-local Bell channel and displaces sample 2 by the outcomes.  Besides the
-covariance, only the mean map's two columns for the input sample's x and p
-are pushed (and the register mean itself in ``teleport``): they give the
-responses A of sample 2 and C of the outcomes to the input mean, and the
-gain G = (I - A) C^-1 makes the end-to-end mean transfer exactly one.
+The entangling stage pushes two vacuum samples through the channel; the
+teleport stage pushes the entangled pair, a fresh input sample and the mean
+map's columns for the input's x and p, whose responses A of sample 2 and C of
+the outcomes give the gain G = (I - A) C^-1 of exactly unit mean transfer.
 The reported fidelity is that of the outcome-averaged output,
 F = det(W Sigma W^T + I/2)^(-1/2) with W = [I G] and Sigma the joint
 covariance of sample 2 and both outcomes; the unit gain makes it independent
-of the input amplitude.  The lossy sweep pushes the vacuum covariance through
-the entangling rounds, conditions it on each pulse's x with the same kernel
-as :func:`~spinlight.gaussian.homodyne`, and pushes the entangled covariance
-through the local rounds; its round table is built as arrays from the kappa2
-values.  :func:`lossy_fidelity_table` returns its results as columns (kappa2,
-simulated and closed-form fidelity) with the argmax row, and
-:func:`lossy_fidelity_sweep` is the same table as a list of SweepPoints.
+of the input amplitude.  Both stages condition on each pulse's x in round
+order with one kernel, :func:`_measure_pulses`, batched over operating
+points or, at one operating point, over the means of many trials.  So
+:func:`run_trials` pushes each stage once for all the trials of a run, and
+only the draws are per trial; :func:`entangle` and :func:`teleport` are its
+one-trial case.  The lossy sweep runs the entangling stage on the covariance
+alone, over a round table built as arrays from the kappa2 values;
+:func:`lossy_fidelity_table` returns its columns (kappa2, simulated and
+closed-form fidelity) with the argmax row, and :func:`lossy_fidelity_sweep`
+the same table as a list of SweepPoints.
 
 Within a round, the light's two consecutive losses (eps_p after a pass, then
 eta_t or eta_d) are one loss 1 - (1 - a)(1 - b), and the -pi/2 and +pi/2
@@ -55,6 +53,7 @@ import numpy as np
 
 from .gaussian import (
     VACUUM_VARIANCE,
+    DegeneracyError,
     GaussianState,
     MeasurementRecord,
     ModeIndex,
@@ -63,10 +62,6 @@ from .gaussian import (
     _damp,
     _propagate,
     _quarter_turn,
-    displace,
-    homodyne,
-    marginal,
-    variance_of,
     fidelity_coherent,
 )
 from .interaction import ChannelParams, _kick
@@ -83,6 +78,7 @@ __all__ = [
     "classical_bound_check",
     "entangle",
     "teleport",
+    "run_trials",
     "make_plans",
     "simulated_lossy_fidelity",
     "lossy_fidelity_table",
@@ -122,15 +118,13 @@ class RoundPlan:
 
 @dataclasses.dataclass(frozen=True)
 class ProtocolReport:
-    """Run summary: squeezing, EPR variances, fidelity, outcomes, seed, config."""
+    """Run summary: squeezing, EPR variances, fidelity, outcomes."""
 
     r: float
     epr_x: float
     epr_p: float
     fidelity: float = None
     records: tuple = ()
-    seed: int = None
-    config_echo: dict = None
 
     def __post_init__(self):
         if self.epr_x < 0 or self.epr_p < 0:
@@ -239,31 +233,63 @@ def _push_bell(rows, cov, n_atoms, first, second, rounds):
             _quarter_turn(rows, cov, second, _TURN_SECOND)
 
 
-def _bell_rounds(state, forced_outcomes, rng, tag):
-    """Measure each pulse's x of a register in round order.
+def _measure_pulses(mean, cov, light, values=None, sampled=False):
+    """In place: condition a register on its pulses' x (modes ``light``, ``light + 1``).
 
-    ``state`` is the register after a Bell channel: the samples followed by
-    the two pulses.  ``forced_outcomes`` (one value per round) or ``rng``
-    supplies the outcomes.  The measured pulse leaves the register, so each
-    pulse in turn sits right after the samples.  Returns the conditional
-    state of the samples and the measurement records.
+    ``mean`` is None (only ``cov`` is conditioned) or the (dim, T) means of T
+    trials at one operating point; the measured rows are kept.  Returns the
+    (2, T) outcomes: the rows of ``values`` or, if ``sampled``, mean[k] + sqrt(v) z
+    for the standard normal draws z in them, the bits of ``rng.normal``.
     """
-    if forced_outcomes is not None:
-        if len(forced_outcomes) != 2:
-            raise ValueError("forced_outcomes must hold one value per round")
-        sources = [{"forced": float(v)} for v in forced_outcomes]
-    elif rng is None:
-        raise ValueError("provide rng for sampled outcomes or forced_outcomes")
-    else:
-        sources = [{"rng": rng}] * 2
-    light = state.n_modes - 2
-    records = []
-    for number, source in enumerate(sources, start=1):
-        outcome, state = homodyne(state, light, "x", **source)
-        records.append(MeasurementRecord(
-            ModeIndex(light, ModeLabel.LIGHT), "x", outcome, f"{tag}:round{number}"
-        ))
-    return state, tuple(records)
+    outcomes = []
+    for number, k in enumerate((2 * light, 2 * light + 2)):
+        v = cov[k, k]
+        if np.any(v <= 0.0):
+            raise DegeneracyError(f"measured quadrature has non-positive variance {v.min()}")
+        outcome = None
+        if mean is not None:
+            outcome = mean[k] + np.sqrt(v) * values[number] if sampled else values[number]
+            bad = ~np.isfinite(outcome)
+            if bad.any():
+                raise ValueError(f"measurement outcome must be finite, got {outcome[bad][0]}")
+            outcomes.append(outcome)
+        _condition(mean, cov, k, outcome)
+    return None if mean is None else np.array(outcomes)
+
+
+def _outcome_source(rng, forced_outcomes):
+    """``values`` and ``sampled`` of :func:`_measure_pulses` for one trial."""
+    if forced_outcomes is None:
+        if rng is None:
+            raise ValueError("provide rng for sampled outcomes or forced_outcomes")
+        return rng.standard_normal((2, 1)), True
+    if len(forced_outcomes) != 2:
+        raise ValueError("forced_outcomes must hold one value per round")
+    return np.array(forced_outcomes, dtype=float)[:, None], False
+
+
+# Tag and register position of each pulse's record, in measurement order: a
+# measured pulse leaves the register, so each sits right after the samples.
+_PULSES = (("entangle:round1", 2), ("entangle:round2", 2),
+           ("teleport:round1", 3), ("teleport:round2", 3))
+
+
+def _records(outcomes, pulses):
+    """Measurement records of one trial's outcomes at the given ``_PULSES``."""
+    return tuple(MeasurementRecord(ModeIndex(mode, ModeLabel.LIGHT), "x", value, tag)
+                 for (tag, mode), value in zip(pulses, outcomes.tolist()))
+
+
+def _entangling_stage(rounds, values=None, sampled=False):
+    """Vacuum through the entangling rounds of a :func:`_stack` array, conditioned.
+
+    Returns the (8, T) means or None, the (8, 8, B) covariance and the outcomes.
+    """
+    cov = _register(8, rounds.shape[1], 0)
+    _push_bell(None, cov, 2, 0, 1, rounds)
+    # The vacuum mean is zero, and so is its image under the linear channel.
+    mean = None if values is None else np.zeros((8, values.shape[1]))
+    return mean, cov, _measure_pulses(mean, cov, 2, values, sampled)
 
 
 # Rows of the local Bell channel's register (entangled pair, input sample,
@@ -272,29 +298,28 @@ def _bell_rounds(state, forced_outcomes, rng, tag):
 _JOINT = [2, 3, 6, 8]
 
 
-def _deferred_teleport(entangled_cov, rounds, gain=None, mean=None):
+def _deferred_teleport(entangled_cov, rounds, gain=None, means=None):
     """Local Bell channel, gain and outcome-averaged output, batched over rows.
 
-    ``entangled_cov`` is the (B, 4, 4) covariance of the entangled pair,
-    ``gain`` an optional (B, 2, 2) manual gain, calibrated for unit
-    end-to-end mean transfer if None, and ``mean`` an optional (B, 6) mean
-    of the pair and the input sample.  The pair, a vacuum input sample and
-    the vacuum pulses are pushed through the channel together with the mean
-    map's columns for the input's x and p and, if given, the mean.  Returns
-    the (B, 10) output mean of the register (None without ``mean``), its
-    (B, 10, 10) output covariance, the (B, 2, 4) weights W = [I G] and the
-    (B, 2, 2) covariance of the displaced, outcome-averaged sample 2.
+    ``entangled_cov`` is the (B, 4, 4) pair covariance, ``gain`` an optional
+    (B, 2, 2) manual gain (else calibrated for unit mean transfer), and
+    ``means`` optional (6, T) means of the pair and the input sample of T
+    trials at one operating point, pushed with the mean map's input columns.
+    Returns the (10, T) output means (or None) and (10, 10, B) covariance of
+    the register, the (B, 2, 4) weights W = [I G] and the (B, 2, 2)
+    covariance of the displaced, outcome-averaged sample 2.
     """
     batch = len(entangled_cov)
     cov = _register(10, batch, 4)
     cov[:4, :4] = np.moveaxis(entangled_cov, 0, -1)
-    columns = np.zeros((10, 2 if mean is None else 3, batch))
+    columns = np.zeros((10, 2 + (0 if means is None else means.shape[1]), batch))
     columns[4, 0] = columns[5, 1] = 1.0
-    if mean is not None:
-        columns[:6, 2] = mean.T
+    if means is not None:
+        columns[:6, 2:, 0] = means
     _push_bell(columns, cov, 3, 0, 2, rounds)
-    columns, cov = np.moveaxis(columns, -1, 0), np.moveaxis(cov, -1, 0)
-    sigma = cov[:, _JOINT][:, :, _JOINT]
+    pushed = None if means is None else columns[:, 2:, 0]
+    columns = np.moveaxis(columns, -1, 0)
+    sigma = np.moveaxis(cov, -1, 0)[:, _JOINT][:, :, _JOINT]
     if gain is None:
         # G C = I - A for the responses A (sample 2) and C (outcomes) to the
         # input mean; a singular C names its row's first local kappa, the
@@ -311,43 +336,66 @@ def _deferred_teleport(entangled_cov, rounds, gain=None, mean=None):
             ) from exc
     weights = np.concatenate([np.broadcast_to(np.eye(2), gain.shape), gain], axis=-1)
     _, averaged_cov = _propagate(None, sigma, weights, 0.0)
-    return None if mean is None else columns[:, :, 2], cov, weights, averaged_cov
+    return pushed, cov, weights, averaged_cov
 
 
-def _report(pair, fidelity, records, seed, config_echo):
-    """Report carrying the EPR variances of a two-sample state."""
-    epr_x = variance_of(pair, [1.0, 0.0, -1.0, 0.0])
-    epr_p = variance_of(pair, [0.0, 1.0, 0.0, 1.0])
-    return ProtocolReport(
-        r=-0.25 * math.log(epr_x * epr_p),
-        epr_x=epr_x,
-        epr_p=epr_p,
-        fidelity=fidelity,
-        records=records,
-        seed=seed,
-        config_echo=config_echo,
-    )
+def _teleport_stage(pair_means, pair_cov, input_mean, rounds, gain, values, sampled):
+    """Teleport T trials at one operating point that share one pair covariance.
+
+    ``pair_means`` is (4, T) and ``gain`` (gx, gp) or None.  Returns the
+    (2, T) means and (2, 2) covariance of the displaced sample 2, and the
+    outcomes of :func:`_measure_pulses` and the (T,) fidelities.
+    """
+    input_mean = np.array([float(input_mean[0]), float(input_mean[1])])
+    trials = pair_means.shape[1]
+    means = np.concatenate([pair_means, np.repeat(input_mean[:, None], trials, axis=1)])
+    manual = None if gain is None else np.array([[[0.0, gain[0]], [gain[1], 0.0]]], float)
+    mean, cov, weights, averaged_cov = _deferred_teleport(pair_cov[None], rounds, manual, means)
+    weights, averaged_cov, joint = weights[0], averaged_cov[0], mean[_JOINT]
+    # Without offset the outcome-averaged output has mean W mu_J.  A calibrated
+    # gain's offset moves it to the input mean for every trial; a manual gain
+    # has none, and W mu_J is formed one trial at a time.
+    if gain is None:
+        offsets = input_mean[:, None] - weights @ joint
+        fidelity = fidelity_coherent(GaussianState(input_mean, averaged_cov), 0, input_mean)
+        fidelities = np.full(trials, fidelity)
+    else:
+        offsets = 0.0
+        fidelities = np.array([
+            fidelity_coherent(GaussianState(weights @ column, averaged_cov), 0, input_mean)
+            for column in joint.T.copy()
+        ])
+    outcomes = _measure_pulses(mean, cov, 3, values, sampled)
+    displaced = mean[2:4] + (weights[:, 2:] @ outcomes + offsets)
+    return displaced, cov[2:4, 2:4, 0], outcomes, fidelities
+
+
+_EPR = (np.array([1.0, 0.0, -1.0, 0.0]), np.array([0.0, 1.0, 0.0, 1.0]))
+
+
+def _report(pair_cov, fidelity=None, records=()):
+    """Report carrying the EPR variances var(x1 - x2), var(p1 + p2) of a pair covariance."""
+    epr_x, epr_p = (float(c @ pair_cov @ c) for c in _EPR)
+    return ProtocolReport(-0.25 * math.log(epr_x * epr_p), epr_x, epr_p, fidelity, records)
 
 
 # ---------------------------------------------------------------------------
 # entanglement generation
 
 
-def entangle(plan_round1, plan_round2, rng=None, forced_outcomes=None, seed=None,
-             config_echo=None):
+def entangle(plan_round1, plan_round2, rng=None, forced_outcomes=None):
     """Generate a conditionally entangled pair of collective spins.
 
     Both samples start in vacuum (coherent spin state along the polarization
     axis).  Returns the conditional two-sample state and a report whose EPR
     variances var(x1 - x2), var(p1 + p2) are exact consequences of the
-    Gaussian conditioning, independent of the measurement outcomes.
+    Gaussian conditioning, independent of the measurement outcomes.  The
+    outcomes are ``forced_outcomes`` (one per round) or drawn from ``rng``.
     """
-    cov = _register(8, 1, 0)
-    _push_bell(None, cov, 2, 0, 1, _stack([(plan_round1, plan_round2)]))
-    # The vacuum mean is zero, and so is its image under the linear channel.
-    register = GaussianState(np.zeros(8), cov[..., 0])
-    state, records = _bell_rounds(register, forced_outcomes, rng, "entangle")
-    return state, _report(state, None, records, seed, config_echo)
+    rounds = _stack([(plan_round1, plan_round2)])
+    mean, cov, outcomes = _entangling_stage(rounds, *_outcome_source(rng, forced_outcomes))
+    state = GaussianState(mean[:4, 0], cov[:4, :4, 0])
+    return state, _report(state.cov, None, _records(outcomes[:, 0], _PULSES[:2]))
 
 
 # ---------------------------------------------------------------------------
@@ -355,63 +403,58 @@ def entangle(plan_round1, plan_round2, rng=None, forced_outcomes=None, seed=None
 
 
 def teleport(entangled, input_mean, plan_local_round1, plan_local_round2, gain=None,
-             rng=None, forced_outcomes=None, seed=None, config_echo=None):
+             rng=None, forced_outcomes=None):
     """Teleport a coherent collective-spin state onto sample 2.
 
-    Parameters
-    ----------
-    entangled : GaussianState
-        Two-sample state from :func:`entangle`; sample 1 takes part in the
-        local Bell measurement, sample 2 receives the displacement.
-    input_mean : (float, float)
-        Mean (x, p) of the coherent input prepared on the fresh third sample.
-    plan_local_round1, plan_local_round2 : RoundPlan
-        Settings of the local Bell rounds.  Under transmission loss the lossy
-        strategy uses the moderate kappa first and the large kappa second,
-        mirroring (in reverse) the entangling rounds.
-    gain : (float, float), optional
-        Displacement gains (gx, gp) applied as dx = gx * m2, dp = gp * m1,
-        where m1, m2 are the two round outcomes.  Default: calibrated
-        automatically for unit end-to-end mean transfer.
-    rng, forced_outcomes
-        Outcome source for the physical run, as in :func:`entangle`.
+    ``entangled`` is the two-sample state from :func:`entangle`: sample 1
+    takes part in the local Bell measurement, sample 2 receives the
+    displacement.  ``input_mean`` is the (x, p) mean of the coherent input
+    prepared on a fresh third sample.  Under transmission loss the lossy
+    strategy's local rounds run the moderate kappa first and the large kappa
+    second, mirroring the entangling rounds.  ``gain`` (gx, gp) displaces by
+    dx = gx * m2, dp = gp * m1 for the round outcomes m1, m2; by default it is
+    calibrated for unit end-to-end mean transfer.  ``rng`` and
+    ``forced_outcomes`` are the outcome source, as in :func:`entangle`.
 
-    Returns
-    -------
-    (output, report) : (GaussianState, ProtocolReport)
-        ``output`` is the conditional single-mode state of sample 2 after the
-        displacement.  ``report.fidelity`` is the overlap of the
-        outcome-averaged output state with the coherent input, the quantity
-        the closed-form expressions describe.
+    Returns the conditional state of sample 2 after the displacement and a
+    report whose fidelity is the overlap of the outcome-averaged output with
+    the coherent input, the quantity the closed-form expressions describe.
     """
     if entangled.n_modes != 2:
         raise ValueError(
             f"entangled resource must have exactly 2 modes, got {entangled.n_modes}"
         )
-    rounds = _stack([(plan_local_round1, plan_local_round2)])
-    input_mean = np.array([float(input_mean[0]), float(input_mean[1])])
-    mean = np.concatenate([entangled.mean, input_mean])
-
-    manual = None if gain is None else np.array([[[0.0, gain[0]], [gain[1], 0.0]]], float)
-    pushed, cov, weights, averaged_cov = _deferred_teleport(
-        entangled.cov[None], rounds, manual, mean[None]
+    mean, cov, outcomes, fidelities = _teleport_stage(
+        entangled.mean[:, None], entangled.cov, input_mean,
+        _stack([(plan_local_round1, plan_local_round2)]), gain,
+        *_outcome_source(rng, forced_outcomes),
     )
-    pushed, weights = pushed[0], weights[0]
-    # Without offset the outcome-averaged output has mean W mu_J.  A calibrated
-    # gain's offset moves it to the input mean, cancelling what the entangled
-    # pair's mean feeds in; a manual gain comes without offset.
-    unshifted = weights @ pushed[_JOINT]
-    averaged_mean = input_mean if gain is None else unshifted
-    offset = averaged_mean - unshifted
-    averaged = GaussianState(averaged_mean, averaged_cov[0])
-    fidelity = fidelity_coherent(averaged, 0, input_mean)
+    records = _records(outcomes[:, 0], _PULSES[2:])
+    return GaussianState(mean[:, 0], cov), _report(entangled.cov, float(fidelities[0]), records)
 
-    register = GaussianState(pushed, cov[0])
-    final_state, records = _bell_rounds(register, forced_outcomes, rng, "teleport")
-    shift = weights[:, 2:] @ np.array([rec.outcome for rec in records]) + offset
-    output = displace(marginal(final_state, [1]), 0, shift[0], shift[1])
 
-    return output, _report(entangled, fidelity, records, seed, config_echo)
+def run_trials(plans, rngs, input_mean=None, gain=None):
+    """Entangle, and teleport if ``input_mean`` is given, once per generator.
+
+    ``plans`` maps :func:`make_plans`' round names to RoundPlans, and
+    ``input_mean`` and ``gain`` are as in :func:`teleport`.  Each stage is
+    pushed once for all trials; each trial draws from its own generator in
+    measurement order, in the bits of an :func:`entangle` and :func:`teleport`
+    call per generator.  Returns the (trials, rounds) outcomes, the report of
+    the pair's EPR variances, and the (trials,) fidelities (or None).
+    """
+    rounds = 2 if input_mean is None else 4
+    draws = np.array([rng.standard_normal(rounds) for rng in rngs]).reshape(-1, rounds).T
+    entangling = _stack([(plans["entangle1"], plans["entangle2"])])
+    mean, cov, outcomes = _entangling_stage(entangling, draws[:2], True)
+    pair_cov = cov[:4, :4, 0].copy()
+    if input_mean is None:
+        return outcomes.T.copy(), _report(pair_cov), None
+    local = _stack([(plans["local1"], plans["local2"])])
+    _, _, teleported, fidelities = _teleport_stage(
+        mean[:4], pair_cov, input_mean, local, gain, draws[2:], True
+    )
+    return np.concatenate([outcomes, teleported]).T.copy(), _report(pair_cov), fidelities
 
 
 # ---------------------------------------------------------------------------
@@ -484,16 +527,12 @@ def _sweep_rounds(kappa2_values, eta_t, kappa1_multiplier=10.0, eps_p=0.0, eps_a
 def _lossy_fidelities(kappa2, eta_t, **plan_kwargs):
     """Teleportation fidelity of the loss-adapted strategy at every kappa2, batched.
 
-    ``kappa2`` is a float array.  The entangling channel acts on the vacuum
-    covariance in place, so no transfer map is formed for it, and the
-    covariance is conditioned on each pulse's x in round order as
-    :func:`entangle` does; the outcomes never enter a covariance.
+    ``kappa2`` is a float array.  The entangling stage of :func:`entangle`
+    runs on the covariance alone, since the outcomes never enter a
+    covariance, and no transfer map is formed for it.
     """
     entangling, local = _sweep_rounds(kappa2, eta_t, **plan_kwargs)
-    cov = _register(8, len(kappa2), 0)
-    _push_bell(None, cov, 2, 0, 1, entangling)
-    for pulse_x in (4, 6):
-        _condition(None, cov, pulse_x, None)
+    _, cov, _ = _entangling_stage(entangling)
     _, _, _, averaged_cov = _deferred_teleport(np.moveaxis(cov[:4, :4], -1, 0), local)
     overlap = averaged_cov + VACUUM_VARIANCE * np.eye(2)
     det = overlap[:, 0, 0] * overlap[:, 1, 1] - overlap[:, 0, 1] * overlap[:, 1, 0]
@@ -538,15 +577,5 @@ def lossy_fidelity_sweep(kappa2_values, eta_t, **plan_kwargs):
     kappa2, f_simulated, f_closed_form, best = lossy_fidelity_table(
         kappa2_values, eta_t, **plan_kwargs
     )
-    return [
-        SweepPoint(
-            kappa2=k2,
-            eta_t=eta_t,
-            f_simulated=f,
-            f_closed_form=closed,
-            is_argmax=(i == best),
-        )
-        for i, (k2, f, closed) in enumerate(
-            zip(kappa2.tolist(), f_simulated.tolist(), f_closed_form.tolist())
-        )
-    ]
+    rows = zip(kappa2.tolist(), f_simulated.tolist(), f_closed_form.tolist())
+    return [SweepPoint(k2, eta_t, f, closed, i == best) for i, (k2, f, closed) in enumerate(rows)]

@@ -47,6 +47,17 @@ sweep.steps = 200
 seed = 42
 """,
 }
+# The lossy config under damping and detector loss, with a manual gain and a
+# nonzero input mean: the one case whose fidelity varies from trial to trial.
+CONFIGS["gain"] = CONFIGS["lossy"] + """\
+channel.eps_p = 0.01
+channel.eps_a = 0.02
+noise.eta_d = 0.05
+input.x = 0.7
+input.p = -0.4
+gain.x = 0.9
+gain.p = -1.1
+"""
 
 COMMANDS = ("derive", "entangle", "teleport", "sweep", "mb-validate")
 
@@ -59,6 +70,7 @@ CASES = {
     for command in COMMANDS
 }
 CASES["sweep-corner"] = ("corner", ["sweep"])
+CASES["teleport-gain"] = ("gain", ["teleport", "--trials", "64"])
 
 
 FORMATS = ("json", "csv")

@@ -207,6 +207,26 @@ def test_teleport_high_loss_near_classical_boundary(tmp_path):
     assert payload["fidelity_simulated"] < 0.52
 
 
+@pytest.mark.parametrize("command, pushes", [("entangle", 1), ("teleport", 2)])
+def test_all_trials_share_one_push_per_stage(tmp_path, monkeypatch, command, pushes):
+    # The covariances and the gain do not depend on the outcomes, so a run
+    # pushes each Bell channel once, however many trials it has.
+    from spinlight import protocols
+
+    real, calls = protocols._push_bell, []
+
+    def spy(*args):
+        calls.append(args[-1].shape)
+        return real(*args)
+
+    monkeypatch.setattr(protocols, "_push_bell", spy)
+    cfg = _write(tmp_path, "run.cfg", IDEAL + "trials = 64\n")
+    out = tmp_path / "run.json"
+    assert _run([command, "--config", cfg, "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["records"]) == 64
+    assert calls == [(2, 1, 5)] * pushes
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

@@ -55,15 +55,16 @@ def _rel(got, want):
 # sequential oracle
 
 
-def _sequential_rounds(state, first, second, plans, values, innovations=False):
-    """One Bell measurement, round by round, with forced outcomes.
+def _sequential_rounds(state, first, second, plans, values, innovations=False, rng=None):
+    """One Bell measurement, round by round, with forced or sampled outcomes.
 
     ``values`` are the outcomes, or with ``innovations`` their offsets from
-    the prior means.  Returns the posterior, the outcomes and the prior
-    variance of each outcome.
+    the prior means; with ``rng`` the outcomes are sampled by ``homodyne``
+    and ``values`` is not read.  Returns the posterior, the outcomes and the
+    prior variance of each outcome.
     """
     outcomes, variances = [], []
-    for number, (plan, value) in enumerate(zip(plans, values)):
+    for number, plan in enumerate(plans):
         state = append_vacuum(state, 1)
         light = state.n_modes - 1
         state = apply_pass(state, light, first, plan.channel())
@@ -72,8 +73,12 @@ def _sequential_rounds(state, first, second, plans, values, innovations=False):
         state = loss_channel(state, light, plan.eta_d)
         k = 2 * light
         variances.append(state.cov[k, k])
-        forced = state.mean[k] + value if innovations else value
-        outcome, state = homodyne(state, light, "x", forced=forced)
+        if rng is not None:
+            outcome, state = homodyne(state, light, "x", rng=rng)
+        else:
+            value = values[number]
+            forced = state.mean[k] + value if innovations else value
+            outcome, state = homodyne(state, light, "x", forced=forced)
         outcomes.append(outcome)
         if number == 0:
             state = rotate(state, first, -math.pi / 2)
@@ -143,6 +148,36 @@ def test_engine_matches_sequential_oracle(kappa2, eta_t, kwargs):
     assert _rel(report.fidelity, oracle_fidelity) <= REL_TOL
     swept = simulated_lossy_fidelity(kappa2, eta_t, **kwargs)
     assert _rel(swept, oracle_fidelity) <= REL_TOL
+
+
+@pytest.mark.parametrize("kappa2, eta_t, kwargs", OPERATING_POINTS)
+def test_sampled_engine_matches_sequential_oracle(kappa2, eta_t, kwargs):
+    # The engine draws each outcome as the prior mean plus sqrt(v) times a
+    # standard normal draw of the trial's generator; the oracle samples with
+    # homodyne from a generator with the same seed.
+    plans = make_plans(kappa2, eta_t, **kwargs)
+    entangling = (plans["entangle1"], plans["entangle2"])
+    local = (plans["local1"], plans["local2"])
+
+    pair, ent = entangle(*entangling, rng=np.random.default_rng(11))
+    oracle_pair, oracle_m, _ = _sequential_rounds(
+        vacuum_state(2), 0, 1, entangling, None, rng=np.random.default_rng(11)
+    )
+    assert _rel([rec.outcome for rec in ent.records], oracle_m) <= REL_TOL
+    assert _rel(pair.mean, oracle_pair.mean) <= REL_TOL
+    assert _rel(pair.cov, oracle_pair.cov) <= REL_TOL
+
+    input_mean = (0.8, -0.3)
+    output, tel = teleport(pair, input_mean, *local, rng=np.random.default_rng(12))
+    register = displace(append_vacuum(oracle_pair, 1), 2, *input_mean)
+    _, oracle_m, _ = _sequential_rounds(
+        register, 0, 2, local, None, rng=np.random.default_rng(12)
+    )
+    assert _rel([rec.outcome for rec in tel.records], oracle_m) <= REL_TOL
+    oracle_output, oracle_fidelity = _oracle_teleport(oracle_pair, input_mean, local, oracle_m)
+    assert _rel(output.mean, oracle_output.mean) <= REL_TOL
+    assert _rel(output.cov, oracle_output.cov) <= REL_TOL
+    assert _rel(tel.fidelity, oracle_fidelity) <= REL_TOL
 
 
 def test_sweep_rows_equal_one_point_runs():

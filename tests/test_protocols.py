@@ -21,6 +21,7 @@ from spinlight import (
     lossy_fidelity_table,
     make_plans,
     optimal_kappa2,
+    run_trials,
     simulated_lossy_fidelity,
     squeezing_parameter,
     teleport,
@@ -323,6 +324,31 @@ def test_manual_gain_breaks_input_independence():
         forced_outcomes=(0.0, 0.0),
     )
     assert detuned.fidelity < tuned.fidelity
+
+
+@pytest.mark.parametrize("gain", [None, (0.9, -1.1)])
+def test_batched_trials_equal_one_run_per_generator(gain):
+    # One push per stage for all trials gives the bits of one entangle and
+    # one teleport call per generator, outcomes and fidelities alike.
+    plans = make_plans(1.5, 0.2, eps_p=0.01, eps_a=0.02, eta_d=0.05)
+    input_mean = (0.7, -0.4)
+    seeds = [42 ^ trial for trial in range(7)]
+    outcomes, report, fidelities = run_trials(
+        plans, [np.random.default_rng(seed) for seed in seeds], input_mean, gain
+    )
+    entangled, _ = run_trials(plans, [np.random.default_rng(seed) for seed in seeds])[:2]
+    assert outcomes.shape == (7, 4) and entangled.shape == (7, 2)
+    assert np.array_equal(entangled, outcomes[:, :2])
+    for seed, row, fidelity in zip(seeds, outcomes, fidelities):
+        rng = np.random.default_rng(seed)
+        pair, ent = entangle(plans["entangle1"], plans["entangle2"], rng=rng)
+        _, tel = teleport(pair, input_mean, plans["local1"], plans["local2"], gain=gain,
+                          rng=rng)
+        one = [rec.outcome for rec in ent.records + tel.records]
+        assert np.array_equal(row, one)
+        assert fidelity == tel.fidelity
+        assert (report.epr_x, report.epr_p, report.r) == (ent.epr_x, ent.epr_p, ent.r)
+    assert (len(set(fidelities.tolist())) == 1) == (gain is None)
 
 
 def test_teleport_requires_two_mode_resource():
