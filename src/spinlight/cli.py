@@ -13,23 +13,24 @@ Common flags: ``--config PATH`` (required), ``--seed N``, ``--trials N``,
 environment variables, which override the file.
 
 Exit codes: 0 success; 1 usage or configuration error; 2 regime warnings from
-``derive``; 3 tolerance failure in ``mb-validate``.
+``derive``; 3 tolerance failure in ``mb-validate``; 4 numerical failure (an
+``ArithmeticError``, such as a non-positive variance).
 
 Every artifact embeds the fully resolved configuration and the seed, floats
 are emitted with 17 significant digits, and per-trial RNG streams are derived
 as ``seed XOR trial_index``, so identical (config, seed) pairs give
 byte-identical artifacts no matter how trials are scheduled.
 
-Each subcommand only computes: it returns its JSON payload, its CSV header
-and rows, its summary lines and its exit code.  ``main`` renders the
-artifact in the configured format, writes it to the configured path or to
-stdout, and prints the summary.  ``entangle`` and ``teleport`` run all their
-trials in one :func:`~spinlight.protocols.run_trials` call, and ``sweep``
-builds its rows from the columns of
-:func:`~spinlight.protocols.lossy_fidelity_table`.  The JSON writer renders
-a table (a list of flat dicts sharing their ``str`` keys and one leaf type
-per key, such as the sweep's points) with one %-template for the whole
-table, and everything else value by value, in the same bytes.
+Each subcommand only computes: it returns its JSON payload, its CSV table,
+its summary lines and its exit code.  ``main`` renders the artifact in the
+configured format, writes it to the configured path or to stdout, and prints
+the summary.  ``entangle`` and ``teleport`` run all their trials in one
+:func:`~spinlight.protocols.run_trials` call, and ``sweep`` builds its rows
+from the columns of :func:`~spinlight.protocols.lossy_fidelity_table`.  A
+table is a ``_Table`` value wherever it goes (the sweep's points, the
+mb-validate rows, each trial's outcomes, the CSV body).  Both writers render
+it with one row template, the JSON writer in the bytes of the list of dicts
+it stands for; every other value the JSON writer renders value by value.
 """
 
 import argparse
@@ -39,11 +40,13 @@ import json
 import math
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import (
     ConfigError,
+    _format_scalar,
     apply_env_overrides,
     parse_config_text,
     resolve_run_config,
@@ -67,32 +70,33 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_REGIME_WARNING = 2
 EXIT_TOLERANCE_FAILURE = 3
+EXIT_NUMERICAL = 4
 
 
-def _fmt(value):
-    """Text form of one scalar; floats carry 17 significant digits."""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
+class _Table(NamedTuple):
+    """A table: a tuple of ``str`` keys and rows of cells, one cell per key.
+
+    In JSON it is a list of one dict per row, keyed by the header; in CSV the
+    header line and one line per row.
+    """
+
+    header: tuple
+    rows: list
 
 
 _ENCODE_STR = json.encoder.encode_basestring_ascii
 
-# %-format of the leaf types a table template formats by itself; the other
-# leaf types go through _LEAF_TEXT first and into a %s.
-_TEMPLATE_FORMAT = {float: "%.17g", int: "%d"}
-
-# Text of the common leaf types, keyed by exact type (bool is not int here).
+# JSON text of the common leaf types, keyed by exact type (bool is not int here).
 _LEAF_TEXT = {
-    float: _TEMPLATE_FORMAT[float].__mod__,
+    float: "%.17g".__mod__,
     int: str,
     str: _ENCODE_STR,
     bool: lambda value: "true" if value else "false",
     np.bool_: lambda value: "true" if value else "false",
     type(None): lambda value: "null",
 }
+# CSV text of the same types: strings and None as they print.
+_CSV_LEAF_TEXT = {**_LEAF_TEXT, str: str, type(None): str}
 
 
 @functools.lru_cache(maxsize=1024, typed=True)
@@ -101,38 +105,22 @@ def _key_text(key):
     return _ENCODE_STR(str(key)) + ": "
 
 
-def _table_text(rows, pad):
-    """Text of a list's items if they form a table, else None.
-
-    A table is a list of non-empty dicts with the same ``str`` keys in the
-    same order, where each key holds one exact ``_LEAF_TEXT`` type in every
-    row; ``rows[0]`` must be a dict.  Its rows, each on a line starting with
-    ``pad``, are rendered with one %-template for the whole table, in the
-    bytes the generic path would give.
-    """
-    keys = tuple(rows[0])
-    if (
-        not keys
-        or set(map(type, rows)) != {dict}
-        or set(map(tuple, rows)) != {keys}
-        or set(map(type, itertools.chain.from_iterable(rows))) != {str}
-    ):
-        return None
-    columns = list(zip(*map(dict.values, rows)))
-    pieces = []
-    for number, (key, column) in enumerate(zip(keys, columns)):
-        kinds = set(map(type, column))
-        kind = kinds.pop()
-        if kinds or kind not in _LEAF_TEXT:
-            return None
-        if kind not in _TEMPLATE_FORMAT:
-            columns[number] = map(_LEAF_TEXT[kind], column)
-        pieces.append(_key_text(key).replace("%", "%%") + _TEMPLATE_FORMAT.get(kind, "%s"))
+@functools.lru_cache(maxsize=64)
+def _row_template(header, pad):
+    """%-template of one JSON table row whose own line starts with ``pad``."""
     row_pad = pad + "  "
-    template = "{" + row_pad + ("," + row_pad).join(pieces) + pad + "}"
-    return ("," + pad).join([template] * len(rows)) % tuple(
-        itertools.chain.from_iterable(zip(*columns))
-    )
+    keys = [_key_text(key).replace("%", "%%") + "%s" for key in header]
+    return "{" + row_pad + ("," + row_pad).join(keys) + pad + "}"
+
+
+def _rows_text(rows, template, sep, leaf_text, other):
+    """``rows`` in ``template`` (one %s per cell), joined by ``sep``.
+
+    Each cell's text is ``leaf_text`` of its exact type, else ``other(cell)``.
+    """
+    text = leaf_text.get
+    cells = [(text(type(cell)) or other)(cell) for cell in itertools.chain.from_iterable(rows)]
+    return sep.join([template] * len(rows)) % tuple(cells)
 
 
 def _json_text(obj, indent=0):
@@ -153,16 +141,22 @@ def _json_value(obj, pad):
             for key, value in obj.items()
         ]
         return "{" + item_pad + ("," + item_pad).join(items) + pad + "}"
+    if isinstance(obj, _Table):
+        if not obj.rows:
+            return "[]"
+        item_pad = pad + "  "
+        template = _row_template(obj.header, item_pad)
+        cell_text = functools.partial(_json_value, pad=item_pad + "  ")
+        text = _rows_text(obj.rows, template, "," + item_pad, _LEAF_TEXT, cell_text)
+        return "[" + item_pad + text + pad + "]"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         item_pad = pad + "  "
-        text = _table_text(obj, item_pad) if type(obj[0]) is dict else None
-        if text is None:
-            text = ("," + item_pad).join([
-                leaf(value) if (leaf := leaf_text(type(value))) else _json_value(value, item_pad)
-                for value in obj
-            ])
+        text = ("," + item_pad).join([
+            leaf(value) if (leaf := leaf_text(type(value))) else _json_value(value, item_pad)
+            for value in obj
+        ])
         return "[" + item_pad + text + pad + "]"
     if (leaf := leaf_text(type(obj))) is not None:
         return leaf(obj)
@@ -170,16 +164,17 @@ def _json_value(obj, pad):
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
+        return _format_scalar(obj)
     return _ENCODE_STR(str(obj))
 
 
-def _csv_text(echo, header, rows):
-    lines = [f"# {key} = {_fmt(value)}" for key, value in echo.items()]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(cell) for cell in row))
-    return "\n".join(lines) + "\n"
+def _csv_text(echo, table):
+    """``#``-prefixed config echo, then the table's header and rows."""
+    lines = [f"# {key} = {_format_scalar(value)}\n" for key, value in echo.items()]
+    lines.append(",".join(table.header) + "\n")
+    template = ",".join(["%s"] * len(table.header)) + "\n"
+    lines.append(_rows_text(table.rows, template, "", _CSV_LEAF_TEXT, _format_scalar))
+    return "".join(lines)
 
 
 def _trial_rngs(cfg):
@@ -189,15 +184,13 @@ def _trial_rngs(cfg):
 
 def _records(outcomes):
     """Per-trial record rows of a (trials, rounds) outcome array."""
-    return [{"trial": trial, "outcomes": [
-        {"round_tag": tag, "mode": mode, "quadrature": "x", "outcome": outcome}
-        for (tag, mode), outcome in zip(_PULSES, row)
-    ]} for trial, row in enumerate(outcomes.tolist())]
+    return [{"trial": trial, "outcomes": _Table(("round_tag", "mode", "quadrature", "outcome"), [
+        (tag, mode, "x", outcome) for (tag, mode), outcome in zip(_PULSES, row)
+    ])} for trial, row in enumerate(outcomes.tolist())]
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (payload, csv_header, csv_rows, summary_lines,
-# exit_code)
+# subcommands: each returns (payload, csv_table, summary_lines, exit_code)
 
 
 def _cmd_derive(cfg):
@@ -225,12 +218,12 @@ def _cmd_derive(cfg):
         "regime_pass": report.all_pass,
         "config": cfg.echo,
     }
-    header = [k for k in payload if k not in ("command", "config")]
-    summary = [f"{name} = {_fmt(payload[name])}"
+    header = tuple(k for k in payload if k not in ("command", "config"))
+    summary = [f"{name} = {_format_scalar(payload[name])}"
                for name in ("kappa", "eps_p", "eps_a", "fresnel")]
     summary.append("regime: " + ("PASS" if report.all_pass else "WARN"))
     code = EXIT_OK if report.all_pass else EXIT_REGIME_WARNING
-    return payload, header, [[payload[k] for k in header]], summary, code
+    return payload, _Table(header, [[payload[k] for k in header]]), summary, code
 
 
 def _cmd_entangle(cfg):
@@ -253,12 +246,14 @@ def _cmd_entangle(cfg):
             "round2_mean": float(outcomes[:, 1].mean()),
             "round2_var": float(outcomes[:, 1].var(ddof=1)),
         }
-    header = ["trial", "outcome_round1", "outcome_round2", "epr_x", "epr_p", "r"]
-    rows = [[i, *row, report.epr_x, report.epr_p, report.r]
-            for i, row in enumerate(outcomes.tolist())]
-    summary = [f"epr_x = {_fmt(report.epr_x)}", f"epr_p = {_fmt(report.epr_p)}",
-               f"r = {_fmt(report.r)}"]
-    return payload, header, rows, summary, EXIT_OK
+    table = _Table(
+        ("trial", "outcome_round1", "outcome_round2", "epr_x", "epr_p", "r"),
+        [[i, *row, report.epr_x, report.epr_p, report.r]
+         for i, row in enumerate(outcomes.tolist())],
+    )
+    summary = [f"{name} = {_format_scalar(getattr(report, name))}"
+               for name in ("epr_x", "epr_p", "r")]
+    return payload, table, summary, EXIT_OK
 
 
 def _cmd_teleport(cfg):
@@ -283,16 +278,16 @@ def _cmd_teleport(cfg):
         "records": _records(outcomes),
         "config": cfg.echo,
     }
-    header = ["trial", "fidelity_simulated", "fidelity_ideal_closed_form",
-              "fidelity_lossy_closed_form", "classical_bound_exceeded"]
-    rows = [
-        [i, value, payload["fidelity_ideal_closed_form"],
-         payload["fidelity_lossy_closed_form"], classical_bound_check(value)]
-        for i, value in enumerate(fidelities)
-    ]
-    summary = [f"fidelity = {_fmt(fidelity)}",
-               f"classical bound exceeded: {_fmt(payload['classical_bound_exceeded'])}"]
-    return payload, header, rows, summary, EXIT_OK
+    table = _Table(
+        ("trial", "fidelity_simulated", "fidelity_ideal_closed_form",
+         "fidelity_lossy_closed_form", "classical_bound_exceeded"),
+        [[i, value, payload["fidelity_ideal_closed_form"],
+          payload["fidelity_lossy_closed_form"], classical_bound_check(value)]
+         for i, value in enumerate(fidelities)],
+    )
+    summary = [f"fidelity = {_format_scalar(fidelity)}",
+               f"classical bound exceeded: {_format_scalar(payload['classical_bound_exceeded'])}"]
+    return payload, table, summary, EXIT_OK
 
 
 def _cmd_sweep(cfg):
@@ -307,54 +302,49 @@ def _cmd_sweep(cfg):
         eta_d=cfg.eta_d,
         eta_t_local=cfg.eta_t_local,
     )
-    header = ["kappa2", "eta_t", "f_simulated", "f_closed_form", "is_argmax"]
     is_argmax = [False] * len(kappa2)
     is_argmax[best] = True
     rows = list(zip(kappa2.tolist(), [cfg.eta_t] * len(kappa2), f_simulated.tolist(),
                     f_closed_form.tolist(), is_argmax))
+    table = _Table(("kappa2", "eta_t", "f_simulated", "f_closed_form", "is_argmax"), rows)
     payload = {
         "command": "sweep",
         "seed": cfg.seed,
         "eta_t": cfg.eta_t,
         "kappa2_optimal_closed_form": optimal_kappa2(cfg.eta_t) if cfg.eta_t > 0 else None,
-        "points": [dict(zip(header, row)) for row in rows],
+        "points": table,
         "config": cfg.echo,
     }
-    summary = [f"argmax kappa2 = {_fmt(rows[best][0])} (f = {_fmt(rows[best][2])})"]
-    return payload, header, rows, summary, EXIT_OK
+    kappa2_best, _, f_best = rows[best][:3]
+    summary = [f"argmax kappa2 = {_format_scalar(kappa2_best)} (f = {_format_scalar(f_best)})"]
+    return payload, table, summary, EXIT_OK
 
 
 def _cmd_mb_validate(cfg):
     if cfg.physical is None:
         raise ConfigError("physical", "mb-validate needs the physical.* section")
     channel = cfg.channel
-    header = [
+    table = _Table((
         "grid", "kappa_eff", "eps_p_eff", "eps_a_eff",
         "dev_kappa", "dev_eps_p", "dev_eps_a",
         "signal_leak", "noise_var_light_x", "noise_var_atom_x",
-    ]
-    rows = []
+    ), [])
     for size in cfg.mb.grids():
         grid = Grid(n_z=size, n_tau=size, L=cfg.physical.L, T=cfg.physical.T)
         extraction = extract_collective_from_channel(channel, grid)
         dev_kappa = abs(extraction.kappa_eff - channel.kappa) / channel.kappa
-        dev_eps_p = (
-            abs(extraction.eps_p_eff - channel.eps_p) / channel.eps_p
-            if channel.eps_p > 0
-            else extraction.eps_p_eff
+        dev_eps_p, dev_eps_a = (
+            abs(eff - eps) / eps if eps > 0 else eff
+            for eff, eps in ((extraction.eps_p_eff, channel.eps_p),
+                             (extraction.eps_a_eff, channel.eps_a))
         )
-        dev_eps_a = (
-            abs(extraction.eps_a_eff - channel.eps_a) / channel.eps_a
-            if channel.eps_a > 0
-            else extraction.eps_a_eff
-        )
-        rows.append([
+        table.rows.append([
             size, extraction.kappa_eff, extraction.eps_p_eff, extraction.eps_a_eff,
             dev_kappa, dev_eps_p, dev_eps_a,
             extraction.signal_leak, extraction.noise_var_light_x,
             extraction.noise_var_atom_x,
         ])
-    final = rows[-1]
+    final = table.rows[-1]
     within = (
         final[4] <= cfg.mb.tol_kappa
         and final[5] <= cfg.mb.tol_eps
@@ -366,16 +356,16 @@ def _cmd_mb_validate(cfg):
         "kappa_analytic": channel.kappa,
         "eps_p_analytic": channel.eps_p,
         "eps_a_analytic": channel.eps_a,
-        "rows": [dict(zip(header, row)) for row in rows],
+        "rows": table,
         "within_tolerance": within,
         "config": cfg.echo,
     }
     summary = [
-        f"final grid {final[0]}x{final[0]}: dev_kappa = {_fmt(final[4])}, "
-        f"dev_eps_p = {_fmt(final[5])}, dev_eps_a = {_fmt(final[6])}",
+        f"final grid {final[0]}x{final[0]}: dev_kappa = {_format_scalar(final[4])}, "
+        f"dev_eps_p = {_format_scalar(final[5])}, dev_eps_a = {_format_scalar(final[6])}",
         "tolerance: " + ("PASS" if within else "FAIL"),
     ]
-    return payload, header, rows, summary, EXIT_OK if within else EXIT_TOLERANCE_FAILURE
+    return payload, table, summary, EXIT_OK if within else EXIT_TOLERANCE_FAILURE
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +425,9 @@ def main(argv=None):
         if args.format is not None:
             mapping["output.format"] = args.format
         cfg = resolve_run_config(mapping)
-        payload, header, rows, summary, code = _COMMANDS[args.command](cfg)
+        payload, table, summary, code = _COMMANDS[args.command](cfg)
         if cfg.out_format == "csv":
-            text = _csv_text(cfg.echo, header, rows)
+            text = _csv_text(cfg.echo, table)
         else:
             text = _json_text(payload) + "\n"
         if cfg.out_path:
@@ -451,6 +441,9 @@ def main(argv=None):
     except (ConfigError, OSError, ValueError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_USAGE
+    except ArithmeticError as exc:
+        sys.stderr.write(f"numerical error: {exc}\n")
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -58,6 +58,8 @@ import dataclasses
 import math
 import re
 
+import numpy as np
+
 from .interaction import ChannelParams, PhysicalParams, derive_channel
 from .protocols import RoundPlan
 
@@ -142,10 +144,11 @@ def parse_config_text(text):
 
 
 def _format_scalar(value):
-    if isinstance(value, bool):
+    """Text of one scalar: ``true``/``false`` for booleans, 17 significant digits for floats."""
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
     return str(value)
 
 

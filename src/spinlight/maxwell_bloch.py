@@ -218,7 +218,7 @@ def _signal_leak(rows, u, block):
     times the signal map) and ``block`` their collective part ``rows u^T``.
     """
     residual = rows - block @ u
-    return float(np.max(np.sum(residual**2, axis=1)) * VACUUM_VARIANCE)
+    return np.max(np.sum(residual**2, axis=1)) * VACUUM_VARIANCE
 
 
 def _extraction(block, signal_leak, light_noise, atom_noise):
@@ -234,7 +234,7 @@ def _extraction(block, signal_leak, light_noise, atom_noise):
         kappa_eff=float(abs(block[0, 3])),
         eps_p_eff=float(1.0 - block[0, 0] ** 2),
         eps_a_eff=float(1.0 - block[2, 2] ** 2),
-        signal_leak=signal_leak,
+        signal_leak=float(signal_leak),
         noise_var_light_x=float(light_noise[0] * VACUUM_VARIANCE),
         noise_var_atom_x=float(atom_noise[2] * VACUUM_VARIANCE),
         noise_var_light_x_total=float(total_noise[0] * VACUUM_VARIANCE),

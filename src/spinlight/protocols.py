@@ -376,6 +376,8 @@ _EPR = (np.array([1.0, 0.0, -1.0, 0.0]), np.array([0.0, 1.0, 0.0, 1.0]))
 def _report(pair_cov, fidelity=None, records=()):
     """Report carrying the EPR variances var(x1 - x2), var(p1 + p2) of a pair covariance."""
     epr_x, epr_p = (float(c @ pair_cov @ c) for c in _EPR)
+    if epr_x <= 0 or epr_p <= 0:
+        raise DegeneracyError(f"non-positive EPR variance: epr_x = {epr_x!r}, epr_p = {epr_p!r}")
     return ProtocolReport(-0.25 * math.log(epr_x * epr_p), epr_x, epr_p, fidelity, records)
 
 

@@ -64,6 +64,23 @@ def reference_json_text(obj, indent=0):
     return json.dumps(str(obj))
 
 
+def reference_csv_text(echo, header, rows):
+    """The CSV writer as first written: one text conversion per cell."""
+
+    def text(value):
+        if isinstance(value, (bool, np.bool_)):
+            return "true" if value else "false"
+        if isinstance(value, (float, np.floating)):
+            return format(float(value), ".17g")
+        return str(value)
+
+    lines = [f"# {key} = {text(value)}" for key, value in echo.items()]
+    lines.append(",".join(header))
+    for row in rows:
+        lines.append(",".join(text(cell) for cell in row))
+    return "\n".join(lines) + "\n"
+
+
 def assert_step_matches_dense(step, dense, args, batch, dim=6, seed=0):
     """Check an in-place step kernel against its dense transfer/noise matrices.
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from spinlight import cli
 from spinlight.cli import main
-from conftest import reference_json_text
+from conftest import reference_csv_text, reference_json_text
 
 IDEAL = """
 channel.kappa = 5.0
@@ -339,6 +339,27 @@ def test_usage_error_exit_code():
     assert _run(["frobnicate", "--config", "x"]) == 1
 
 
+@pytest.mark.parametrize("command", ["entangle", "teleport"])
+def test_numerical_failure_exits_4(tmp_path, capsys, monkeypatch, command):
+    # A run whose pair covariance rounding drove unphysical: reported as
+    # numerical, not as a config error, and no artifact is written.
+    from spinlight import protocols
+
+    def degenerate_run(*args):
+        cov = 0.5 * np.eye(4)
+        cov[0, 2] = cov[2, 0] = 0.75
+        return protocols._report(cov)
+
+    monkeypatch.setattr(cli, "run_trials", degenerate_run)
+    cfg = _write(tmp_path, "run.cfg", IDEAL)
+    out = tmp_path / "run.json"
+    assert _run([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_NUMERICAL == 4
+    assert capsys.readouterr() == (
+        "", "numerical error: non-positive EPR variance: epr_x = -0.5, epr_p = 1.0\n"
+    )
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # parser reuse
 
@@ -388,7 +409,8 @@ _LEAVES = st.one_of(
     st.sampled_from(['"quoted"', "back\\slash", "tab\tnewline\n", "kappa\u2082", "\U0001f300"]),
 )
 _KEYS = st.one_of(st.text(), st.integers(), st.booleans(), st.sampled_from(["f_simulated", "\u00e9t\u00e9"]))
-# One leaf type per column, as the table template requires.
+# One leaf type per column: the columns of drawn `_Table`s, and of the lists
+# of dicts the generic path renders.
 _COLUMNS = st.sampled_from([
     st.floats(allow_nan=True, allow_infinity=True),
     st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
@@ -466,6 +488,37 @@ def test_json_writer_key_cache_tells_equal_keys_apart():
     assert '"True": 0' in text and '"1.0": 0' in text
 
 
+@st.composite
+def _table_values(draw):
+    """`_Table`s of 1 to 6 rows, keys that may hold ``%``, one leaf type per column.
+
+    A column may also mix every leaf type: a table carries no type per column.
+    """
+    header = tuple(draw(st.lists(
+        st.one_of(st.text(), st.sampled_from(["%", "%s%%", "%d", "kappa2"])),
+        min_size=1, max_size=4, unique=True,
+    )))
+    columns = [draw(st.one_of(_COLUMNS, st.just(_LEAVES))) for _ in header]
+    row = draw(st.sampled_from([list, tuple]))
+    rows = [row(map(draw, columns)) for _ in range(draw(st.integers(1, 6)))]
+    return cli._Table(header, rows)
+
+
+@given(table=_table_values(), echo=st.dictionaries(st.text(), _LEAVES, max_size=3),
+       indent=st.integers(0, 3))
+@example(table=cli._Table(("%", "%d", "\u00e9"), [(-0.0, float("nan"), "\U0001f300")] * 2),
+         echo={"flag": np.bool_(True), "x": np.float64(0.1)}, indent=3)
+@example(table=cli._Table(("a", "b"), [[1.0, "x"], [1, None], [np.int64(2), np.bool_(False)]]),
+         echo={}, indent=0)
+@settings(max_examples=300, deadline=None)
+def test_table_writers_match_reference_writers(table, echo, indent):
+    dicts = [dict(zip(table.header, row)) for row in table.rows]
+    assert cli._json_text(table, indent) == reference_json_text(dicts, indent)
+    assert cli._json_text({"rows": table}, indent) == reference_json_text({"rows": dicts}, indent)
+    assert cli._csv_text(echo, table) == reference_csv_text(echo, table.header, table.rows)
+
+
 def test_csv_writer_writes_numpy_booleans_as_literals():
-    text = cli._csv_text({"flag": np.bool_(False)}, ["a", "b"], [[np.bool_(True), True]])
+    table = cli._Table(("a", "b"), [[np.bool_(True), True]])
+    text = cli._csv_text({"flag": np.bool_(False)}, table)
     assert text == "# flag = false\na,b\ntrue,true\n"

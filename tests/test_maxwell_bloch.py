@@ -225,6 +225,20 @@ def test_closed_form_matches_sweep_on_large_grids(
     )
 
 
+@pytest.mark.parametrize("channel_name", ["lossless", "eps_p", "eps_a", "reference"])
+def test_extraction_fields_are_python_floats(channel_name, reference_channel):
+    # The CLI writes these fields into its artifacts; a numpy scalar there
+    # takes the writers' slow path.
+    channel = reference_channel if channel_name == "reference" else ORACLE_CHANNELS[channel_name]
+    grid = _grid(4, 3)
+    for extraction in (
+        extract_collective(build_transfer_from_channel(channel, grid)),
+        extract_collective_from_channel(channel, grid),
+    ):
+        for field in dataclasses.fields(extraction):
+            assert type(getattr(extraction, field.name)) is float, field.name
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n_z=st.integers(1, 12),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spinlight import (
+    DegeneracyError,
     GaussianState,
     RoundPlan,
     append_vacuum,
@@ -132,6 +133,24 @@ def test_round_one_pins_x_difference():
         1.0 / (1.0 + 2.0 * kappa1**2), abs=1e-9
     )
     assert variance_of(state, [0, 1, 0, 1]) == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("cov_x, cov_p, message", [
+    (0.75, 0.0, "epr_x = -0.5, epr_p = 1.0"),
+    (0.0, -0.75, "epr_x = 1.0, epr_p = -0.5"),
+    (0.75, -0.75, "epr_x = -0.5, epr_p = -0.5"),
+])
+def test_report_names_non_positive_epr_variances(cov_x, cov_p, message):
+    # A pair covariance that rounding drove unphysical: var(x1 - x2) or
+    # var(p1 + p2) is not positive, even when the product of both is.
+    from spinlight.protocols import _report
+
+    cov = 0.5 * np.eye(4)
+    cov[0, 2] = cov[2, 0] = cov_x
+    cov[1, 3] = cov[3, 1] = cov_p
+    with pytest.raises(DegeneracyError, match=f"^non-positive EPR variance: {message}$"):
+        _report(cov)
+    assert _report(0.5 * np.eye(4)).epr_x == 1.0
 
 
 @pytest.mark.parametrize("forced", [-2.0, 0.0, 2.0])
