@@ -20,7 +20,9 @@ signed swap of the mode's rows.  ``rotate`` and ``loss_channel`` copy a
 state's moments and apply a kernel; ``apply_symplectic`` keeps the dense
 product for general matrices.  The conditioning rule of a homodyne
 measurement is one kernel of the same kind, ``_condition``, which
-``homodyne`` and the protocols' batched pulse measurement both call.
+``homodyne`` and the protocols' batched pulse measurement both call; the
+overlap with a coherent state is one batched kernel, ``_overlap``, which
+``fidelity_coherent`` and the protocols' teleport stage both call.
 """
 
 import dataclasses
@@ -391,6 +393,24 @@ def variance_of(state, coeffs):
     return float(coeffs @ state.cov @ coeffs)
 
 
+def _overlap(cov, delta):
+    """Overlap det(G)^(-1/2) exp(-(1/2) d^T G^-1 d) of G = cov + (1/2) I, batched.
+
+    ``cov`` is (..., 2, 2) and ``delta`` (..., 2); their leading axes
+    broadcast, so B rows, or T offsets on one covariance, are one call.  The
+    formula is written entry by entry, so every row has the bits of a one-row
+    call.  Raises DegeneracyError if any det(G) is not positive.
+    """
+    g00, g11 = cov[..., 0, 0] + VACUUM_VARIANCE, cov[..., 1, 1] + VACUUM_VARIANCE
+    g01, g10 = cov[..., 0, 1], cov[..., 1, 0]
+    det = g00 * g11 - g01 * g10
+    if np.any(det <= 0.0):
+        raise DegeneracyError(f"singular overlap matrix (det {np.min(det)})")
+    d0, d1 = delta[..., 0], delta[..., 1]
+    quadratic = (d0 * (g11 * d0 - g01 * d1) + d1 * (g00 * d1 - g10 * d0)) / det
+    return np.exp(-0.5 * quadratic) / np.sqrt(det)
+
+
 def fidelity_coherent(state, mode, target_mean):
     """Overlap of a single-mode marginal with a coherent state.
 
@@ -405,10 +425,5 @@ def fidelity_coherent(state, mode, target_mean):
     """
     m = _mode_of(state, mode)
     sl = slice(2 * m, 2 * m + 2)
-    gamma = state.cov[sl, sl] + VACUUM_VARIANCE * np.eye(2)
-    det = gamma[0, 0] * gamma[1, 1] - gamma[0, 1] * gamma[1, 0]
-    if det <= 0.0:
-        raise DegeneracyError(f"singular overlap matrix (det {det})")
     delta = state.mean[sl] - np.asarray(target_mean, dtype=float)
-    inv = np.array([[gamma[1, 1], -gamma[0, 1]], [-gamma[1, 0], gamma[0, 0]]]) / det
-    return float(math.exp(-0.5 * delta @ inv @ delta) / math.sqrt(det))
+    return float(_overlap(state.cov[sl, sl], delta))

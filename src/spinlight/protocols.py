@@ -26,19 +26,19 @@ The entangling stage pushes two vacuum samples through the channel; the
 teleport stage pushes the entangled pair, a fresh input sample and the mean
 map's columns for the input's x and p, whose responses A of sample 2 and C of
 the outcomes give the gain G = (I - A) C^-1 of exactly unit mean transfer.
-The reported fidelity is that of the outcome-averaged output,
-F = det(W Sigma W^T + I/2)^(-1/2) with W = [I G] and Sigma the joint
-covariance of sample 2 and both outcomes; the unit gain makes it independent
-of the input amplitude.  Both stages condition on each pulse's x in round
-order with one kernel, :func:`_measure_pulses`, batched over operating
-points or, at one operating point, over the means of many trials.  So
-:func:`run_trials` pushes each stage once for all the trials of a run, and
-only the draws are per trial; :func:`entangle` and :func:`teleport` are its
-one-trial case.  The lossy sweep runs the entangling stage on the covariance
-alone, over a round table built as arrays from the kappa2 values;
-:func:`lossy_fidelity_table` returns its columns (kappa2, simulated and
-closed-form fidelity) with the argmax row, and :func:`lossy_fidelity_sweep`
-the same table as a list of SweepPoints.
+The fidelity is the overlap of the outcome-averaged output with the coherent
+input, det(V)^(-1/2) exp(-d^T V^-1 d / 2), by the kernel of
+:func:`~spinlight.gaussian.fidelity_coherent`.  Here V = W Sigma W^T + I/2
+for W = [I G] and Sigma the joint covariance of sample 2 and both outcomes,
+and d, the averaged mean's offset from the input, is zero at the unit gain
+and varies by trial under a manual gain.  One teleport stage serves the
+sweep, :func:`teleport` and :func:`run_trials`.  Both stages condition on
+each pulse's x in round order with one kernel, :func:`_measure_pulses`,
+batched over operating points (the sweep, on the covariance alone) or over
+the means of many trials at one operating point, so :func:`run_trials`
+pushes each stage once per run; :func:`entangle` and :func:`teleport` are
+its one-trial case.  :func:`lossy_fidelity_table` returns the sweep's columns
+with the argmax row, and :func:`lossy_fidelity_sweep` the same as SweepPoints.
 
 Within a round, the light's two consecutive losses (eps_p after a pass, then
 eta_t or eta_d) are one loss 1 - (1 - a)(1 - b), and the -pi/2 and +pi/2
@@ -60,9 +60,9 @@ from .gaussian import (
     ModeLabel,
     _condition,
     _damp,
+    _overlap,
     _propagate,
     _quarter_turn,
-    fidelity_coherent,
 )
 from .interaction import ChannelParams, _kick
 
@@ -246,6 +246,8 @@ def _measure_pulses(mean, cov, light, values=None, sampled=False):
         v = cov[k, k]
         if np.any(v <= 0.0):
             raise DegeneracyError(f"measured quadrature has non-positive variance {v.min()}")
+        if not np.isfinite(v).all():
+            raise DegeneracyError(f"measured quadrature has non-finite variance {v.max()}")
         outcome = None
         if mean is not None:
             outcome = mean[k] + np.sqrt(v) * values[number] if sampled else values[number]
@@ -298,76 +300,65 @@ def _entangling_stage(rounds, values=None, sampled=False):
 _JOINT = [2, 3, 6, 8]
 
 
-def _deferred_teleport(entangled_cov, rounds, gain=None, means=None):
-    """Local Bell channel, gain and outcome-averaged output, batched over rows.
+def _teleport_stage(pair_cov, rounds, gain=None, pair_means=None, input_mean=None,
+                    values=None, sampled=False):
+    """Local Bell channel, gain and teleport fidelity, batched over operating points.
 
-    ``entangled_cov`` is the (B, 4, 4) pair covariance, ``gain`` an optional
-    (B, 2, 2) manual gain (else calibrated for unit mean transfer), and
-    ``means`` optional (6, T) means of the pair and the input sample of T
-    trials at one operating point, pushed with the mean map's input columns.
-    Returns the (10, T) output means (or None) and (10, 10, B) covariance of
-    the register, the (B, 2, 4) weights W = [I G] and the (B, 2, 2)
-    covariance of the displaced, outcome-averaged sample 2.
+    ``pair_cov`` is the (4, 4, B) pair covariance, batch-last as
+    :func:`_entangling_stage` leaves it, and ``gain`` None for the gain of
+    unit mean transfer, calibrated per row, or (gx, gp), which needs trial
+    means.  Without ``pair_means`` returns the (B,) fidelities of the
+    calibrated gain.  With the (4, T) ``pair_means`` of T trials at one
+    operating point, their ``input_mean`` and the outcome source of
+    :func:`_measure_pulses`, returns the (T,) fidelities, the (2, T) means and
+    (2, 2) covariance of the displaced sample 2 and the (2, T) outcomes.
     """
-    batch = len(entangled_cov)
+    batch, trials = pair_cov.shape[-1], 0 if pair_means is None else pair_means.shape[1]
     cov = _register(10, batch, 4)
-    cov[:4, :4] = np.moveaxis(entangled_cov, 0, -1)
-    columns = np.zeros((10, 2 + (0 if means is None else means.shape[1]), batch))
+    cov[:4, :4] = pair_cov
+    # The mean map's columns for the input's x and p, then the trials' means.
+    columns = np.zeros((10, 2 + trials, batch))
     columns[4, 0] = columns[5, 1] = 1.0
-    if means is not None:
-        columns[:6, 2:, 0] = means
+    if trials:
+        target = np.array([[float(input_mean[0])], [float(input_mean[1])]])
+        columns[:4, 2:, 0], columns[4:6, 2:, 0] = pair_means, target
     _push_bell(columns, cov, 3, 0, 2, rounds)
-    pushed = None if means is None else columns[:, 2:, 0]
-    columns = np.moveaxis(columns, -1, 0)
+    # Batch-first gathers keep the batched solve and products contiguous.
     sigma = np.moveaxis(cov, -1, 0)[:, _JOINT][:, :, _JOINT]
     if gain is None:
         # G C = I - A for the responses A (sample 2) and C (outcomes) to the
         # input mean; a singular C names its row's first local kappa, the
         # kappa2 of the loss-adapted strategy.
-        a, c = columns[:, _JOINT[:2], :2], columns[:, _JOINT[2:], :2]
+        responses = np.moveaxis(columns, -1, 0)
+        a, c = responses[:, _JOINT[:2], :2], responses[:, _JOINT[2:], :2]
         c_t, rhs_t = np.swapaxes(c, -1, -2), np.swapaxes(np.eye(2) - a, -1, -2)
         try:
-            gain = np.swapaxes(np.linalg.solve(c_t, rhs_t), -1, -2)
+            matrix = np.swapaxes(np.linalg.solve(c_t, rhs_t), -1, -2)
         except np.linalg.LinAlgError as exc:
             row = int(np.argmin(np.abs(np.linalg.det(c))))
             raise ValueError(
                 "gain calibration failed: measurement outcomes do not respond to the "
                 f"input mean at kappa2 = {float(rounds[0][row, 0])!r} (kappa too small?)"
             ) from exc
-    weights = np.concatenate([np.broadcast_to(np.eye(2), gain.shape), gain], axis=-1)
-    _, averaged_cov = _propagate(None, sigma, weights, 0.0)
-    return pushed, cov, weights, averaged_cov
-
-
-def _teleport_stage(pair_means, pair_cov, input_mean, rounds, gain, values, sampled):
-    """Teleport T trials at one operating point that share one pair covariance.
-
-    ``pair_means`` is (4, T) and ``gain`` (gx, gp) or None.  Returns the
-    (2, T) means and (2, 2) covariance of the displaced sample 2, and the
-    outcomes of :func:`_measure_pulses` and the (T,) fidelities.
-    """
-    input_mean = np.array([float(input_mean[0]), float(input_mean[1])])
-    trials = pair_means.shape[1]
-    means = np.concatenate([pair_means, np.repeat(input_mean[:, None], trials, axis=1)])
-    manual = None if gain is None else np.array([[[0.0, gain[0]], [gain[1], 0.0]]], float)
-    mean, cov, weights, averaged_cov = _deferred_teleport(pair_cov[None], rounds, manual, means)
-    weights, averaged_cov, joint = weights[0], averaged_cov[0], mean[_JOINT]
-    # Without offset the outcome-averaged output has mean W mu_J.  A calibrated
-    # gain's offset moves it to the input mean for every trial; a manual gain
-    # has none, and W mu_J is formed one trial at a time.
-    if gain is None:
-        offsets = input_mean[:, None] - weights @ joint
-        fidelity = fidelity_coherent(GaussianState(input_mean, averaged_cov), 0, input_mean)
-        fidelities = np.full(trials, fidelity)
     else:
-        offsets = 0.0
-        fidelities = np.array([
-            fidelity_coherent(GaussianState(weights @ column, averaged_cov), 0, input_mean)
-            for column in joint.T.copy()
-        ])
+        matrix = np.array([[[0.0, gain[0]], [gain[1], 0.0]]], float)
+    # The outcome-averaged output of W = [I G] has covariance W Sigma W^T.
+    weights = np.concatenate([np.broadcast_to(np.eye(2), matrix.shape), matrix], axis=-1)
+    averaged_cov = _propagate(None, sigma, weights, 0.0)[1]
+    if not trials:
+        return _overlap(averaged_cov, np.zeros(2))
+    # Its mean is W mu_J plus an offset: a calibrated gain's puts it on the
+    # input mean, a manual gain has none.  W mu_J is summed row by row, so
+    # each trial has the bits of a one-trial run.
+    weights, joint = weights[0], columns[_JOINT, 2:, 0]
+    averaged = sum(weights[:, k, None] * joint[k] for k in range(len(_JOINT)))
+    offsets = target - averaged if gain is None else 0.0
+    delta = np.zeros_like(averaged) if gain is None else averaged - target
+    fidelities = _overlap(averaged_cov, delta.T)
+    mean = columns[:, 2:, 0]
     outcomes = _measure_pulses(mean, cov, 3, values, sampled)
     displaced = mean[2:4] + (weights[:, 2:] @ outcomes + offsets)
-    return displaced, cov[2:4, 2:4, 0], outcomes, fidelities
+    return fidelities, displaced, cov[2:4, 2:4, 0], outcomes
 
 
 _EPR = (np.array([1.0, 0.0, -1.0, 0.0]), np.array([0.0, 1.0, 0.0, 1.0]))
@@ -423,13 +414,10 @@ def teleport(entangled, input_mean, plan_local_round1, plan_local_round2, gain=N
     the coherent input, the quantity the closed-form expressions describe.
     """
     if entangled.n_modes != 2:
-        raise ValueError(
-            f"entangled resource must have exactly 2 modes, got {entangled.n_modes}"
-        )
-    mean, cov, outcomes, fidelities = _teleport_stage(
-        entangled.mean[:, None], entangled.cov, input_mean,
-        _stack([(plan_local_round1, plan_local_round2)]), gain,
-        *_outcome_source(rng, forced_outcomes),
+        raise ValueError(f"entangled resource must have exactly 2 modes, got {entangled.n_modes}")
+    fidelities, mean, cov, outcomes = _teleport_stage(
+        entangled.cov[:, :, None], _stack([(plan_local_round1, plan_local_round2)]), gain,
+        entangled.mean[:, None], input_mean, *_outcome_source(rng, forced_outcomes),
     )
     records = _records(outcomes[:, 0], _PULSES[2:])
     return GaussianState(mean[:, 0], cov), _report(entangled.cov, float(fidelities[0]), records)
@@ -453,8 +441,8 @@ def run_trials(plans, rngs, input_mean=None, gain=None):
     if input_mean is None:
         return outcomes.T.copy(), _report(pair_cov), None
     local = _stack([(plans["local1"], plans["local2"])])
-    _, _, teleported, fidelities = _teleport_stage(
-        mean[:4], pair_cov, input_mean, local, gain, draws[2:], True
+    fidelities, _, _, teleported = _teleport_stage(
+        cov[:4, :4], local, gain, mean[:4], input_mean, draws[2:], True
     )
     return np.concatenate([outcomes, teleported]).T.copy(), _report(pair_cov), fidelities
 
@@ -535,11 +523,7 @@ def _lossy_fidelities(kappa2, eta_t, **plan_kwargs):
     """
     entangling, local = _sweep_rounds(kappa2, eta_t, **plan_kwargs)
     _, cov, _ = _entangling_stage(entangling)
-    _, _, _, averaged_cov = _deferred_teleport(np.moveaxis(cov[:4, :4], -1, 0), local)
-    overlap = averaged_cov + VACUUM_VARIANCE * np.eye(2)
-    det = overlap[:, 0, 0] * overlap[:, 1, 1] - overlap[:, 0, 1] * overlap[:, 1, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fidelities = 1.0 / np.sqrt(det)
+    fidelities = _teleport_stage(cov[:4, :4], local)
     bad = np.flatnonzero(~((fidelities >= 0.0) & (fidelities <= 1.0)))
     if bad.size:
         raise ValueError(

@@ -360,6 +360,26 @@ def test_numerical_failure_exits_4(tmp_path, capsys, monkeypatch, command):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("command, text", [
+    ("entangle", "channel.kappa = 1e200\n"),
+    ("teleport", "channel.kappa = 1e200\n"),
+    ("sweep", "channel.kappa = 1.0\nnoise.eta_t = 0.2\nsweep.min = 0.2\n"
+              "sweep.max = 1e200\nsweep.steps = 20\n"),
+])
+def test_overflowed_run_exits_4(tmp_path, capsys, command, text):
+    # A kappa so large that the pushed covariance overflows is a numerical
+    # failure, not a config error: the measured variance is not finite.
+    cfg = _write(tmp_path, "run.cfg", text)
+    out = tmp_path / "run.json"
+    assert _run([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith(
+        "numerical error: measured quadrature has non-finite variance "
+    )
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # parser reuse
 

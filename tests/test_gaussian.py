@@ -513,6 +513,42 @@ def test_fidelity_degenerate_covariance():
         fidelity_coherent(state, 0, (0.0, 0.0))
 
 
+def _overlap_reference(cov, delta):
+    gamma = cov + 0.5 * np.eye(2)
+    return np.linalg.det(gamma) ** -0.5 * math.exp(-0.5 * delta @ np.linalg.inv(gamma) @ delta)
+
+
+_entries = st.floats(-2.0, 2.0)
+_covariances = st.tuples(_entries, _entries, _entries, st.floats(0.01, 2.0)).map(
+    lambda e: np.array([[e[0], e[1]], [e[2], e[3]]]) @ np.array([[e[0], e[2]], [e[1], e[3]]])
+    + e[3] * np.eye(2)
+)
+_offsets = st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)).map(np.array)
+
+
+@given(
+    covs=st.lists(_covariances, min_size=1, max_size=6),
+    deltas=st.lists(_offsets, min_size=6, max_size=6),
+)
+@settings(max_examples=100, deadline=None)
+def test_overlap_matches_determinant_and_inverse(covs, deltas):
+    from spinlight.gaussian import _overlap
+
+    def close(got, want):
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-300)
+
+    close(_overlap(covs[0], deltas[0]), _overlap_reference(covs[0], deltas[0]))
+    rows = _overlap(np.array(covs), np.array(deltas[: len(covs)]))
+    assert rows.shape == (len(covs),)
+    for got, cov, delta in zip(rows, covs, deltas):
+        close(got, _overlap_reference(cov, delta))
+    trials = _overlap(covs[0], np.array(deltas))
+    assert trials.shape == (len(deltas),)
+    for got, delta in zip(trials, deltas):
+        close(got, _overlap_reference(covs[0], delta))
+        assert got == _overlap(covs[0], delta)
+
+
 # ---------------------------------------------------------------------------
 # register plumbing
 

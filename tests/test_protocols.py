@@ -272,14 +272,15 @@ def test_output_mean_tracks_input_zero_innovation():
 def test_manual_unit_gain_reproduces_calibrated_fidelity():
     # Supplying the calibrated gains by hand must give the same averaged
     # fidelity as automatic calibration (same displacement rule, zero offset
-    # at zero input).
-    from spinlight.protocols import _deferred_teleport, _stack
+    # at zero input).  The calibrated gain G = (I - A) C^-1 comes from the
+    # dense channel's responses A of sample 2 and C of the outcomes to the
+    # input mean.
+    from spinlight.protocols import _stack
 
     state = _entangled(3.0)
-    _, _, weights, _ = _deferred_teleport(
-        state.cov[None], _stack([(_ideal(3.0), _ideal(3.0))])
-    )
-    gain_matrix = weights[0][:, 2:]
+    transfer, _ = bell_channel(3, 0, 2, _stack([(_ideal(3.0), _ideal(3.0))]))
+    a, c = transfer[0][[2, 3]][:, [4, 5]], transfer[0][[6, 8]][:, [4, 5]]
+    gain_matrix = (np.eye(2) - a) @ np.linalg.inv(c)
     assert gain_matrix[0, 0] == pytest.approx(0.0, abs=1e-12)
     assert gain_matrix[1, 1] == pytest.approx(0.0, abs=1e-12)
     manual = (gain_matrix[0, 1], gain_matrix[1, 0])
@@ -370,6 +371,24 @@ def test_batched_trials_equal_one_run_per_generator(gain):
     assert (len(set(fidelities.tolist())) == 1) == (gain is None)
 
 
+def test_manual_gain_trials_build_no_gaussian_state(monkeypatch):
+    # The per-trial fidelities of a manual gain come from one batched overlap,
+    # not from one GaussianState per trial.
+    constructions = []
+    real = GaussianState.__post_init__
+
+    def counting(self):
+        constructions.append(self)
+        real(self)
+
+    monkeypatch.setattr(GaussianState, "__post_init__", counting)
+    plans = make_plans(1.5, 0.2, eps_p=0.01, eps_a=0.02, eta_d=0.05)
+    rngs = [np.random.default_rng(seed) for seed in range(64)]
+    _, _, fidelities = run_trials(plans, rngs, (0.7, -0.4), (0.9, -1.1))
+    assert fidelities.shape == (64,)
+    assert len(constructions) == 0
+
+
 def test_teleport_requires_two_mode_resource():
     with pytest.raises(ValueError):
         teleport(
@@ -402,15 +421,14 @@ def test_sweep_names_the_row_whose_gain_calibration_fails():
 def test_sweep_rejects_fidelity_outside_unit_interval(monkeypatch):
     import spinlight.protocols as protocols
 
-    real = protocols._deferred_teleport
+    real = protocols._overlap
 
-    def inflated(*args, **kwargs):
-        channel, joint, weights, averaged_cov = real(*args, **kwargs)
+    def inflated(averaged_cov, delta):
         averaged_cov = averaged_cov.copy()
         averaged_cov[1] = -0.4 * np.eye(2)  # det(cov + I/2) = 0.01, so F = 10
-        return channel, joint, weights, averaged_cov
+        return real(averaged_cov, delta)
 
-    monkeypatch.setattr(protocols, "_deferred_teleport", inflated)
+    monkeypatch.setattr(protocols, "_overlap", inflated)
     for sweep in _SWEEPS:
         with pytest.raises(ValueError, match=r"fidelity must lie in \[0, 1\].*kappa2 = 2\.0"):
             sweep([1.0, 2.0, 3.0], 0.2)
@@ -510,14 +528,14 @@ def test_sweep_conditions_like_entangle(monkeypatch):
     # uses, so each row's entangled pair equals entangle's, bit for bit.
     import spinlight.protocols as protocols
 
-    real = protocols._deferred_teleport
+    real = protocols._teleport_stage
     seen = []
 
-    def spy(entangled_cov, *args, **kwargs):
-        seen.append(entangled_cov.copy())
-        return real(entangled_cov, *args, **kwargs)
+    def spy(pair_cov, *args, **kwargs):
+        seen.append(np.moveaxis(pair_cov, -1, 0).copy())
+        return real(pair_cov, *args, **kwargs)
 
-    monkeypatch.setattr(protocols, "_deferred_teleport", spy)
+    monkeypatch.setattr(protocols, "_teleport_stage", spy)
     kappa2 = [0.3, 1.5, 9.5]
     kwargs = dict(kappa1_multiplier=3.0, eps_p=0.02, eps_a=0.01, eta_d=0.1,
                   eta_t_local=0.3)
