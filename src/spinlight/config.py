@@ -18,45 +18,31 @@ Overrides: environment variables with the ``SPINLIGHT_`` prefix replace file
 keys (dots become double underscores, e.g. ``SPINLIGHT_ROUNDS__ENTANGLE1__KAPPA``),
 and command-line flags override both.
 
-Recognized keys (defaults in parentheses):
+Every key is declared once, in ``_SCHEMA``, with its kind, default and
+allowed values.  That one table rejects unknown keys, checks each value's
+type, finiteness and range, fills in the defaults and renders the key table
+below, so an error in a single value names its key.  Only the rules across
+keys are code: the physical and channel sections agree,
+``sweep.min < sweep.max`` and ``mb.min_grid <= mb.max_grid``; what
+:class:`~spinlight.interaction.PhysicalParams` finds inconsistent among the
+physical inputs is reported under ``physical``.
 
-    physical.lambda0            wavelength, m
-    physical.length             ensemble length, m
-    physical.area               cross section, m^2       (lambda0 * length)
-    physical.rho                density, m^-3 or 'cm^-3' suffix
-    physical.delta              detuning, rad/s
-    physical.gamma              decay rate, rad/s
-    physical.gamma_prime        cross decay rate, rad/s
-    physical.t                  pulse duration, s        (1e-6)
-    physical.na                 half atom number         (rho*area*length/2)
-    physical.np                 half photon number       (na)
-    physical.g_coupling         coupling |g|             (from dipole)
-    physical.dipole             dipole moment, C m       (from gamma)
-    channel.kappa               interaction strength
-    channel.eps_p               light damping            (0)
-    channel.eps_a               atomic damping           (0)
-    noise.eta_t                 transmission loss 1->2   (0)
-    noise.eta_t_local           transmission loss 1->3   (noise.eta_t)
-    noise.eta_d                 detector inefficiency    (0)
-    rounds.{entangle1,entangle2,local1,local2}.{kappa,eps_p,eps_a,eta_t,eta_d}
-                                per-round overrides of the defaults above
-    protocol.kappa1_multiplier  large-kappa factor for sweeps (10)
-    input.x, input.p            teleport input mean      (0, 0)
-    gain.x, gain.p              manual displacement gains (calibrated if absent)
-    sweep.min, sweep.max        kappa2 sweep range
-    sweep.steps                 grid size (>= 2)
-    sweep.param                 swept parameter          (kappa2)
-    mb.min_grid, mb.max_grid    dyadic grid range        (4, 64)
-    mb.tol_kappa, mb.tol_eps    mb-validate tolerances   (0.01, 0.05)
-    seed                        64-bit unsigned          (0)
-    trials                      independent runs         (1)
-    output.path                 artifact path            (stdout)
-    output.format               json | csv               (json)
+The upper bounds of ``trials``, ``sweep.steps`` and ``mb.max_grid`` are
+resource caps, each at a size that was run.  Its row gives the wall time and
+peak RSS of that run: a fresh process writing to /dev/null in an 8 GB,
+2-core Xeon container, with numpy 2.4 and one BLAS thread.
+
+Recognized keys, with their allowed values and default.  A default
+``= key`` is that key's value; a ``required`` key must be given once any
+key of its section is; other text says what computes the value::
+
 """
 
 import dataclasses
+import functools
 import math
 import re
+import sys
 
 import numpy as np
 
@@ -78,24 +64,6 @@ __all__ = [
 ENV_PREFIX = "SPINLIGHT_"
 
 _KEY_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)*$")
-
-_ROUND_NAMES = ("entangle1", "entangle2", "local1", "local2")
-_ROUND_FIELDS = ("kappa", "eps_p", "eps_a", "eta_t", "eta_d")
-
-_PHYSICAL_KEYS = {
-    "lambda0": "lambda0",
-    "length": "L",
-    "area": "A",
-    "rho": "rho",
-    "delta": "Delta",
-    "gamma": "gamma",
-    "gamma_prime": "gamma_prime",
-    "t": "T",
-    "na": "Na",
-    "np": "Np",
-    "g_coupling": "g_coupling",
-    "dipole": "dipole",
-}
 
 
 class ConfigError(ValueError):
@@ -219,232 +187,262 @@ class RunConfig:
     echo: dict
 
 
-def _take(mapping, key, default=None, kind=float):
-    if key not in mapping:
-        return default
-    value = mapping[key]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(key, f"expected a number, got {value!r}")
-        if not math.isfinite(value):
-            raise ConfigError(key, f"must be finite, got {value!r}")
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(key, f"expected an integer, got {value!r}")
-        return value
-    if kind is str:
-        return str(value)
-    raise AssertionError(kind)
+# ---------------------------------------------------------------------------
+# the schema
 
 
-def _parse_density(mapping):
-    if "physical.rho" not in mapping:
-        return None
-    value = mapping["physical.rho"]
-    if isinstance(value, str):
-        match = re.match(r"^([-+0-9.eE]+)\s*(cm\^-3|m\^-3)$", value.strip())
-        if not match:
-            raise ConfigError(
-                "physical.rho", f"cannot parse density {value!r} (units: m^-3, cm^-3)"
-            )
-        number = float(match.group(1))
-        return number * 1e6 if match.group(2) == "cm^-3" else number
+_DENSITY_RE = re.compile(r"^([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*(cm\^-3|m\^-3)$")
+
+
+def _number(key, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError("physical.rho", f"expected a number, got {value!r}")
+        raise ConfigError(key, f"expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # nan, inf, or an int no float holds
+        raise ConfigError(key, f"must be finite, got {value!r}")
     return float(value)
 
 
-def _build_physical(mapping):
-    keys = [k for k in mapping if k.startswith("physical.")]
-    if not keys:
-        return None
-    kwargs = {}
-    for key in keys:
-        short = key.split(".", 1)[1]
-        if short not in _PHYSICAL_KEYS:
-            raise ConfigError(key, "unknown physical parameter")
-        kwargs[_PHYSICAL_KEYS[short]] = _take(mapping, key)
-    try:
-        return PhysicalParams(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("physical", str(exc)) from None
+def _integer(key, value):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(key, f"expected an integer, got {value!r}")
+    return value
 
 
-def _build_channel(mapping):
-    if not any(k.startswith("channel.") for k in mapping):
-        return None
-    for key in mapping:
-        if key.startswith("channel.") and key not in (
-            "channel.kappa",
-            "channel.eps_p",
-            "channel.eps_a",
-        ):
-            raise ConfigError(key, "unknown channel parameter")
-    kappa = _take(mapping, "channel.kappa")
-    if kappa is None:
-        raise ConfigError("channel.kappa", "required when a channel section is given")
-    eps_p = _take(mapping, "channel.eps_p", 0.0)
-    eps_a = _take(mapping, "channel.eps_a", 0.0)
-    try:
-        return ChannelParams(kappa=kappa, eps_p=eps_p, eps_a=eps_a)
-    except ValueError as exc:
-        raise ConfigError("channel", str(exc)) from None
+def _text(key, value):
+    return str(value)
 
 
-_KNOWN_TOP = {
-    "seed",
-    "trials",
-    "output.path",
-    "output.format",
-    "noise.eta_t",
-    "noise.eta_t_local",
-    "noise.eta_d",
-    "protocol.kappa1_multiplier",
-    "input.x",
-    "input.p",
-    "gain.x",
-    "gain.p",
-    "sweep.param",
-    "sweep.min",
-    "sweep.max",
-    "sweep.steps",
-    "mb.min_grid",
-    "mb.max_grid",
-    "mb.tol_kappa",
-    "mb.tol_eps",
-}
+def _density(key, value):
+    """A number, or text with an ``m^-3`` or ``cm^-3`` unit, in m^-3.
+
+    The alias is resolved here so that the echoed config (and hence every
+    artifact) is identical across alias spellings.
+    """
+    if isinstance(value, str):
+        match = _DENSITY_RE.match(value.strip())
+        if not match:
+            raise ConfigError(key, f"cannot parse density {value!r} (units: m^-3, cm^-3)")
+        value = float(match.group(1)) * (1e6 if match.group(2) == "cm^-3" else 1.0)
+    return _number(key, value)
+
+
+class _Ref(str):
+    """A default that is the value of the key it names."""
+
+
+class _Later(str):
+    """A default given by no value here; the text says what computes it."""
+
+
+_REQUIRED = _Later("required")
+
+
+def _bound(text):
+    """One interval bound: a number, ``inf`` or an integer power such as ``2^22``."""
+    base, _, power = text.partition("^")
+    return int(base) ** int(power) if power else float(text)
+
+
+def _reader(key, kind, allowed):
+    """``raw -> value`` for one key: ``kind(key, raw)``, then a check of ``allowed``."""
+    if not allowed:
+        return functools.partial(kind, key)
+    choices = low = high = None
+    if allowed[0] in "[(":
+        # An open bound becomes the nearest closed one: the next integer for
+        # an integer key, the next float for a number.
+        low, high = (_bound(text) for text in allowed[1:-1].split(", "))
+        if kind is _integer:
+            low, high = low + (allowed[0] == "("), high - (allowed[-1] == ")")
+        else:
+            low = low if allowed[0] == "[" else math.nextafter(low, math.inf)
+            high = high if allowed[-1] == "]" else math.nextafter(high, -math.inf)
+    else:
+        choices = allowed.split(" | ")
+
+    def read(raw):
+        value = kind(key, raw)
+        if not (value in choices if choices else low <= value <= high):
+            rule = "be one of" if choices else "lie in"
+            raise ConfigError(key, f"must {rule} {allowed}, got {value!r}")
+        return value
+
+    return read
+
+
+class _Key:
+    """One schema row.
+
+    ``read(raw)`` returns the checked value: ``kind(key, raw)`` reads it and
+    ``allowed`` bounds it, as interval text such as ``[0, 1)``, choices such
+    as ``json | csv``, or None for any value of the kind.  ``field`` names
+    the value in the dataclass its group builds; it defaults to the key's
+    last part.
+    """
+
+    def __init__(self, key, kind, default, allowed, doc, field=None):
+        self.kind, self.default, self.allowed, self.doc = kind, default, allowed, doc
+        self.field, self.section = field or key.rpartition(".")[2], key.partition(".")[0]
+        self.read = _reader(key, kind, allowed)
+        # A key not given reads as the value of the key ``ref``, else as ``value``.
+        self.ref = default if isinstance(default, _Ref) else None
+        self.value = None if isinstance(default, (_Ref, _Later)) else default
+
+
+_ROUND_NAMES = ("entangle1", "entangle2", "local1", "local2")
+
+_SCHEMA = {key: _Key(key, *row) for key, row in {
+    # key: (kind, default, allowed, doc[, field])
+    "physical.lambda0": (_number, _REQUIRED, "(0, inf)", "wavelength, m"),
+    "physical.length": (_number, _REQUIRED, "(0, inf)", "ensemble length, m", "L"),
+    "physical.area": (_number, _Later("lambda0 * length"), "(0, inf)", "cross section, m^2", "A"),
+    "physical.rho": (_density, _REQUIRED, "(0, inf)", "density, m^-3 or 'cm^-3' suffix"),
+    "physical.delta": (_number, _REQUIRED, "(0, inf)", "detuning, rad/s", "Delta"),
+    "physical.gamma": (_number, _REQUIRED, "[0, inf)", "decay rate, rad/s"),
+    "physical.gamma_prime": (_number, _REQUIRED, "[0, inf)", "cross decay rate, rad/s"),
+    "physical.t": (_number, PhysicalParams.T, "(0, inf)", "pulse duration, s", "T"),
+    "physical.na": (_number, _Later("rho * area * length / 2"), "(0, inf)", "half atom number",
+                    "Na"),
+    "physical.np": (_number, _Later("na"), "(0, inf)", "half photon number", "Np"),
+    "physical.g_coupling": (_number, _Later("from dipole"), "(0, inf)", "coupling |g|"),
+    "physical.dipole": (_number, _Later("from gamma"), "(0, inf)", "dipole moment, C m"),
+    "channel.kappa": (_number, _REQUIRED, "[0, inf)", "interaction strength"),
+    "channel.eps_p": (_number, 0.0, "[0, 1)", "light damping"),
+    "channel.eps_a": (_number, 0.0, "[0, 1)", "atomic damping"),
+    "noise.eta_t": (_number, 0.0, "[0, 1)", "transmission loss 1->2"),
+    "noise.eta_t_local": (_number, _Ref("noise.eta_t"), "[0, 1)", "transmission loss 1->3"),
+    "noise.eta_d": (_number, 0.0, "[0, 1)", "detector inefficiency"),
+    **{f"rounds.{name}.{field}": (_number, _Ref(default), allowed, f"{name} round's {field}")
+       for name in _ROUND_NAMES for field, default, allowed in (
+           ("kappa", "channel.kappa", "[0, inf)"),
+           ("eps_p", "channel.eps_p", "[0, 1)"),
+           ("eps_a", "channel.eps_a", "[0, 1)"),
+           ("eta_t", "noise.eta_t_local" if name.startswith("local") else "noise.eta_t", "[0, 1)"),
+           ("eta_d", "noise.eta_d", "[0, 1)"),
+       )},
+    "protocol.kappa1_multiplier": (_number, 10.0, "[0, inf)", "large-kappa factor for sweeps"),
+    "input.x": (_number, 0.0, None, "teleport input mean, x"),
+    "input.p": (_number, 0.0, None, "teleport input mean, p"),
+    "gain.x": (_number, _REQUIRED, None, "manual displacement gain (calibrated if no gain.*)"),
+    "gain.p": (_number, _REQUIRED, None, "manual displacement gain"),
+    "sweep.param": (_text, "kappa2", "kappa2", "swept parameter"),
+    "sweep.min": (_number, _REQUIRED, "(0, inf)", "lower end of the sweep", "minimum"),
+    "sweep.max": (_number, _REQUIRED, "(0, inf)", "upper end of the sweep", "maximum"),
+    "sweep.steps": (_integer, _REQUIRED, "[2, 10^6]", "grid size; cap: 13 s, 2.05 GB"),
+    "mb.min_grid": (_integer, MbSpec.min_grid, "[1, inf)", "smallest dyadic grid"),
+    "mb.max_grid": (_integer, MbSpec.max_grid, "[1, 2^22]", "largest grid; cap: 2 s, 932 MB"),
+    "mb.tol_kappa": (_number, MbSpec.tol_kappa, "[0, inf)", "mb-validate tolerance on kappa"),
+    "mb.tol_eps": (_number, MbSpec.tol_eps, "[0, inf)", "mb-validate tolerance on eps"),
+    "seed": (_integer, 0, "[0, 2^64)", "base of the per-trial seeds"),
+    "trials": (_integer, 1, "[1, 10^5]", "independent runs; cap (teleport): 5 s, 402 MB"),
+    "output.path": (_text, _Later("stdout"), None, "artifact path"),
+    "output.format": (_text, "json", "json | csv", "artifact format"),
+}.items()}
+
+# (key, field) pairs and required keys by group: the key without its last
+# part (``sweep``, ``rounds.local1``).
+_GROUPS, _REQUIRED_KEYS = {}, {}
+for _key, _row in _SCHEMA.items():
+    _GROUPS.setdefault(_key.rpartition(".")[0], []).append((_key, _row.field))
+    if _row.default is _REQUIRED:
+        _REQUIRED_KEYS.setdefault(_key.rpartition(".")[0], []).append(_key)
+_DEFAULTS = {key: row.value for key, row in _SCHEMA.items()}
+# Defaults that name another key, filled in schema order: each names an earlier key.
+_REFS = [(key, row.ref) for key, row in _SCHEMA.items() if row.ref]
+
+
+def _key_table():
+    """The docstring's key table: key, allowed values, default and meaning per row."""
+    lines = []
+    for key, row in _SCHEMA.items():
+        default = f"= {row.ref}" if row.ref else str(row.default)
+        lines.append(f"    {key:<27} {row.allowed or '':<11} {default:<24} {row.doc}")
+    return "\n".join(lines) + "\n"
+
+
+__doc__ = (__doc__ or "") + _key_table()
+
+
+def _fields(values, mapping, group):
+    """A group's values by the field names of the dataclass it builds.
+
+    Each required key of the group must be in ``mapping``.
+    """
+    for key in _REQUIRED_KEYS.get(group, ()):
+        if key not in mapping:
+            raise ConfigError(key, f"required when any {group}.* key is given")
+    return {field: values[key] for key, field in _GROUPS[group]}
 
 
 def resolve_run_config(mapping):
     """Validate a flat mapping and build the resolved RunConfig."""
-    mapping = dict(mapping)
-    if "physical.rho" in mapping:
-        # Unit aliases are resolved at parse time so that the echoed config
-        # (and hence every artifact) is identical across alias spellings.
-        mapping["physical.rho"] = _parse_density(mapping)
-    for key in mapping:
-        if key.startswith(("physical.", "channel.")):
-            continue
-        if key.startswith("rounds."):
-            parts = key.split(".")
-            if (
-                len(parts) != 3
-                or parts[1] not in _ROUND_NAMES
-                or parts[2] not in _ROUND_FIELDS
-            ):
-                raise ConfigError(key, "unknown round setting")
-            continue
-        if key not in _KNOWN_TOP:
+    values, given = dict(_DEFAULTS), set()
+    for key, raw in mapping.items():
+        row = _SCHEMA.get(key)
+        if row is None:
             raise ConfigError(key, "unknown key")
+        values[key] = row.read(raw)
+        given.add(row.section)
 
-    physical = _build_physical(mapping)
-    channel = _build_channel(mapping)
-    if physical is None and channel is None:
+    channel = ChannelParams(**_fields(values, mapping, "channel")) if "channel" in given else None
+    physical = None
+    if "physical" in given:
+        fields = _fields(values, mapping, "physical")
+        try:
+            physical = PhysicalParams(**fields)
+            derived = derive_channel(physical)
+        except ValueError as exc:
+            raise ConfigError("physical", str(exc)) from None
+        for key, field in _GROUPS["channel"] if channel is not None else ():
+            want, got = getattr(derived, field), getattr(channel, field)
+            if not math.isclose(want, got, rel_tol=1e-6, abs_tol=1e-306):
+                raise ConfigError(
+                    key,
+                    f"inconsistent with physical parameters: "
+                    f"derived {want:.9e}, configured {got:.9e}",
+                )
+        channel = derived
+    if channel is None:
         raise ConfigError(
             "channel", "a parameter source is required: physical.* or channel.*"
         )
-    if physical is not None:
-        derived = derive_channel(physical)
-        if channel is not None:
-            for name in ("kappa", "eps_p", "eps_a"):
-                want, got = getattr(derived, name), getattr(channel, name)
-                scale = max(abs(want), abs(got), 1e-300)
-                if abs(want - got) > 1e-6 * scale:
-                    raise ConfigError(
-                        f"channel.{name}",
-                        f"inconsistent with physical parameters: "
-                        f"derived {want:.9e}, configured {got:.9e}",
-                    )
-        channel = derived
+    # The rounds' defaults read the channel in use, derived or configured.
+    values.update((key, getattr(channel, field)) for key, field in _GROUPS["channel"])
+    for key, ref in _REFS:
+        if key not in mapping:
+            values[key] = values[ref]
+    plans = {name: RoundPlan(**_fields(values, mapping, f"rounds.{name}"))
+             for name in _ROUND_NAMES}
 
-    eta_t = _take(mapping, "noise.eta_t", 0.0)
-    eta_t_local = _take(mapping, "noise.eta_t_local", eta_t)
-    eta_d = _take(mapping, "noise.eta_d", 0.0)
-    for key, value in (("noise.eta_t", eta_t), ("noise.eta_t_local", eta_t_local),
-                       ("noise.eta_d", eta_d)):
-        if not 0.0 <= value < 1.0:
-            raise ConfigError(key, f"must lie in [0, 1), got {value}")
+    gain = tuple(_fields(values, mapping, "gain").values()) if "gain" in given else None
+    sweep = SweepSpec(**_fields(values, mapping, "sweep")) if "sweep" in given else None
+    if sweep is not None and not sweep.minimum < sweep.maximum:
+        raise ConfigError("sweep.min", "need sweep.min < sweep.max")
+    mb = MbSpec(**_fields(values, mapping, "mb"))
+    if mb.max_grid < mb.min_grid:
+        raise ConfigError("mb.min_grid", "need mb.min_grid <= mb.max_grid")
 
-    plans = {}
-    for name in _ROUND_NAMES:
-        local = name.startswith("local")
-        defaults = {
-            "kappa": channel.kappa,
-            "eps_p": channel.eps_p,
-            "eps_a": channel.eps_a,
-            "eta_t": eta_t_local if local else eta_t,
-            "eta_d": eta_d,
-        }
-        kwargs = {
-            field: _take(mapping, f"rounds.{name}.{field}", defaults[field])
-            for field in _ROUND_FIELDS
-        }
-        try:
-            plans[name] = RoundPlan(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(f"rounds.{name}", str(exc)) from None
-
-    gain = None
-    if "gain.x" in mapping or "gain.p" in mapping:
-        if not ("gain.x" in mapping and "gain.p" in mapping):
-            raise ConfigError("gain.x", "gain.x and gain.p must be given together")
-        gain = (_take(mapping, "gain.x"), _take(mapping, "gain.p"))
-
-    sweep = None
-    if any(k.startswith("sweep.") for k in mapping):
-        param = _take(mapping, "sweep.param", "kappa2", kind=str)
-        if param != "kappa2":
-            raise ConfigError("sweep.param", f"only 'kappa2' is supported, got {param!r}")
-        minimum = _take(mapping, "sweep.min")
-        maximum = _take(mapping, "sweep.max")
-        steps = _take(mapping, "sweep.steps", kind=int)
-        if minimum is None or maximum is None or steps is None:
-            raise ConfigError("sweep.min", "sweep needs sweep.min, sweep.max, sweep.steps")
-        if steps < 2:
-            raise ConfigError("sweep.steps", f"need at least 2 steps, got {steps}")
-        if not 0.0 < minimum < maximum:
-            raise ConfigError("sweep.min", "need 0 < sweep.min < sweep.max")
-        sweep = SweepSpec(param=param, minimum=minimum, maximum=maximum, steps=steps)
-
-    mb = MbSpec(
-        min_grid=_take(mapping, "mb.min_grid", 4, kind=int),
-        max_grid=_take(mapping, "mb.max_grid", 64, kind=int),
-        tol_kappa=_take(mapping, "mb.tol_kappa", 0.01),
-        tol_eps=_take(mapping, "mb.tol_eps", 0.05),
-    )
-    if mb.min_grid < 1 or mb.max_grid < mb.min_grid:
-        raise ConfigError("mb.min_grid", "need 1 <= mb.min_grid <= mb.max_grid")
-
-    seed = _take(mapping, "seed", 0, kind=int)
-    if not 0 <= seed < 2**64:
-        raise ConfigError("seed", f"must be a 64-bit unsigned integer, got {seed}")
-    trials = _take(mapping, "trials", 1, kind=int)
-    if trials < 1:
-        raise ConfigError("trials", f"must be at least 1, got {trials}")
-    out_format = _take(mapping, "output.format", "json", kind=str)
-    if out_format not in ("json", "csv"):
-        raise ConfigError("output.format", f"must be json or csv, got {out_format!r}")
-
-    input_mean = (_take(mapping, "input.x", 0.0), _take(mapping, "input.p", 0.0))
-
+    # The artifact destination does not affect the computation, so it is
+    # left out of the echo; everything else is reproducibility input, as
+    # given but for the density, which is echoed in m^-3.
+    echo = {k: v for k, v in sorted(mapping.items()) if k != "output.path"}
+    if "physical.rho" in echo:
+        echo["physical.rho"] = values["physical.rho"]
     return RunConfig(
         channel=channel,
         physical=physical,
         plans=plans,
-        input_mean=input_mean,
+        input_mean=(values["input.x"], values["input.p"]),
         gain=gain,
-        kappa1_multiplier=_take(mapping, "protocol.kappa1_multiplier", 10.0),
-        eta_t=eta_t,
-        eta_t_local=eta_t_local,
-        eta_d=eta_d,
+        kappa1_multiplier=values["protocol.kappa1_multiplier"],
+        eta_t=values["noise.eta_t"],
+        eta_t_local=values["noise.eta_t_local"],
+        eta_d=values["noise.eta_d"],
         sweep=sweep,
         mb=mb,
-        seed=seed,
-        trials=trials,
-        out_path=_take(mapping, "output.path", None, kind=str),
-        out_format=out_format,
-        # The artifact destination does not affect the computation, so it is
-        # left out of the echo; everything else is reproducibility input.
-        echo={k: v for k, v in sorted(mapping.items()) if k != "output.path"},
+        seed=values["seed"],
+        trials=values["trials"],
+        out_path=values["output.path"],
+        out_format=values["output.format"],
+        echo=echo,
     )

@@ -282,6 +282,11 @@ def _records(outcomes, pulses):
                  for (tag, mode), value in zip(pulses, outcomes.tolist()))
 
 
+# A run whose kicks overflow (kappa near 1e200) fails in _measure_pulses on the
+# non-finite variance it leaves; numpy's overflow warnings would only repeat
+# that, with source paths, ahead of the one-line error.  So both stages
+# silence them.
+@np.errstate(over="ignore", invalid="ignore")
 def _entangling_stage(rounds, values=None, sampled=False):
     """Vacuum through the entangling rounds of a :func:`_stack` array, conditioned.
 
@@ -300,6 +305,7 @@ def _entangling_stage(rounds, values=None, sampled=False):
 _JOINT = [2, 3, 6, 8]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _teleport_stage(pair_cov, rounds, gain=None, pair_means=None, input_mean=None,
                     values=None, sampled=False):
     """Local Bell channel, gain and teleport fidelity, batched over operating points.

@@ -88,6 +88,34 @@ def test_unknown_key_exits_1(tmp_path, capsys):
     assert "mystery.key" in capsys.readouterr().err
 
 
+BAD_VALUES = [
+    ("entangle", IDEAL + "channel.eps_p = 1.5\n", [], "channel.eps_p"),
+    ("entangle", "channel.kappa = -1\n", [], "channel.kappa"),
+    ("derive", PHYSICAL.replace("lambda0 = 6.283185307179586e-07", "lambda0 = -1"), [],
+     "physical.lambda0"),
+    ("teleport", IDEAL + "rounds.local1.eta_d = 1.0\n", [], "rounds.local1.eta_d"),
+    ("sweep", SWEEP + "protocol.kappa1_multiplier = -1\n", [], "protocol.kappa1_multiplier"),
+    ("sweep", SWEEP.replace("sweep.max = 10.0\n", ""), [], "sweep.max"),
+    ("teleport", IDEAL + "gain.x = 1.0\n", [], "gain.p"),
+    ("mb-validate", PHYSICAL + "mb.tol_kappa = -1\n", [], "mb.tol_kappa"),
+    # one past each resource cap
+    ("teleport", IDEAL, ["--trials", "100001"], "trials"),
+    ("sweep", SWEEP.replace("sweep.steps = 120", "sweep.steps = 1000001"), [], "sweep.steps"),
+    ("mb-validate", PHYSICAL + "mb.max_grid = 4194305\n", [], "mb.max_grid"),
+]
+
+
+@pytest.mark.parametrize("command, text, flags, key", BAD_VALUES,
+                         ids=[case[-1] for case in BAD_VALUES])
+def test_a_bad_value_exits_1_naming_its_key(tmp_path, capsys, command, text, flags, key):
+    cfg = _write(tmp_path, "run.cfg", text)
+    out = tmp_path / "run.json"
+    assert _run([command, "--config", cfg, "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # entangle
 
@@ -360,8 +388,7 @@ def test_numerical_failure_exits_4(tmp_path, capsys, monkeypatch, command):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command, text", [
     ("entangle", "channel.kappa = 1e200\n"),
     ("teleport", "channel.kappa = 1e200\n"),
@@ -370,13 +397,14 @@ def test_numerical_failure_exits_4(tmp_path, capsys, monkeypatch, command):
 ])
 def test_overflowed_run_exits_4(tmp_path, capsys, command, text):
     # A kappa so large that the pushed covariance overflows is a numerical
-    # failure, not a config error: the measured variance is not finite.
+    # failure, not a config error: the measured variance is not finite.  The
+    # one-line error is all that stderr gets; any numpy warning fails the test.
     cfg = _write(tmp_path, "run.cfg", text)
     out = tmp_path / "run.json"
     assert _run([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_NUMERICAL
-    assert capsys.readouterr().err.startswith(
-        "numerical error: measured quadrature has non-finite variance "
-    )
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: measured quadrature has non-finite variance ")
+    assert err.count("\n") == 1 and err.endswith("\n")
     assert not out.exists()
 
 

@@ -1,7 +1,9 @@
 import collections.abc
+import math
 
 import pytest
 
+from spinlight import config
 from spinlight.config import (
     ConfigError,
     apply_env_overrides,
@@ -176,12 +178,12 @@ def test_invalid_values_are_rejected():
             resolve_run_config(mapping)
 
 
+FLOAT_KEYS = [key for key, row in config._SCHEMA.items()
+              if row.kind in (config._number, config._density)]
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-@pytest.mark.parametrize(
-    "key",
-    ["channel.kappa", "channel.eps_p", "sweep.max", "gain.x", "input.p",
-     "noise.eta_t", "rounds.local2.kappa", "physical.rho", "mb.tol_eps"],
-)
+@pytest.mark.parametrize("key", FLOAT_KEYS)
 def test_non_finite_values_are_rejected_by_key(key, value):
     base = PHYSICAL if key.startswith("physical.") else IDEAL
     mapping = parse_config_text(base)
@@ -192,3 +194,124 @@ def test_non_finite_values_are_rejected_by_key(key, value):
         resolve_run_config(mapping)
     assert err.value.key == key
     assert "must be finite" in str(err.value)
+
+
+def test_an_integer_beyond_the_float_range_is_rejected_by_key():
+    # It would overflow converting to float, which is not a numerical failure.
+    with pytest.raises(ConfigError) as err:
+        resolve_run_config(parse_config_text("channel.kappa = 1" + "0" * 400))
+    assert err.value.key == "channel.kappa"
+    assert "must be finite" in str(err.value)
+
+
+def test_float_keys_keep_the_keys_checked_before_the_schema():
+    assert {"channel.kappa", "channel.eps_p", "sweep.max", "gain.x", "input.p", "noise.eta_t",
+            "rounds.local2.kappa", "physical.rho", "mb.tol_eps"} < set(FLOAT_KEYS)
+
+
+def _bound(text):
+    base, _, power = text.partition("^")
+    return int(base) ** int(power) if power else float(text)
+
+
+def _edge_cases():
+    """(key, value just outside its range, inclusive edge or None) per finite schema bound."""
+    cases = []
+    for key, row in config._SCHEMA.items():
+        if not (row.allowed and row.allowed[0] in "[("):
+            continue
+        integer = row.kind is config._integer
+        low, high = map(_bound, row.allowed[1:-1].split(", "))
+        for bound, closed, direction in ((low, row.allowed[0] == "[", -1),
+                                         (high, row.allowed[-1] == "]", 1)):
+            if math.isinf(bound):
+                continue
+            if integer:
+                bound = int(bound)
+            if not closed:
+                cases.append((key, bound, None))
+            elif integer:
+                cases.append((key, bound + direction, bound))
+            else:
+                cases.append((key, math.nextafter(bound, direction * math.inf), bound))
+    return cases
+
+
+EDGE_CASES = _edge_cases()
+
+
+def _edge_base(key):
+    """A valid mapping in which any inclusive edge of ``key`` resolves."""
+    if key.startswith("physical."):
+        # A coupling makes the lossless edge physical.gamma = 0 valid.
+        return {**parse_config_text(PHYSICAL), "physical.g_coupling": 1e-4}
+    return {**parse_config_text(IDEAL), "sweep.min": 0.2, "sweep.max": 10.0,
+            "sweep.steps": 20, "mb.min_grid": 1}
+
+
+@pytest.mark.parametrize("key, outside, edge", EDGE_CASES,
+                         ids=[f"{key}-{outside!r}" for key, outside, _ in EDGE_CASES])
+def test_bounded_keys_reject_just_outside_and_accept_the_edge(key, outside, edge):
+    mapping = _edge_base(key)
+    mapping[key] = outside
+    with pytest.raises(ConfigError) as err:
+        resolve_run_config(mapping)
+    assert err.value.key == key
+    assert f"must lie in {config._SCHEMA[key].allowed}, got " in str(err.value)
+    if edge is not None:
+        mapping[key] = edge
+        cfg = resolve_run_config(mapping)
+        assert cfg.echo[key] == edge
+
+
+@pytest.mark.parametrize("key, cap", [("trials", 10**5), ("sweep.steps", 10**6),
+                                      ("mb.max_grid", 2**22)])
+def test_resource_caps(key, cap):
+    mapping = parse_config_text(IDEAL)
+    mapping.update({"sweep.min": 0.2, "sweep.max": 10.0, "sweep.steps": 20})
+    mapping[key] = cap
+    resolve_run_config(mapping)  # accepted; nothing of that size is run here
+    mapping[key] = cap + 1
+    with pytest.raises(ConfigError) as err:
+        resolve_run_config(mapping)
+    assert err.value.key == key
+
+
+@pytest.mark.parametrize("mapping, key", [
+    ({"channel.eps_p": 0.1}, "channel.kappa"),
+    ({"physical.length": 0.02}, "physical.lambda0"),
+])
+def test_a_missing_required_key_is_named(mapping, key):
+    with pytest.raises(ConfigError) as err:
+        resolve_run_config(mapping)
+    assert err.value.key == key
+    assert str(err.value).endswith("required when any " + key.split(".")[0] + ".* key is given")
+
+
+def test_cross_key_rules_name_their_key():
+    for extra, key in [({"sweep.min": 2.0, "sweep.max": 1.0, "sweep.steps": 3}, "sweep.min"),
+                       ({"mb.min_grid": 8, "mb.max_grid": 4}, "mb.min_grid")]:
+        with pytest.raises(ConfigError) as err:
+            resolve_run_config({"channel.kappa": 1.0, **extra})
+        assert err.value.key == key
+
+
+def test_defaults_follow_their_reference_keys():
+    # Each default that names a key names an earlier one, so one pass in
+    # schema order fills them all.
+    keys = list(config._SCHEMA)
+    for key, row in config._SCHEMA.items():
+        if row.ref:
+            assert keys.index(row.ref) < keys.index(key)
+    cfg = resolve_run_config({"channel.kappa": 2.0, "channel.eps_a": 0.01,
+                              "noise.eta_t_local": 0.3, "noise.eta_d": 0.1})
+    assert cfg.plans["local2"] == config.RoundPlan(2.0, 0.0, 0.01, 0.3, 0.1)
+    assert cfg.plans["entangle1"] == config.RoundPlan(2.0, 0.0, 0.01, 0.0, 0.1)
+
+
+def test_docstring_key_table_is_the_schema():
+    table = config.__doc__.rpartition("::\n\n")[2].splitlines()
+    assert [line.split()[0] for line in table] == list(config._SCHEMA)
+    for line, (key, row) in zip(table, config._SCHEMA.items()):
+        default = f"= {row.default}" if row.ref else str(row.default)
+        assert f" {row.allowed or ''} " in line and f" {default} " in line, line
