@@ -17,9 +17,9 @@ Exit codes: 0 success; 1 usage or configuration error; 2 regime warnings from
 ``ArithmeticError``, such as a non-positive variance).
 
 Every artifact embeds the fully resolved configuration and the seed, floats
-are emitted with 17 significant digits, and per-trial RNG streams are derived
-as ``seed XOR trial_index``, so identical (config, seed) pairs give
-byte-identical artifacts no matter how trials are scheduled.
+are emitted with 17 significant digits, and a sampled run's outcomes come
+from one generator on its seed, as :func:`~spinlight.protocols.run_trials`
+draws them, so identical (config, seed) pairs give byte-identical artifacts.
 
 Each subcommand only computes: it returns its JSON payload, its CSV table,
 its summary lines and its exit code.  ``main`` renders the artifact in the
@@ -177,11 +177,6 @@ def _csv_text(echo, table):
     return "".join(lines)
 
 
-def _trial_rngs(cfg):
-    """One generator per trial, by the documented rule: seed XOR trial index."""
-    return [np.random.default_rng(cfg.seed ^ trial) for trial in range(cfg.trials)]
-
-
 def _records(outcomes):
     """Per-trial record rows of a (trials, rounds) outcome array."""
     return [{"trial": trial, "outcomes": _Table(("round_tag", "mode", "quadrature", "outcome"), [
@@ -227,7 +222,7 @@ def _cmd_derive(cfg):
 
 
 def _cmd_entangle(cfg):
-    outcomes, report, _ = run_trials(cfg.plans, _trial_rngs(cfg))
+    outcomes, report, _ = run_trials(cfg.plans, np.random.default_rng(cfg.seed), cfg.trials)
     payload = {
         "command": "entangle",
         "seed": cfg.seed,
@@ -258,7 +253,9 @@ def _cmd_entangle(cfg):
 
 def _cmd_teleport(cfg):
     kappa2 = cfg.plans["entangle2"].kappa
-    outcomes, report, fidelities = run_trials(cfg.plans, _trial_rngs(cfg), cfg.input_mean, cfg.gain)
+    outcomes, report, fidelities = run_trials(
+        cfg.plans, np.random.default_rng(cfg.seed), cfg.trials, cfg.input_mean, cfg.gain
+    )
     fidelities = fidelities.tolist()
     fidelity = fidelities[0]
     payload = {

@@ -56,7 +56,6 @@ __all__ = [
     "MbSpec",
     "ENV_PREFIX",
     "parse_config_text",
-    "serialize_config",
     "apply_env_overrides",
     "resolve_run_config",
 ]
@@ -118,12 +117,6 @@ def _format_scalar(value):
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
     return str(value)
-
-
-def serialize_config(mapping):
-    """Canonical text form: sorted keys, 17-significant-digit floats."""
-    lines = [f"{key} = {_format_scalar(mapping[key])}" for key in sorted(mapping)]
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def apply_env_overrides(mapping, environ):
@@ -333,8 +326,8 @@ _SCHEMA = {key: _Key(key, *row) for key, row in {
     "mb.max_grid": (_integer, MbSpec.max_grid, "[1, 2^22]", "largest grid; cap: 2 s, 932 MB"),
     "mb.tol_kappa": (_number, MbSpec.tol_kappa, "[0, inf)", "mb-validate tolerance on kappa"),
     "mb.tol_eps": (_number, MbSpec.tol_eps, "[0, inf)", "mb-validate tolerance on eps"),
-    "seed": (_integer, 0, "[0, 2^64)", "base of the per-trial seeds"),
-    "trials": (_integer, 1, "[1, 10^5]", "independent runs; cap (teleport): 5 s, 402 MB"),
+    "seed": (_integer, 0, "[0, 2^64)", "seed of the run's one outcome stream"),
+    "trials": (_integer, 1, "[1, 10^5]", "independent runs; cap (teleport): 3 s, 402 MB"),
     "output.path": (_text, _Later("stdout"), None, "artifact path"),
     "output.format": (_text, "json", "json | csv", "artifact format"),
 }.items()}

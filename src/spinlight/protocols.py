@@ -429,18 +429,20 @@ def teleport(entangled, input_mean, plan_local_round1, plan_local_round2, gain=N
     return GaussianState(mean[:, 0], cov), _report(entangled.cov, float(fidelities[0]), records)
 
 
-def run_trials(plans, rngs, input_mean=None, gain=None):
-    """Entangle, and teleport if ``input_mean`` is given, once per generator.
+def run_trials(plans, rng, trials, input_mean=None, gain=None):
+    """Entangle, and teleport if ``input_mean`` is given, ``trials`` times.
 
     ``plans`` maps :func:`make_plans`' round names to RoundPlans, and
     ``input_mean`` and ``gain`` are as in :func:`teleport`.  Each stage is
-    pushed once for all trials; each trial draws from its own generator in
-    measurement order, in the bits of an :func:`entangle` and :func:`teleport`
-    call per generator.  Returns the (trials, rounds) outcomes, the report of
-    the pair's EPR variances, and the (trials,) fidelities (or None).
+    pushed once for all trials.  The run draws one (trials, 4) block of
+    standard normals from ``rng``: row t holds trial t's draws in measurement
+    order (an entangle-only run reads its first two columns), so trial t has
+    the bits of one :func:`entangle` and one :func:`teleport` call on ``rng``
+    advanced by 4 t draws, and a run is a prefix of any longer run.  Returns
+    the (trials, rounds) outcomes, the report of the pair's EPR variances, and
+    the (trials,) fidelities (or None).
     """
-    rounds = 2 if input_mean is None else 4
-    draws = np.array([rng.standard_normal(rounds) for rng in rngs]).reshape(-1, rounds).T
+    draws = rng.standard_normal((trials, 4)).T
     entangling = _stack([(plans["entangle1"], plans["entangle2"])])
     mean, cov, outcomes = _entangling_stage(entangling, draws[:2], True)
     pair_cov = cov[:4, :4, 0].copy()

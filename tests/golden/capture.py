@@ -1,10 +1,12 @@
 """Golden CLI artifacts for fixed (config, seed) runs.
 
-Regenerate with ``PYTHONPATH=src python tests/golden/capture.py`` from the
-repository root.  Each case runs ``spinlight.cli.main`` on one of the
-configs below, once per artifact format, and stores the artifact bytes as
+Regenerate with ``PYTHONPATH=src python tests/golden/capture.py [CASE ...]``
+from the repository root.  Each case runs ``spinlight.cli.main`` on one of
+the configs below, once per artifact format, and stores the artifact bytes as
 ``<case>.json`` and ``<case>.csv``; the exit code of every run goes to
 ``exit_codes.json``, keyed ``<case>`` for JSON and ``<case>.csv`` for CSV.
+Named cases are recaptured alone, and only their keys in ``exit_codes.json``
+are rewritten; with no names every case is.
 ``tests/test_golden.py`` re-runs the cases and compares against these files.
 """
 
@@ -99,11 +101,15 @@ def run_case(name, workdir, fmt="json"):
     return code, out.read_bytes() if out.exists() else None
 
 
-def main():
-    codes = {}
+def main(names=()):
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown case(s): {', '.join(unknown)}")
+    codes_path = HERE / "exit_codes.json"
+    codes = json.loads(codes_path.read_text()) if names else {}
     with tempfile.TemporaryDirectory() as tmp:
         for fmt in FORMATS:
-            for name in CASES:
+            for name in names or CASES:
                 code, data = run_case(name, tmp, fmt)
                 codes[exit_code_key(name, fmt)] = code
                 target = HERE / f"{name}.{fmt}"
@@ -111,8 +117,8 @@ def main():
                     target.unlink(missing_ok=True)
                 else:
                     target.write_bytes(data)
-    (HERE / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")
+    codes_path.write_text(json.dumps(codes, indent=2) + "\n")
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

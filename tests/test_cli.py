@@ -160,6 +160,21 @@ def test_same_seed_byte_identical_artifacts(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_trial_streams_of_neighbouring_seeds_do_not_collide(tmp_path):
+    # Each run draws from one generator on its seed, so trial 1 of seed 0 is
+    # not trial 0 of seed 1, as it was when a trial's seed was seed XOR trial.
+    cfg = _write(tmp_path, "run.cfg", IDEAL)
+    out_a = tmp_path / "a.json"
+    out_b = tmp_path / "b.json"
+    assert _run(["entangle", "--config", cfg, "--seed", "0", "--trials", "2",
+                 "--out", str(out_a)]) == 0
+    assert _run(["entangle", "--config", cfg, "--seed", "1", "--trials", "1",
+                 "--out", str(out_b)]) == 0
+    second = json.loads(out_a.read_text())["records"][1]["outcomes"]
+    first = json.loads(out_b.read_text())["records"][0]["outcomes"]
+    assert [row["outcome"] for row in second] != [row["outcome"] for row in first]
+
+
 def test_seed_flag_overrides_env_overrides_file(tmp_path, monkeypatch):
     cfg = _write(tmp_path, "run.cfg", IDEAL + "trials = 2\n")
     out_file = tmp_path / "file.json"

@@ -9,7 +9,6 @@ from spinlight.config import (
     apply_env_overrides,
     parse_config_text,
     resolve_run_config,
-    serialize_config,
 )
 
 IDEAL = """
@@ -42,13 +41,6 @@ def test_parse_rejects_malformed_lines():
         parse_config_text("BadKey = 1\n")
     with pytest.raises(ConfigError):
         parse_config_text("a = 1\na = 2\n")
-
-
-def test_serialize_parse_round_trip_is_idempotent():
-    mapping = parse_config_text(IDEAL)
-    canon = serialize_config(mapping)
-    assert parse_config_text(canon) == mapping
-    assert serialize_config(parse_config_text(canon)) == canon
 
 
 def test_resolve_ideal_channel():

@@ -12,6 +12,11 @@ The CSV goldens were captured later, before the CLI moved to one renderer,
 and follow the same classes: ``derive`` byte-identical; elsewhere the ``#``
 echo lines and the header exactly, integer and non-numeric cells exactly and
 the other numeric cells within 1e-11 relative.
+
+The sampled entangle and teleport goldens (all but the outcome-free
+``teleport-reference.csv`` and ``teleport-lossy.csv``) were recaptured when a
+run's trials moved to one outcome stream on its seed; their trial 0 kept its
+bytes.
 """
 
 import json

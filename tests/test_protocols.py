@@ -348,19 +348,20 @@ def test_manual_gain_breaks_input_independence():
 
 @pytest.mark.parametrize("gain", [None, (0.9, -1.1)])
 def test_batched_trials_equal_one_run_per_generator(gain):
-    # One push per stage for all trials gives the bits of one entangle and
-    # one teleport call per generator, outcomes and fidelities alike.
+    # One push per stage for all trials gives, for trial t, the bits of one
+    # entangle and one teleport call on the run's generator advanced by 4 t
+    # draws, outcomes and fidelities alike.
     plans = make_plans(1.5, 0.2, eps_p=0.01, eps_a=0.02, eta_d=0.05)
     input_mean = (0.7, -0.4)
-    seeds = [42 ^ trial for trial in range(7)]
     outcomes, report, fidelities = run_trials(
-        plans, [np.random.default_rng(seed) for seed in seeds], input_mean, gain
+        plans, np.random.default_rng(42), 7, input_mean, gain
     )
-    entangled, _ = run_trials(plans, [np.random.default_rng(seed) for seed in seeds])[:2]
+    entangled, _ = run_trials(plans, np.random.default_rng(42), 7)[:2]
     assert outcomes.shape == (7, 4) and entangled.shape == (7, 2)
     assert np.array_equal(entangled, outcomes[:, :2])
-    for seed, row, fidelity in zip(seeds, outcomes, fidelities):
-        rng = np.random.default_rng(seed)
+    for trial, (row, fidelity) in enumerate(zip(outcomes, fidelities)):
+        rng = np.random.default_rng(42)
+        rng.standard_normal(4 * trial)
         pair, ent = entangle(plans["entangle1"], plans["entangle2"], rng=rng)
         _, tel = teleport(pair, input_mean, plans["local1"], plans["local2"], gain=gain,
                           rng=rng)
@@ -369,6 +370,12 @@ def test_batched_trials_equal_one_run_per_generator(gain):
         assert fidelity == tel.fidelity
         assert (report.epr_x, report.epr_p, report.r) == (ent.epr_x, ent.epr_p, ent.r)
     assert (len(set(fidelities.tolist())) == 1) == (gain is None)
+    # A run is a prefix of any longer run on the same seed.
+    longer, _, longer_fidelities = run_trials(
+        plans, np.random.default_rng(42), 20, input_mean, gain
+    )
+    assert np.array_equal(longer[:7], outcomes)
+    assert np.array_equal(longer_fidelities[:7], fidelities)
 
 
 def test_manual_gain_trials_build_no_gaussian_state(monkeypatch):
@@ -383,8 +390,7 @@ def test_manual_gain_trials_build_no_gaussian_state(monkeypatch):
 
     monkeypatch.setattr(GaussianState, "__post_init__", counting)
     plans = make_plans(1.5, 0.2, eps_p=0.01, eps_a=0.02, eta_d=0.05)
-    rngs = [np.random.default_rng(seed) for seed in range(64)]
-    _, _, fidelities = run_trials(plans, rngs, (0.7, -0.4), (0.9, -1.1))
+    _, _, fidelities = run_trials(plans, np.random.default_rng(0), 64, (0.7, -0.4), (0.9, -1.1))
     assert fidelities.shape == (64,)
     assert len(constructions) == 0
 
