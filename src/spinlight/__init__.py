@@ -49,6 +49,7 @@ from .maxwell_bloch import (
     commutator_defect,
     extract_collective,
     extract_collective_from_channel,
+    extract_collective_grids,
 )
 from .protocols import (
     ProtocolReport,

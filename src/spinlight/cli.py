@@ -52,7 +52,7 @@ from .config import (
     resolve_run_config,
 )
 from .interaction import validate_regime
-from .maxwell_bloch import Grid, extract_collective_from_channel
+from .maxwell_bloch import Grid, extract_collective_grids
 from .protocols import (
     _PULSES,
     classical_bound_check,
@@ -326,9 +326,8 @@ def _cmd_mb_validate(cfg):
         "dev_kappa", "dev_eps_p", "dev_eps_a",
         "signal_leak", "noise_var_light_x", "noise_var_atom_x",
     ), [])
-    for size in cfg.mb.grids():
-        grid = Grid(n_z=size, n_tau=size, L=cfg.physical.L, T=cfg.physical.T)
-        extraction = extract_collective_from_channel(channel, grid)
+    grids = [Grid(n_z=n, n_tau=n, L=cfg.physical.L, T=cfg.physical.T) for n in cfg.mb.grids()]
+    for grid, extraction in zip(grids, extract_collective_grids(channel, grids)):
         dev_kappa = abs(extraction.kappa_eff - channel.kappa) / channel.kappa
         dev_eps_p, dev_eps_a = (
             abs(eff - eps) / eps if eps > 0 else eff
@@ -336,7 +335,7 @@ def _cmd_mb_validate(cfg):
                              (extraction.eps_a_eff, channel.eps_a))
         )
         table.rows.append([
-            size, extraction.kappa_eff, extraction.eps_p_eff, extraction.eps_a_eff,
+            grid.n_z, extraction.kappa_eff, extraction.eps_p_eff, extraction.eps_a_eff,
             dev_kappa, dev_eps_p, dev_eps_a,
             extraction.signal_leak, extraction.noise_var_light_x,
             extraction.noise_var_atom_x,

@@ -323,7 +323,7 @@ _SCHEMA = {key: _Key(key, *row) for key, row in {
     "sweep.max": (_number, _REQUIRED, "(0, inf)", "upper end of the sweep", "maximum"),
     "sweep.steps": (_integer, _REQUIRED, "[2, 10^6]", "grid size; cap: 13 s, 2.05 GB"),
     "mb.min_grid": (_integer, MbSpec.min_grid, "[1, inf)", "smallest dyadic grid"),
-    "mb.max_grid": (_integer, MbSpec.max_grid, "[1, 2^22]", "largest grid; cap: 2 s, 932 MB"),
+    "mb.max_grid": (_integer, MbSpec.max_grid, "[1, 2^22]", "largest grid; cap: 0.6 s, 286 MB"),
     "mb.tol_kappa": (_number, MbSpec.tol_kappa, "[0, inf)", "mb-validate tolerance on kappa"),
     "mb.tol_eps": (_number, MbSpec.tol_eps, "[0, inf)", "mb-validate tolerance on eps"),
     "seed": (_integer, 0, "[0, 2^64)", "seed of the run's one outcome stream"),

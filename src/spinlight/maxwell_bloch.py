@@ -21,18 +21,16 @@ linearization, and the pulse envelope is taken flat (uniform grid weights).
 
 Only the four collective output rows are ever read, and they have a closed
 form.  The kicks read only p and write only x, and every damping step is
-diagonal, so the p quadratures are damped but never driven.  With the
-per-cell transmissions tp = sqrt(1 - eps_p / n_z) and
-ta = sqrt(1 - eps_a / n_tau), p_l(m) reaches slice j as tp^j p_l_in(m) and
-p_a(j) reaches bin m as ta^m p_a_in(j), plus vacua.  The x quadratures are
-driven by those p values and damped after each kick.  Every collective row
-coefficient is then a per-bin power times a per-slice one, and every noise
-sum factors into a bin sum times a slice sum, so
-:func:`extract_collective_from_channel` needs O(n_z + n_tau) time and memory
-and no loop over the grid.  The dense composed map of
-:func:`build_transfer` has 2 (n_tau + n_z) rows and 4 n_z n_tau noise columns;
-it is kept as the small-grid reference for :func:`commutator_defect` and the
-tests.
+diagonal, so the p quadratures are damped but never driven, and every
+collective coefficient and noise sum is a product of geometric sums
+S(h, n) = sum_{i < n} e^(i h) over the bins and the slices, with e^h the
+per-cell transmission: O(1) per grid.  Only the two variance terms
+(``signal_leak``'s spread and the cross-noise sum) need the n terms
+expm1(i h), and :func:`extract_collective_grids` takes them for a whole
+ladder of grids in one segmented pass, with no loop over the cells.  The
+dense composed map of :func:`build_transfer` has 2 (n_tau + n_z) rows and
+4 n_z n_tau noise columns; it is kept as the small-grid reference for
+:func:`commutator_defect` and the tests.
 """
 
 import dataclasses
@@ -51,6 +49,7 @@ __all__ = [
     "build_transfer_from_channel",
     "extract_collective",
     "extract_collective_from_channel",
+    "extract_collective_grids",
     "collective_signal_block",
     "commutator_defect",
 ]
@@ -211,30 +210,19 @@ def collective_signal_block(tm):
     return u @ tm.signal @ u.T
 
 
-def _signal_leak(rows, u, block):
-    """Largest variance weight any collective output row leaves outside ``u``.
-
-    ``rows`` holds the signal coefficients of the collective outputs (``u``
-    times the signal map) and ``block`` their collective part ``rows u^T``.
-    """
-    residual = rows - block @ u
-    return np.max(np.sum(residual**2, axis=1)) * VACUUM_VARIANCE
-
-
-def _extraction(block, signal_leak, light_noise, atom_noise):
-    """Channel coefficients and residuals of the four collective output rows.
-
-    ``block`` is the 4x4 collective signal block and ``signal_leak`` the
-    largest non-collective variance weight of an output row;
-    ``light_noise`` / ``atom_noise`` hold, per output, the summed squared
-    coefficients of the light / atomic damping vacua.
-    """
+def _extraction(rows, u, light_noise, atom_noise):
+    """Channel coefficients and residuals of the collective output rows ``rows``
+    (``u`` times the signal map); ``signal_leak`` is the largest variance weight
+    a row leaves outside ``u``.  ``light_noise`` / ``atom_noise`` hold, per
+    output, the summed squared coefficients of the light / atomic vacua."""
+    block = rows @ u.T
+    leak = np.max(np.sum((rows - block @ u) ** 2, axis=1))
     total_noise = light_noise + atom_noise
     return CollectiveExtraction(
         kappa_eff=float(abs(block[0, 3])),
         eps_p_eff=float(1.0 - block[0, 0] ** 2),
         eps_a_eff=float(1.0 - block[2, 2] ** 2),
-        signal_leak=float(signal_leak),
+        signal_leak=float(leak * VACUUM_VARIANCE),
         noise_var_light_x=float(light_noise[0] * VACUUM_VARIANCE),
         noise_var_atom_x=float(atom_noise[2] * VACUUM_VARIANCE),
         noise_var_light_x_total=float(total_noise[0] * VACUUM_VARIANCE),
@@ -245,95 +233,107 @@ def _extraction(block, signal_leak, light_noise, atom_noise):
 def extract_collective(tm):
     """Read the channel coefficients and residuals off a dense transfer map."""
     u = _collective_vectors(tm.n_tau, tm.n_z)
-    rows = u @ tm.signal
-    block = rows @ u.T
     noise_rows = u @ tm.noise
-    return _extraction(
-        block,
-        _signal_leak(rows, u, block),
-        np.sum(noise_rows[:, tm.light_cols] ** 2, axis=1),
-        np.sum(noise_rows[:, tm.atom_cols] ** 2, axis=1),
-    )
+    light, atom = (np.sum(noise_rows[:, cols] ** 2, axis=1) for cols in (tm.light_cols, tm.atom_cols))
+    return _extraction(u @ tm.signal, u, light, atom)
 
 
-def _powers(t, n):
-    """t**0 .. t**n as sequential products, the order the cell updates apply."""
-    powers = np.full(n + 1, t)
-    powers[0] = 1.0
-    return np.cumprod(powers)
+def _damping_sums(eps, n):
+    """n cells of damping eps / n: (eps_cell, h, expm1(h), S(h, n), S(2h, n), eps_eff).
 
-
-def _geometric_spread(eps_cell, n):
-    """Squared deviations of t^1 .. t^n from their mean, summed; t = sqrt(1 - eps_cell).
-
-    The terms are taken as t^i - 1 = expm1(i log1p(-eps_cell) / 2), so at
-    small damping nothing cancels, and the deviations in a second pass.
+    h = log1p(-eps_cell) / 2 is the log of the per-cell transmission t,
+    S(h, n) = sum_{i < n} t^i = expm1(n h) / expm1(h) (n at h = 0), and
+    eps_eff = 1 - t^(2n) = -expm1(2 n h), exact where 1 - (t^n)^2 cancels.
     """
-    deviation = np.expm1(np.arange(1, n + 1) * (0.5 * math.log1p(-eps_cell)))
-    deviation -= deviation.sum() / n
-    return float(deviation @ deviation)
+    eps_cell = eps / n
+    h = 0.5 * math.log1p(-eps_cell)
+    if h == 0.0:
+        return eps_cell, 0.0, 0.0, n, n, 0.0
+    decay, em = math.expm1(2 * n * h), math.expm1(h)
+    return eps_cell, h, em, math.expm1(n * h) / em, decay / math.expm1(2 * h), -decay
 
 
-def extract_collective_from_channel(channel, grid):
-    """Collective channel coefficients of the grid, without the dense map.
+def _segmented_sums(h, lengths):
+    """Per segment (h, n): the spread of d_i = expm1(i h), i = 1..n, about its
+    mean, and sum_{i < n} d_i^2; every segment in one pass, in place."""
+    lengths = np.array(lengths, dtype=np.intp)
+    starts = np.cumsum(lengths) - lengths
+    d = np.ones(lengths.sum())
+    d[starts[1:]] -= lengths[:-1]
+    np.cumsum(d, out=d)  # i = 1..n, restarting at each segment
+    buffer = np.repeat(h, lengths)
+    d *= buffer
+    np.expm1(d, out=d)
+    # Each segment split before its last term: the even sums hold n - 1 terms.
+    np.square(d, out=buffer)
+    bounds = np.repeat(starts, 2)
+    bounds[1::2] += lengths - 1
+    squares = np.add.reduceat(buffer, bounds)[::2]
+    squares[lengths == 1] = 0.0
+    del buffer
+    d -= np.repeat(np.add.reduceat(d, starts) / lengths, lengths)
+    np.square(d, out=d)
+    return np.add.reduceat(d, starts).tolist(), squares.tolist()
 
-    Equal to ``extract_collective(build_transfer_from_channel(channel, grid))``
-    up to rounding, in O(n_z + n_tau) time and memory.  Kicks read only p and
-    write only x, and the damping steps are diagonal, so the map has a closed
-    form.  Write tp, ta for the per-cell transmissions and k for the per-cell
-    kick.  Light bin m meets slice j after j light dampings and m atomic
-    ones: p_l(m) reaches it as tp^j p_l_in(m) and p_a(j) as ta^m p_a_in(j),
-    each plus damping vacua.  A kick at cell (m, j) is then damped by the
-    remaining tp^(n_z - j) (light) or ta^(n_tau - m) (atoms), so
+
+def extract_collective_grids(channel, grids):
+    """Collective channel coefficients of each grid in ``grids``, in one pass.
+
+    Row g equals ``extract_collective(build_transfer_from_channel(channel,
+    grids[g]))`` up to rounding.  With tp, ta the per-cell transmissions and
+    k the per-cell kick, p_l(m) reaches slice j as tp^j p_l_in(m) and p_a(j)
+    reaches bin m as ta^m p_a_in(j), plus vacua, and a kick at cell (m, j) is
+    damped by the remaining tp^(n_z - j) or ta^(n_tau - m), so
 
       x_l_out(m) = tp^n_z x_l_in(m) - k sum_j tp^(n_z - j) [p_a at (m, j)],
 
-    plus light vacua, and x_a_out(j) is its mirror image.  Every collective
-    row coefficient is a per-bin power times a per-slice one, and every
-    per-output noise sum, the kick-mediated cross admixture included,
-    factors into a sum over bins times a sum over slices of geometric terms.
-    The only non-collective signal left is in x_l <- p_a and x_a <- p_l,
-    whose per-slice (per-bin) geometric factors deviate from their mean;
-    ``signal_leak`` is formed from those deviations directly.
+    plus light vacua; x_a_out(j) mirrors it.  Every field is then a product of
+    the O(1) sums of :func:`_damping_sums` over the bins and the slices, but
+    for ``signal_leak``'s spread of the per-slice (per-bin) factors and the
+    cross-noise sum over j of (sum_{m <= j} t^m)^2: :func:`_segmented_sums`.
     """
-    nt, nz = grid.n_tau, grid.n_z
-    eps_cell_p = channel.eps_p / nz
-    eps_cell_a = channel.eps_a / nt
-    k_cell = channel.kappa / math.sqrt(nz * nt)
-    # tp**i for i light dampings (i = 0..n_z), ta**i for i atomic ones
-    tp = _powers(math.sqrt(1.0 - eps_cell_p), nz)
-    ta = _powers(math.sqrt(1.0 - eps_cell_a), nt)
-    ul, ua = 1.0 / math.sqrt(nt), 1.0 / math.sqrt(nz)
-
-    u = _collective_vectors(nt, nz)
-    rows = np.zeros_like(u)
-    x_l, p_l = slice(0, 2 * nt, 2), slice(1, 2 * nt, 2)
-    x_a, p_a = slice(2 * nt, None, 2), slice(2 * nt + 1, None, 2)
-    rows[0, x_l] = ul * tp[nz]
-    rows[1, p_l] = ul * tp[nz]
-    rows[2, x_a] = ua * ta[nt]
-    rows[3, p_a] = ua * ta[nt]
-    # x_l <- p_a(j): ta^m summed over the bins, tp^(n_z - j) after the kick;
-    # x_a <- p_l(m) mirrors it.
-    kick_l, kick_a = k_cell * ul * ta[:nt].sum(), k_cell * ua * tp[:nz].sum()
-    rows[0, p_a] = -kick_l * tp[nz:0:-1]
-    rows[2, p_l] = -kick_a * ta[nt:0:-1]
-    signal_leak = VACUUM_VARIANCE * max(
-        kick_l**2 * _geometric_spread(eps_cell_p, nz),
-        kick_a**2 * _geometric_spread(eps_cell_a, nt),
+    light = [_damping_sums(channel.eps_p, grid.n_z) for grid in grids]
+    atoms = [_damping_sums(channel.eps_a, grid.n_tau) for grid in grids]
+    spread, squares = _segmented_sums(
+        [terms[1] for terms in light + atoms],
+        [grid.n_z for grid in grids] + [grid.n_tau for grid in grids],
     )
+    extractions = []
+    for g, grid in enumerate(grids):
+        nz, nt, a = grid.n_z, grid.n_tau, g + len(grids)
+        eps_p, h_p, em_p, power_p, energy_p, eff_p = light[g]
+        eps_a, h_a, em_a, power_a, energy_a, eff_a = atoms[g]
+        # sum_{j < n - 1} (sum_{m <= j} t^m)^2 = sum_{i < n} d_i^2 / expm1(h)^2
+        part_p, part_a = (
+            squares[s] / em**2 if em else (n - 1) * n * (2 * n - 1) / 6
+            for s, em, n in ((g, em_p, nz), (a, em_a, nt))
+        )
+        k2 = channel.kappa**2 / (nz * nt)
+        # Same-channel vacua: a vacuum injected i dampings before the output.
+        own_l, own_a = eps_p * energy_p, eps_a * energy_a
+        # Cross vacua: an atomic p vacuum from bin m' reaches the later bins'
+        # x_l kicks with weight sum_{i < n_tau - 1 - m'} ta^i, then is damped
+        # like the kick, sum_{i = 1..n_z} tp^(2i); light p into x_a mirrors it.
+        cross_l = eps_a * k2 / nt * math.exp(2 * h_p) * energy_p * part_a
+        cross_a = eps_p * k2 / nz * math.exp(2 * h_a) * energy_a * part_p
+        extractions.append(CollectiveExtraction(
+            kappa_eff=channel.kappa * (power_a / nt) * (math.exp(h_p) * power_p / nz),
+            eps_p_eff=eff_p,
+            eps_a_eff=eff_a,
+            # x_l <- p_a(j) carries S(h_a, n_tau) / sqrt(n_tau); x_a mirrors it.
+            signal_leak=VACUUM_VARIANCE * k2 * max(
+                power_a**2 / nt * spread[g], power_p**2 / nz * spread[a]),
+            noise_var_light_x=VACUUM_VARIANCE * own_l,
+            noise_var_atom_x=VACUUM_VARIANCE * own_a,
+            noise_var_light_x_total=VACUUM_VARIANCE * (own_l + cross_l),
+            noise_var_atom_x_total=VACUUM_VARIANCE * (own_a + cross_a),
+        ))
+    return extractions
 
-    # Same-channel vacua: a vacuum injected i dampings before the output.
-    own_p, own_a = tp[:nz] @ tp[:nz], ta[:nt] @ ta[:nt]
-    # Cross vacua: a light p vacuum injected at slice j' reaches the x_a kicks
-    # of the later slices with weight sum_{i < n_z - 1 - j'} tp^i, then is
-    # damped like the kick itself; mirrored for atomic p into x_l.
-    part_p, part_a = np.cumsum(tp[: nz - 1]), np.cumsum(ta[: nt - 1])
-    cross_p = k_cell**2 / nz * (ta[1:] @ ta[1:]) * (part_p @ part_p)
-    cross_a = k_cell**2 / nt * (tp[1:] @ tp[1:]) * (part_a @ part_a)
-    light_noise = eps_cell_p * np.array([own_p, own_p, cross_p, 0.0])
-    atom_noise = eps_cell_a * np.array([cross_a, 0.0, own_a, own_a])
-    return _extraction(rows @ u.T, signal_leak, light_noise, atom_noise)
+
+def extract_collective_from_channel(channel, grid):
+    """Collective channel coefficients of one grid: see :func:`extract_collective_grids`."""
+    return extract_collective_grids(channel, [grid])[0]
 
 
 def commutator_defect(tm):

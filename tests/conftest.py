@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -189,16 +190,11 @@ def sweep_collective_extraction(channel, grid):
     these grids; so the leak comes from a second sweep in ``np.longdouble``
     (64-bit significand on x86-64), every other field from the double one.
     """
-    from spinlight.maxwell_bloch import _extraction, _signal_leak
+    from spinlight.maxwell_bloch import _extraction
 
-    rows, u, light_noise, atom_noise = _sweep_pull_back(channel, grid, np.float64)
-    wide_rows, wide_u, _, _ = _sweep_pull_back(channel, grid, np.longdouble)
-    return _extraction(
-        rows @ u.T,
-        _signal_leak(wide_rows, wide_u, wide_rows @ wide_u.T),
-        light_noise,
-        atom_noise,
-    )
+    swept = _extraction(*_sweep_pull_back(channel, grid, np.float64))
+    wide = _extraction(*_sweep_pull_back(channel, grid, np.longdouble))
+    return dataclasses.replace(swept, signal_leak=wide.signal_leak)
 
 
 # Operating point from the headline estimate: rho = 5e12 cm^-3, L = 2 cm,

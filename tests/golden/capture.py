@@ -1,15 +1,18 @@
 """Golden CLI artifacts for fixed (config, seed) runs.
 
-Regenerate with ``PYTHONPATH=src python tests/golden/capture.py [CASE ...]``
+Regenerate with
+``PYTHONPATH=src python tests/golden/capture.py [--format json|csv] [CASE ...]``
 from the repository root.  Each case runs ``spinlight.cli.main`` on one of
 the configs below, once per artifact format, and stores the artifact bytes as
 ``<case>.json`` and ``<case>.csv``; the exit code of every run goes to
 ``exit_codes.json``, keyed ``<case>`` for JSON and ``<case>.csv`` for CSV.
-Named cases are recaptured alone, and only their keys in ``exit_codes.json``
-are rewritten; with no names every case is.
+Named cases are recaptured alone, and ``--format`` keeps a recapture to one
+format; only the keys of the runs made are rewritten in ``exit_codes.json``.
+With neither, every case is recaptured in both formats.
 ``tests/test_golden.py`` re-runs the cases and compares against these files.
 """
 
+import argparse
 import json
 import sys
 import tempfile
@@ -101,14 +104,19 @@ def run_case(name, workdir, fmt="json"):
     return code, out.read_bytes() if out.exists() else None
 
 
-def main(names=()):
+def main(argv=()):
+    parser = argparse.ArgumentParser(description="Recapture the golden CLI artifacts.")
+    parser.add_argument("--format", choices=FORMATS, help="recapture only this format")
+    parser.add_argument("names", nargs="*", metavar="CASE", help="recapture only these cases")
+    args = parser.parse_args(argv)
+    names = args.names
     unknown = sorted(set(names) - set(CASES))
     if unknown:
         raise SystemExit(f"unknown case(s): {', '.join(unknown)}")
     codes_path = HERE / "exit_codes.json"
-    codes = json.loads(codes_path.read_text()) if names else {}
+    codes = json.loads(codes_path.read_text()) if names or args.format else {}
     with tempfile.TemporaryDirectory() as tmp:
-        for fmt in FORMATS:
+        for fmt in [args.format] if args.format else FORMATS:
             for name in names or CASES:
                 code, data = run_case(name, tmp, fmt)
                 codes[exit_code_key(name, fmt)] = code

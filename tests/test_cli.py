@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinlight import cli
+from spinlight import Grid, cli
 from spinlight.cli import main
 from conftest import reference_csv_text, reference_json_text
 
@@ -365,6 +365,55 @@ def test_mb_validate_lossless_is_exact(tmp_path):
     payload = json.loads(out.read_text())
     for row in payload["rows"]:
         assert row["dev_kappa"] < 1e-12
+
+
+def test_mb_validate_makes_one_extraction_call_per_run(tmp_path, monkeypatch):
+    # The whole ladder goes through one batched extraction, and the table
+    # rows are its fields as they stand.
+    from spinlight import ChannelParams, extract_collective_grids
+
+    real, calls = cli.extract_collective_grids, []
+
+    def spy(channel, grids):
+        calls.append([(grid.n_z, grid.n_tau) for grid in grids])
+        return real(channel, grids)
+
+    monkeypatch.setattr(cli, "extract_collective_grids", spy)
+    cfg = _write(tmp_path, "run.cfg", PHYSICAL + "mb.min_grid = 2\nmb.max_grid = 128\n")
+    out = tmp_path / "mb.json"
+    assert _run(["mb-validate", "--config", cfg, "--out", str(out)]) == 0
+    sizes = [2, 4, 8, 16, 32, 64, 128]
+    assert calls == [[(n, n) for n in sizes]]
+
+    payload = json.loads(out.read_text())
+    channel = ChannelParams(kappa=payload["kappa_analytic"], eps_p=payload["eps_p_analytic"],
+                            eps_a=payload["eps_a_analytic"])
+    grids = [Grid(n_z=n, n_tau=n, L=0.02, T=1e-6) for n in sizes]
+    assert [row["grid"] for row in payload["rows"]] == sizes
+    for row, extraction in zip(payload["rows"], extract_collective_grids(channel, grids)):
+        for field in ("kappa_eff", "eps_p_eff", "eps_a_eff", "signal_leak",
+                      "noise_var_light_x", "noise_var_atom_x"):
+            assert row[field] == getattr(extraction, field), (row["grid"], field)
+
+
+def test_mb_validate_eps_columns_against_50_digits(tmp_path):
+    # eps_*_eff = 1 - (1 - eps / n)^n and dev_eps_* = |eps_*_eff - eps| / eps
+    # on the reference ladder, against 50 digits.  dev_eps is a difference
+    # of nearly equal numbers, so it shows any rounding in eps_*_eff about
+    # 300 times enlarged.
+    import mpmath
+
+    cfg = _write(tmp_path, "run.cfg", PHYSICAL)
+    out = tmp_path / "mb.json"
+    assert _run(["mb-validate", "--config", cfg, "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    with mpmath.workdps(50):
+        for row in payload["rows"]:
+            for channel in ("p", "a"):
+                eps = mpmath.mpf(payload[f"eps_{channel}_analytic"])
+                exact = 1 - (1 - eps / row["grid"]) ** row["grid"]
+                assert abs(row[f"eps_{channel}_eff"] / exact - 1) <= 1e-15
+                assert abs(row[f"dev_eps_{channel}"] / (abs(exact - eps) / eps) - 1) <= 1e-13
 
 
 def test_mb_validate_tolerance_failure_exit_code(tmp_path):

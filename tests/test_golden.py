@@ -16,7 +16,10 @@ the other numeric cells within 1e-11 relative.
 The sampled entangle and teleport goldens (all but the outcome-free
 ``teleport-reference.csv`` and ``teleport-lossy.csv``) were recaptured when a
 run's trials moved to one outcome stream on its seed; their trial 0 kept its
-bytes.
+bytes.  ``mb-validate-reference`` (JSON and CSV) was recaptured when
+``eps_*_eff`` moved from 1 - b^2 to the exact -expm1(2 n h): its ``dev_eps_*``
+cells, |eps_eff - eps| / eps, had carried that rounding about 300 times
+enlarged, 2e-11 to 5e-11 off the 50-digit value.
 """
 
 import json
@@ -115,3 +118,37 @@ def test_csv_artifact_matches_golden(name, tmp_path):
         assert len(got_cells) == len(want_cells), f"line {number + 1}: cell counts differ"
         for column, (g, w) in enumerate(zip(got_cells, want_cells)):
             _assert_csv_cell_close(g, w, f"line {number + 1}, column {column + 1}")
+
+
+def test_capture_format_filter_rewrites_only_that_format(tmp_path, monkeypatch):
+    from golden import capture
+
+    codes = {"derive-reference": 5, "derive-reference.csv": 9, "kept": 7}
+    (tmp_path / "exit_codes.json").write_text(json.dumps(codes))
+    (tmp_path / "derive-reference.json").write_bytes(b"untouched")
+    monkeypatch.setattr(capture, "HERE", tmp_path)
+    capture.main(["--format", "csv", "derive-reference"])
+    assert (tmp_path / "derive-reference.json").read_bytes() == b"untouched"
+    assert (tmp_path / "derive-reference.csv").read_bytes() == (
+        GOLDEN / "derive-reference.csv").read_bytes()
+    assert json.loads((tmp_path / "exit_codes.json").read_text()) == dict(
+        codes, **{"derive-reference.csv": 0})
+
+    # A format alone recaptures every case in it and keeps the other's codes.
+    capture.main(["--format", "json"])
+    written = {path.name for path in tmp_path.iterdir()}
+    assert written == {"exit_codes.json", "derive-reference.csv"} | {
+        f"{name}.json" for name in CASES if EXIT_CODES[name] == 0}
+    assert json.loads((tmp_path / "exit_codes.json").read_text()) == dict(
+        codes, **{"derive-reference.csv": 0}, **{name: EXIT_CODES[name] for name in CASES})
+
+
+def test_capture_unknown_format_exits_nonzero_naming_it(tmp_path, monkeypatch, capsys):
+    from golden import capture
+
+    monkeypatch.setattr(capture, "HERE", tmp_path)
+    with pytest.raises(SystemExit) as stopped:
+        capture.main(["--format", "xml", "derive-reference"])
+    assert stopped.value.code != 0
+    assert "'xml'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

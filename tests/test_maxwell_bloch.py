@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import mpmath
 import numpy as np
@@ -16,6 +17,7 @@ from spinlight import (
     derive_channel,
     extract_collective,
     extract_collective_from_channel,
+    extract_collective_grids,
     vacuum_state,
 )
 from spinlight.maxwell_bloch import collective_signal_block
@@ -173,11 +175,24 @@ def test_noise_admixture_matches_channel_noise(reference_params, reference_chann
 # closed-form extraction against the dense map and the sweep oracle
 
 
-def _assert_extractions_close(got, want):
+def _exact_eps_eff(eps, n):
+    """1 - (1 - eps / n)^n to 50 digits: the squared shortfall of n cells."""
+    with mpmath.workdps(50):
+        return float(1 - (1 - mpmath.mpf(eps) / n) ** n)
+
+
+def _assert_extractions_close(got, want, channel, grid):
+    # The oracles form eps_*_eff as 1 - b^2 and carry its rounding (up to
+    # 2e-12 at 128^2, 4.4e-16 where the exact value is 0), so those two
+    # fields are held to the exact value instead.
+    exact = {
+        "eps_p_eff": _exact_eps_eff(channel.eps_p, grid.n_z),
+        "eps_a_eff": _exact_eps_eff(channel.eps_a, grid.n_tau),
+    }
     for field in dataclasses.fields(want):
         # The absolute floor only covers leaks at rounding level (~1e-31).
         assert getattr(got, field.name) == pytest.approx(
-            getattr(want, field.name), rel=1e-12, abs=1e-24
+            exact.get(field.name, getattr(want, field.name)), rel=1e-12, abs=1e-24
         ), field.name
 
 
@@ -202,7 +217,7 @@ def test_adjoint_matches_dense_extraction(
     grid = _grid(n_z, n_tau)
     dense = extract_collective(build_transfer_from_channel(channel, grid))
     adjoint = extract_collective_from_channel(channel, grid)
-    _assert_extractions_close(adjoint, dense)
+    _assert_extractions_close(adjoint, dense, channel, grid)
 
 
 @pytest.mark.parametrize("channel_name", ["lossless", "eps_p", "eps_a", "reference"])
@@ -222,6 +237,8 @@ def test_closed_form_matches_sweep_on_large_grids(
     _assert_extractions_close(
         extract_collective_from_channel(channel, grid),
         sweep_collective_extraction(channel, grid),
+        channel,
+        grid,
     )
 
 
@@ -237,6 +254,49 @@ def test_extraction_fields_are_python_floats(channel_name, reference_channel):
     ):
         for field in dataclasses.fields(extraction):
             assert type(getattr(extraction, field.name)) is float, field.name
+
+
+@pytest.mark.parametrize("n_z, n_tau", [
+    (1, 1), (4, 3), (3, 4), (128, 64), (1000, 7), (7, 1000), (2**20, 5), (3, 2**20),
+])
+@pytest.mark.parametrize("eps_p, eps_a", [(1 / 120, 0.05), (1e-9, 0.3), (0.999, 1e-15)])
+def test_eps_eff_exact_against_50_digits(n_z, n_tau, eps_p, eps_a):
+    # 1 - b^2 with b the collective transmission lost up to 2e-12 of it at
+    # 128^2; -expm1(2 n h) keeps every digit.
+    channel = ChannelParams(kappa=5.0, eps_p=eps_p, eps_a=eps_a)
+    extraction = extract_collective_from_channel(channel, _grid(n_z, n_tau))
+    with mpmath.workdps(50):
+        for got, eps, n in ((extraction.eps_p_eff, eps_p, n_z),
+                            (extraction.eps_a_eff, eps_a, n_tau)):
+            exact = 1 - (1 - mpmath.mpf(eps) / n) ** n
+            assert abs(got / exact - 1) <= 1e-14
+
+
+@pytest.mark.parametrize("n_z, n_tau", [(1, 1), (3, 5), (1024, 1)])
+def test_lossless_eps_eff_is_exactly_zero(n_z, n_tau):
+    extraction = extract_collective_from_channel(
+        ChannelParams(kappa=3.1, eps_p=0.0, eps_a=0.0), _grid(n_z, n_tau))
+    for value in (extraction.eps_p_eff, extraction.eps_a_eff):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+BATCH_GRIDS = [(1, 1), (3, 5), (5, 3), (16, 4), (1, 7), (7, 1), (2, 2), (64, 64), (1, 1), (300, 9)]
+
+
+@pytest.mark.parametrize("channel_name", ["lossless", "eps_p", "eps_a", "reference"])
+def test_batched_rows_equal_one_grid_calls_bit_for_bit(channel_name, reference_channel):
+    # One call over a ladder is the one-grid extraction of each of its
+    # grids: the segmented pass sums each segment on its own.
+    channel = reference_channel if channel_name == "reference" else ORACLE_CHANNELS[channel_name]
+    grids = [_grid(n_z, n_tau) for n_z, n_tau in BATCH_GRIDS]
+    batched = extract_collective_grids(channel, grids)
+    assert len(batched) == len(grids)
+    for grid, row in zip(grids, batched):
+        alone = extract_collective_from_channel(channel, grid)
+        assert [v.hex() for v in dataclasses.astuple(row)] == [
+            v.hex() for v in dataclasses.astuple(alone)
+        ], (grid.n_z, grid.n_tau)
+    assert extract_collective_grids(channel, []) == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -258,6 +318,8 @@ def test_closed_form_matches_dense_property(n_z, n_tau, kappa, eps_p, eps_a):
     _assert_extractions_close(
         extract_collective_from_channel(channel, grid),
         extract_collective(build_transfer_from_channel(channel, grid)),
+        channel,
+        grid,
     )
 
 
