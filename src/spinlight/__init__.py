@@ -46,6 +46,7 @@ from .maxwell_bloch import (
     TransferMap,
     build_transfer,
     build_transfer_from_channel,
+    collective_signal_block,
     commutator_defect,
     extract_collective,
     extract_collective_from_channel,
@@ -54,14 +55,12 @@ from .maxwell_bloch import (
 from .protocols import (
     ProtocolReport,
     RoundPlan,
-    SweepPoint,
     classical_bound_check,
     entangle,
     fidelity_ideal,
     fidelity_lossy,
     lossy_fidelity_bound,
     lossy_fidelity_sweep,
-    lossy_fidelity_table,
     make_plans,
     optimal_kappa2,
     run_trials,

@@ -26,7 +26,7 @@ its summary lines and its exit code.  ``main`` renders the artifact in the
 configured format, writes it to the configured path or to stdout, and prints
 the summary.  ``entangle`` and ``teleport`` run all their trials in one
 :func:`~spinlight.protocols.run_trials` call, and ``sweep`` builds its rows
-from the columns of :func:`~spinlight.protocols.lossy_fidelity_table`.  A
+from the columns of :func:`~spinlight.protocols.lossy_fidelity_sweep`.  A
 table is a ``_Table`` value wherever it goes (the sweep's points, the
 mb-validate rows, each trial's outcomes, the CSV body).  Both writers render
 it with one row template, the JSON writer in the bytes of the list of dicts
@@ -58,7 +58,7 @@ from .protocols import (
     classical_bound_check,
     fidelity_ideal,
     fidelity_lossy,
-    lossy_fidelity_table,
+    lossy_fidelity_sweep,
     optimal_kappa2,
     run_trials,
     squeezing_parameter,
@@ -290,7 +290,7 @@ def _cmd_teleport(cfg):
 def _cmd_sweep(cfg):
     if cfg.sweep is None:
         raise ConfigError("sweep.min", "sweep needs a sweep.* section")
-    kappa2, f_simulated, f_closed_form, best = lossy_fidelity_table(
+    kappa2, f_simulated, f_closed_form, best = lossy_fidelity_sweep(
         cfg.sweep.values(),
         cfg.eta_t,
         kappa1_multiplier=cfg.kappa1_multiplier,

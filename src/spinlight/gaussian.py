@@ -399,12 +399,16 @@ def _overlap(cov, delta):
     ``cov`` is (..., 2, 2) and ``delta`` (..., 2); their leading axes
     broadcast, so B rows, or T offsets on one covariance, are one call.  The
     formula is written entry by entry, so every row has the bits of a one-row
-    call.  Raises DegeneracyError if any det(G) is not positive.
+    call.  Raises DegeneracyError if an entry of G is not finite (an
+    overflowed covariance, whose products would turn into nan) or any det(G)
+    is not positive.
     """
+    if not np.isfinite(cov).all():
+        raise DegeneracyError("overlap matrix has a non-finite entry")
     g00, g11 = cov[..., 0, 0] + VACUUM_VARIANCE, cov[..., 1, 1] + VACUUM_VARIANCE
     g01, g10 = cov[..., 0, 1], cov[..., 1, 0]
     det = g00 * g11 - g01 * g10
-    if np.any(det <= 0.0):
+    if not np.all(det > 0.0):
         raise DegeneracyError(f"singular overlap matrix (det {np.min(det)})")
     d0, d1 = delta[..., 0], delta[..., 1]
     quadratic = (d0 * (g11 * d0 - g01 * d1) + d1 * (g00 * d1 - g10 * d0)) / det

@@ -37,8 +37,8 @@ each pulse's x in round order with one kernel, :func:`_measure_pulses`,
 batched over operating points (the sweep, on the covariance alone) or over
 the means of many trials at one operating point, so :func:`run_trials`
 pushes each stage once per run; :func:`entangle` and :func:`teleport` are
-its one-trial case.  :func:`lossy_fidelity_table` returns the sweep's columns
-with the argmax row, and :func:`lossy_fidelity_sweep` the same as SweepPoints.
+its one-trial case.  :func:`lossy_fidelity_sweep` returns the sweep's
+kappa2, simulated and closed-form fidelity columns with the argmax row.
 
 Within a round, the light's two consecutive losses (eps_p after a pass, then
 eta_t or eta_d) are one loss 1 - (1 - a)(1 - b), and the -pi/2 and +pi/2
@@ -69,7 +69,6 @@ from .interaction import ChannelParams, _kick
 __all__ = [
     "RoundPlan",
     "ProtocolReport",
-    "SweepPoint",
     "squeezing_parameter",
     "fidelity_ideal",
     "fidelity_lossy",
@@ -81,7 +80,6 @@ __all__ = [
     "run_trials",
     "make_plans",
     "simulated_lossy_fidelity",
-    "lossy_fidelity_table",
     "lossy_fidelity_sweep",
 ]
 
@@ -459,44 +457,19 @@ def run_trials(plans, rng, trials, input_mean=None, gain=None):
 # loss / strength trade-off sweep
 
 
-@dataclasses.dataclass(frozen=True)
-class SweepPoint:
-    kappa2: float
-    eta_t: float
-    f_simulated: float
-    f_closed_form: float
-    is_argmax: bool
-
-
-def make_plans(kappa2, eta_t, kappa1_multiplier=10.0, eps_p=0.0, eps_a=0.0,
-               eta_d=0.0, eta_t_local=None):
-    """Round plans of the loss-adapted strategy.
-
-    Entangling rounds run the large kappa first and kappa2 second; the local
-    Bell measurement mirrors that (kappa2 first, large kappa second).  The
-    local rounds carry the same transmission loss by default: matching the
-    sqrt(1 - eta_t) weights between the nonlocal and local measurements is
-    what cancels the amplified anti-squeezed noise at unit gain.
-    """
-    kappa1 = kappa1_multiplier * kappa2
-    if eta_t_local is None:
-        eta_t_local = eta_t
-    noise = dict(eps_p=eps_p, eps_a=eps_a, eta_d=eta_d)
-    return {
-        "entangle1": RoundPlan(kappa=kappa1, eta_t=eta_t, **noise),
-        "entangle2": RoundPlan(kappa=kappa2, eta_t=eta_t, **noise),
-        "local1": RoundPlan(kappa=kappa2, eta_t=eta_t_local, **noise),
-        "local2": RoundPlan(kappa=kappa1, eta_t=eta_t_local, **noise),
-    }
-
-
 def _sweep_rounds(kappa2_values, eta_t, kappa1_multiplier=10.0, eps_p=0.0, eps_a=0.0,
                   eta_d=0.0, eta_t_local=None):
-    """Entangling and local :func:`_stack` tables of :func:`make_plans`, per kappa2.
+    """Entangling and local :func:`_stack` tables of the loss-adapted strategy, per kappa2.
 
-    Built as arrays rather than from 4 RoundPlans per row, with the same
-    checks: the noise settings through RoundPlan once, and every kappa finite
-    and non-negative, a bad row being named by its kappa2.
+    Entangling rounds run the large kappa1 = ``kappa1_multiplier`` * kappa2
+    first and kappa2 second; the local Bell measurement mirrors that (kappa2
+    first, kappa1 second).  The local rounds carry the transmission loss
+    ``eta_t_local``, by default ``eta_t``: matching the sqrt(1 - eta_t)
+    weights between the nonlocal and local measurements is what cancels the
+    amplified anti-squeezed noise at unit gain.  Built as arrays, with the
+    checks of :class:`RoundPlan`: the noise settings through RoundPlan once,
+    and every kappa finite and non-negative, a bad row being named by its
+    kappa2.
     """
     if eta_t_local is None:
         eta_t_local = eta_t
@@ -520,6 +493,20 @@ def _sweep_rounds(kappa2_values, eta_t, kappa1_multiplier=10.0, eps_p=0.0, eps_a
         return rounds
 
     return table(kappa1, kappa2, eta_t), table(kappa2, kappa1, eta_t_local)
+
+
+def make_plans(kappa2, eta_t, **plan_kwargs):
+    """Round plans of the loss-adapted strategy at one kappa2.
+
+    Returns the RoundPlans ``entangle1``, ``entangle2``, ``local1`` and
+    ``local2`` of the one-row :func:`_sweep_rounds` table, which sets the
+    round order and takes the ``plan_kwargs`` ``kappa1_multiplier`` (10.0),
+    ``eps_p``, ``eps_a``, ``eta_d`` (0.0) and ``eta_t_local`` (``eta_t``).
+    """
+    entangling, local = _sweep_rounds([float(kappa2)], eta_t, **plan_kwargs)
+    rows = np.concatenate([entangling, local])[:, 0].tolist()
+    return {name: RoundPlan(*row)
+            for name, row in zip(("entangle1", "entangle2", "local1", "local2"), rows)}
 
 
 def _lossy_fidelities(kappa2, eta_t, **plan_kwargs):
@@ -546,12 +533,12 @@ def simulated_lossy_fidelity(kappa2, eta_t, **plan_kwargs):
     return float(_lossy_fidelities(np.array([float(kappa2)]), eta_t, **plan_kwargs)[0])
 
 
-def lossy_fidelity_table(kappa2_values, eta_t, **plan_kwargs):
+def lossy_fidelity_sweep(kappa2_values, eta_t, **plan_kwargs):
     """Sweep kappa2 at fixed eta_t, as columns.
 
     Returns ``(kappa2, f_simulated, f_closed_form, best)``: the kappa2 values,
     the simulated fidelities and :func:`fidelity_lossy` as float arrays, and
-    the index of the simulated argmax.  ``plan_kwargs`` go to
+    the index of the simulated argmax.  ``plan_kwargs`` are those of
     :func:`make_plans`.  The whole column runs as one batch, and the closed
     form is evaluated once over it, with the same checks.
     """
@@ -561,15 +548,3 @@ def lossy_fidelity_table(kappa2_values, eta_t, **plan_kwargs):
     f_simulated = _lossy_fidelities(kappa2, eta_t, **plan_kwargs)
     f_closed_form = fidelity_lossy(kappa2, eta_t)
     return kappa2, f_simulated, f_closed_form, int(np.argmax(f_simulated))
-
-
-def lossy_fidelity_sweep(kappa2_values, eta_t, **plan_kwargs):
-    """Sweep kappa2 at fixed eta_t; marks the simulated argmax row.
-
-    One :class:`SweepPoint` per row of :func:`lossy_fidelity_table`.
-    """
-    kappa2, f_simulated, f_closed_form, best = lossy_fidelity_table(
-        kappa2_values, eta_t, **plan_kwargs
-    )
-    rows = zip(kappa2.tolist(), f_simulated.tolist(), f_closed_form.tolist())
-    return [SweepPoint(k2, eta_t, f, closed, i == best) for i, (k2, f, closed) in enumerate(rows)]

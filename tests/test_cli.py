@@ -320,6 +320,22 @@ def test_sweep_json_deterministic(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_sweep_calls_the_sweep_once_per_run(tmp_path, monkeypatch):
+    # The whole kappa2 column is one lossy_fidelity_sweep call, the traced
+    # public sweep.
+    calls = []
+    real = cli.lossy_fidelity_sweep
+
+    def spy(kappa2_values, *args, **kwargs):
+        calls.append(list(kappa2_values))
+        return real(kappa2_values, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "lossy_fidelity_sweep", spy)
+    cfg = _write(tmp_path, "run.cfg", SWEEP)
+    assert _run(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep.json")]) == 0
+    assert [len(values) for values in calls] == [120]
+
+
 # ---------------------------------------------------------------------------
 # mb-validate
 
@@ -470,6 +486,23 @@ def test_overflowed_run_exits_4(tmp_path, capsys, command, text):
     assert err.startswith("numerical error: measured quadrature has non-finite variance ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowed_sweep_row_exits_4(tmp_path, capsys):
+    # At kappa2 = 1e-200 the calibrated gain (~1e200) overflows the averaged
+    # output covariance to inf, where the overlap's 0 * inf would read nan: a
+    # numerical failure, not a bad config.  At 1e-120 every entry is finite
+    # and the row's fidelity underflows to 0.0.
+    text = "channel.kappa = 1.0\nsweep.min = {}\nsweep.max = 1e-100\nsweep.steps = 3\n"
+    out = tmp_path / "sweep.json"
+    cfg = _write(tmp_path, "run.cfg", text.format("1e-200"))
+    assert _run(["sweep", "--config", cfg, "--out", str(out)]) == cli.EXIT_NUMERICAL
+    assert capsys.readouterr() == ("", "numerical error: overlap matrix has a non-finite entry\n")
+    assert not out.exists()
+    cfg = _write(tmp_path, "run.cfg", text.format("1e-120"))
+    assert _run(["sweep", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    assert json.loads(out.read_text())["points"][0]["f_simulated"] == 0.0
 
 
 # ---------------------------------------------------------------------------

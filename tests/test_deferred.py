@@ -183,10 +183,10 @@ def test_sampled_engine_matches_sequential_oracle(kappa2, eta_t, kwargs):
 def test_sweep_rows_equal_one_point_runs():
     kappa2_values = [0.3, 1.5, 4.0, 9.5]
     kwargs = OPERATING_POINTS[0][2]
-    points = lossy_fidelity_sweep(kappa2_values, 0.2, **kwargs)
-    for point in points:
-        one = simulated_lossy_fidelity(point.kappa2, 0.2, **kwargs)
-        assert _rel(point.f_simulated, one) <= 1e-14
+    kappa2, f_simulated, _, _ = lossy_fidelity_sweep(kappa2_values, 0.2, **kwargs)
+    for k2, f in zip(kappa2, f_simulated):
+        one = simulated_lossy_fidelity(k2, 0.2, **kwargs)
+        assert _rel(f, one) <= 1e-14
 
 
 # ---------------------------------------------------------------------------

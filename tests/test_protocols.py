@@ -19,7 +19,6 @@ from spinlight import (
     loss_channel,
     lossy_fidelity_bound,
     lossy_fidelity_sweep,
-    lossy_fidelity_table,
     make_plans,
     optimal_kappa2,
     run_trials,
@@ -411,17 +410,11 @@ def test_gain_calibration_needs_responsive_outcomes():
         )
 
 
-# The SweepPoint list and the table it views take the same inputs and
-# must reject them with the same messages.
-_SWEEPS = (lossy_fidelity_sweep, lossy_fidelity_table)
-
-
 def test_sweep_names_the_row_whose_gain_calibration_fails():
-    for sweep in _SWEEPS:
-        with pytest.raises(ValueError, match=r"gain calibration failed: .*kappa2 = 0\.0"):
-            sweep([0.0, 1.0], 0.2)
-        with pytest.raises(ValueError, match=r"gain calibration failed: .*kappa2 = 0\.0"):
-            sweep([1.0, 2.0, 0.0], 0.2)
+    with pytest.raises(ValueError, match=r"gain calibration failed: .*kappa2 = 0\.0"):
+        lossy_fidelity_sweep([0.0, 1.0], 0.2)
+    with pytest.raises(ValueError, match=r"gain calibration failed: .*kappa2 = 0\.0"):
+        lossy_fidelity_sweep([1.0, 2.0, 0.0], 0.2)
 
 
 def test_sweep_rejects_fidelity_outside_unit_interval(monkeypatch):
@@ -435,9 +428,8 @@ def test_sweep_rejects_fidelity_outside_unit_interval(monkeypatch):
         return real(averaged_cov, delta)
 
     monkeypatch.setattr(protocols, "_overlap", inflated)
-    for sweep in _SWEEPS:
-        with pytest.raises(ValueError, match=r"fidelity must lie in \[0, 1\].*kappa2 = 2\.0"):
-            sweep([1.0, 2.0, 3.0], 0.2)
+    with pytest.raises(ValueError, match=r"fidelity must lie in \[0, 1\].*kappa2 = 2\.0"):
+        lossy_fidelity_sweep([1.0, 2.0, 3.0], 0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -486,12 +478,11 @@ def test_fidelity_monotone_in_each_noise_rate():
 def test_sweep_finds_the_analytic_optimum():
     eta_t = 0.2
     grid = np.linspace(0.2, 10.0, 200)
-    points = lossy_fidelity_sweep(grid, eta_t)
-    best = next(p for p in points if p.is_argmax)
+    kappa2, f_simulated, _, best = lossy_fidelity_sweep(grid, eta_t)
     step = grid[1] - grid[0]
-    assert abs(best.kappa2 - optimal_kappa2(eta_t)) <= step
+    assert abs(kappa2[best] - optimal_kappa2(eta_t)) <= step
     # unimodal tail: fidelity decreases past the argmax
-    past = [p.f_simulated for p in points if p.kappa2 >= best.kappa2]
+    past = f_simulated[kappa2 >= kappa2[best]].tolist()
     assert all(a >= b - 1e-12 for a, b in zip(past, past[1:]))
 
 
@@ -499,6 +490,14 @@ def test_high_loss_can_defeat_the_bound():
     f_sim = simulated_lossy_fidelity(0.5, 0.9)
     assert f_sim < 0.52
     assert lossy_fidelity_bound(0.9) == pytest.approx(0.5132, abs=1e-4)
+
+
+def test_overflowed_overlap_is_a_degeneracy():
+    # The calibrated gain grows like 1/kappa2, so at kappa2 = 1e-160 the
+    # averaged output covariance overflows; the overlap names that rather
+    # than return nan.
+    with pytest.raises(DegeneracyError, match="overlap matrix has a non-finite entry"):
+        simulated_lossy_fidelity(1e-160, 0.0)
 
 
 def test_round_plan_validation():
@@ -513,6 +512,21 @@ def test_round_plan_validation():
 
 # ---------------------------------------------------------------------------
 # the sweep's vectorised round table
+
+
+def test_make_plans_orders_the_rounds_of_the_loss_adapted_strategy():
+    # Large kappa first when entangling, mirrored in the local Bell
+    # measurement, whose transmission loss defaults to eta_t.
+    noise = dict(eps_p=0.02, eps_a=0.01, eta_d=0.1)
+    assert make_plans(1.5, 0.2, kappa1_multiplier=3.0, eta_t_local=0.3, **noise) == {
+        "entangle1": RoundPlan(kappa=4.5, eta_t=0.2, **noise),
+        "entangle2": RoundPlan(kappa=1.5, eta_t=0.2, **noise),
+        "local1": RoundPlan(kappa=1.5, eta_t=0.3, **noise),
+        "local2": RoundPlan(kappa=4.5, eta_t=0.3, **noise),
+    }
+    assert make_plans(1.5, 0.2)["local2"] == RoundPlan(kappa=15.0, eta_t=0.2)
+    with pytest.raises(ValueError, match=r"kappa must be finite.*kappa2 = -1\.0"):
+        make_plans(-1.0, 0.2)
 
 
 def test_sweep_round_table_equals_round_plans():
@@ -557,18 +571,16 @@ def test_sweep_conditions_like_entangle(monkeypatch):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -0.5])
 def test_sweep_names_the_row_with_a_bad_kappa2(bad):
     pattern = rf"kappa must be finite and non-negative.*kappa2 = {re.escape(repr(bad))}"
-    for sweep in _SWEEPS:
-        with pytest.raises(ValueError, match=pattern):
-            sweep([1.0, bad, 2.0], 0.2)
+    with pytest.raises(ValueError, match=pattern):
+        lossy_fidelity_sweep([1.0, bad, 2.0], 0.2)
     with pytest.raises(ValueError, match=pattern):
         simulated_lossy_fidelity(bad, 0.2)
 
 
 @pytest.mark.parametrize("multiplier", [float("nan"), float("inf"), -float("inf")])
 def test_sweep_rejects_non_finite_kappa1_multiplier(multiplier):
-    for sweep in _SWEEPS:
-        with pytest.raises(ValueError, match=r"kappa must be finite.*kappa2 = 1\.0"):
-            sweep([1.0, 2.0], 0.2, kappa1_multiplier=multiplier)
+    with pytest.raises(ValueError, match=r"kappa must be finite.*kappa2 = 1\.0"):
+        lossy_fidelity_sweep([1.0, 2.0], 0.2, kappa1_multiplier=multiplier)
 
 
 @pytest.mark.parametrize("name, field", [
@@ -576,9 +588,8 @@ def test_sweep_rejects_non_finite_kappa1_multiplier(multiplier):
 ])
 @pytest.mark.parametrize("value", [1.0, -0.1, float("nan")])
 def test_sweep_rejects_noise_outside_unit_interval(name, field, value):
-    for sweep in _SWEEPS:
-        with pytest.raises(ValueError, match=rf"{field} must lie in \[0, 1\)"):
-            sweep([1.0, 2.0], 0.2, **{name: value})
+    with pytest.raises(ValueError, match=rf"{field} must lie in \[0, 1\)"):
+        lossy_fidelity_sweep([1.0, 2.0], 0.2, **{name: value})
 
 
 @pytest.mark.parametrize("values, eta_t, message", [
@@ -588,29 +599,18 @@ def test_sweep_rejects_noise_outside_unit_interval(name, field, value):
     ([1.0, "x"], 0.2, "could not convert string to float"),
 ])
 def test_sweep_rejects_bad_arguments(values, eta_t, message):
-    for sweep in _SWEEPS:
-        with pytest.raises(ValueError, match=message):
-            sweep(values, eta_t)
+    with pytest.raises(ValueError, match=message):
+        lossy_fidelity_sweep(values, eta_t)
 
 
-def test_sweep_points_equal_the_table_rows():
+def test_sweep_columns_are_float64_with_the_argmax_row():
     kappa2_values = np.linspace(0.2, 10.0, 57)
     kwargs = dict(kappa1_multiplier=3.0, eps_p=0.02, eps_a=0.01, eta_d=0.1,
                   eta_t_local=0.3)
-    kappa2, f_simulated, f_closed_form, best = lossy_fidelity_table(
+    kappa2, f_simulated, f_closed_form, best = lossy_fidelity_sweep(
         kappa2_values, 0.2, **kwargs
     )
     assert kappa2.dtype == f_simulated.dtype == f_closed_form.dtype == np.float64
     assert best == int(np.argmax(f_simulated))
-    points = lossy_fidelity_sweep(kappa2_values, 0.2, **kwargs)
-    assert [(p.kappa2, p.eta_t, p.f_simulated, p.f_closed_form, p.is_argmax)
-            for p in points] == [
-        (k2, 0.2, f, closed, i == best)
-        for i, (k2, f, closed) in enumerate(zip(kappa2, f_simulated, f_closed_form))
-    ]
     # The closed-form column is fidelity_lossy's value at each row, bit for bit.
-    assert [p.f_closed_form for p in points] == [
-        fidelity_lossy(float(k2), 0.2) for k2 in kappa2_values
-    ]
-    assert all(type(value) is float for p in points
-               for value in (p.kappa2, p.f_simulated, p.f_closed_form))
+    assert f_closed_form.tolist() == [fidelity_lossy(float(k2), 0.2) for k2 in kappa2_values]
