@@ -11,12 +11,7 @@ from .gaussian import (
     VACUUM_VARIANCE,
     DegeneracyError,
     GaussianState,
-    MeasurementRecord,
-    ModeIndex,
-    ModeLabel,
-    SymplecticMap,
     append_vacuum,
-    apply_symplectic,
     displace,
     fidelity_coherent,
     homodyne,
@@ -37,7 +32,6 @@ from .interaction import (
     derive_channel,
     dipole_from_linewidth,
     kappa_from_density,
-    qnd_pass_map,
     validate_regime,
 )
 from .maxwell_bloch import (

@@ -54,7 +54,6 @@ from .config import (
 from .interaction import validate_regime
 from .maxwell_bloch import Grid, extract_collective_grids
 from .protocols import (
-    _PULSES,
     classical_bound_check,
     fidelity_ideal,
     fidelity_lossy,
@@ -175,6 +174,12 @@ def _csv_text(echo, table):
     template = ",".join(["%s"] * len(table.header)) + "\n"
     lines.append(_rows_text(table.rows, template, "", _CSV_LEAF_TEXT, _format_scalar))
     return "".join(lines)
+
+
+# Tag and register position of each pulse's record, in measurement order: a
+# measured pulse leaves the register, so each sits right after the samples.
+_PULSES = (("entangle:round1", 2), ("entangle:round2", 2),
+           ("teleport:round1", 3), ("teleport:round2", 3))
 
 
 def _records(outcomes):

@@ -17,8 +17,7 @@ operating points: transfer columns or a mean become T X, a covariance
 T N T^T + Y, and each update is a few vector operations over the batch.
 A quarter turn, as between the rounds of a Bell measurement, is an exact
 signed swap of the mode's rows.  ``rotate`` and ``loss_channel`` copy a
-state's moments and apply a kernel; ``apply_symplectic`` keeps the dense
-product for general matrices.  The conditioning rule of a homodyne
+state's moments and apply a kernel.  The conditioning rule of a homodyne
 measurement is one kernel of the same kind, ``_condition``, which
 ``homodyne`` and the protocols' batched pulse measurement both call; the
 overlap with a coherent state is one batched kernel, ``_overlap``, which
@@ -26,7 +25,6 @@ overlap with a coherent state is one batched kernel, ``_overlap``, which
 """
 
 import dataclasses
-import enum
 import math
 
 import numpy as np
@@ -34,10 +32,6 @@ import numpy as np
 __all__ = [
     "VACUUM_VARIANCE",
     "DegeneracyError",
-    "ModeLabel",
-    "ModeIndex",
-    "MeasurementRecord",
-    "SymplecticMap",
     "GaussianState",
     "symplectic_form",
     "vacuum_state",
@@ -45,7 +39,6 @@ __all__ = [
     "marginal",
     "displace",
     "rotate",
-    "apply_symplectic",
     "loss_channel",
     "homodyne",
     "variance_of",
@@ -55,44 +48,9 @@ __all__ = [
 #: Variance of every quadrature of a fresh vacuum mode.
 VACUUM_VARIANCE = 0.5
 
-_SYMPLECTIC_TOL = 1e-10
-
 
 class DegeneracyError(ArithmeticError):
     """A conditioning or overlap formula hit a singular covariance."""
-
-
-class ModeLabel(enum.Enum):
-    LIGHT = "light"
-    ATOM = "atom"
-
-
-@dataclasses.dataclass(frozen=True)
-class ModeIndex:
-    """Position of a mode in a register together with its physical role."""
-
-    index: int
-    label: ModeLabel
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise ValueError(f"mode index must be non-negative, got {self.index}")
-
-
-@dataclasses.dataclass(frozen=True)
-class MeasurementRecord:
-    """One homodyne result: which mode, which quadrature, what came out."""
-
-    mode: ModeIndex
-    quadrature: str
-    outcome: float
-    round_tag: str
-
-    def __post_init__(self):
-        if self.quadrature not in ("x", "p"):
-            raise ValueError(f"quadrature must be 'x' or 'p', got {self.quadrature!r}")
-        if not math.isfinite(self.outcome):
-            raise ValueError(f"measurement outcome must be finite, got {self.outcome}")
 
 
 def symplectic_form(n_modes):
@@ -143,41 +101,10 @@ class GaussianState:
         herm = self.cov + 0.5j * symplectic_form(self.n_modes)
         return float(np.linalg.eigvalsh(herm)[0])
 
-    def is_physical(self, tol=1e-9):
-        return self.heisenberg_margin() >= -tol
-
-
-@dataclasses.dataclass(frozen=True)
-class SymplecticMap:
-    """Linear phase-space map: mean -> matrix @ mean + displacement."""
-
-    matrix: np.ndarray
-    displacement: np.ndarray
-
-    def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=float)
-        disp = np.array(self.displacement, dtype=float).reshape(-1)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {matrix.shape}")
-        if matrix.shape[0] % 2 != 0 or matrix.shape[0] != disp.size:
-            raise ValueError("matrix and displacement dimensions do not match")
-        omega = symplectic_form(matrix.shape[0] // 2)
-        defect = np.max(np.abs(matrix.T @ omega @ matrix - omega))
-        if defect > _SYMPLECTIC_TOL:
-            raise ValueError(f"matrix is not symplectic (defect {defect:.3e})")
-        matrix.setflags(write=False)
-        disp.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "displacement", disp)
-
-    @classmethod
-    def identity(cls, n_modes):
-        return cls(np.eye(2 * n_modes), np.zeros(2 * n_modes))
-
 
 def _mode_of(state, mode):
-    """Resolve an int or ModeIndex argument to a validated register index."""
-    idx = mode.index if isinstance(mode, ModeIndex) else int(mode)
+    """Resolve an int mode argument to a validated register index."""
+    idx = int(mode)
     if not 0 <= idx < state.n_modes:
         raise ValueError(f"mode {idx} out of range for {state.n_modes}-mode register")
     return idx
@@ -219,17 +146,6 @@ def displace(state, mode, dx, dp):
     mean[2 * m] += dx
     mean[2 * m + 1] += dp
     return GaussianState(mean, state.cov)
-
-
-def _propagate(mean, cov, transfer, noise):
-    """One affine-Gaussian step: mean -> T mean, cov -> T cov T^T + N.
-
-    Every argument may carry leading batch axes, and ``mean`` may be a matrix
-    whose columns are propagated together (a transfer map being composed) or
-    None when only the covariance is wanted.
-    """
-    cov = transfer @ cov @ np.swapaxes(transfer, -1, -2) + noise
-    return (None if mean is None else transfer @ mean), cov
 
 
 def _targets(rows, cov):
@@ -317,17 +233,6 @@ def rotate(state, mode, theta):
     return _state_step(state, _turn, _mode_of(state, mode), theta)
 
 
-def apply_symplectic(state, smap):
-    """Apply a symplectic map: mean -> M mean + d, cov -> M cov M^T."""
-    if smap.matrix.shape[0] != state.mean.size:
-        raise ValueError(
-            f"map dimension {smap.matrix.shape[0]} does not match "
-            f"state dimension {state.mean.size}"
-        )
-    mean, cov = _propagate(state.mean, state.cov, smap.matrix, 0.0)
-    return GaussianState(mean + smap.displacement, cov)
-
-
 def loss_channel(state, mode, eps):
     """Admix a fraction ``eps`` of vacuum into one mode.
 
@@ -346,7 +251,7 @@ def homodyne(state, mode, quadrature, rng=None, forced=None):
     Parameters
     ----------
     state : GaussianState
-    mode : int or ModeIndex
+    mode : int
     quadrature : str
         ``'x'`` or ``'p'``.
     rng : numpy.random.Generator, optional

@@ -21,9 +21,7 @@ mind when comparing against photon-counting conventions.
 import dataclasses
 import math
 
-import numpy as np
-
-from .gaussian import SymplecticMap, _damp, _mode_of, _state_step, _targets
+from .gaussian import _damp, _mode_of, _state_step, _targets
 
 # CODATA 2022 values, bit-equal to scipy.constants (c, epsilon_0, hbar).
 SPEED_OF_LIGHT = 299792458.0  # m/s
@@ -40,7 +38,6 @@ __all__ = [
     "derive_channel",
     "kappa_from_density",
     "validate_regime",
-    "qnd_pass_map",
     "apply_pass",
 ]
 
@@ -303,15 +300,6 @@ def _pass(rows, cov, light, atom, kappa, eps_p, eps_a):
     _kick(rows, cov, light, atom, kappa)
     _damp(rows, cov, light, eps_p)
     _damp(rows, cov, atom, eps_a)
-
-
-def qnd_pass_map(kappa, light, atom, n_modes):
-    """Symplectic matrix of the lossless pass: x_p -= kappa p_a, x_a -= kappa p_p."""
-    if light == atom:
-        raise ValueError("light and atom must be distinct modes")
-    kick = np.eye(2 * n_modes)
-    _kick(kick, None, light, atom, kappa)
-    return SymplecticMap(kick, np.zeros(2 * n_modes))
 
 
 def apply_pass(state, light, atom, channel):

@@ -37,7 +37,8 @@ each pulse's x in round order with one kernel, :func:`_measure_pulses`,
 batched over operating points (the sweep, on the covariance alone) or over
 the means of many trials at one operating point, so :func:`run_trials`
 pushes each stage once per run; :func:`entangle` and :func:`teleport` are
-its one-trial case.  :func:`lossy_fidelity_sweep` returns the sweep's
+its one-trial case, and their reports carry the trial's outcomes as floats in
+round order.  :func:`lossy_fidelity_sweep` returns the sweep's
 kappa2, simulated and closed-form fidelity columns with the argmax row.
 
 Within a round, the light's two consecutive losses (eps_p after a pass, then
@@ -55,13 +56,9 @@ from .gaussian import (
     VACUUM_VARIANCE,
     DegeneracyError,
     GaussianState,
-    MeasurementRecord,
-    ModeIndex,
-    ModeLabel,
     _condition,
     _damp,
     _overlap,
-    _propagate,
     _quarter_turn,
 )
 from .interaction import ChannelParams, _kick
@@ -122,10 +119,10 @@ class ProtocolReport:
     epr_x: float
     epr_p: float
     fidelity: float = None
-    records: tuple = ()
+    outcomes: tuple = ()
 
     def __post_init__(self):
-        if self.epr_x < 0 or self.epr_p < 0:
+        if not (self.epr_x >= 0 and self.epr_p >= 0):
             raise ValueError("EPR variances must be non-negative")
         if self.fidelity is not None and not 0.0 <= self.fidelity <= 1.0:
             raise ValueError(f"fidelity must lie in [0, 1], got {self.fidelity}")
@@ -268,18 +265,6 @@ def _outcome_source(rng, forced_outcomes):
     return np.array(forced_outcomes, dtype=float)[:, None], False
 
 
-# Tag and register position of each pulse's record, in measurement order: a
-# measured pulse leaves the register, so each sits right after the samples.
-_PULSES = (("entangle:round1", 2), ("entangle:round2", 2),
-           ("teleport:round1", 3), ("teleport:round2", 3))
-
-
-def _records(outcomes, pulses):
-    """Measurement records of one trial's outcomes at the given ``_PULSES``."""
-    return tuple(MeasurementRecord(ModeIndex(mode, ModeLabel.LIGHT), "x", value, tag)
-                 for (tag, mode), value in zip(pulses, outcomes.tolist()))
-
-
 # A run whose kicks overflow (kappa near 1e200) fails in _measure_pulses on the
 # non-finite variance it leaves; numpy's overflow warnings would only repeat
 # that, with source paths, ahead of the one-line error.  So both stages
@@ -348,9 +333,20 @@ def _teleport_stage(pair_cov, rounds, gain=None, pair_means=None, input_mean=Non
         matrix = np.array([[[0.0, gain[0]], [gain[1], 0.0]]], float)
     # The outcome-averaged output of W = [I G] has covariance W Sigma W^T.
     weights = np.concatenate([np.broadcast_to(np.eye(2), matrix.shape), matrix], axis=-1)
-    averaged_cov = _propagate(None, sigma, weights, 0.0)[1]
+    averaged_cov = weights @ sigma @ np.swapaxes(weights, -1, -2)
     if not trials:
-        return _overlap(averaged_cov, np.zeros(2))
+        try:
+            return _overlap(averaged_cov, np.zeros(2))
+        except DegeneracyError as exc:
+            # Name the first row with a non-finite entry, else the most
+            # singular one, by its kappa2 as for a singular C.
+            finite = np.isfinite(averaged_cov).all(axis=(-2, -1))
+            if finite.all():
+                det = np.linalg.det(averaged_cov + VACUUM_VARIANCE * np.eye(2))
+                row = int(np.argmin(det))
+            else:
+                row = int(np.argmin(finite))
+            raise DegeneracyError(f"{exc} at kappa2 = {float(rounds[0][row, 0])!r}") from exc
     # Its mean is W mu_J plus an offset: a calibrated gain's puts it on the
     # input mean, a manual gain has none.  W mu_J is summed row by row, so
     # each trial has the bits of a one-trial run.
@@ -368,12 +364,20 @@ def _teleport_stage(pair_cov, rounds, gain=None, pair_means=None, input_mean=Non
 _EPR = (np.array([1.0, 0.0, -1.0, 0.0]), np.array([0.0, 1.0, 0.0, 1.0]))
 
 
-def _report(pair_cov, fidelity=None, records=()):
+# An overflowed pair covariance fails here on its non-finite variances; numpy's
+# warnings from the products would only repeat that ahead of the error.
+@np.errstate(over="ignore", invalid="ignore")
+def _report(pair_cov, fidelity=None, outcomes=()):
     """Report carrying the EPR variances var(x1 - x2), var(p1 + p2) of a pair covariance."""
     epr_x, epr_p = (float(c @ pair_cov @ c) for c in _EPR)
+    if not (math.isfinite(epr_x) and math.isfinite(epr_p)):
+        raise DegeneracyError(f"non-finite EPR variance: epr_x = {epr_x!r}, epr_p = {epr_p!r}")
     if epr_x <= 0 or epr_p <= 0:
         raise DegeneracyError(f"non-positive EPR variance: epr_x = {epr_x!r}, epr_p = {epr_p!r}")
-    return ProtocolReport(-0.25 * math.log(epr_x * epr_p), epr_x, epr_p, fidelity, records)
+    # Adding 0.0 turns the -0.0 of log(1) at kappa = 0 into 0.0 and keeps
+    # every other value's bits.
+    r = -0.25 * math.log(epr_x * epr_p) + 0.0
+    return ProtocolReport(r, epr_x, epr_p, fidelity, outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +396,7 @@ def entangle(plan_round1, plan_round2, rng=None, forced_outcomes=None):
     rounds = _stack([(plan_round1, plan_round2)])
     mean, cov, outcomes = _entangling_stage(rounds, *_outcome_source(rng, forced_outcomes))
     state = GaussianState(mean[:4, 0], cov[:4, :4, 0])
-    return state, _report(state.cov, None, _records(outcomes[:, 0], _PULSES[:2]))
+    return state, _report(state.cov, None, tuple(outcomes[:, 0].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +427,8 @@ def teleport(entangled, input_mean, plan_local_round1, plan_local_round2, gain=N
         entangled.cov[:, :, None], _stack([(plan_local_round1, plan_local_round2)]), gain,
         entangled.mean[:, None], input_mean, *_outcome_source(rng, forced_outcomes),
     )
-    records = _records(outcomes[:, 0], _PULSES[2:])
-    return GaussianState(mean[:, 0], cov), _report(entangled.cov, float(fidelities[0]), records)
+    report = _report(entangled.cov, float(fidelities[0]), tuple(outcomes[:, 0].tolist()))
+    return GaussianState(mean[:, 0], cov), report
 
 
 def run_trials(plans, rng, trials, input_mean=None, gain=None):
@@ -476,8 +480,9 @@ def _sweep_rounds(kappa2_values, eta_t, kappa1_multiplier=10.0, eps_p=0.0, eps_a
     for transmission in (eta_t, eta_t_local):
         RoundPlan(kappa=0.0, eps_p=eps_p, eps_a=eps_a, eta_t=transmission, eta_d=eta_d)
     kappa2 = np.asarray(kappa2_values, dtype=float)
-    kappa1 = kappa1_multiplier * kappa2
-    with np.errstate(invalid="ignore"):
+    # An overflowed kappa1 is named by the row check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        kappa1 = kappa1_multiplier * kappa2
         bad = ~(np.isfinite(kappa1) & np.isfinite(kappa2) & (kappa1 >= 0) & (kappa2 >= 0))
     if bad.any():
         row = int(np.argmax(bad))
@@ -514,14 +519,16 @@ def _lossy_fidelities(kappa2, eta_t, **plan_kwargs):
 
     ``kappa2`` is a float array.  The entangling stage of :func:`entangle`
     runs on the covariance alone, since the outcomes never enter a
-    covariance, and no transfer map is formed for it.
+    covariance, and no transfer map is formed for it.  A fidelity outside
+    [0, 1] can only come from rounding, so it is a DegeneracyError naming its
+    row's kappa2.
     """
     entangling, local = _sweep_rounds(kappa2, eta_t, **plan_kwargs)
     _, cov, _ = _entangling_stage(entangling)
     fidelities = _teleport_stage(cov[:4, :4], local)
     bad = np.flatnonzero(~((fidelities >= 0.0) & (fidelities <= 1.0)))
     if bad.size:
-        raise ValueError(
+        raise DegeneracyError(
             f"fidelity must lie in [0, 1], got {fidelities[bad[0]]} at "
             f"kappa2 = {float(kappa2[bad[0]])!r}"
         )

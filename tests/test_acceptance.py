@@ -27,6 +27,7 @@ from spinlight import (
     loss_channel,
     lossy_fidelity_sweep,
     optimal_kappa2,
+    rotate,
     teleport,
     validate_regime,
 )
@@ -149,30 +150,23 @@ def test_criterion_6_detector_inefficiency():
 
 
 def test_criterion_7_property_suites():
-    from spinlight import SymplecticMap, apply_symplectic
+    from spinlight.gaussian import _state_step
+    from spinlight.interaction import _kick
 
     rng = np.random.default_rng(2024)
     ok = True
 
-    # symplectic invariant preservation over 1000 random maps
+    # symplectic invariant preservation over 1000 random maps: rotations and
+    # signed kicks composed through the shipped kernels
     for _ in range(1000):
         n = int(rng.integers(1, 4))
-        state = random_physical_state(rng, n)
-        matrix = np.eye(2 * n)
+        out = random_physical_state(rng, n)
         for _ in range(2):
             mode = int(rng.integers(0, n))
-            theta = rng.uniform(-math.pi, math.pi)
-            c, s = math.cos(theta), math.sin(theta)
-            rot = np.eye(2 * n)
-            rot[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2] = [[c, s], [-s, c]]
-            matrix = rot @ matrix
+            out = rotate(out, mode, rng.uniform(-math.pi, math.pi))
             if n > 1:
                 other = int((mode + 1) % n)
-                kick = np.eye(2 * n)
-                kick[2 * mode, 2 * other + 1] = -rng.uniform(-3, 3)
-                kick[2 * other, 2 * mode + 1] = kick[2 * mode, 2 * other + 1]
-                matrix = kick @ matrix
-        out = apply_symplectic(state, SymplecticMap(matrix, np.zeros(2 * n)))
+                out = _state_step(out, _kick, mode, other, rng.uniform(-3, 3))
         ok = ok and out.heisenberg_margin() >= -1e-9
 
     # Heisenberg validity after every channel

@@ -498,11 +498,37 @@ def test_overflowed_sweep_row_exits_4(tmp_path, capsys):
     out = tmp_path / "sweep.json"
     cfg = _write(tmp_path, "run.cfg", text.format("1e-200"))
     assert _run(["sweep", "--config", cfg, "--out", str(out)]) == cli.EXIT_NUMERICAL
-    assert capsys.readouterr() == ("", "numerical error: overlap matrix has a non-finite entry\n")
+    assert capsys.readouterr() == (
+        "", "numerical error: overlap matrix has a non-finite entry at kappa2 = 1e-200\n"
+    )
     assert not out.exists()
     cfg = _write(tmp_path, "run.cfg", text.format("1e-120"))
     assert _run(["sweep", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
     assert json.loads(out.read_text())["points"][0]["f_simulated"] == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, text, code, line", [
+    # kappa1 = 10 kappa2 overflows: a bad row of the config.
+    ("sweep", "channel.kappa = 1.0\nsweep.min = 1.0\nsweep.max = 1.7e308\nsweep.steps = 2\n",
+     1, "config error: kappa must be finite and non-negative, got kappa1 = inf at "
+        "kappa2 = 1.7e+308"),
+    # The pair covariance overflows to inf and nan.
+    ("entangle", "channel.kappa = 5.0\nnoise.eta_t = 0.9999999999999999\n"
+                 "rounds.entangle1.kappa = 1e150\n",
+     4, "numerical error: non-finite EPR variance: epr_x = nan, epr_p = -inf"),
+    # Rounding puts the fidelity just above 1: numerical, not a bad config.
+    ("sweep", "channel.kappa = 1.0\nsweep.min = 5.0\nsweep.max = 20000.0\nsweep.steps = 3\n",
+     4, "numerical error: fidelity must lie in [0, 1], got 1.0000009728013948 at "
+        "kappa2 = 20000.0"),
+], ids=["kappa1-overflow", "pair-overflow", "fidelity-above-one"])
+def test_a_failed_run_prints_one_line(tmp_path, capsys, command, text, code, line):
+    # The error line is all that stderr gets; any numpy warning fails the test.
+    cfg = _write(tmp_path, "run.cfg", text)
+    out = tmp_path / "run.json"
+    assert _run([command, "--config", cfg, "--out", str(out)]) == code
+    assert capsys.readouterr() == ("", line + "\n")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -163,7 +163,7 @@ def test_sampled_engine_matches_sequential_oracle(kappa2, eta_t, kwargs):
     oracle_pair, oracle_m, _ = _sequential_rounds(
         vacuum_state(2), 0, 1, entangling, None, rng=np.random.default_rng(11)
     )
-    assert _rel([rec.outcome for rec in ent.records], oracle_m) <= REL_TOL
+    assert _rel(ent.outcomes, oracle_m) <= REL_TOL
     assert _rel(pair.mean, oracle_pair.mean) <= REL_TOL
     assert _rel(pair.cov, oracle_pair.cov) <= REL_TOL
 
@@ -173,7 +173,7 @@ def test_sampled_engine_matches_sequential_oracle(kappa2, eta_t, kwargs):
     _, oracle_m, _ = _sequential_rounds(
         register, 0, 2, local, None, rng=np.random.default_rng(12)
     )
-    assert _rel([rec.outcome for rec in tel.records], oracle_m) <= REL_TOL
+    assert _rel(tel.outcomes, oracle_m) <= REL_TOL
     oracle_output, oracle_fidelity = _oracle_teleport(oracle_pair, input_mean, local, oracle_m)
     assert _rel(output.mean, oracle_output.mean) <= REL_TOL
     assert _rel(output.cov, oracle_output.cov) <= REL_TOL

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from spinlight import (
+    ChannelParams,
     DegeneracyError,
     GaussianState,
-    SymplecticMap,
     append_vacuum,
-    apply_symplectic,
+    apply_pass,
     displace,
     fidelity_coherent,
     homodyne,
@@ -22,7 +22,8 @@ from spinlight import (
     vacuum_state,
     variance_of,
 )
-from spinlight.gaussian import _damp, _quarter_turn, _turn
+from spinlight.gaussian import _damp, _quarter_turn, _state_step, _turn
+from spinlight.interaction import _kick
 from conftest import assert_step_matches_dense, random_physical_state
 
 
@@ -104,65 +105,37 @@ def test_rotate_full_period():
 
 
 # ---------------------------------------------------------------------------
-# symplectic maps
-
-
-def _qnd_matrix(kappa, n_modes=2, light=0, atom=1):
-    matrix = np.eye(2 * n_modes)
-    matrix[2 * light, 2 * atom + 1] = -kappa
-    matrix[2 * atom, 2 * light + 1] = -kappa
-    return matrix
-
-
-def test_apply_symplectic_identity():
-    state = random_physical_state(np.random.default_rng(3), 2)
-    out = apply_symplectic(state, SymplecticMap.identity(2))
-    assert np.allclose(out.mean, state.mean)
-    assert np.allclose(out.cov, state.cov)
+# symplectic steps
 
 
 def test_qnd_kick_on_vacuum_matches_matrix_arithmetic():
     # Independent oracle: direct 4x4 arithmetic M (I/2) M^T.
     kappa = 1.7
-    matrix = _qnd_matrix(kappa)
+    matrix = np.eye(4)
+    matrix[0, 3] = -kappa  # x_light <- p_atom
+    matrix[2, 1] = -kappa  # x_atom <- p_light
     expected_cov = matrix @ (0.5 * np.eye(4)) @ matrix.T
 
-    out = apply_symplectic(
-        vacuum_state(2), SymplecticMap(matrix, np.zeros(4))
-    )
+    out = apply_pass(vacuum_state(2), 0, 1, ChannelParams(kappa=kappa, eps_p=0.0, eps_a=0.0))
     assert np.allclose(out.cov, expected_cov, atol=1e-14)
     assert out.cov[0, 0] == pytest.approx(0.5 * (1 + kappa**2), abs=1e-14)
     assert out.cov[1, 1] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_symplectic_conjugation_preserves_heisenberg():
+    # Random rotations and signed kicks (kappa of either sign), composed
+    # through the shipped kernels.
     rng = np.random.default_rng(11)
     for _ in range(200):
         n = int(rng.integers(1, 4))
-        state = random_physical_state(rng, n)
-        matrix = np.eye(2 * n)
+        out = random_physical_state(rng, n)
         for _ in range(3):
             mode = int(rng.integers(0, n))
-            theta = rng.uniform(-math.pi, math.pi)
-            c, s = math.cos(theta), math.sin(theta)
-            rot = np.eye(2 * n)
-            rot[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = [[c, s], [-s, c]]
-            matrix = rot @ matrix
+            out = rotate(out, mode, rng.uniform(-math.pi, math.pi))
             if n > 1:
                 other = int((mode + 1) % n)
-                matrix = _qnd_matrix(rng.uniform(-3, 3), n, mode, other) @ matrix
-        out = apply_symplectic(state, SymplecticMap(matrix, np.zeros(2 * n)))
+                out = _state_step(out, _kick, mode, other, rng.uniform(-3, 3))
         assert out.heisenberg_margin() >= -1e-9
-
-
-def test_symplectic_map_rejects_non_symplectic_matrix():
-    with pytest.raises(ValueError):
-        SymplecticMap(np.diag([2.0, 2.0]), np.zeros(2))
-
-
-def test_apply_symplectic_dimension_mismatch():
-    with pytest.raises(ValueError):
-        apply_symplectic(vacuum_state(2), SymplecticMap.identity(1))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +310,7 @@ def test_homodyne_conditioning_matches_explicit_algebra():
     coeffs = np.array([0.0, 1.0, 0.0, 1.0])  # p_atom1 + p_atom2
     expected = coeffs @ cov_oracle @ coeffs
 
-    state = apply_symplectic(vacuum_state(3), SymplecticMap(total, np.zeros(6)))
+    state = GaussianState(np.zeros(6), cov)
     _, posterior = homodyne(state, 0, "x", forced=0.4)
     measured = variance_of(posterior, coeffs)
 

@@ -12,14 +12,13 @@ from spinlight import (
     apply_pass,
     derive_channel,
     kappa_from_density,
-    qnd_pass_map,
     symplectic_form,
     vacuum_state,
     validate_regime,
     variance_of,
 )
 from spinlight import interaction
-from spinlight.gaussian import homodyne
+from spinlight.gaussian import _state_step, homodyne
 from conftest import (
     REFERENCE_LAMBDA0,
     assert_step_matches_dense,
@@ -289,7 +288,8 @@ def test_pass_with_zero_kappa_is_pure_loss():
 
 def test_pass_map_is_symplectic():
     omega = symplectic_form(2)
-    matrix = qnd_pass_map(3.7, 0, 1, 2).matrix
+    matrix = np.eye(4)
+    interaction._kick(matrix, None, 0, 1, 3.7)
     assert np.array_equal(matrix.T @ omega @ matrix, omega)
 
 
@@ -329,20 +329,14 @@ def test_pass_ordering_is_irrelevant_without_loss():
 def test_sign_flip_is_unobservable_in_variances():
     # Flipping the sign of kappa is a phase-space reflection: all variances
     # and conditional variances are unchanged.
-    from spinlight import SymplecticMap, apply_symplectic
-
     kappa = 1.3
     diagonals = []
     conditioned = []
     for sign in (+1.0, -1.0):
-        matrix = np.eye(6)
-        matrix[0, 3] = -sign * kappa
-        matrix[2, 1] = -sign * kappa
-        matrix[0, 5] = -sign * kappa
-        matrix[4, 1] = -sign * kappa
-        out = apply_symplectic(
-            vacuum_state(3), SymplecticMap(matrix, np.zeros(6))
-        )
+        # The light (mode 0) kicks both atoms (modes 1 and 2).
+        out = vacuum_state(3)
+        for atom in (1, 2):
+            out = _state_step(out, interaction._kick, 0, atom, sign * kappa)
         diagonals.append(np.diag(out.cov).copy())
         _, posterior = homodyne(out, 0, "x", forced=0.0)
         conditioned.append(variance_of(posterior, [0.0, 1.0, 0.0, 1.0]))

@@ -7,6 +7,7 @@ import pytest
 from spinlight import (
     DegeneracyError,
     GaussianState,
+    ProtocolReport,
     RoundPlan,
     append_vacuum,
     apply_pass,
@@ -152,6 +153,21 @@ def test_report_names_non_positive_epr_variances(cov_x, cov_p, message):
     assert _report(0.5 * np.eye(4)).epr_x == 1.0
 
 
+def test_report_rejects_nan_epr_variances():
+    from spinlight.protocols import _report
+
+    with pytest.raises(DegeneracyError, match="^non-finite EPR variance: epr_x = nan, epr_p = nan$"):
+        _report(np.full((4, 4), np.nan))
+    with pytest.raises(ValueError, match="EPR variances must be non-negative"):
+        ProtocolReport(r=0.0, epr_x=float("nan"), epr_p=1.0)
+
+
+def test_zero_kappa_squeezing_is_positive_zero():
+    # -log(1) / 4 is -0.0, which an artifact would print as "-0".
+    _, report = entangle(RoundPlan(kappa=0.0), RoundPlan(kappa=0.0), forced_outcomes=(0.0, 0.0))
+    assert math.copysign(1.0, report.r) == 1.0
+
+
 @pytest.mark.parametrize("forced", [-2.0, 0.0, 2.0])
 def test_entangle_outcome_independence(forced):
     _, base = entangle(_ideal(3.0), _ideal(3.0), forced_outcomes=(0.0, 0.0))
@@ -166,7 +182,7 @@ def test_entangle_sampling_is_seed_deterministic():
     rng_b = np.random.default_rng(77)
     _, rep_a = entangle(_ideal(2.0), _ideal(2.0), rng=rng_a)
     _, rep_b = entangle(_ideal(2.0), _ideal(2.0), rng=rng_b)
-    assert [r.outcome for r in rep_a.records] == [r.outcome for r in rep_b.records]
+    assert rep_a.outcomes == rep_b.outcomes
 
 
 def test_measured_combination_weights_under_loss():
@@ -364,7 +380,7 @@ def test_batched_trials_equal_one_run_per_generator(gain):
         pair, ent = entangle(plans["entangle1"], plans["entangle2"], rng=rng)
         _, tel = teleport(pair, input_mean, plans["local1"], plans["local2"], gain=gain,
                           rng=rng)
-        one = [rec.outcome for rec in ent.records + tel.records]
+        one = ent.outcomes + tel.outcomes
         assert np.array_equal(row, one)
         assert fidelity == tel.fidelity
         assert (report.epr_x, report.epr_p, report.r) == (ent.epr_x, ent.epr_p, ent.r)
@@ -428,7 +444,7 @@ def test_sweep_rejects_fidelity_outside_unit_interval(monkeypatch):
         return real(averaged_cov, delta)
 
     monkeypatch.setattr(protocols, "_overlap", inflated)
-    with pytest.raises(ValueError, match=r"fidelity must lie in \[0, 1\].*kappa2 = 2\.0"):
+    with pytest.raises(DegeneracyError, match=r"fidelity must lie in \[0, 1\].*kappa2 = 2\.0"):
         lossy_fidelity_sweep([1.0, 2.0, 3.0], 0.2)
 
 
