@@ -25,12 +25,23 @@ Each subcommand only computes: it returns its JSON payload, its CSV table,
 its summary lines and its exit code.  ``main`` renders the artifact in the
 configured format, writes it to the configured path or to stdout, and prints
 the summary.  ``entangle`` and ``teleport`` run all their trials in one
-:func:`~spinlight.protocols.run_trials` call, and ``sweep`` builds its rows
-from the columns of :func:`~spinlight.protocols.lossy_fidelity_sweep`.  A
-table is a ``_Table`` value wherever it goes (the sweep's points, the
-mb-validate rows, each trial's outcomes, the CSV body).  Both writers render
-it with one row template, the JSON writer in the bytes of the list of dicts
-it stands for; every other value the JSON writer renders value by value.
+:func:`~spinlight.protocols.run_trials` call, and ``sweep`` hands over the
+columns of :func:`~spinlight.protocols.lossy_fidelity_sweep`.  A table is a
+``_Table`` value wherever it goes (the sweep's points, the mb-validate rows,
+the CSV body), its rows a list or, for the long tables, a ``_Columns`` of
+the arrays they come from; a run's per-trial records are one ``_Records``
+of its outcome array.  Both writers are chunk generators: they render a
+table a block of at most ``_BLOCK_ROWS`` rows at a time with one row
+template, the JSON writer in the bytes of the list of dicts it stands for,
+and every other value the JSON writer renders value by value.
+
+How an artifact is written: ``main`` opens it only once the payload is
+computed, so a run that fails with a declared error (exit 1 or 4) never
+opens it, and an existing file keeps its bytes.  The file is opened in place,
+without truncation, and every chunk goes through one handle; then it is cut
+to the length written.  A write that fails part way leaves a prefix of the
+new artifact, with none of the old one after it.  Pipes and devices (stdout,
+a FIFO, ``/dev/null``) get the same chunks and are never cut.
 """
 
 import argparse
@@ -39,6 +50,7 @@ import itertools
 import json
 import math
 import os
+import stat
 import sys
 from typing import NamedTuple
 
@@ -75,13 +87,69 @@ EXIT_NUMERICAL = 4
 class _Table(NamedTuple):
     """A table: a tuple of ``str`` keys and rows of cells, one cell per key.
 
-    In JSON it is a list of one dict per row, keyed by the header; in CSV the
-    header line and one line per row.
+    ``rows`` is a list of rows, or a :class:`_Columns` for a table too long to
+    hold as rows.  In JSON it is a list of one dict per row, keyed by the
+    header; in CSV the header line and one line per row.
     """
 
     header: tuple
     rows: list
 
+
+class _Columns:
+    """Rows of a table held as its columns.
+
+    A column is a 1-d numpy array of one cell per row, or one value that every
+    row shares.  ``len`` is the row count.
+    """
+
+    def __init__(self, length, *columns):
+        self.length, self.columns = length, columns
+
+    def __len__(self):
+        return self.length
+
+    def block(self, start, stop, cell_text):
+        """The %-conversion of each column, and the cells of rows start:stop row by row.
+
+        A float column keeps its Python floats for ``%.17g`` and an integer
+        column its ints for ``%d``, which give the leaf writers' text; any
+        other column gives ``cell_text`` of each cell for ``%s``.  A shared
+        value's text is written into its conversion.
+        """
+        specs, columns = [], []
+        for column in self.columns:
+            if not isinstance(column, np.ndarray):
+                specs.append(cell_text(column).replace("%", "%%"))
+                continue
+            cells = column[start:stop].tolist()
+            if column.dtype.kind == "f":
+                specs.append("%.17g")
+            elif column.dtype.kind in "iu":
+                specs.append("%d")
+            else:
+                specs.append("%s")
+                cells = list(map(cell_text, cells))
+            columns.append(cells)
+        rows = [None] * (len(columns) * (stop - start))
+        for number, cells in enumerate(columns):
+            rows[number::len(columns)] = cells
+        return tuple(specs), rows
+
+
+class _Records(NamedTuple):
+    """The per-trial records of a run's (trials, rounds) outcome array.
+
+    In JSON it is a list of one dict per trial, ``{"trial": t, "outcomes":
+    [...]}``, whose outcomes table has one row per measured pulse: its round
+    tag, register position, quadrature and outcome.
+    """
+
+    outcomes: np.ndarray
+
+
+# Rows that the writers render, and write, at a time.
+_BLOCK_ROWS = 4096
 
 _ENCODE_STR = json.encoder.encode_basestring_ascii
 
@@ -98,6 +166,12 @@ _LEAF_TEXT = {
 _CSV_LEAF_TEXT = {**_LEAF_TEXT, str: str, type(None): str}
 
 
+def _cell_text(leaf_text, other):
+    """Text of a cell: ``leaf_text`` of its exact type, else ``other(cell)``."""
+    text = leaf_text.get
+    return lambda cell: (text(type(cell)) or other)(cell)
+
+
 @functools.lru_cache(maxsize=1024, typed=True)
 def _key_text(key):
     """Encoded dict key with its separator; typed, since 1 and True are equal keys."""
@@ -105,49 +179,119 @@ def _key_text(key):
 
 
 @functools.lru_cache(maxsize=64)
-def _row_template(header, pad):
-    """%-template of one JSON table row whose own line starts with ``pad``."""
+def _row_template(header, pad, specs=None):
+    """%-template of one JSON table row whose own line starts with ``pad``.
+
+    Each key's value is its %-conversion in ``specs``, by default ``%s``.
+    """
     row_pad = pad + "  "
-    keys = [_key_text(key).replace("%", "%%") + "%s" for key in header]
+    keys = [_key_text(key).replace("%", "%%") + spec
+            for key, spec in zip(header, specs or ("%s",) * len(header))]
     return "{" + row_pad + ("," + row_pad).join(keys) + pad + "}"
 
 
-def _rows_text(rows, template, sep, leaf_text, other):
-    """``rows`` in ``template`` (one %s per cell), joined by ``sep``.
+# Tag and register position of each pulse's record, in measurement order: a
+# measured pulse leaves the register, so each sits right after the samples.
+_PULSES = (("entangle:round1", 2), ("entangle:round2", 2),
+           ("teleport:round1", 3), ("teleport:round2", 3))
 
-    Each cell's text is ``leaf_text`` of its exact type, else ``other(cell)``.
+
+def _record_template(pad, specs):
+    """%-template of one trial's record whose own line starts with ``pad``.
+
+    ``specs`` are the %-conversions of the trial number and of each pulse's
+    outcome, in round order.
     """
-    text = leaf_text.get
-    cells = [(text(type(cell)) or other)(cell) for cell in itertools.chain.from_iterable(rows)]
-    return sep.join([template] * len(rows)) % tuple(cells)
+    item_pad = pad + "  "
+    pulse_pad = item_pad + "  "
+    pulses = [
+        _row_template(("round_tag", "mode", "quadrature", "outcome"), pulse_pad,
+                      (_ENCODE_STR(tag), str(mode), '"x"', spec))
+        for (tag, mode), spec in zip(_PULSES, specs[1:])
+    ]
+    outcomes = "[" + pulse_pad + ("," + pulse_pad).join(pulses) + item_pad + "]"
+    return _row_template(("trial", "outcomes"), pad, (specs[0], outcomes))
+
+
+def _blocks(count):
+    """``(start, stop)`` of each run of at most ``_BLOCK_ROWS`` of ``count`` rows."""
+    return [(start, min(start + _BLOCK_ROWS, count)) for start in range(0, count, _BLOCK_ROWS)]
+
+
+def _block_text(rows, start, stop, template, sep, cell_text):
+    """Rows start:stop of ``rows`` in ``template(specs)``, joined by ``sep``.
+
+    ``specs`` holds one %-conversion per column: :meth:`_Columns.block`
+    picks them, and a list of rows gives ``%s`` (``specs`` None) for the
+    ``cell_text`` of every cell.
+    """
+    if isinstance(rows, _Columns):
+        specs, cells = rows.block(start, stop, cell_text)
+    else:
+        specs, cells = None, map(cell_text, itertools.chain.from_iterable(rows[start:stop]))
+    return sep.join([template(specs)] * (stop - start)) % tuple(cells)
+
+
+def _list_chunks(rows, template, pad):
+    """JSON list of ``rows`` whose own line starts with ``pad``, a block of rows per chunk.
+
+    ``template(item_pad, specs)`` is the %-template of one row (see
+    :func:`_block_text`).
+    """
+    if not len(rows):
+        yield "[]"
+        return
+    item_pad = pad + "  "
+    row_template = functools.partial(template, item_pad)
+    cell_text = _cell_text(_LEAF_TEXT, functools.partial(_json_value, pad=item_pad + "  "))
+    opener = "[" + item_pad
+    for start, stop in _blocks(len(rows)):
+        yield opener + _block_text(rows, start, stop, row_template, "," + item_pad, cell_text)
+        opener = "," + item_pad
+    yield pad + "]"
+
+
+def _json_chunks(obj, pad):
+    """The text of :func:`_json_value` in chunks.
+
+    A table and the trial records come a block of rows at a time, and a dict
+    one item at a time, so that no chunk holds more than one block.  Other
+    values are one chunk each.
+    """
+    if isinstance(obj, _Table):
+        yield from _list_chunks(obj.rows, functools.partial(_row_template, obj.header), pad)
+    elif isinstance(obj, _Records):
+        trials = len(obj.outcomes)
+        rows = _Columns(trials, np.arange(trials), *obj.outcomes.T)
+        yield from _list_chunks(rows, _record_template, pad)
+    elif isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        item_pad = pad + "  "
+        opener = "{" + item_pad
+        for key, value in obj.items():
+            if isinstance(value, (dict, _Table, _Records)):
+                yield opener + _key_text(key)
+                yield from _json_chunks(value, item_pad)
+            else:
+                yield opener + _key_text(key) + _json_value(value, item_pad)
+            opener = "," + item_pad
+        yield pad + "}"
+    else:
+        yield _json_value(obj, pad)
 
 
 def _json_text(obj, indent=0):
     """JSON text with a two-space indent, ASCII escapes and 17-digit floats."""
-    return _json_value(obj, "\n" + "  " * indent)
+    return "".join(_json_chunks(obj, "\n" + "  " * indent))
 
 
 def _json_value(obj, pad):
     """Text of one value whose own line starts with ``pad``; leaves inline."""
     leaf_text = _LEAF_TEXT.get
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        item_pad = pad + "  "
-        items = [
-            _key_text(key)
-            + (leaf(value) if (leaf := leaf_text(type(value))) else _json_value(value, item_pad))
-            for key, value in obj.items()
-        ]
-        return "{" + item_pad + ("," + item_pad).join(items) + pad + "}"
-    if isinstance(obj, _Table):
-        if not obj.rows:
-            return "[]"
-        item_pad = pad + "  "
-        template = _row_template(obj.header, item_pad)
-        cell_text = functools.partial(_json_value, pad=item_pad + "  ")
-        text = _rows_text(obj.rows, template, "," + item_pad, _LEAF_TEXT, cell_text)
-        return "[" + item_pad + text + pad + "]"
+    if isinstance(obj, (dict, _Table, _Records)):
+        return "".join(_json_chunks(obj, pad))
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -167,26 +311,49 @@ def _json_value(obj, pad):
     return _ENCODE_STR(str(obj))
 
 
-def _csv_text(echo, table):
-    """``#``-prefixed config echo, then the table's header and rows."""
+def _csv_chunks(echo, table):
+    """``#``-prefixed config echo and the table's header, then its rows a block per chunk."""
     lines = [f"# {key} = {_format_scalar(value)}\n" for key, value in echo.items()]
     lines.append(",".join(table.header) + "\n")
-    template = ",".join(["%s"] * len(table.header)) + "\n"
-    lines.append(_rows_text(table.rows, template, "", _CSV_LEAF_TEXT, _format_scalar))
-    return "".join(lines)
+    yield "".join(lines)
+    cell_text = _cell_text(_CSV_LEAF_TEXT, _format_scalar)
+
+    def template(specs):
+        return ",".join(specs or ["%s"] * len(table.header)) + "\n"
+
+    for start, stop in _blocks(len(table.rows)):
+        yield _block_text(table.rows, start, stop, template, "", cell_text)
 
 
-# Tag and register position of each pulse's record, in measurement order: a
-# measured pulse leaves the register, so each sits right after the samples.
-_PULSES = (("entangle:round1", 2), ("entangle:round2", 2),
-           ("teleport:round1", 3), ("teleport:round2", 3))
+def _csv_text(echo, table):
+    """The CSV artifact of ``table`` under the config ``echo``, as one string."""
+    return "".join(_csv_chunks(echo, table))
 
 
-def _records(outcomes):
-    """Per-trial record rows of a (trials, rounds) outcome array."""
-    return [{"trial": trial, "outcomes": _Table(("round_tag", "mode", "quadrature", "outcome"), [
-        (tag, mode, "x", outcome) for (tag, mode), outcome in zip(_PULSES, row)
-    ])} for trial, row in enumerate(outcomes.tolist())]
+def _write_artifact(path, chunks):
+    """Write the text ``chunks`` to ``path``, or to stdout if ``path`` is empty.
+
+    The file is opened in place, without truncation (mode 0o666 less the
+    umask if it is created, a symlink followed), and every chunk goes through
+    one handle.  Then a regular file is cut to the bytes written, or, if a
+    write raised, to the bytes that reached it: a prefix of the new artifact.
+    A pipe or device is never cut.  Truncating an existing file to zero
+    before the write would make ext4 (``auto_da_alloc``) start writeback at
+    close, which took longer than rendering an mb-validate artifact.
+    """
+    if not path:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        return
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "w", newline="\n") as handle:
+        try:
+            for chunk in chunks:
+                handle.write(chunk)
+            handle.flush()
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +386,11 @@ def _cmd_derive(cfg):
         "config": cfg.echo,
     }
     header = tuple(k for k in payload if k not in ("command", "config"))
+    # Inputs near the float range can overflow a reported figure (the Fresnel
+    # number A / (lambda0 L) at physical.area = 1.7e308).
+    for name in header:
+        if isinstance(payload[name], float) and not math.isfinite(payload[name]):
+            raise ArithmeticError(f"{name} = {payload[name]!r} is not finite")
     summary = [f"{name} = {_format_scalar(payload[name])}"
                for name in ("kappa", "eps_p", "eps_a", "fresnel")]
     summary.append("regime: " + ("PASS" if report.all_pass else "WARN"))
@@ -236,7 +408,7 @@ def _cmd_entangle(cfg):
         "epr_p": report.epr_p,
         "r": report.r,
         "r_closed_form": squeezing_parameter(cfg.plans["entangle2"].kappa),
-        "records": _records(outcomes),
+        "records": _Records(outcomes),
         "config": cfg.echo,
     }
     if cfg.trials > 1:
@@ -248,8 +420,8 @@ def _cmd_entangle(cfg):
         }
     table = _Table(
         ("trial", "outcome_round1", "outcome_round2", "epr_x", "epr_p", "r"),
-        [[i, *row, report.epr_x, report.epr_p, report.r]
-         for i, row in enumerate(outcomes.tolist())],
+        _Columns(cfg.trials, np.arange(cfg.trials), *outcomes.T,
+                 report.epr_x, report.epr_p, report.r),
     )
     summary = [f"{name} = {_format_scalar(getattr(report, name))}"
                for name in ("epr_x", "epr_p", "r")]
@@ -261,8 +433,7 @@ def _cmd_teleport(cfg):
     outcomes, report, fidelities = run_trials(
         cfg.plans, np.random.default_rng(cfg.seed), cfg.trials, cfg.input_mean, cfg.gain
     )
-    fidelities = fidelities.tolist()
-    fidelity = fidelities[0]
+    fidelity = float(fidelities[0])
     payload = {
         "command": "teleport",
         "seed": cfg.seed,
@@ -277,15 +448,15 @@ def _cmd_teleport(cfg):
         "epr_p": report.epr_p,
         "r": report.r,
         "input_mean": list(cfg.input_mean),
-        "records": _records(outcomes),
+        "records": _Records(outcomes),
         "config": cfg.echo,
     }
     table = _Table(
         ("trial", "fidelity_simulated", "fidelity_ideal_closed_form",
          "fidelity_lossy_closed_form", "classical_bound_exceeded"),
-        [[i, value, payload["fidelity_ideal_closed_form"],
-          payload["fidelity_lossy_closed_form"], classical_bound_check(value)]
-         for i, value in enumerate(fidelities)],
+        _Columns(cfg.trials, np.arange(cfg.trials), fidelities,
+                 payload["fidelity_ideal_closed_form"], payload["fidelity_lossy_closed_form"],
+                 fidelities > 0.5),  # classical_bound_check of each, in [0, 1]
     )
     summary = [f"fidelity = {_format_scalar(fidelity)}",
                f"classical bound exceeded: {_format_scalar(payload['classical_bound_exceeded'])}"]
@@ -304,11 +475,10 @@ def _cmd_sweep(cfg):
         eta_d=cfg.eta_d,
         eta_t_local=cfg.eta_t_local,
     )
-    is_argmax = [False] * len(kappa2)
+    is_argmax = np.zeros(len(kappa2), bool)
     is_argmax[best] = True
-    rows = list(zip(kappa2.tolist(), [cfg.eta_t] * len(kappa2), f_simulated.tolist(),
-                    f_closed_form.tolist(), is_argmax))
-    table = _Table(("kappa2", "eta_t", "f_simulated", "f_closed_form", "is_argmax"), rows)
+    table = _Table(("kappa2", "eta_t", "f_simulated", "f_closed_form", "is_argmax"),
+                   _Columns(len(kappa2), kappa2, cfg.eta_t, f_simulated, f_closed_form, is_argmax))
     payload = {
         "command": "sweep",
         "seed": cfg.seed,
@@ -317,8 +487,8 @@ def _cmd_sweep(cfg):
         "points": table,
         "config": cfg.echo,
     }
-    kappa2_best, _, f_best = rows[best][:3]
-    summary = [f"argmax kappa2 = {_format_scalar(kappa2_best)} (f = {_format_scalar(f_best)})"]
+    summary = [f"argmax kappa2 = {_format_scalar(kappa2[best])} "
+               f"(f = {_format_scalar(f_simulated[best])})"]
     return payload, table, summary, EXIT_OK
 
 
@@ -428,14 +598,10 @@ def main(argv=None):
         cfg = resolve_run_config(mapping)
         payload, table, summary, code = _COMMANDS[args.command](cfg)
         if cfg.out_format == "csv":
-            text = _csv_text(cfg.echo, table)
+            chunks = _csv_chunks(cfg.echo, table)
         else:
-            text = _json_text(payload) + "\n"
-        if cfg.out_path:
-            with open(cfg.out_path, "w", newline="\n") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
+            chunks = itertools.chain(_json_chunks(payload, "\n"), ["\n"])
+        _write_artifact(cfg.out_path, chunks)
         for line in summary:
             print(line)
         return code

@@ -321,13 +321,13 @@ _SCHEMA = {key: _Key(key, *row) for key, row in {
     "sweep.param": (_text, "kappa2", "kappa2", "swept parameter"),
     "sweep.min": (_number, _REQUIRED, "(0, inf)", "lower end of the sweep", "minimum"),
     "sweep.max": (_number, _REQUIRED, "(0, inf)", "upper end of the sweep", "maximum"),
-    "sweep.steps": (_integer, _REQUIRED, "[2, 10^6]", "grid size; cap: 13 s, 2.05 GB"),
+    "sweep.steps": (_integer, _REQUIRED, "[2, 10^6]", "grid size; cap: 6.0-6.7 s, 107 MB"),
     "mb.min_grid": (_integer, MbSpec.min_grid, "[1, inf)", "smallest dyadic grid"),
     "mb.max_grid": (_integer, MbSpec.max_grid, "[1, 2^22]", "largest grid; cap: 0.6 s, 286 MB"),
     "mb.tol_kappa": (_number, MbSpec.tol_kappa, "[0, inf)", "mb-validate tolerance on kappa"),
     "mb.tol_eps": (_number, MbSpec.tol_eps, "[0, inf)", "mb-validate tolerance on eps"),
     "seed": (_integer, 0, "[0, 2^64)", "seed of the run's one outcome stream"),
-    "trials": (_integer, 1, "[1, 10^5]", "independent runs; cap (teleport): 3 s, 402 MB"),
+    "trials": (_integer, 1, "[1, 10^5]", "independent runs; cap (teleport): 0.6-0.8 s, 74 MB"),
     "output.path": (_text, _Later("stdout"), None, "artifact path"),
     "output.format": (_text, "json", "json | csv", "artifact format"),
 }.items()}

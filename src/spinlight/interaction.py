@@ -170,8 +170,8 @@ class ChannelParams:
     eps_a: float
 
     def __post_init__(self):
-        if self.kappa < 0:
-            raise ValueError(f"kappa is stored as a magnitude, got {self.kappa}")
+        if not (math.isfinite(self.kappa) and self.kappa >= 0):
+            raise ValueError(f"kappa is stored as a finite magnitude, got {self.kappa}")
         for name in ("eps_p", "eps_a"):
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:

@@ -531,6 +531,36 @@ def test_a_failed_run_prints_one_line(tmp_path, capsys, command, text, code, lin
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, text, code, line", [
+    # The derived kappa overflows: the physical inputs give no channel.
+    ("derive", PHYSICAL + "physical.area = 1e150\n",
+     1, "config error: physical: kappa is stored as a finite magnitude, got inf"),
+    # A / (lambda0 L) overflows: no artifact holds inf.
+    ("derive", PHYSICAL + "physical.area = 1.7e308\nphysical.na = 5e-324\n",
+     4, "numerical error: fresnel = inf is not finite"),
+    # A manual gain of 1e150 overflows the averaged output: a nan fidelity.
+    ("teleport", PHYSICAL + "gain.x = -1e150\ngain.p = -1e150\n",
+     4, "numerical error: fidelity must lie in [0, 1], got nan at trial 0"),
+    # The input mean overflows the sampled outcome.
+    ("teleport", IDEAL + "input.x = 1.7e308\n",
+     4, "numerical error: measurement outcome must be finite, got inf"),
+    # A kappa1 of 1e-323 gives a singular calibration; naming its row takes
+    # a determinant that underflows to 0.
+    ("sweep", SWEEP + "protocol.kappa1_multiplier = 5e-324\n",
+     1, "config error: gain calibration failed: measurement outcomes do not respond to the "
+        "input mean at kappa2 = 0.2 (kappa too small?)"),
+], ids=["derived-kappa-overflow", "fresnel-overflow", "gain-overflow", "input-overflow",
+        "singular-calibration"])
+def test_an_input_at_the_float_range_fails_in_one_line(tmp_path, capsys, command, text, code,
+                                                        line):
+    cfg = _write(tmp_path, "run.cfg", text)
+    out = tmp_path / "run.json"
+    assert _run([command, "--config", cfg, "--out", str(out)]) == code
+    assert capsys.readouterr() == ("", line + "\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # parser reuse
 
@@ -693,3 +723,202 @@ def test_csv_writer_writes_numpy_booleans_as_literals():
     table = cli._Table(("a", "b"), [[np.bool_(True), True]])
     text = cli._csv_text({"flag": np.bool_(False)}, table)
     assert text == "# flag = false\na,b\ntrue,true\n"
+
+
+# ---------------------------------------------------------------------------
+# artifact sink
+
+
+def _reference_records(outcomes):
+    """The per-trial records as the writer once built them: one dict per trial and pulse."""
+    pulses = (("entangle:round1", 2), ("entangle:round2", 2),
+              ("teleport:round1", 3), ("teleport:round2", 3))
+    return [{"trial": trial, "outcomes": [
+        {"round_tag": tag, "mode": mode, "quadrature": "x", "outcome": outcome}
+        for (tag, mode), outcome in zip(pulses, row)
+    ]} for trial, row in enumerate(outcomes.tolist())]
+
+
+@pytest.mark.parametrize("block_rows", [cli._BLOCK_ROWS, 300])
+def test_teleport_artifacts_match_the_reference_writers(tmp_path, monkeypatch, block_rows):
+    # 2,000 trials, rendered from the outcome and fidelity columns a block of
+    # rows at a time, have the bytes of the per-trial dicts and rows.
+    from spinlight.config import parse_config_text, resolve_run_config
+    from spinlight.protocols import classical_bound_check, run_trials
+
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    text = IDEAL + "noise.eta_t = 0.1\ninput.x = 0.7\ngain.x = 1.1\ngain.p = 0.9\ntrials = 2000\n"
+    cfg = _write(tmp_path, "run.cfg", text)
+    json_out, csv_out = tmp_path / "tel.json", tmp_path / "tel.csv"
+    assert _run(["teleport", "--config", cfg, "--out", str(json_out)]) == 0
+    assert _run(["teleport", "--config", cfg, "--format", "csv", "--out", str(csv_out)]) == 0
+
+    run = resolve_run_config(parse_config_text(text))
+    outcomes, _, fidelities = run_trials(run.plans, np.random.default_rng(run.seed), run.trials,
+                                         run.input_mean, run.gain)
+    payload = json.loads(json_out.read_text())
+    assert payload["records"] == _reference_records(outcomes)
+    payload["records"] = _reference_records(outcomes)
+    assert json_out.read_text() == reference_json_text(payload) + "\n"
+
+    header = ("trial", "fidelity_simulated", "fidelity_ideal_closed_form",
+              "fidelity_lossy_closed_form", "classical_bound_exceeded")
+    rows = [[trial, value, payload["fidelity_ideal_closed_form"],
+             payload["fidelity_lossy_closed_form"], classical_bound_check(value)]
+            for trial, value in enumerate(fidelities.tolist())]
+    assert len(set(fidelities.tolist())) > 1
+    echo = resolve_run_config({**parse_config_text(text), "output.format": "csv"}).echo
+    assert csv_out.read_text() == reference_csv_text(echo, header, rows)
+
+
+def _artifact(tmp_path, argv, name="fresh"):
+    """The artifact bytes of a run into a new file."""
+    out = tmp_path / name
+    assert _run(argv + ["--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_overwriting_a_longer_artifact_leaves_exactly_the_new_bytes(tmp_path, fmt):
+    cfg = _write(tmp_path, "run.cfg", PHYSICAL)
+    argv = ["mb-validate", "--config", cfg, "--format", fmt]
+    fresh = _artifact(tmp_path, argv)
+    out = tmp_path / "artifact"
+    out.write_bytes(b"x" * (4 * len(fresh) + 1))
+    assert _run(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == fresh
+
+
+def test_the_artifact_is_opened_without_truncation(tmp_path, monkeypatch):
+    import os
+
+    calls, real = [], os.open
+
+    def spy(path, flags, mode=0o777, *args, **kwargs):
+        calls.append((str(path), flags, mode))
+        return real(path, flags, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    cfg = _write(tmp_path, "run.cfg", PHYSICAL)
+    out = tmp_path / "artifact"
+    umask = os.umask(0o027)
+    try:
+        assert _run(["mb-validate", "--config", cfg, "--out", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    ((path, flags, mode),) = [call for call in calls if call[0] == str(out)]
+    assert flags & os.O_TRUNC == 0
+    assert flags & (os.O_WRONLY | os.O_CREAT) == os.O_WRONLY | os.O_CREAT
+    assert mode == 0o666 and out.stat().st_mode & 0o777 == 0o640
+
+
+def _no_truncation(monkeypatch):
+    """Record the descriptors that os.ftruncate cuts."""
+    import os
+
+    cut, real = [], os.ftruncate
+
+    def spy(fd, length):
+        cut.append(fd)
+        return real(fd, length)
+
+    monkeypatch.setattr(os, "ftruncate", spy)
+    return cut
+
+
+def test_dev_null_is_streamed_and_never_truncated(tmp_path, monkeypatch):
+    cut = _no_truncation(monkeypatch)
+    cfg = _write(tmp_path, "run.cfg", SWEEP)
+    assert _run(["sweep", "--config", cfg, "--out", "/dev/null"]) == 0
+    assert cut == []
+
+
+def test_a_fifo_gets_the_artifact_and_is_never_truncated(tmp_path, monkeypatch):
+    import os
+    import threading
+
+    cfg = _write(tmp_path, "run.cfg", IDEAL + "trials = 3000\n")
+    argv = ["teleport", "--config", cfg]
+    fresh = _artifact(tmp_path, argv)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    cut = _no_truncation(monkeypatch)
+    try:
+        code = _run(argv + ["--out", str(fifo)])
+    finally:
+        reader.join(timeout=30)
+    assert code == 0 and cut == []
+    assert received == [fresh] and len(fresh) > 65536  # more than a pipe buffer
+
+
+def test_a_symlinked_artifact_stays_a_symlink(tmp_path):
+    cfg = _write(tmp_path, "run.cfg", SWEEP)
+    argv = ["sweep", "--config", cfg]
+    fresh = _artifact(tmp_path, argv)
+    target = tmp_path / "target.json"
+    target.write_bytes(b"old " * len(fresh))
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert _run(argv + ["--out", str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == fresh
+
+
+@pytest.mark.parametrize("text, code", [
+    (IDEAL + "channel.eps_p = 1.5\n", cli.EXIT_USAGE),
+    ("channel.kappa = 1e200\n", cli.EXIT_NUMERICAL),
+])
+def test_a_declared_failure_leaves_an_existing_artifact_alone(tmp_path, text, code):
+    cfg = _write(tmp_path, "run.cfg", text)
+    out = tmp_path / "artifact.json"
+    out.write_bytes(b"an earlier artifact\n")
+    before = out.stat()
+    assert _run(["teleport", "--config", cfg, "--out", str(out)]) == code
+    assert out.read_bytes() == b"an earlier artifact\n"
+    assert out.stat().st_mtime_ns == before.st_mtime_ns
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_failed_write_leaves_a_prefix_of_the_new_artifact(tmp_path, capsys, monkeypatch, fmt):
+    cfg = _write(tmp_path, "run.cfg", SWEEP.replace("sweep.steps = 120", "sweep.steps = 3000"))
+    argv = ["sweep", "--config", cfg, "--format", fmt]
+    fresh = _artifact(tmp_path, argv)
+    name = "_csv_chunks" if fmt == "csv" else "_json_chunks"
+    real = getattr(cli, name)
+
+    def failing(*args):
+        chunks = real(*args)
+        yield next(chunks)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, name, failing)
+    out = tmp_path / "artifact"
+    out.write_bytes(b"\xff" * (2 * len(fresh)))
+    capsys.readouterr()
+    assert _run(argv + ["--out", str(out)]) == cli.EXIT_USAGE
+    assert capsys.readouterr() == ("", "config error: [Errno 28] No space left on device\n")
+    data = out.read_bytes()
+    assert 0 < len(data) < len(fresh) and fresh.startswith(data)
+
+
+def test_a_long_sweep_holds_one_block_of_rows_at_a_time(tmp_path):
+    # 2 x 10^5 rows through the engine and the sink: the traced peak is one
+    # block of each, the columns and the config's list of sweep values, about
+    # 20 MB.  One batch took 400 MB in the engine alone, and the writer then
+    # held the whole text.
+    import tracemalloc
+
+    cfg = _write(tmp_path, "run.cfg", SWEEP.replace("sweep.steps = 120", "sweep.steps = 200000"))
+    out = tmp_path / "sweep.csv"
+    tracemalloc.start()
+    try:
+        code = _run(["sweep", "--config", cfg, "--format", "csv", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 48 * 2**20, peak
+    assert out.stat().st_size > 200000 * 80

@@ -630,3 +630,53 @@ def test_sweep_columns_are_float64_with_the_argmax_row():
     assert best == int(np.argmax(f_simulated))
     # The closed-form column is fidelity_lossy's value at each row, bit for bit.
     assert f_closed_form.tolist() == [fidelity_lossy(float(k2), 0.2) for k2 in kappa2_values]
+
+
+# ---------------------------------------------------------------------------
+# blocked sweep
+
+
+def test_sweep_blocks_give_the_bits_of_one_batch_and_of_one_row_runs(monkeypatch):
+    # Rows are independent, so 2.5 blocks give the concatenation of their
+    # per-block calls, the bits of one batch, and on their first rows the
+    # bits of one-row runs.
+    import spinlight.protocols as protocols
+
+    block = protocols._SWEEP_BLOCK
+    kappa2 = np.linspace(0.2, 10.0, 5 * block // 2)
+    kwargs = dict(kappa1_multiplier=3.0, eps_p=0.02, eps_a=0.01, eta_d=0.1, eta_t_local=0.3)
+    blocked = protocols._lossy_fidelities(kappa2, 0.2, **kwargs)
+    per_block = [protocols._lossy_fidelities(kappa2[start:start + block], 0.2, **kwargs)
+                 for start in range(0, len(kappa2), block)]
+    assert len(per_block) == 3 and blocked.tobytes() == np.concatenate(per_block).tobytes()
+    one_rows = [simulated_lossy_fidelity(k2, 0.2, **kwargs) for k2 in kappa2[:2000]]
+    assert blocked[:2000].tolist() == one_rows
+    monkeypatch.setattr(protocols, "_SWEEP_BLOCK", len(kappa2))
+    assert protocols._lossy_fidelities(kappa2, 0.2, **kwargs).tobytes() == blocked.tobytes()
+
+
+def test_every_sweep_row_is_checked_before_the_first_block(monkeypatch):
+    # A bad kappa2 in the last block is a config error, even where an earlier
+    # block would fail on its own.
+    import spinlight.protocols as protocols
+
+    monkeypatch.setattr(protocols, "_SWEEP_BLOCK", 2)
+    with pytest.raises(ValueError, match=r"kappa must be finite.*kappa2 = -1\.0"):
+        lossy_fidelity_sweep([0.0, 1.0, 2.0, 3.0, -1.0], 0.2)
+    with pytest.raises(ValueError, match=r"gain calibration failed: .*kappa2 = 0\.0"):
+        lossy_fidelity_sweep([1.0, 2.0, 3.0, 0.0], 0.2)
+
+
+def test_a_fidelity_outside_the_unit_interval_names_its_trial(monkeypatch):
+    import spinlight.protocols as protocols
+
+    real = protocols._overlap
+
+    def inflated(averaged_cov, delta):
+        fidelities = real(averaged_cov, delta)
+        fidelities[2] = np.nan
+        return fidelities
+
+    monkeypatch.setattr(protocols, "_overlap", inflated)
+    with pytest.raises(DegeneracyError, match=r"fidelity must lie in \[0, 1\], got nan at trial 2"):
+        run_trials(make_plans(1.5, 0.2), np.random.default_rng(0), 4, (0.0, 0.0), (1.0, 1.0))
