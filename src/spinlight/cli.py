@@ -26,14 +26,14 @@ its summary lines and its exit code.  ``main`` renders the artifact in the
 configured format, writes it to the configured path or to stdout, and prints
 the summary.  ``entangle`` and ``teleport`` run all their trials in one
 :func:`~spinlight.protocols.run_trials` call, and ``sweep`` hands over the
-columns of :func:`~spinlight.protocols.lossy_fidelity_sweep`.  A table is a
-``_Table`` value wherever it goes (the sweep's points, the mb-validate rows,
-the CSV body), its rows a list or, for the long tables, a ``_Columns`` of
-the arrays they come from; a run's per-trial records are one ``_Records``
-of its outcome array.  Both writers are chunk generators: they render a
-table a block of at most ``_BLOCK_ROWS`` rows at a time with one row
-template, the JSON writer in the bytes of the list of dicts it stands for,
-and every other value the JSON writer renders value by value.
+columns of :func:`~spinlight.protocols.lossy_fidelity_sweep`.  Every table
+is a ``_Table`` of its columns wherever it goes (the sweep's points, the
+mb-validate rows, a run's per-trial records, the CSV body): numpy arrays of
+one cell per row, or values that every row shares.  Both writers are chunk
+generators: they render a table a block of at most ``_BLOCK_ROWS`` rows at a
+time with one row template, the JSON writer in the bytes of the list of
+dicts it stands for, and every other value the JSON writer renders value by
+value.
 
 How an artifact is written: ``main`` opens it only once the payload is
 computed, so a run that fails with a declared error (exit 1 or 4) never
@@ -58,7 +58,6 @@ import numpy as np
 
 from .config import (
     ConfigError,
-    _format_scalar,
     apply_env_overrides,
     parse_config_text,
     resolve_run_config,
@@ -84,38 +83,38 @@ EXIT_TOLERANCE_FAILURE = 3
 EXIT_NUMERICAL = 4
 
 
-class _Table(NamedTuple):
-    """A table: a tuple of ``str`` keys and rows of cells, one cell per key.
+def _format_scalar(value):
+    """Text of one scalar: ``true``/``false`` for booleans, 17 significant digits for floats."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    return str(value)
 
-    ``rows`` is a list of rows, or a :class:`_Columns` for a table too long to
-    hold as rows.  In JSON it is a list of one dict per row, keyed by the
-    header; in CSV the header line and one line per row.
+
+class _Table(NamedTuple):
+    """A table of ``length`` rows held as its columns, one per ``str`` key of ``header``.
+
+    A column is a 1-d numpy array of one cell per row, or one value that every
+    row shares.  In JSON it is a list of one dict per row, each row rendered
+    by ``template(pad, specs)`` (by default :func:`_row_template` of the
+    header); in CSV the header line and one line per row.
     """
 
     header: tuple
-    rows: list
+    length: int
+    columns: tuple
+    template: object = None
 
+    def block(self, start, stop, template, sep, cell_text):
+        """Rows start:stop in ``template(specs)``, joined by ``sep``.
 
-class _Columns:
-    """Rows of a table held as its columns.
-
-    A column is a 1-d numpy array of one cell per row, or one value that every
-    row shares.  ``len`` is the row count.
-    """
-
-    def __init__(self, length, *columns):
-        self.length, self.columns = length, columns
-
-    def __len__(self):
-        return self.length
-
-    def block(self, start, stop, cell_text):
-        """The %-conversion of each column, and the cells of rows start:stop row by row.
-
-        A float column keeps its Python floats for ``%.17g`` and an integer
-        column its ints for ``%d``, which give the leaf writers' text; any
-        other column gives ``cell_text`` of each cell for ``%s``.  A shared
-        value's text is written into its conversion.
+        ``specs`` holds one %-conversion per column.  A float column keeps its
+        Python floats for ``%.17g`` and an integer column its ints for ``%d``,
+        which give the writers' text; a boolean column gives ``true`` and
+        ``false``, as both writers do, and any other column ``cell_text`` of
+        each cell, for ``%s``.  A shared value's text is written into its
+        conversion.
         """
         specs, columns = [], []
         for column in self.columns:
@@ -129,23 +128,13 @@ class _Columns:
                 specs.append("%d")
             else:
                 specs.append("%s")
-                cells = list(map(cell_text, cells))
+                text = _BOOL_TEXT.__getitem__ if column.dtype.kind == "b" else cell_text
+                cells = list(map(text, cells))
             columns.append(cells)
         rows = [None] * (len(columns) * (stop - start))
         for number, cells in enumerate(columns):
             rows[number::len(columns)] = cells
-        return tuple(specs), rows
-
-
-class _Records(NamedTuple):
-    """The per-trial records of a run's (trials, rounds) outcome array.
-
-    In JSON it is a list of one dict per trial, ``{"trial": t, "outcomes":
-    [...]}``, whose outcomes table has one row per measured pulse: its round
-    tag, register position, quadrature and outcome.
-    """
-
-    outcomes: np.ndarray
+        return sep.join([template(tuple(specs))] * (stop - start)) % tuple(rows)
 
 
 # Rows that the writers render, and write, at a time.
@@ -153,23 +142,18 @@ _BLOCK_ROWS = 4096
 
 _ENCODE_STR = json.encoder.encode_basestring_ascii
 
+# Text of a boolean in both writers; a numpy boolean is an equal key.
+_BOOL_TEXT = {False: "false", True: "true"}
+
 # JSON text of the common leaf types, keyed by exact type (bool is not int here).
 _LEAF_TEXT = {
     float: "%.17g".__mod__,
     int: str,
     str: _ENCODE_STR,
-    bool: lambda value: "true" if value else "false",
-    np.bool_: lambda value: "true" if value else "false",
+    bool: _BOOL_TEXT.__getitem__,
+    np.bool_: _BOOL_TEXT.__getitem__,
     type(None): lambda value: "null",
 }
-# CSV text of the same types: strings and None as they print.
-_CSV_LEAF_TEXT = {**_LEAF_TEXT, str: str, type(None): str}
-
-
-def _cell_text(leaf_text, other):
-    """Text of a cell: ``leaf_text`` of its exact type, else ``other(cell)``."""
-    text = leaf_text.get
-    return lambda cell: (text(type(cell)) or other)(cell)
 
 
 @functools.lru_cache(maxsize=1024, typed=True)
@@ -213,57 +197,43 @@ def _record_template(pad, specs):
     return _row_template(("trial", "outcomes"), pad, (specs[0], outcomes))
 
 
+def _records(outcomes):
+    """The per-trial records of a run's (trials, rounds) outcome array.
+
+    In JSON each is ``{"trial": t, "outcomes": [...]}``, whose outcomes table
+    has one row per measured pulse: its round tag, register position,
+    quadrature and outcome.
+    """
+    trials, rounds = outcomes.shape
+    return _Table(("trial",) + tuple(tag for tag, _ in _PULSES[:rounds]), trials,
+                  (np.arange(trials), *outcomes.T), _record_template)
+
+
 def _blocks(count):
     """``(start, stop)`` of each run of at most ``_BLOCK_ROWS`` of ``count`` rows."""
     return [(start, min(start + _BLOCK_ROWS, count)) for start in range(0, count, _BLOCK_ROWS)]
 
 
-def _block_text(rows, start, stop, template, sep, cell_text):
-    """Rows start:stop of ``rows`` in ``template(specs)``, joined by ``sep``.
-
-    ``specs`` holds one %-conversion per column: :meth:`_Columns.block`
-    picks them, and a list of rows gives ``%s`` (``specs`` None) for the
-    ``cell_text`` of every cell.
-    """
-    if isinstance(rows, _Columns):
-        specs, cells = rows.block(start, stop, cell_text)
-    else:
-        specs, cells = None, map(cell_text, itertools.chain.from_iterable(rows[start:stop]))
-    return sep.join([template(specs)] * (stop - start)) % tuple(cells)
-
-
-def _list_chunks(rows, template, pad):
-    """JSON list of ``rows`` whose own line starts with ``pad``, a block of rows per chunk.
-
-    ``template(item_pad, specs)`` is the %-template of one row (see
-    :func:`_block_text`).
-    """
-    if not len(rows):
-        yield "[]"
-        return
-    item_pad = pad + "  "
-    row_template = functools.partial(template, item_pad)
-    cell_text = _cell_text(_LEAF_TEXT, functools.partial(_json_value, pad=item_pad + "  "))
-    opener = "[" + item_pad
-    for start, stop in _blocks(len(rows)):
-        yield opener + _block_text(rows, start, stop, row_template, "," + item_pad, cell_text)
-        opener = "," + item_pad
-    yield pad + "]"
-
-
 def _json_chunks(obj, pad):
     """The text of :func:`_json_value` in chunks.
 
-    A table and the trial records come a block of rows at a time, and a dict
-    one item at a time, so that no chunk holds more than one block.  Other
-    values are one chunk each.
+    A table comes a block of rows at a time, and a dict one item at a time,
+    so that no chunk holds more than one block.  Other values are one chunk
+    each.
     """
     if isinstance(obj, _Table):
-        yield from _list_chunks(obj.rows, functools.partial(_row_template, obj.header), pad)
-    elif isinstance(obj, _Records):
-        trials = len(obj.outcomes)
-        rows = _Columns(trials, np.arange(trials), *obj.outcomes.T)
-        yield from _list_chunks(rows, _record_template, pad)
+        if not obj.length:
+            yield "[]"
+            return
+        item_pad = pad + "  "
+        template = functools.partial(obj.template or functools.partial(_row_template, obj.header),
+                                     item_pad)
+        cell_text = functools.partial(_json_value, pad=item_pad + "  ")
+        opener = "[" + item_pad
+        for start, stop in _blocks(obj.length):
+            yield opener + obj.block(start, stop, template, "," + item_pad, cell_text)
+            opener = "," + item_pad
+        yield pad + "]"
     elif isinstance(obj, dict):
         if not obj:
             yield "{}"
@@ -271,7 +241,7 @@ def _json_chunks(obj, pad):
         item_pad = pad + "  "
         opener = "{" + item_pad
         for key, value in obj.items():
-            if isinstance(value, (dict, _Table, _Records)):
+            if isinstance(value, (dict, _Table)):
                 yield opener + _key_text(key)
                 yield from _json_chunks(value, item_pad)
             else:
@@ -289,20 +259,16 @@ def _json_text(obj, indent=0):
 
 def _json_value(obj, pad):
     """Text of one value whose own line starts with ``pad``; leaves inline."""
-    leaf_text = _LEAF_TEXT.get
-    if isinstance(obj, (dict, _Table, _Records)):
+    if (leaf := _LEAF_TEXT.get(type(obj))) is not None:
+        return leaf(obj)
+    if isinstance(obj, (dict, _Table)):
         return "".join(_json_chunks(obj, pad))
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         item_pad = pad + "  "
-        text = ("," + item_pad).join([
-            leaf(value) if (leaf := leaf_text(type(value))) else _json_value(value, item_pad)
-            for value in obj
-        ])
+        text = ("," + item_pad).join([_json_value(value, item_pad) for value in obj])
         return "[" + item_pad + text + pad + "]"
-    if (leaf := leaf_text(type(obj))) is not None:
-        return leaf(obj)
     # Other numpy scalars, subclasses and anything else (bool has no subclasses).
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
@@ -316,13 +282,12 @@ def _csv_chunks(echo, table):
     lines = [f"# {key} = {_format_scalar(value)}\n" for key, value in echo.items()]
     lines.append(",".join(table.header) + "\n")
     yield "".join(lines)
-    cell_text = _cell_text(_CSV_LEAF_TEXT, _format_scalar)
 
     def template(specs):
-        return ",".join(specs or ["%s"] * len(table.header)) + "\n"
+        return ",".join(specs) + "\n"
 
-    for start, stop in _blocks(len(table.rows)):
-        yield _block_text(table.rows, start, stop, template, "", cell_text)
+    for start, stop in _blocks(table.length):
+        yield table.block(start, stop, template, "", _format_scalar)
 
 
 def _csv_text(echo, table):
@@ -395,7 +360,7 @@ def _cmd_derive(cfg):
                for name in ("kappa", "eps_p", "eps_a", "fresnel")]
     summary.append("regime: " + ("PASS" if report.all_pass else "WARN"))
     code = EXIT_OK if report.all_pass else EXIT_REGIME_WARNING
-    return payload, _Table(header, [[payload[k] for k in header]]), summary, code
+    return payload, _Table(header, 1, tuple(payload[k] for k in header)), summary, code
 
 
 def _cmd_entangle(cfg):
@@ -408,7 +373,7 @@ def _cmd_entangle(cfg):
         "epr_p": report.epr_p,
         "r": report.r,
         "r_closed_form": squeezing_parameter(cfg.plans["entangle2"].kappa),
-        "records": _Records(outcomes),
+        "records": _records(outcomes),
         "config": cfg.echo,
     }
     if cfg.trials > 1:
@@ -420,8 +385,8 @@ def _cmd_entangle(cfg):
         }
     table = _Table(
         ("trial", "outcome_round1", "outcome_round2", "epr_x", "epr_p", "r"),
-        _Columns(cfg.trials, np.arange(cfg.trials), *outcomes.T,
-                 report.epr_x, report.epr_p, report.r),
+        cfg.trials,
+        (np.arange(cfg.trials), *outcomes.T, report.epr_x, report.epr_p, report.r),
     )
     summary = [f"{name} = {_format_scalar(getattr(report, name))}"
                for name in ("epr_x", "epr_p", "r")]
@@ -448,15 +413,16 @@ def _cmd_teleport(cfg):
         "epr_p": report.epr_p,
         "r": report.r,
         "input_mean": list(cfg.input_mean),
-        "records": _Records(outcomes),
+        "records": _records(outcomes),
         "config": cfg.echo,
     }
     table = _Table(
         ("trial", "fidelity_simulated", "fidelity_ideal_closed_form",
          "fidelity_lossy_closed_form", "classical_bound_exceeded"),
-        _Columns(cfg.trials, np.arange(cfg.trials), fidelities,
-                 payload["fidelity_ideal_closed_form"], payload["fidelity_lossy_closed_form"],
-                 fidelities > 0.5),  # classical_bound_check of each, in [0, 1]
+        cfg.trials,
+        (np.arange(cfg.trials), fidelities,
+         payload["fidelity_ideal_closed_form"], payload["fidelity_lossy_closed_form"],
+         fidelities > 0.5),  # classical_bound_check of each, in [0, 1]
     )
     summary = [f"fidelity = {_format_scalar(fidelity)}",
                f"classical bound exceeded: {_format_scalar(payload['classical_bound_exceeded'])}"]
@@ -478,7 +444,7 @@ def _cmd_sweep(cfg):
     is_argmax = np.zeros(len(kappa2), bool)
     is_argmax[best] = True
     table = _Table(("kappa2", "eta_t", "f_simulated", "f_closed_form", "is_argmax"),
-                   _Columns(len(kappa2), kappa2, cfg.eta_t, f_simulated, f_closed_form, is_argmax))
+                   len(kappa2), (kappa2, cfg.eta_t, f_simulated, f_closed_form, is_argmax))
     payload = {
         "command": "sweep",
         "seed": cfg.seed,
@@ -496,30 +462,26 @@ def _cmd_mb_validate(cfg):
     if cfg.physical is None:
         raise ConfigError("physical", "mb-validate needs the physical.* section")
     channel = cfg.channel
-    table = _Table((
-        "grid", "kappa_eff", "eps_p_eff", "eps_a_eff",
-        "dev_kappa", "dev_eps_p", "dev_eps_a",
-        "signal_leak", "noise_var_light_x", "noise_var_atom_x",
-    ), [])
-    grids = [Grid(n_z=n, n_tau=n, L=cfg.physical.L, T=cfg.physical.T) for n in cfg.mb.grids()]
-    for grid, extraction in zip(grids, extract_collective_grids(channel, grids)):
-        dev_kappa = abs(extraction.kappa_eff - channel.kappa) / channel.kappa
-        dev_eps_p, dev_eps_a = (
-            abs(eff - eps) / eps if eps > 0 else eff
-            for eff, eps in ((extraction.eps_p_eff, channel.eps_p),
-                             (extraction.eps_a_eff, channel.eps_a))
-        )
-        table.rows.append([
-            grid.n_z, extraction.kappa_eff, extraction.eps_p_eff, extraction.eps_a_eff,
-            dev_kappa, dev_eps_p, dev_eps_a,
-            extraction.signal_leak, extraction.noise_var_light_x,
-            extraction.noise_var_atom_x,
-        ])
-    final = table.rows[-1]
-    within = (
-        final[4] <= cfg.mb.tol_kappa
-        and final[5] <= cfg.mb.tol_eps
-        and final[6] <= cfg.mb.tol_eps
+    sizes = cfg.mb.grids()
+    grids = [Grid(n_z=n, n_tau=n, L=cfg.physical.L, T=cfg.physical.T) for n in sizes]
+    fields = ("kappa_eff", "eps_p_eff", "eps_a_eff",
+              "signal_leak", "noise_var_light_x", "noise_var_atom_x")
+    values = np.array([[getattr(extraction, name) for name in fields]
+                       for extraction in extract_collective_grids(channel, grids)])
+    column = {"grid": np.array(sizes), **dict(zip(fields, values.T))}
+    column["dev_kappa"] = np.abs(column["kappa_eff"] - channel.kappa) / channel.kappa
+    for name, eps in (("eps_p", channel.eps_p), ("eps_a", channel.eps_a)):
+        eff = column[name + "_eff"]
+        column["dev_" + name] = np.abs(eff - eps) / eps if eps > 0 else eff
+    header = ("grid", "kappa_eff", "eps_p_eff", "eps_a_eff",
+              "dev_kappa", "dev_eps_p", "dev_eps_a",
+              "signal_leak", "noise_var_light_x", "noise_var_atom_x")
+    table = _Table(header, len(sizes), tuple(column[name] for name in header))
+    final = {name: cells[-1] for name, cells in column.items()}
+    within = bool(
+        final["dev_kappa"] <= cfg.mb.tol_kappa
+        and final["dev_eps_p"] <= cfg.mb.tol_eps
+        and final["dev_eps_a"] <= cfg.mb.tol_eps
     )
     payload = {
         "command": "mb-validate",
@@ -532,8 +494,10 @@ def _cmd_mb_validate(cfg):
         "config": cfg.echo,
     }
     summary = [
-        f"final grid {final[0]}x{final[0]}: dev_kappa = {_format_scalar(final[4])}, "
-        f"dev_eps_p = {_format_scalar(final[5])}, dev_eps_a = {_format_scalar(final[6])}",
+        f"final grid {final['grid']}x{final['grid']}: "
+        f"dev_kappa = {_format_scalar(final['dev_kappa'])}, "
+        f"dev_eps_p = {_format_scalar(final['dev_eps_p'])}, "
+        f"dev_eps_a = {_format_scalar(final['dev_eps_a'])}",
         "tolerance: " + ("PASS" if within else "FAIL"),
     ]
     return payload, table, summary, EXIT_OK if within else EXIT_TOLERANCE_FAILURE

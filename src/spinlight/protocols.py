@@ -578,10 +578,10 @@ def lossy_fidelity_sweep(kappa2_values, eta_t, **plan_kwargs):
     Returns ``(kappa2, f_simulated, f_closed_form, best)``: the kappa2 values,
     the simulated fidelities and :func:`fidelity_lossy` as float arrays, and
     the index of the simulated argmax.  ``plan_kwargs`` are those of
-    :func:`make_plans`.  The whole column runs as one batch, and the closed
-    form is evaluated once over it, with the same checks.
+    :func:`make_plans`.  The column runs in blocks of ``_SWEEP_BLOCK`` rows,
+    and the closed form is evaluated once over it, with the same checks.
     """
-    kappa2 = np.array([float(k) for k in kappa2_values])
+    kappa2 = np.array(kappa2_values, dtype=float)
     if len(kappa2) < 2:
         raise ValueError("sweep needs at least two kappa2 values")
     f_simulated = _lossy_fidelities(kappa2, eta_t, **plan_kwargs)

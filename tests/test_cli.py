@@ -513,6 +513,12 @@ def test_overflowed_sweep_row_exits_4(tmp_path, capsys):
     ("sweep", "channel.kappa = 1.0\nsweep.min = 1.0\nsweep.max = 1.7e308\nsweep.steps = 2\n",
      1, "config error: kappa must be finite and non-negative, got kappa1 = inf at "
         "kappa2 = 1.7e+308"),
+    # The last grid value overflows to inf without a numpy warning, as a
+    # Python float does; the first row whose kappa1 overflows is reported.
+    ("sweep", "channel.kappa = 1.0\nsweep.min = 1.0\nsweep.max = 1.7976931348623157e308\n"
+              "sweep.steps = 4\n",
+     1, "config error: kappa must be finite and non-negative, got kappa1 = inf at "
+        "kappa2 = 5.992310449541053e+307"),
     # The pair covariance overflows to inf and nan.
     ("entangle", "channel.kappa = 5.0\nnoise.eta_t = 0.9999999999999999\n"
                  "rounds.entangle1.kappa = 1e150\n",
@@ -521,7 +527,7 @@ def test_overflowed_sweep_row_exits_4(tmp_path, capsys):
     ("sweep", "channel.kappa = 1.0\nsweep.min = 5.0\nsweep.max = 20000.0\nsweep.steps = 3\n",
      4, "numerical error: fidelity must lie in [0, 1], got 1.0000009728013948 at "
         "kappa2 = 20000.0"),
-], ids=["kappa1-overflow", "pair-overflow", "fidelity-above-one"])
+], ids=["kappa1-overflow", "sweep-grid-overflow", "pair-overflow", "fidelity-above-one"])
 def test_a_failed_run_prints_one_line(tmp_path, capsys, command, text, code, line):
     # The error line is all that stderr gets; any numpy warning fails the test.
     cfg = _write(tmp_path, "run.cfg", text)
@@ -689,38 +695,74 @@ def test_json_writer_key_cache_tells_equal_keys_apart():
     assert '"True": 0' in text and '"1.0": 0' in text
 
 
+def _objects(*cells):
+    """A 1-d object array of ``cells``, each kept as it is."""
+    column = np.empty(len(cells), dtype=object)
+    column[:] = cells
+    return column
+
+
+def _table_rows(table):
+    """The rows of a `_Table`, one cell per column: an array's entry or the shared value."""
+    return [[column[row] if isinstance(column, np.ndarray) else column
+             for column in table.columns]
+            for row in range(table.length)]
+
+
 @st.composite
 def _table_values(draw):
-    """`_Table`s of 1 to 6 rows, keys that may hold ``%``, one leaf type per column.
+    """`_Table`s of 1 to 6 rows, keys that may hold ``%``, one column per key.
 
-    A column may also mix every leaf type: a table carries no type per column.
+    A column is an object array of one leaf type, or mixing every leaf type
+    (a table carries no type per column); a float64, int64 or bool array; or
+    one leaf that every row shares.
     """
     header = tuple(draw(st.lists(
         st.one_of(st.text(), st.sampled_from(["%", "%s%%", "%d", "kappa2"])),
         min_size=1, max_size=4, unique=True,
     )))
-    columns = [draw(st.one_of(_COLUMNS, st.just(_LEAVES))) for _ in header]
-    row = draw(st.sampled_from([list, tuple]))
-    rows = [row(map(draw, columns)) for _ in range(draw(st.integers(1, 6)))]
-    return cli._Table(header, rows)
+    length = draw(st.integers(1, 6))
+    arrays = {
+        np.float64: st.floats(allow_nan=True, allow_infinity=True),
+        np.int64: st.integers(-(2**63), 2**63 - 1),
+        np.bool_: st.booleans(),
+    }
+    columns = []
+    for _ in header:
+        kind = draw(st.sampled_from(["object", *arrays, "shared"]))
+        if kind == "shared":
+            columns.append(draw(_LEAVES))
+        elif kind == "object":
+            leaves = draw(st.one_of(_COLUMNS, st.just(_LEAVES)))
+            columns.append(_objects(*[draw(leaves) for _ in range(length)]))
+        else:
+            cells = draw(st.lists(arrays[kind], min_size=length, max_size=length))
+            columns.append(np.array(cells, dtype=kind))
+    return cli._Table(header, length, tuple(columns))
 
 
 @given(table=_table_values(), echo=st.dictionaries(st.text(), _LEAVES, max_size=3),
        indent=st.integers(0, 3))
-@example(table=cli._Table(("%", "%d", "\u00e9"), [(-0.0, float("nan"), "\U0001f300")] * 2),
+@example(table=cli._Table(("%", "%d", "\u00e9"), 2, (np.array([-0.0, -0.0]),
+                                                     np.array([float("nan")] * 2),
+                                                     _objects("\U0001f300", "\U0001f300"))),
          echo={"flag": np.bool_(True), "x": np.float64(0.1)}, indent=3)
-@example(table=cli._Table(("a", "b"), [[1.0, "x"], [1, None], [np.int64(2), np.bool_(False)]]),
+@example(table=cli._Table(("a", "b"), 3, (_objects(1.0, 1, np.int64(2)),
+                                          _objects("x", None, np.bool_(False)))),
          echo={}, indent=0)
+@example(table=cli._Table(("%s", "none", "n"), 2, ("%s%%", None, np.arange(2))),
+         echo={"%": "%s%%"}, indent=1)
 @settings(max_examples=300, deadline=None)
 def test_table_writers_match_reference_writers(table, echo, indent):
-    dicts = [dict(zip(table.header, row)) for row in table.rows]
+    rows = _table_rows(table)
+    dicts = [dict(zip(table.header, row)) for row in rows]
     assert cli._json_text(table, indent) == reference_json_text(dicts, indent)
     assert cli._json_text({"rows": table}, indent) == reference_json_text({"rows": dicts}, indent)
-    assert cli._csv_text(echo, table) == reference_csv_text(echo, table.header, table.rows)
+    assert cli._csv_text(echo, table) == reference_csv_text(echo, table.header, rows)
 
 
 def test_csv_writer_writes_numpy_booleans_as_literals():
-    table = cli._Table(("a", "b"), [[np.bool_(True), True]])
+    table = cli._Table(("a", "b"), 1, (_objects(np.bool_(True)), True))
     text = cli._csv_text({"flag": np.bool_(False)}, table)
     assert text == "# flag = false\na,b\ntrue,true\n"
 
