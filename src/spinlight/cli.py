@@ -8,9 +8,12 @@ Subcommands::
     spinlight sweep       --config run.cfg        kappa2 / eta_t trade-off table
     spinlight mb-validate --config run.cfg        grid convergence of the channel
 
-Common flags: ``--config PATH`` (required), ``--seed N``, ``--trials N``,
-``--out PATH``, ``--format {json,csv}``.  Flags override ``SPINLIGHT_*``
-environment variables, which override the file.
+Flags: ``--config PATH`` (required), ``--seed N``, ``--trials N``,
+``--out PATH``, ``--format {json,csv}``, before or after the command.  The
+last four set the config keys ``seed``, ``trials``, ``output.path`` and
+``output.format`` (``_FLAGS``), and each is read as that key's value in the
+file is, so a bad one is a config error naming its key.  Flags override
+``SPINLIGHT_*`` environment variables, which override the file.
 
 Exit codes: 0 success; 1 usage or configuration error; 2 regime warnings from
 ``derive``; 3 tolerance failure in ``mb-validate``; 4 numerical failure (an
@@ -58,6 +61,7 @@ import numpy as np
 
 from .config import (
     ConfigError,
+    _parse_scalar,
     apply_env_overrides,
     parse_config_text,
     resolve_run_config,
@@ -463,16 +467,17 @@ def _cmd_mb_validate(cfg):
         raise ConfigError("physical", "mb-validate needs the physical.* section")
     channel = cfg.channel
     sizes = cfg.mb.grids()
-    grids = [Grid(n_z=n, n_tau=n, L=cfg.physical.L, T=cfg.physical.T) for n in sizes]
+    grids = [Grid(n_z=n, n_tau=n) for n in sizes]
     fields = ("kappa_eff", "eps_p_eff", "eps_a_eff",
               "signal_leak", "noise_var_light_x", "noise_var_atom_x")
     values = np.array([[getattr(extraction, name) for name in fields]
                        for extraction in extract_collective_grids(channel, grids)])
     column = {"grid": np.array(sizes), **dict(zip(fields, values.T))}
-    column["dev_kappa"] = np.abs(column["kappa_eff"] - channel.kappa) / channel.kappa
-    for name, eps in (("eps_p", channel.eps_p), ("eps_a", channel.eps_a)):
-        eff = column[name + "_eff"]
-        column["dev_" + name] = np.abs(eff - eps) / eps if eps > 0 else eff
+    # A coefficient that is 0 (kappa underflows at physical.rho = 1e-310) has
+    # no relative deviation; its row reports the effective value instead.
+    for name in ("kappa", "eps_p", "eps_a"):
+        eff, analytic = column[name + "_eff"], getattr(channel, name)
+        column["dev_" + name] = np.abs(eff - analytic) / analytic if analytic > 0 else eff
     header = ("grid", "kappa_eff", "eps_p_eff", "eps_a_eff",
               "dev_kappa", "dev_eps_p", "dev_eps_a",
               "signal_leak", "noise_var_light_x", "noise_var_atom_x")
@@ -523,6 +528,10 @@ _COMMANDS = {
 }
 
 
+# The config key that each flag sets.
+_FLAGS = {"seed": "seed", "trials": "trials", "out": "output.path", "format": "output.format"}
+
+
 @functools.cache
 def _build_parser():
     """The argument parser, built on the first call rather than at import.
@@ -530,14 +539,10 @@ def _build_parser():
     Parsing keeps no state in the parser, so every call shares one.
     """
     parser = _Parser(prog="spinlight", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=True, help="path to the run config file")
-        cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--trials", type=int, default=None)
-        cmd.add_argument("--out", default=None)
-        cmd.add_argument("--format", choices=("json", "csv"), default=None)
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True, help="path to the run config file")
+    for flag, key in _FLAGS.items():
+        parser.add_argument(f"--{flag}", help=f"sets the config key {key}")
     return parser
 
 
@@ -551,14 +556,9 @@ def main(argv=None):
         with open(args.config) as handle:
             mapping = parse_config_text(handle.read())
         mapping = apply_env_overrides(mapping, os.environ)
-        if args.seed is not None:
-            mapping["seed"] = args.seed
-        if args.trials is not None:
-            mapping["trials"] = args.trials
-        if args.out is not None:
-            mapping["output.path"] = args.out
-        if args.format is not None:
-            mapping["output.format"] = args.format
+        for flag, key in _FLAGS.items():
+            if (value := getattr(args, flag)) is not None:
+                mapping[key] = _parse_scalar(key, value)
         cfg = resolve_run_config(mapping)
         payload, table, summary, code = _COMMANDS[args.command](cfg)
         if cfg.out_format == "csv":

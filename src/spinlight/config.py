@@ -6,9 +6,10 @@ Grammar (one statement per line)::
     key = value
 
 Keys are dotted lowercase identifiers (``physical.rho``, ``rounds.entangle1.kappa``).
-Values are numbers, ``true``/``false``, or bare strings.  All quantities are
-SI; ``physical.rho`` additionally accepts a ``cm^-3`` suffix
-(``rho = 5e12 cm^-3``) converted to m^-3 at parse time.
+Values are numbers, ``true``/``false``, or bare strings; the value of a text
+key (``output.path``, ``output.format``, ``sweep.param``) is its text as
+written.  All quantities are SI; ``physical.rho`` additionally accepts a
+``cm^-3`` suffix (``rho = 5e12 cm^-3``) converted to m^-3 at parse time.
 
 Exactly one of the ``physical.*`` or ``channel.*`` sections must provide the
 interaction parameters; if both are present they must agree (the channel
@@ -16,7 +17,8 @@ derived from the physical inputs is compared coefficient by coefficient).
 
 Overrides: environment variables with the ``SPINLIGHT_`` prefix replace file
 keys (dots become double underscores, e.g. ``SPINLIGHT_ROUNDS__ENTANGLE1__KAPPA``),
-and command-line flags override both.
+and command-line flags override both.  All three are read by one scalar
+reader, so a value means the same wherever it is given.
 
 Every key is declared once, in ``_SCHEMA``, with its kind, default and
 allowed values.  That one table rejects unknown keys, checks each value's
@@ -25,7 +27,8 @@ below, so an error in a single value names its key.  Only the rules across
 keys are code: the physical and channel sections agree,
 ``sweep.min < sweep.max`` and ``mb.min_grid <= mb.max_grid``; what
 :class:`~spinlight.interaction.PhysicalParams` finds inconsistent among the
-physical inputs is reported under ``physical``.
+physical inputs, and a derived figure that overflows the float range
+(``Delta**2`` at ``physical.delta = 1e160``), is reported under ``physical``.
 
 The upper bounds of ``trials``, ``sweep.steps`` and ``mb.max_grid`` are
 resource caps, each at a size that was run.  Its row gives the wall time and
@@ -73,8 +76,14 @@ class ConfigError(ValueError):
         self.key = key
 
 
-def _parse_scalar(text):
-    text = text.strip()
+def _parse_scalar(key, text):
+    """The value of ``key`` written as ``text``, in a file, a variable or a flag.
+
+    A text key keeps its text as given (``output.path = 2024.10`` is not the
+    number 2024.1); any other value is a boolean, an int, a float or text.
+    """
+    if (row := _SCHEMA.get(key)) is not None and row.kind is _text:
+        return text
     low = text.lower()
     if low == "true":
         return True
@@ -106,7 +115,7 @@ def parse_config_text(text):
             raise ConfigError(key, "not a valid dotted lowercase key")
         if key in mapping:
             raise ConfigError(key, "duplicate key")
-        mapping[key] = _parse_scalar(value)
+        mapping[key] = _parse_scalar(key, value.strip())
     return mapping
 
 
@@ -117,7 +126,7 @@ def apply_env_overrides(mapping, environ):
         key = name[len(ENV_PREFIX):].lower().replace("__", ".")
         if not _KEY_RE.match(key):
             raise ConfigError(name, "environment override is not a valid key")
-        merged[key] = _parse_scalar(environ[name])
+        merged[key] = _parse_scalar(key, environ[name].strip())
     return merged
 
 

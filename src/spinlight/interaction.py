@@ -31,7 +31,6 @@ HBAR = 1.0545718176461565e-34  # J s
 __all__ = [
     "PhysicalParams",
     "ChannelParams",
-    "RegimeThresholds",
     "RegimeReport",
     "dipole_from_linewidth",
     "coupling_from_dipole",
@@ -49,7 +48,18 @@ def dipole_from_linewidth(gamma, omega0):
     """
     if gamma < 0 or omega0 <= 0:
         raise ValueError("gamma must be non-negative and omega0 positive")
-    return math.sqrt(3.0 * math.pi * EPSILON_0 * HBAR * SPEED_OF_LIGHT**3 * gamma / omega0**3)
+    omega3 = _power("omega0", omega0, 3)
+    return math.sqrt(3.0 * math.pi * EPSILON_0 * HBAR * SPEED_OF_LIGHT**3 * gamma / omega3)
+
+
+def _power(name, value, exponent):
+    """``value ** exponent``; a result past the float range is a ValueError naming ``name``."""
+    try:
+        return value**exponent
+    except OverflowError:
+        raise ValueError(
+            f"{name}**{exponent} overflows the float range at {name} = {value!r}"
+        ) from None
 
 
 def coupling_from_dipole(dipole, omega0, area):
@@ -178,14 +188,11 @@ class ChannelParams:
                 raise ValueError(f"{name} must lie in [0, 1), got {value}")
 
 
-@dataclasses.dataclass(frozen=True)
-class RegimeThresholds:
-    """Cutoffs for the validity checks; the defaults encode 'much less than'."""
-
-    eps_max: float = 0.05
-    kappa_over_sqrt_n_max: float = 0.01
-    detuning_ratio_min: float = 50.0
-    fresnel_tolerance: float = 0.5
+# Cutoffs of validate_regime's checks; they encode 'much less than'.
+_EPS_MAX = 0.05
+_KAPPA_OVER_SQRT_N_MAX = 0.01
+_DETUNING_RATIO_MIN = 50.0
+_FRESNEL_TOLERANCE = 0.5
 
 
 @dataclasses.dataclass(frozen=True)
@@ -219,10 +226,11 @@ def derive_channel(params):
     The sign of the interaction is a phase-space reflection with no effect on
     variances, squeezing or fidelities, so only |kappa| is kept.
     """
-    g2 = params.g_coupling**2
+    g2 = _power("g_coupling", params.g_coupling, 2)
+    delta2 = _power("Delta", params.Delta, 2)
     kappa = 2.0 * math.sqrt(params.Np * params.Na) * g2 / (params.Delta * SPEED_OF_LIGHT)
-    eps_p = params.Na * g2 * params.gamma / (params.Delta**2 * SPEED_OF_LIGHT)
-    eps_a = params.Np * g2 * params.gamma_prime / (params.Delta**2 * SPEED_OF_LIGHT)
+    eps_p = params.Na * g2 * params.gamma / (delta2 * SPEED_OF_LIGHT)
+    eps_a = params.Np * g2 * params.gamma_prime / (delta2 * SPEED_OF_LIGHT)
     if not (eps_p < 1.0 and eps_a < 1.0):
         raise ValueError(
             f"damping out of range (eps_p={eps_p:.3e}, eps_a={eps_a:.3e}); "
@@ -252,13 +260,13 @@ def kappa_from_density(params):
     )
 
 
-def validate_regime(params, channel, thresholds=RegimeThresholds()):
+def validate_regime(params, channel):
     """Evaluate the validity conditions behind the linearized pass channel.
 
     Checks eps << 1, kappa << sqrt(N), Delta >> gamma and Fresnel number near
-    one, against the configurable thresholds.  Also reports the expected
-    number of spontaneous-emission jump events, Np Na |g|^2 gamma / (Delta^2 c),
-    which equals eps_p * Np; collective observables tolerate a large value.
+    one, against the fixed cutoffs above.  Also reports the expected number of
+    spontaneous-emission jump events, Np Na |g|^2 gamma / (Delta^2 c), which
+    equals eps_p * Np; collective observables tolerate a large value.
     """
     fresnel = params.A / (params.lambda0 * params.L)
     jump = (
@@ -269,14 +277,14 @@ def validate_regime(params, channel, thresholds=RegimeThresholds()):
         / (params.Delta**2 * SPEED_OF_LIGHT)
     )
     detuning_large = (
-        params.gamma == 0.0 or params.Delta / params.gamma > thresholds.detuning_ratio_min
+        params.gamma == 0.0 or params.Delta / params.gamma > _DETUNING_RATIO_MIN
     )
     return RegimeReport(
         fresnel=fresnel,
-        fresnel_ok=abs(fresnel - 1.0) < thresholds.fresnel_tolerance,
-        eps_small=max(channel.eps_p, channel.eps_a) < thresholds.eps_max,
+        fresnel_ok=abs(fresnel - 1.0) < _FRESNEL_TOLERANCE,
+        eps_small=max(channel.eps_p, channel.eps_a) < _EPS_MAX,
         kappa_vs_sqrt_n=channel.kappa
-        < thresholds.kappa_over_sqrt_n_max * math.sqrt(min(params.Np, params.Na)),
+        < _KAPPA_OVER_SQRT_N_MAX * math.sqrt(min(params.Np, params.Na)),
         detuning_large=detuning_large,
         jump_count_estimate=jump,
     )

@@ -18,6 +18,8 @@ interleave reproduces the analytic coefficients up to O(eps^2).
 Only fluctuation dynamics are propagated: the deterministic global phase from
 the mean populations is dropped, matching the canonical-operator
 linearization, and the pulse envelope is taken flat (uniform grid weights).
+So a :class:`Grid` is its two counts alone: no cell weight depends on the
+sample's length or the pulse's duration.
 
 Only the four collective output rows are ever read, and they have a closed
 form.  The kicks read only p and write only x, and every damping step is
@@ -27,7 +29,8 @@ S(h, n) = sum_{i < n} e^(i h) over the bins and the slices, with e^h the
 per-cell transmission: O(1) per grid.  Only the two variance terms
 (``signal_leak``'s spread and the cross-noise sum) need the n terms
 expm1(i h), and :func:`extract_collective_grids` takes them for a whole
-ladder of grids in one segmented pass, with no loop over the cells.  The
+ladder of grids in one segmented pass, with no loop over the cells; one
+grid is the ladder ``[grid]``.  The
 dense composed map of :func:`build_transfer` has 2 (n_tau + n_z) rows and
 4 n_z n_tau noise columns; it is kept as the small-grid reference for
 :func:`commutator_defect` and the tests.
@@ -35,6 +38,7 @@ dense composed map of :func:`build_transfer` has 2 (n_tau + n_z) rows and
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 
@@ -48,7 +52,6 @@ __all__ = [
     "build_transfer",
     "build_transfer_from_channel",
     "extract_collective",
-    "extract_collective_from_channel",
     "extract_collective_grids",
     "collective_signal_block",
     "commutator_defect",
@@ -61,8 +64,6 @@ class Grid:
 
     n_z: int
     n_tau: int
-    L: float
-    T: float
 
     def __post_init__(self):
         if self.n_z < 1 or self.n_tau < 1:
@@ -70,8 +71,6 @@ class Grid:
                 f"grid too small: need n_z >= 1 and n_tau >= 1, "
                 f"got {self.n_z} x {self.n_tau}"
             )
-        if self.L <= 0 or self.T <= 0:
-            raise ValueError("grid extents L and T must be positive")
 
     @property
     def n_cells(self):
@@ -303,9 +302,13 @@ def extract_collective_grids(channel, grids):
         nz, nt, a = grid.n_z, grid.n_tau, g + len(grids)
         eps_p, h_p, em_p, power_p, energy_p, eff_p = light[g]
         eps_a, h_a, em_a, power_a, energy_a, eff_a = atoms[g]
-        # sum_{j < n - 1} (sum_{m <= j} t^m)^2 = sum_{i < n} d_i^2 / expm1(h)^2
+        # sum_{j < n - 1} (sum_{m <= j} t^m)^2 = sum_{i < n} d_i^2 / expm1(h)^2.
+        # Once expm1(h)^2 is below the normal floats, where the quotient of
+        # subnormals keeps few digits or divides by an underflowed 0, n h is
+        # under 1e-147 up to the 2^22 grid cap, and the h -> 0 limit
+        # sum_{i < n} i^2 is exact to rounding.
         part_p, part_a = (
-            squares[s] / em**2 if em else (n - 1) * n * (2 * n - 1) / 6
+            squares[s] / em**2 if em**2 >= sys.float_info.min else (n - 1) * n * (2 * n - 1) / 6
             for s, em, n in ((g, em_p, nz), (a, em_a, nt))
         )
         k2 = channel.kappa**2 / (nz * nt)
@@ -329,11 +332,6 @@ def extract_collective_grids(channel, grids):
             noise_var_atom_x_total=VACUUM_VARIANCE * (own_a + cross_a),
         ))
     return extractions
-
-
-def extract_collective_from_channel(channel, grid):
-    """Collective channel coefficients of one grid: see :func:`extract_collective_grids`."""
-    return extract_collective_grids(channel, [grid])[0]
 
 
 def commutator_defect(tm):

@@ -424,6 +424,7 @@ def teleport(entangled, input_mean, plan_local_round1, plan_local_round2, gain=N
     Returns the conditional state of sample 2 after the displacement and a
     report whose fidelity is the overlap of the outcome-averaged output with
     the coherent input, the quantity the closed-form expressions describe.
+    A fidelity outside [0, 1] is a DegeneracyError (see :func:`_unit_interval`).
     """
     if entangled.n_modes != 2:
         raise ValueError(f"entangled resource must have exactly 2 modes, got {entangled.n_modes}")
@@ -431,7 +432,8 @@ def teleport(entangled, input_mean, plan_local_round1, plan_local_round2, gain=N
         entangled.cov[:, :, None], _stack([(plan_local_round1, plan_local_round2)]), gain,
         entangled.mean[:, None], input_mean, *_outcome_source(rng, forced_outcomes),
     )
-    report = _report(entangled.cov, float(fidelities[0]), tuple(outcomes[:, 0].tolist()))
+    fidelity = _unit_interval(fidelities, lambda row: f"input mean {tuple(input_mean)!r}")[0]
+    report = _report(entangled.cov, float(fidelity), tuple(outcomes[:, 0].tolist()))
     return GaussianState(mean[:, 0], cov), report
 
 

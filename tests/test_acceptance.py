@@ -111,7 +111,7 @@ def test_criterion_4_parameter_regime(reference_params):
 def test_criterion_5_microscopic_consistency(reference_params):
     start = time.perf_counter()
     channel = derive_channel(reference_params)
-    grid = Grid(n_z=64, n_tau=64, L=reference_params.L, T=reference_params.T)
+    grid = Grid(n_z=64, n_tau=64)
     extraction = extract_collective(build_transfer(reference_params, grid))
     ok = (
         abs(extraction.kappa_eff - channel.kappa) / channel.kappa < 0.01
@@ -120,11 +120,7 @@ def test_criterion_5_microscopic_consistency(reference_params):
     )
     lossless = ChannelParams(kappa=channel.kappa, eps_p=0.0, eps_a=0.0)
     for size in (1, 2, 4, 8, 16):
-        ex0 = extract_collective(
-            build_transfer_from_channel(
-                lossless, Grid(n_z=size, n_tau=size, L=reference_params.L, T=1e-6)
-            )
-        )
+        ex0 = extract_collective(build_transfer_from_channel(lossless, Grid(n_z=size, n_tau=size)))
         ok = ok and abs(ex0.kappa_eff - channel.kappa) < 1e-12
         ok = ok and ex0.eps_p_eff < 1e-12 and ex0.signal_leak < 1e-20
     elapsed = time.perf_counter() - start

@@ -116,6 +116,30 @@ def test_a_bad_value_exits_1_naming_its_key(tmp_path, capsys, command, text, fla
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, line", [
+    ("--seed", "abc", "seed: expected an integer, got 'abc'"),
+    ("--seed", "-1", "seed: must lie in [0, 2^64), got -1"),
+    ("--trials", "1e3", "trials: expected an integer, got 1000.0"),
+    ("--format", "xml", "output.format: must be one of json | csv, got 'xml'"),
+], ids=["seed-text", "seed-negative", "trials-float", "format-xml"])
+def test_a_bad_flag_value_exits_1_naming_its_key(tmp_path, capsys, flag, value, line):
+    # A flag is read as the key's value in the file is.
+    cfg = _write(tmp_path, "run.cfg", IDEAL)
+    out = tmp_path / "run.json"
+    assert _run(["entangle", "--config", cfg, "--out", str(out), flag, value]) == 1
+    assert capsys.readouterr() == ("", f"config error: {line}\n")
+    assert not out.exists()
+
+
+def test_an_output_path_is_kept_as_written(tmp_path, monkeypatch):
+    # 2024.10 is the path's text, not the number 2024.1.
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, "run.cfg", IDEAL + "output.path = 2024.10\n")
+    assert _run(["entangle", "--config", cfg]) == 0
+    assert _run(["entangle", "--config", cfg, "--out", "0010", "--format", "csv"]) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["0010", "2024.10", "run.cfg"]
+
+
 # ---------------------------------------------------------------------------
 # entangle
 
@@ -356,6 +380,26 @@ def test_mb_validate_reference_regime(tmp_path):
     assert float(rows[0]["dev_kappa"]) >= float(rows[-1]["dev_kappa"])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rho", ["1e-200", "1e-300", "1e-310"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_mb_validate_at_a_vanishing_density_writes_finite_floats(tmp_path, capsys, rho, fmt):
+    # sqrt(Np Na) underflows at each density, so kappa is 0 and its deviation
+    # is the effective value, as an eps of 0 gives; at 1e-200 and 1e-300 the
+    # nonzero expm1(h) of the damping also squares to 0.
+    cfg = _write(tmp_path, "run.cfg", PHYSICAL.replace("5e12 cm^-3", rho))
+    out = tmp_path / f"mb.{fmt}"
+    assert _run(["mb-validate", "--config", cfg, "--format", fmt, "--out", str(out)]) in (0, 3)
+    assert capsys.readouterr().err == ""
+    if fmt == "json":
+        rows = json.loads(out.read_text())["rows"]
+        cells = [value for row in rows for value in row.values()]
+    else:
+        lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        cells = [float(cell) for line in lines[1:] for cell in line.split(",")]
+    assert len(cells) == 50 and all(math.isfinite(cell) for cell in cells)
+
+
 def test_mb_validate_large_grid(tmp_path):
     # 256^2 needs no dense transfer map (that would be 2.1 GB of noise
     # coefficients), so the ladder runs to the top at the reference point.
@@ -404,7 +448,7 @@ def test_mb_validate_makes_one_extraction_call_per_run(tmp_path, monkeypatch):
     payload = json.loads(out.read_text())
     channel = ChannelParams(kappa=payload["kappa_analytic"], eps_p=payload["eps_p_analytic"],
                             eps_a=payload["eps_a_analytic"])
-    grids = [Grid(n_z=n, n_tau=n, L=0.02, T=1e-6) for n in sizes]
+    grids = [Grid(n_z=n, n_tau=n) for n in sizes]
     assert [row["grid"] for row in payload["rows"]] == sizes
     for row, extraction in zip(payload["rows"], extract_collective_grids(channel, grids)):
         for field in ("kappa_eff", "eps_p_eff", "eps_a_eff", "signal_leak",
@@ -556,8 +600,21 @@ def test_a_failed_run_prints_one_line(tmp_path, capsys, command, text, code, lin
     ("sweep", SWEEP + "protocol.kappa1_multiplier = 5e-324\n",
      1, "config error: gain calibration failed: measurement outcomes do not respond to the "
         "input mean at kappa2 = 0.2 (kappa too small?)"),
+    # Delta**2 and omega0**3 = (2 pi c / lambda0)**3 overflow as the physical
+    # inputs are read: the figure is named, as an overflowed kappa is.
+    ("derive", PHYSICAL.replace("delta = 9.42477796076938e9", "delta = 1e160"),
+     1, "config error: physical: Delta**2 overflows the float range at Delta = 1e+160"),
+    ("mb-validate", PHYSICAL.replace("delta = 9.42477796076938e9", "delta = 1e300"),
+     1, "config error: physical: Delta**2 overflows the float range at Delta = 1e+300"),
+    ("derive", PHYSICAL.replace("lambda0 = 6.283185307179586e-07", "lambda0 = 1e-150"),
+     1, "config error: physical: omega0**3 overflows the float range at "
+        "omega0 = 1.883651567308853e+159"),
+    ("entangle", PHYSICAL.replace("lambda0 = 6.283185307179586e-07", "lambda0 = 1e-120"),
+     1, "config error: physical: omega0**3 overflows the float range at "
+        "omega0 = 1.883651567308853e+129"),
 ], ids=["derived-kappa-overflow", "fresnel-overflow", "gain-overflow", "input-overflow",
-        "singular-calibration"])
+        "singular-calibration", "delta-square-overflow", "delta-square-overflow-mb",
+        "omega-cube-overflow", "omega-cube-overflow-entangle"])
 def test_an_input_at_the_float_range_fails_in_one_line(tmp_path, capsys, command, text, code,
                                                         line):
     cfg = _write(tmp_path, "run.cfg", text)

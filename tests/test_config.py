@@ -34,6 +34,14 @@ def test_parse_basic_types():
     assert mapping == {"a": 1, "b": 2.5, "c": True, "d": "hello"}
 
 
+def test_a_text_key_keeps_its_text():
+    # 2024.10 is the path's text in a file and in a variable, not 2024.1.
+    mapping = parse_config_text("output.path = 2024.10\nsweep.param = 1.50\nseed = 7\n")
+    assert mapping == {"output.path": "2024.10", "sweep.param": "1.50", "seed": 7}
+    merged = apply_env_overrides({}, {"SPINLIGHT_OUTPUT__PATH": " 2024.10 "})
+    assert merged == {"output.path": "2024.10"}
+
+
 def test_parse_rejects_malformed_lines():
     with pytest.raises(ConfigError):
         parse_config_text("just a line\n")

@@ -8,7 +8,6 @@ from scipy import constants
 from spinlight import (
     ChannelParams,
     PhysicalParams,
-    RegimeThresholds,
     apply_pass,
     derive_channel,
     kappa_from_density,
@@ -236,13 +235,12 @@ def test_jump_count_equals_eps_p_times_np(reference_params):
     )
 
 
-def test_thresholds_configurable():
-    params = _symmetric_params()
-    ch = derive_channel(params)
-    strict = validate_regime(
-        params, ch, RegimeThresholds(detuning_ratio_min=1e6)
-    )
-    assert not strict.detuning_large
+def test_detuning_below_its_cutoff_is_not_large():
+    # Delta = 200 gamma passes the Delta / gamma > 50 cutoff; 40 gamma does not.
+    for ratio, large in ((200.0, True), (40.0, False)):
+        params = _symmetric_params(Delta=ratio * 2.0 * math.pi * 6e6)
+        report = validate_regime(params, derive_channel(params))
+        assert report.detuning_large is large
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from spinlight import (
     commutator_defect,
     derive_channel,
     extract_collective,
-    extract_collective_from_channel,
     extract_collective_grids,
     vacuum_state,
 )
@@ -36,7 +35,7 @@ CONVERGENCE_FIXTURE = {
 
 
 def _grid(n_z, n_tau=None):
-    return Grid(n_z=n_z, n_tau=n_tau if n_tau is not None else n_z, L=0.02, T=1e-6)
+    return Grid(n_z=n_z, n_tau=n_tau if n_tau is not None else n_z)
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +61,7 @@ def test_lossless_map_is_exact_on_collective_modes(n_z, n_tau):
 
     for extraction in (
         extract_collective(tm),
-        extract_collective_from_channel(channel, _grid(n_z, n_tau)),
+        extract_collective_grids(channel, [_grid(n_z, n_tau)])[0],
     ):
         assert extraction.kappa_eff == pytest.approx(channel.kappa, abs=1e-12)
         assert extraction.eps_p_eff == pytest.approx(0.0, abs=1e-12)
@@ -113,7 +112,7 @@ def test_convergence_fixture_and_tolerances(reference_params, reference_channel)
         extraction = extract_collective(
             build_transfer(reference_params, _grid(size))
         )
-        adjoint = extract_collective_from_channel(reference_channel, _grid(size))
+        adjoint = extract_collective_grids(reference_channel, [_grid(size)])[0]
         # regression against the recorded study, dense and adjoint
         for result in (extraction, adjoint):
             assert result.kappa_eff == pytest.approx(kappa_rec, rel=1e-12)
@@ -138,7 +137,7 @@ def test_convergence_continues_past_fixture(reference_channel):
     kappa = reference_channel.kappa
     deviations = [abs(CONVERGENCE_FIXTURE[64][0] - kappa)]
     for size in (128, 256, 512, 1024, 2048, 4096):
-        extraction = extract_collective_from_channel(reference_channel, _grid(size))
+        extraction = extract_collective_grids(reference_channel, [_grid(size)])[0]
         deviations.append(abs(extraction.kappa_eff - kappa))
         assert abs(extraction.eps_p_eff - reference_channel.eps_p) < (
             0.05 * reference_channel.eps_p
@@ -216,7 +215,7 @@ def test_adjoint_matches_dense_extraction(
         channel = ORACLE_CHANNELS[channel_name]
     grid = _grid(n_z, n_tau)
     dense = extract_collective(build_transfer_from_channel(channel, grid))
-    adjoint = extract_collective_from_channel(channel, grid)
+    adjoint = extract_collective_grids(channel, [grid])[0]
     _assert_extractions_close(adjoint, dense, channel, grid)
 
 
@@ -235,7 +234,7 @@ def test_closed_form_matches_sweep_on_large_grids(
         channel = ORACLE_CHANNELS[channel_name]
     grid = _grid(n_z, n_tau)
     _assert_extractions_close(
-        extract_collective_from_channel(channel, grid),
+        extract_collective_grids(channel, [grid])[0],
         sweep_collective_extraction(channel, grid),
         channel,
         grid,
@@ -250,7 +249,7 @@ def test_extraction_fields_are_python_floats(channel_name, reference_channel):
     grid = _grid(4, 3)
     for extraction in (
         extract_collective(build_transfer_from_channel(channel, grid)),
-        extract_collective_from_channel(channel, grid),
+        extract_collective_grids(channel, [grid])[0],
     ):
         for field in dataclasses.fields(extraction):
             assert type(getattr(extraction, field.name)) is float, field.name
@@ -264,7 +263,7 @@ def test_eps_eff_exact_against_50_digits(n_z, n_tau, eps_p, eps_a):
     # 1 - b^2 with b the collective transmission lost up to 2e-12 of it at
     # 128^2; -expm1(2 n h) keeps every digit.
     channel = ChannelParams(kappa=5.0, eps_p=eps_p, eps_a=eps_a)
-    extraction = extract_collective_from_channel(channel, _grid(n_z, n_tau))
+    extraction = extract_collective_grids(channel, [_grid(n_z, n_tau)])[0]
     with mpmath.workdps(50):
         for got, eps, n in ((extraction.eps_p_eff, eps_p, n_z),
                             (extraction.eps_a_eff, eps_a, n_tau)):
@@ -274,8 +273,8 @@ def test_eps_eff_exact_against_50_digits(n_z, n_tau, eps_p, eps_a):
 
 @pytest.mark.parametrize("n_z, n_tau", [(1, 1), (3, 5), (1024, 1)])
 def test_lossless_eps_eff_is_exactly_zero(n_z, n_tau):
-    extraction = extract_collective_from_channel(
-        ChannelParams(kappa=3.1, eps_p=0.0, eps_a=0.0), _grid(n_z, n_tau))
+    extraction = extract_collective_grids(
+        ChannelParams(kappa=3.1, eps_p=0.0, eps_a=0.0), [_grid(n_z, n_tau)])[0]
     for value in (extraction.eps_p_eff, extraction.eps_a_eff):
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
@@ -292,7 +291,7 @@ def test_batched_rows_equal_one_grid_calls_bit_for_bit(channel_name, reference_c
     batched = extract_collective_grids(channel, grids)
     assert len(batched) == len(grids)
     for grid, row in zip(grids, batched):
-        alone = extract_collective_from_channel(channel, grid)
+        alone = extract_collective_grids(channel, [grid])[0]
         assert [v.hex() for v in dataclasses.astuple(row)] == [
             v.hex() for v in dataclasses.astuple(alone)
         ], (grid.n_z, grid.n_tau)
@@ -316,7 +315,7 @@ def test_closed_form_matches_dense_property(n_z, n_tau, kappa, eps_p, eps_a):
     channel = ChannelParams(kappa=kappa, eps_p=eps_p, eps_a=eps_a)
     grid = _grid(n_z, n_tau)
     _assert_extractions_close(
-        extract_collective_from_channel(channel, grid),
+        extract_collective_grids(channel, [grid])[0],
         extract_collective(build_transfer_from_channel(channel, grid)),
         channel,
         grid,
@@ -380,7 +379,7 @@ def test_closed_form_signal_leak_against_50_digits(
     grid = _grid(n_z, n_tau)
     with mpmath.workdps(50):
         reference = _mp_signal_leak(channel, grid)
-        got = extract_collective_from_channel(channel, grid).signal_leak
+        got = extract_collective_grids(channel, [grid])[0].signal_leak
         assert abs(mpmath.mpf(got) / reference - 1) <= 2e-15
 
 
@@ -418,6 +417,6 @@ def test_extraction_invariant_under_slice_relabeling(reference_params):
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        Grid(n_z=0, n_tau=4, L=0.02, T=1e-6)
+        Grid(n_z=0, n_tau=4)
     with pytest.raises(ValueError):
-        Grid(n_z=4, n_tau=4, L=-1.0, T=1e-6)
+        Grid(n_z=4, n_tau=0)

@@ -1,7 +1,7 @@
 """The package's public surface: its exports and the README's examples."""
 
-import ast
 import contextlib
+import inspect
 import io
 import re
 from pathlib import Path
@@ -15,22 +15,19 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 LAYERS = (gaussian, interaction, maxwell_bloch, protocols)
 
 
-def _package_imports():
-    """{module name: names} of the package's ``from .module import ...`` lines."""
-    tree = ast.parse(Path(spinlight.__file__).read_text())
-    imports = {}
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            imports.setdefault(node.module, set()).update(a.name for a in node.names)
-    return imports
+def _routines(namespace, names):
+    """The ``names`` that ``namespace`` binds to a function or a class."""
+    return {name for name in names
+            if inspect.isfunction(value := getattr(namespace, name)) or inspect.isclass(value)}
 
 
 @pytest.mark.parametrize("module", LAYERS, ids=lambda m: m.__name__)
 def test_package_exports_each_layer_all(module):
-    taken = _package_imports()[module.__name__.rpartition(".")[2]]
-    assert taken == set(module.__all__)
     for name in module.__all__:
         assert getattr(spinlight, name) is getattr(module, name), name
+    # No function or class reaches the package but through a layer's __all__.
+    assert _routines(spinlight, dir(spinlight)) == {
+        name for layer in LAYERS for name in _routines(layer, layer.__all__)}
 
 
 def _python_blocks():

@@ -680,3 +680,15 @@ def test_a_fidelity_outside_the_unit_interval_names_its_trial(monkeypatch):
     monkeypatch.setattr(protocols, "_overlap", inflated)
     with pytest.raises(DegeneracyError, match=r"fidelity must lie in \[0, 1\], got nan at trial 2"):
         run_trials(make_plans(1.5, 0.2), np.random.default_rng(0), 4, (0.0, 0.0), (1.0, 1.0))
+
+
+def test_teleport_classifies_a_bad_fidelity_as_run_trials_does():
+    # A manual gain of 1e150 overflows the averaged output: a nan fidelity.
+    plans, gain = make_plans(1.5, 0.2), (1e150, 1e150)
+    with pytest.raises(DegeneracyError, match=r"got nan at trial 0$"):
+        run_trials(plans, np.random.default_rng(0), 1, (0.0, 0.0), gain)
+    # The same draws one call at a time: trial 0's pair and its teleport.
+    rng = np.random.default_rng(0)
+    pair, _ = entangle(plans["entangle1"], plans["entangle2"], rng)
+    with pytest.raises(DegeneracyError, match=r"got nan at input mean \(0\.0, 0\.0\)$"):
+        teleport(pair, (0.0, 0.0), plans["local1"], plans["local2"], gain, rng)
