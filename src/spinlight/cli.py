@@ -329,6 +329,22 @@ def _write_artifact(path, chunks):
 # subcommands: each returns (payload, csv_table, summary_lines, exit_code)
 
 
+def _kappa_identity(physical, channel):
+    """2 sqrt(eps_p eps_a) Delta / sqrt(gamma gamma'), which equals kappa; None at a zero rate.
+
+    Where a product leaves the normal floats (gamma = gamma' = 1e-200
+    underflows to 0), the square roots are taken factor by factor.
+    """
+    gamma, gamma_prime = physical.gamma, physical.gamma_prime
+    if not (gamma > 0 and gamma_prime > 0):
+        return None
+    eps, rates = channel.eps_p * channel.eps_a, gamma * gamma_prime
+    if all(sys.float_info.min <= product <= sys.float_info.max for product in (eps, rates)):
+        return 2.0 * math.sqrt(eps) * physical.Delta / math.sqrt(rates)
+    return (2.0 * math.sqrt(channel.eps_p) * math.sqrt(channel.eps_a) * physical.Delta
+            / (math.sqrt(gamma) * math.sqrt(gamma_prime)))
+
+
 def _cmd_derive(cfg):
     if cfg.physical is None:
         raise ConfigError("physical", "derive needs the physical.* section")
@@ -339,12 +355,7 @@ def _cmd_derive(cfg):
         "kappa": channel.kappa,
         "eps_p": channel.eps_p,
         "eps_a": channel.eps_a,
-        "kappa_identity": 2.0
-        * math.sqrt(channel.eps_p * channel.eps_a)
-        * cfg.physical.Delta
-        / math.sqrt(cfg.physical.gamma * cfg.physical.gamma_prime)
-        if cfg.physical.gamma > 0 and cfg.physical.gamma_prime > 0
-        else None,
+        "kappa_identity": _kappa_identity(cfg.physical, channel),
         "fresnel": report.fresnel,
         "fresnel_ok": report.fresnel_ok,
         "eps_small": report.eps_small,

@@ -299,7 +299,6 @@ _SCHEMA = {key: _Key(key, *row) for key, row in {
     "physical.delta": (_number, _REQUIRED, "(0, inf)", "detuning, rad/s", "Delta"),
     "physical.gamma": (_number, _REQUIRED, "[0, inf)", "decay rate, rad/s"),
     "physical.gamma_prime": (_number, _REQUIRED, "[0, inf)", "cross decay rate, rad/s"),
-    "physical.t": (_number, PhysicalParams.T, "(0, inf)", "pulse duration, s", "T"),
     "physical.na": (_number, _Later("rho * area * length / 2"), "(0, inf)", "half atom number",
                     "Na"),
     "physical.np": (_number, _Later("na"), "(0, inf)", "half photon number", "Np"),

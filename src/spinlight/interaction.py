@@ -52,12 +52,12 @@ def dipole_from_linewidth(gamma, omega0):
     return math.sqrt(3.0 * math.pi * EPSILON_0 * HBAR * SPEED_OF_LIGHT**3 * gamma / omega3)
 
 
-def _power(name, value, exponent):
-    """``value ** exponent``; a result past the float range is a ValueError naming ``name``."""
+def _power(name, value, exponent, error=ValueError):
+    """``value ** exponent``; a result past the float range is an ``error`` naming ``name``."""
     try:
         return value**exponent
     except OverflowError:
-        raise ValueError(
+        raise error(
             f"{name}**{exponent} overflows the float range at {name} = {value!r}"
         ) from None
 
@@ -93,9 +93,6 @@ class PhysicalParams:
         allowed as the explicit lossless idealization.
     gamma_prime : float
         Cross decay rate to the other ground state (rad/s); zero allowed.
-    T : float
-        Pulse duration (s).  Enters only through the photon-number budget
-        2 * Np = 2 c * integral |alpha_t|^2 dt; Np itself is what matters here.
     A : float, optional
         Beam / ensemble cross section (m^2).  Defaults to lambda0 * L, the
         unit-Fresnel-number pencil geometry.
@@ -117,7 +114,6 @@ class PhysicalParams:
     Delta: float
     gamma: float
     gamma_prime: float
-    T: float = 1e-6
     A: float = None
     Na: float = None
     Np: float = None
@@ -125,7 +121,7 @@ class PhysicalParams:
     dipole: float = None
 
     def __post_init__(self):
-        for name in ("lambda0", "L", "rho", "Delta", "T"):
+        for name in ("lambda0", "L", "rho", "Delta"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and value > 0):
                 raise ValueError(f"{name} must be positive, got {value!r}")

@@ -3,13 +3,10 @@
 The one-dimensional linearized propagation equations (light advected through
 the sample in retarded time, atoms driven bin by bin, spontaneous-emission
 damping feeding fresh vacuum noise) are discretized on an (n_z slices) x
-(n_tau bins) grid.  Each cell applies
-
-  1. the kick x_light -= k_cell * p_atom, x_atom -= k_cell * p_light with
-     k_cell = kappa / sqrt(n_z * n_tau),
-  2. light damping eps_p / n_z with a fresh vacuum injection,
-  3. atomic damping eps_a / n_tau with a fresh vacuum injection,
-
+(n_tau bins) grid.  Each cell is one pass of the collective channel
+(:func:`~spinlight.interaction.apply_pass`, the engine's own step) with
+kick k_cell = kappa / sqrt(n_z * n_tau), light damping eps_p / n_z and
+atomic damping eps_a / n_tau, each damping with a fresh vacuum injection,
 composed causally: bin m traverses slices j = 1..n_z, bins in time order.
 Because the p quadratures are conserved by the kicks, the lossless part
 composes exactly to the collective channel for any grid size; the damping
@@ -30,10 +27,9 @@ per-cell transmission: O(1) per grid.  Only the two variance terms
 (``signal_leak``'s spread and the cross-noise sum) need the n terms
 expm1(i h), and :func:`extract_collective_grids` takes them for a whole
 ladder of grids in one segmented pass, with no loop over the cells; one
-grid is the ladder ``[grid]``.  The
-dense composed map of :func:`build_transfer` has 2 (n_tau + n_z) rows and
-4 n_z n_tau noise columns; it is kept as the small-grid reference for
-:func:`commutator_defect` and the tests.
+grid is the ladder ``[grid]``.  The dense composed map of
+:func:`build_transfer`, 2 (n_tau + n_z) rows by up to 4 n_z n_tau noise
+columns, is that grid of passes written out: the tests' small-grid reference.
 """
 
 import dataclasses
@@ -42,8 +38,8 @@ import sys
 
 import numpy as np
 
-from .gaussian import VACUUM_VARIANCE, symplectic_form
-from .interaction import derive_channel
+from .gaussian import VACUUM_VARIANCE
+from .interaction import _pass, _power, derive_channel
 
 __all__ = [
     "Grid",
@@ -53,8 +49,6 @@ __all__ = [
     "build_transfer_from_channel",
     "extract_collective",
     "extract_collective_grids",
-    "collective_signal_block",
-    "commutator_defect",
 ]
 
 
@@ -71,10 +65,6 @@ class Grid:
                 f"grid too small: need n_z >= 1 and n_tau >= 1, "
                 f"got {self.n_z} x {self.n_tau}"
             )
-
-    @property
-    def n_cells(self):
-        return self.n_z * self.n_tau
 
 
 @dataclasses.dataclass(frozen=True)
@@ -133,59 +123,30 @@ def build_transfer(params, grid):
 
 
 def build_transfer_from_channel(channel, grid):
-    """Compose the per-cell kick/damping updates into one linear map."""
+    """Compose one pass (:func:`~spinlight.interaction.apply_pass`) per grid cell.
+
+    One array holds the signal columns and then the injected vacua.  Each
+    cell's pass acts on the columns so far; then its light vacua and its
+    atomic vacua are appended, each only where that damping is > 0.
+    """
     nt, nz = grid.n_tau, grid.n_z
     dim = 2 * (nt + nz)
-    eps_cell_p = channel.eps_p / nz
-    eps_cell_a = channel.eps_a / nt
+    eps_p, eps_a = channel.eps_p / nz, channel.eps_a / nt
     k_cell = channel.kappa / math.sqrt(nz * nt)
-
-    cols_per_cell = 2 * (eps_cell_p > 0) + 2 * (eps_cell_a > 0)
-    n_cols = cols_per_cell * grid.n_cells
-    signal = np.eye(dim)
-    noise = np.zeros((dim, n_cols))
-    light_cols = []
-    atom_cols = []
-
-    tp = math.sqrt(1.0 - eps_cell_p)
-    sp = math.sqrt(eps_cell_p)
-    ta = math.sqrt(1.0 - eps_cell_a)
-    sa = math.sqrt(eps_cell_a)
-
-    col = 0
+    transfer = np.eye(dim, dim + 2 * ((eps_p > 0) + (eps_a > 0)) * nz * nt)
+    light_cols, atom_cols = [], []
+    col = dim
     for m in range(nt):
-        xl, pl = 2 * m, 2 * m + 1
         for j in range(nz):
-            xa, pa = 2 * (nt + j), 2 * (nt + j) + 1
-            # Kick reads p rows, writes x rows; no read-write overlap.  Noise
-            # columns beyond ``col`` are still all zero, so restricting the
-            # row operations to the written prefix is exact.
-            signal[xl] -= k_cell * signal[pa]
-            signal[xa] -= k_cell * signal[pl]
-            if col:
-                noise[xl, :col] -= k_cell * noise[pa, :col]
-                noise[xa, :col] -= k_cell * noise[pl, :col]
-            if eps_cell_p > 0:
-                signal[xl] *= tp
-                signal[pl] *= tp
-                noise[xl, :col] *= tp
-                noise[pl, :col] *= tp
-                noise[xl, col] = sp
-                noise[pl, col + 1] = sp
-                light_cols += [col, col + 1]
-                col += 2
-            if eps_cell_a > 0:
-                signal[xa] *= ta
-                signal[pa] *= ta
-                noise[xa, :col] *= ta
-                noise[pa, :col] *= ta
-                noise[xa, col] = sa
-                noise[pa, col + 1] = sa
-                atom_cols += [col, col + 1]
-                col += 2
+            _pass(transfer[:, :col], None, m, nt + j, k_cell, eps_p, eps_a)
+            for mode, eps, cols in ((m, eps_p, light_cols), (nt + j, eps_a, atom_cols)):
+                if eps > 0:
+                    transfer[2 * mode, col] = transfer[2 * mode + 1, col + 1] = math.sqrt(eps)
+                    cols += [col - dim, col + 1 - dim]
+                    col += 2
     return TransferMap(
-        signal=signal,
-        noise=noise,
+        signal=transfer[:, :dim].copy(),
+        noise=transfer[:, dim:].copy(),
         light_cols=np.array(light_cols, dtype=int),
         atom_cols=np.array(atom_cols, dtype=int),
         n_tau=nt,
@@ -201,12 +162,6 @@ def _collective_vectors(n_tau, n_z):
     vectors[2, 2 * n_tau :: 2] = 1.0 / math.sqrt(n_z)
     vectors[3, 2 * n_tau + 1 :: 2] = 1.0 / math.sqrt(n_z)
     return vectors
-
-
-def collective_signal_block(tm):
-    """4x4 signal block of the collective (x_l, p_l, x_a, p_a) modes."""
-    u = _collective_vectors(tm.n_tau, tm.n_z)
-    return u @ tm.signal @ u.T
 
 
 def _extraction(rows, u, light_noise, atom_noise):
@@ -297,6 +252,9 @@ def extract_collective_grids(channel, grids):
         [terms[1] for terms in light + atoms],
         [grid.n_z for grid in grids] + [grid.n_tau for grid in grids],
     )
+    # An input the channel accepts can still square past the float range: a
+    # numerical failure, not a config error.
+    kappa2 = _power("kappa", channel.kappa, 2, OverflowError)
     extractions = []
     for g, grid in enumerate(grids):
         nz, nt, a = grid.n_z, grid.n_tau, g + len(grids)
@@ -311,7 +269,7 @@ def extract_collective_grids(channel, grids):
             squares[s] / em**2 if em**2 >= sys.float_info.min else (n - 1) * n * (2 * n - 1) / 6
             for s, em, n in ((g, em_p, nz), (a, em_a, nt))
         )
-        k2 = channel.kappa**2 / (nz * nt)
+        k2 = kappa2 / (nz * nt)
         # Same-channel vacua: a vacuum injected i dampings before the output.
         own_l, own_a = eps_p * energy_p, eps_a * energy_a
         # Cross vacua: an atomic p vacuum from bin m' reaches the later bins'
@@ -332,19 +290,3 @@ def extract_collective_grids(channel, grids):
             noise_var_atom_x_total=VACUUM_VARIANCE * (own_a + cross_a),
         ))
     return extractions
-
-
-def commutator_defect(tm):
-    """Max deviation of S Omega S^T + N Omega_noise N^T from Omega.
-
-    Zero (to rounding) for every grid: each elementary update is symplectic on
-    the system plus its fresh ancilla, so canonical commutators survive the
-    full composition including the noise injections.
-    """
-    n_sys = tm.n_tau + tm.n_z
-    omega = symplectic_form(n_sys)
-    total = tm.signal @ omega @ tm.signal.T
-    if tm.noise.shape[1]:
-        omega_noise = symplectic_form(tm.noise.shape[1] // 2)
-        total = total + tm.noise @ omega_noise @ tm.noise.T
-    return float(np.max(np.abs(total - omega)))

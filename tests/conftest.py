@@ -197,6 +197,32 @@ def sweep_collective_extraction(channel, grid):
     return dataclasses.replace(swept, signal_leak=wide.signal_leak)
 
 
+def collective_signal_block(tm):
+    """4x4 signal block of a dense map's collective (x_l, p_l, x_a, p_a) modes."""
+    from spinlight.maxwell_bloch import _collective_vectors
+
+    u = _collective_vectors(tm.n_tau, tm.n_z)
+    return u @ tm.signal @ u.T
+
+
+def commutator_defect(tm):
+    """Max deviation of S Omega S^T + N Omega_noise N^T from Omega.
+
+    Zero (to rounding) for every grid: each elementary update is symplectic on
+    the system plus its fresh ancilla, so canonical commutators survive the
+    full composition including the noise injections.  It needs the dense
+    map, so it checks small grids only.
+    """
+    from spinlight import symplectic_form
+
+    omega = symplectic_form(tm.n_tau + tm.n_z)
+    total = tm.signal @ omega @ tm.signal.T
+    if tm.noise.shape[1]:
+        omega_noise = symplectic_form(tm.noise.shape[1] // 2)
+        total = total + tm.noise @ omega_noise @ tm.noise.T
+    return float(np.max(np.abs(total - omega)))
+
+
 # Operating point from the headline estimate: rho = 5e12 cm^-3, L = 2 cm,
 # Delta = 300 gamma, number matching, and the wavelength fixed by inverting
 # the column-density form 3 rho lambda0^2 L gamma / (8 pi^2 Delta) = 5.

@@ -63,6 +63,18 @@ def test_derive_warns_outside_regime(tmp_path):
     assert _run(["derive", "--config", cfg, "--out", str(tmp_path / "d.json")]) == 2
 
 
+@pytest.mark.filterwarnings("error")
+def test_derive_at_tiny_decay_rates_writes_the_kappa_identity(tmp_path, capsys):
+    # gamma * gamma' = 1e-400 underflows to 0; the identity still gives kappa.
+    text = PHYSICAL.replace("3.141592653589793e7", "1e-200") + "physical.g_coupling = 1e-3\n"
+    out = tmp_path / "derive.json"
+    assert _run(["derive", "--config", _write(tmp_path, "run.cfg", text), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    payload = json.loads(out.read_text())
+    assert payload["kappa_identity"] == payload["kappa"] == 4.447521269308693e-16
+    assert all(math.isfinite(value) for value in payload.values() if isinstance(value, float))
+
+
 def test_derive_density_alias_gives_identical_artifact(tmp_path):
     cfg_alias = _write(tmp_path, "alias.cfg", PHYSICAL)
     cfg_si = _write(tmp_path, "si.cfg", PHYSICAL.replace("5e12 cm^-3", "5e18"))
@@ -83,9 +95,11 @@ def test_missing_config_file_exits_1(tmp_path):
 
 
 def test_unknown_key_exits_1(tmp_path, capsys):
-    cfg = _write(tmp_path, "run.cfg", IDEAL + "mystery.key = 1\n")
-    assert _run(["entangle", "--config", cfg]) == 1
-    assert "mystery.key" in capsys.readouterr().err
+    # physical.t, a pulse duration that nothing read, is no longer a key.
+    for key in ("mystery.key", "physical.t"):
+        cfg = _write(tmp_path, "run.cfg", IDEAL + f"{key} = 1\n")
+        assert _run(["entangle", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"config error: {key}: unknown key\n"
 
 
 BAD_VALUES = [
@@ -612,9 +626,12 @@ def test_a_failed_run_prints_one_line(tmp_path, capsys, command, text, code, lin
     ("entangle", PHYSICAL.replace("lambda0 = 6.283185307179586e-07", "lambda0 = 1e-120"),
      1, "config error: physical: omega0**3 overflows the float range at "
         "omega0 = 1.883651567308853e+129"),
+    # A lossless channel accepts kappa = 4.4e190, but mb-validate squares it.
+    ("mb-validate", PHYSICAL.replace("3.141592653589793e7", "0") + "physical.g_coupling = 1e100\n",
+     4, "numerical error: kappa**2 overflows the float range at kappa = 4.447521269308693e+190"),
 ], ids=["derived-kappa-overflow", "fresnel-overflow", "gain-overflow", "input-overflow",
         "singular-calibration", "delta-square-overflow", "delta-square-overflow-mb",
-        "omega-cube-overflow", "omega-cube-overflow-entangle"])
+        "omega-cube-overflow", "omega-cube-overflow-entangle", "kappa-square-overflow-mb"])
 def test_an_input_at_the_float_range_fails_in_one_line(tmp_path, capsys, command, text, code,
                                                         line):
     cfg = _write(tmp_path, "run.cfg", text)

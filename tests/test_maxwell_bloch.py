@@ -13,14 +13,12 @@ from spinlight import (
     apply_pass,
     build_transfer,
     build_transfer_from_channel,
-    commutator_defect,
     derive_channel,
     extract_collective,
     extract_collective_grids,
     vacuum_state,
 )
-from spinlight.maxwell_bloch import collective_signal_block
-from conftest import sweep_collective_extraction
+from conftest import collective_signal_block, commutator_defect, sweep_collective_extraction
 
 # Convergence study at the reference operating point (kappa = 5,
 # eps_p = eps_a = 1/120), recorded from dyadic grid refinement.  The drift

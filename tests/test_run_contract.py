@@ -159,6 +159,10 @@ OLD_ARTIFACT = b"an earlier artifact\n"
 @example(run=("entangle", {**PHYSICAL, "physical.lambda0": 1e-120}, JSON))
 @example(run=("mb-validate", {**PHYSICAL, "physical.rho": 1e-300}, JSON))
 @example(run=("mb-validate", {**PHYSICAL, "physical.rho": 1e-310}, CSV))
+@example(run=("mb-validate", {**PHYSICAL, "physical.gamma": 0.0, "physical.gamma_prime": 0.0,
+                              "physical.g_coupling": 1e100}, JSON))
+@example(run=("derive", {**PHYSICAL, "physical.gamma": 1e-200, "physical.gamma_prime": 1e-200,
+                         "physical.g_coupling": 1e-3}, CSV))
 @example(run=("entangle", {"channel.kappa": 5.0}, {"--seed": "abc", "--format": "json"}))
 @example(run=("teleport", {"channel.kappa": 5.0}, {"--trials": "1e3", "--format": "csv"}))
 @example(run=("sweep", {"channel.kappa": 1.0, **SWEEP}, {"--format": "xml"}))
