@@ -48,6 +48,7 @@ a FIFO, ``/dev/null``) get the same chunks and are never cut.
 """
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
@@ -88,7 +89,9 @@ EXIT_NUMERICAL = 4
 
 
 def _format_scalar(value):
-    """Text of one scalar: ``true``/``false`` for booleans, 17 significant digits for floats."""
+    """Text of one scalar: ``true``/``false``, floats to 17 digits, None (missing) empty."""
+    if value is None:
+        return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
@@ -356,12 +359,7 @@ def _cmd_derive(cfg):
         "eps_p": channel.eps_p,
         "eps_a": channel.eps_a,
         "kappa_identity": _kappa_identity(cfg.physical, channel),
-        "fresnel": report.fresnel,
-        "fresnel_ok": report.fresnel_ok,
-        "eps_small": report.eps_small,
-        "kappa_vs_sqrt_n": report.kappa_vs_sqrt_n,
-        "detuning_large": report.detuning_large,
-        "jump_count_estimate": report.jump_count_estimate,
+        **dataclasses.asdict(report),
         "regime_pass": report.all_pass,
         "config": cfg.echo,
     }
@@ -437,7 +435,7 @@ def _cmd_teleport(cfg):
         cfg.trials,
         (np.arange(cfg.trials), fidelities,
          payload["fidelity_ideal_closed_form"], payload["fidelity_lossy_closed_form"],
-         fidelities > 0.5),  # classical_bound_check of each, in [0, 1]
+         classical_bound_check(fidelities)),
     )
     summary = [f"fidelity = {_format_scalar(fidelity)}",
                f"classical bound exceeded: {_format_scalar(payload['classical_bound_exceeded'])}"]

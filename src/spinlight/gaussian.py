@@ -17,8 +17,8 @@ operating points: transfer columns or a mean become T X, a covariance
 T N T^T + Y, and each update is a few vector operations over the batch.
 A quarter turn, as between the rounds of a Bell measurement, is an exact
 signed swap of the mode's rows.  ``rotate`` and ``loss_channel`` copy a
-state's moments and apply a kernel.  The conditioning rule of a homodyne
-measurement is one kernel of the same kind, ``_condition``, which
+state's moments and apply a kernel.  A homodyne measurement (variance
+checks, outcome and conditioning) is one kernel, ``_measure``, which
 ``homodyne`` and the protocols' batched pulse measurement both call; the
 overlap with a coherent state is one batched kernel, ``_overlap``, which
 ``fidelity_coherent`` and the protocols' teleport stage both call.
@@ -203,18 +203,33 @@ def _quarter_turn(rows, cov, mode, sign):
         block[p if sign > 0 else x] *= -1.0
 
 
-def _condition(mean, cov, k, outcome):
-    """In place: condition on quadrature ``k`` having given ``outcome``.
+def _measure(mean, cov, k, value, sampled):
+    """In place: measure quadrature ``k`` and condition the moments on the outcome.
 
-    With c = cov[:, k] and v = cov[k, k], the mean gains
-    c (outcome - mean[k]) / v and the covariance loses c c^T / v; the
-    measured rows are kept.  ``mean`` may be None (then ``outcome`` is not
-    read); ``outcome`` is a scalar or an array over the trailing batch axes.
+    v = cov[k, k] must be positive and finite, else DegeneracyError.  The
+    outcome is ``value`` or, if ``sampled``, mean[k] + sqrt(v) ``value`` for a
+    standard normal ``value`` (the bits of ``rng.normal``); a non-finite one is
+    a DegeneracyError if sampled (an overflowed mean) and a ValueError if
+    given.  With c = cov[:, k], the mean gains c (outcome - mean[k]) / v and the
+    covariance loses c c^T / v; the measured rows are kept.  Returns the
+    outcome, a scalar or batch array; with ``mean`` None, only ``cov`` is
+    conditioned, ``value`` is not read and None is returned.
     """
     column, v = cov[:, k].copy(), cov[k, k].copy()
+    if not ((v > 0.0) & (v < math.inf)).all():
+        if np.any(v <= 0.0):
+            raise DegeneracyError(f"measured quadrature has non-positive variance {np.min(v)}")
+        raise DegeneracyError(f"measured quadrature has non-finite variance {np.max(v)}")
+    outcome = None
     if mean is not None:
+        outcome = mean[k] + np.sqrt(v) * value if sampled else value
+        bad = ~np.isfinite(outcome)
+        if bad.any():
+            error = DegeneracyError if sampled else ValueError
+            raise error(f"measurement outcome must be finite, got {np.asarray(outcome)[bad][0]}")
         mean += column * ((outcome - mean[k]) / v)
     cov -= column[:, None] * column[None, :] / v
+    return outcome
 
 
 def _state_step(state, step, *args):
@@ -266,6 +281,9 @@ def homodyne(state, mode, quadrature, rng=None, forced=None):
         Posterior follows the scalar Gaussian conditioning rule and the
         measured mode is removed from the register (the pulse is destroyed
         at the detector); remaining modes keep their relative order.
+
+    Measured by the protocols' kernel ``_measure``, with its errors: a
+    DegeneracyError, or a ValueError for a non-finite ``forced``.
     """
     if (rng is None) == (forced is None):
         raise ValueError("provide exactly one outcome source: rng or forced")
@@ -273,18 +291,13 @@ def homodyne(state, mode, quadrature, rng=None, forced=None):
         raise ValueError(f"quadrature must be 'x' or 'p', got {quadrature!r}")
     m = _mode_of(state, mode)
     k = 2 * m + (0 if quadrature == "x" else 1)
-    v = state.cov[k, k]
-    if v <= 0.0:
-        raise DegeneracyError(f"measured quadrature has non-positive variance {v}")
-    outcome = float(forced) if forced is not None else float(
-        rng.normal(state.mean[k], math.sqrt(v))
-    )
     mean, cov = state.mean.copy(), state.cov.copy()
-    _condition(mean, cov, k, outcome)
+    sampled = forced is None
+    outcome = _measure(mean, cov, k, rng.standard_normal() if sampled else float(forced), sampled)
     keep = np.array(
         [i for i in range(state.mean.size) if i not in (2 * m, 2 * m + 1)], dtype=int
     )
-    return outcome, GaussianState(mean[keep], cov[np.ix_(keep, keep)])
+    return float(outcome), GaussianState(mean[keep], cov[np.ix_(keep, keep)])
 
 
 def variance_of(state, coeffs):

@@ -9,6 +9,9 @@ pass channel,
     p'   = sqrt(1 - eps)   p                   + sqrt(eps)   * p_noise
 
 and applies that channel to a :class:`~spinlight.gaussian.GaussianState`.
+One in-place kernel, ``_pass`` (the kick, then atomic and light damping), is
+the pass that :func:`apply_pass`, the protocols' Bell rounds and the
+Maxwell-Bloch grid cells all run.
 
 All quantities are SI.  Photon/atom number accounting: ``Np`` is HALF the
 total pulse photon number (the pulse carries ``2 * Np`` photons split over the
@@ -300,17 +303,17 @@ def _kick(rows, cov, light, atom, kappa):
 
 
 def _pass(rows, cov, light, atom, kappa, eps_p, eps_a):
-    """In place: one pass, the kick followed by light damping and atomic damping."""
+    """In place: one pass, the kick, then atomic and light damping (which commute)."""
     _kick(rows, cov, light, atom, kappa)
-    _damp(rows, cov, light, eps_p)
     _damp(rows, cov, atom, eps_a)
+    _damp(rows, cov, light, eps_p)
 
 
 def apply_pass(state, light, atom, channel):
     """One light-through-ensemble pass on a register state.
 
-    Applies the lossless two-mode kick, then the light damping eps_p and the
-    atomic damping eps_a (damping acts on the already-kicked quadratures).
+    Applies the lossless two-mode kick, then the atomic damping eps_a and the
+    light damping eps_p (damping acts on the already-kicked quadratures).
     """
     light_idx = _mode_of(state, light)
     atom_idx = _mode_of(state, atom)

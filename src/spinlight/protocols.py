@@ -16,8 +16,8 @@ the run (Braunstein & Kimble, PRL 80, 869 (1998)).  The two rounds of a Bell
 measurement compose into one affine-Gaussian channel (X, Y) over a register
 that keeps both light pulses unmeasured: samples with mean mu and covariance
 S leave as mean X mu and covariance X S X^T + Y.  The rounds are applied as
-in-place row/column updates (the step kernels of
-:mod:`~spinlight.gaussian` and :mod:`~spinlight.interaction`) to transfer
+in-place row/column updates (the pass kernel of
+:func:`~spinlight.interaction.apply_pass` and quarter turns) to transfer
 columns and a covariance together, so X S X^T + Y is pushed through directly
 and never formed as a product.  Round parameters are per-row arrays on the
 trailing batch axis, so a whole sweep of operating points is one pass.
@@ -32,8 +32,8 @@ input, det(V)^(-1/2) exp(-d^T V^-1 d / 2), by the kernel of
 for W = [I G] and Sigma the joint covariance of sample 2 and both outcomes,
 and d, the averaged mean's offset from the input, is zero at the unit gain
 and varies by trial under a manual gain.  One teleport stage serves the
-sweep, :func:`teleport` and :func:`run_trials`.  Both stages condition on
-each pulse's x in round order with one kernel, :func:`_measure_pulses`,
+sweep, :func:`teleport` and :func:`run_trials`.  Both stages measure each
+pulse's x in round order with the kernel of :func:`~spinlight.gaussian.homodyne`,
 batched over operating points (the sweep, on the covariance alone) or over
 the means of many trials at one operating point, so :func:`run_trials`
 pushes each stage once per run; :func:`entangle` and :func:`teleport` are
@@ -42,9 +42,9 @@ round order.  :func:`lossy_fidelity_sweep` returns the sweep's
 kappa2, simulated and closed-form fidelity columns with the argmax row.
 
 Within a round, the light's two consecutive losses (eps_p after a pass, then
-eta_t or eta_d) are one loss 1 - (1 - a)(1 - b), and the -pi/2 and +pi/2
-turns between the rounds are exact signed swaps, so each round is two kicks
-and four losses.
+eta_t or eta_d) are that pass's light damping 1 - (1 - a)(1 - b), and the
+-pi/2 and +pi/2 turns between the rounds are exact signed swaps, so each
+round is two calls of the pass kernel.
 """
 
 import dataclasses
@@ -56,12 +56,11 @@ from .gaussian import (
     VACUUM_VARIANCE,
     DegeneracyError,
     GaussianState,
-    _condition,
-    _damp,
+    _measure,
     _overlap,
     _quarter_turn,
 )
-from .interaction import ChannelParams, _kick
+from .interaction import ChannelParams, _pass
 
 __all__ = [
     "RoundPlan",
@@ -175,9 +174,11 @@ def optimal_kappa2(eta_t):
 
 
 def classical_bound_check(fidelity):
-    """True iff the fidelity strictly beats the best measure-and-prepare value 1/2."""
-    if not 0.0 <= fidelity <= 1.0:
-        raise ValueError(f"fidelity must lie in [0, 1], got {fidelity}")
+    """True iff the fidelity strictly beats the best measure-and-prepare value 1/2, elementwise."""
+    values = np.asarray(fidelity, dtype=float)
+    bad = ~((values >= 0.0) & (values <= 1.0))
+    if bad.any():
+        raise ValueError(f"fidelity must lie in [0, 1], got {values[bad][0]}")
     return fidelity > 0.5
 
 
@@ -210,9 +211,8 @@ def _push_bell(rows, cov, n_atoms, first, second, rounds):
     each round, none of them measured.  ``rows`` (transfer columns or a mean,
     may be None) has the quadrature on its leading axis and ``cov`` on its
     two leading axes; the batch of operating points is the trailing axis.
-    ``rounds`` is a :func:`_stack` array.  The light's pass damping eps_p
-    and the loss after it are one loss; the sample's damping, applied
-    between them in a pass, acts on another mode and commutes with them.
+    ``rounds`` is a :func:`_stack` array.  Each pass's light damping is eps_p
+    and the loss after it, one loss; the pass damps the sample first.
     """
     for number, params in enumerate(rounds):
         kappa, eps_p, eps_a, eta_t, eta_d = params.T
@@ -220,40 +220,23 @@ def _push_bell(rows, cov, n_atoms, first, second, rounds):
         # Pass the first sample, transmission loss, pass the second sample,
         # detector loss.
         for sample, loss in ((first, eta_t), (second, eta_d)):
-            _kick(rows, cov, light, sample, kappa)
-            _damp(rows, cov, sample, eps_a)
-            _damp(rows, cov, light, 1.0 - (1.0 - eps_p) * (1.0 - loss))
+            _pass(rows, cov, light, sample, kappa, 1.0 - (1.0 - eps_p) * (1.0 - loss), eps_a)
         if number == 0:
             _quarter_turn(rows, cov, first, _TURN_FIRST)
             _quarter_turn(rows, cov, second, _TURN_SECOND)
 
 
 def _measure_pulses(mean, cov, light, values=None, sampled=False):
-    """In place: condition a register on its pulses' x (modes ``light``, ``light + 1``).
+    """In place: measure its pulses' x (modes ``light``, ``light + 1``) on a register.
 
     ``mean`` is None (only ``cov`` is conditioned) or the (dim, T) means of T
-    trials at one operating point; the measured rows are kept.  Returns the
-    (2, T) outcomes: the rows of ``values`` or, if ``sampled``, mean[k] + sqrt(v) z
-    for the standard normal draws z in them, the bits of ``rng.normal``.  A
-    non-finite outcome is a ValueError if it was given, and a DegeneracyError
-    if it was sampled: then a mean overflowed, as at an input mean of 1e308.
+    trials at one operating point; the measured rows are kept.  Each pulse
+    is one :func:`~spinlight.gaussian._measure` in round order, whose value
+    is the pulse's row of ``values``: given outcomes or, if ``sampled``,
+    standard normal draws.  Returns the (2, T) outcomes, or None without a mean.
     """
-    outcomes = []
-    for number, k in enumerate((2 * light, 2 * light + 2)):
-        v = cov[k, k]
-        if np.any(v <= 0.0):
-            raise DegeneracyError(f"measured quadrature has non-positive variance {v.min()}")
-        if not np.isfinite(v).all():
-            raise DegeneracyError(f"measured quadrature has non-finite variance {v.max()}")
-        outcome = None
-        if mean is not None:
-            outcome = mean[k] + np.sqrt(v) * values[number] if sampled else values[number]
-            bad = ~np.isfinite(outcome)
-            if bad.any():
-                error = DegeneracyError if sampled else ValueError
-                raise error(f"measurement outcome must be finite, got {outcome[bad][0]}")
-            outcomes.append(outcome)
-        _condition(mean, cov, k, outcome)
+    outcomes = [_measure(mean, cov, k, None if mean is None else values[number], sampled)
+                for number, k in enumerate((2 * light, 2 * light + 2))]
     return None if mean is None else np.array(outcomes)
 
 
@@ -525,21 +508,16 @@ def _sweep_blocks(kappa2, eta_t, block_rows, kappa1_multiplier=10.0, eps_p=0.0, 
                table(kappa2[rows], kappa1[rows], eta_t_local))
 
 
-def _sweep_rounds(kappa2_values, eta_t, **plan_kwargs):
-    """The tables of :func:`_sweep_blocks` for all ``kappa2_values`` at once."""
-    kappa2 = np.asarray(kappa2_values, dtype=float)
-    return next(_sweep_blocks(kappa2, eta_t, max(len(kappa2), 1), **plan_kwargs))[1:]
-
-
 def make_plans(kappa2, eta_t, **plan_kwargs):
     """Round plans of the loss-adapted strategy at one kappa2.
 
     Returns the RoundPlans ``entangle1``, ``entangle2``, ``local1`` and
-    ``local2`` of the one-row :func:`_sweep_rounds` table, which sets the
+    ``local2`` of the one-row :func:`_sweep_blocks` block, which sets the
     round order and takes the ``plan_kwargs`` ``kappa1_multiplier`` (10.0),
     ``eps_p``, ``eps_a``, ``eta_d`` (0.0) and ``eta_t_local`` (``eta_t``).
     """
-    entangling, local = _sweep_rounds([float(kappa2)], eta_t, **plan_kwargs)
+    _, entangling, local = next(_sweep_blocks(np.array([float(kappa2)]), eta_t, 1,
+                                              **plan_kwargs))
     rows = np.concatenate([entangling, local])[:, 0].tolist()
     return {name: RoundPlan(*row)
             for name, row in zip(("entangle1", "entangle2", "local1", "local2"), rows)}

@@ -66,9 +66,11 @@ def reference_json_text(obj, indent=0):
 
 
 def reference_csv_text(echo, header, rows):
-    """The CSV writer as first written: one text conversion per cell."""
+    """The CSV writer as first written: one text conversion per cell, None empty."""
 
     def text(value):
+        if value is None:
+            return ""
         if isinstance(value, (bool, np.bool_)):
             return "true" if value else "false"
         if isinstance(value, (float, np.floating)):

@@ -10,6 +10,15 @@ Named cases are recaptured alone, and ``--format`` keeps a recapture to one
 format; only the keys of the runs made are rewritten in ``exit_codes.json``.
 With neither, every case is recaptured in both formats.
 ``tests/test_golden.py`` re-runs the cases and compares against these files.
+
+``--into DIR`` writes the artifacts and ``exit_codes.json`` to DIR (made if
+missing) instead of this directory.  To check that a change keeps every
+artifact byte, capture with each checkout's package on ``PYTHONPATH`` into
+its own directory and compare the two::
+
+    PYTHONPATH=../parent/src python tests/golden/capture.py --into /tmp/parent
+    PYTHONPATH=src python tests/golden/capture.py --into /tmp/change
+    diff -r /tmp/parent /tmp/change
 """
 
 import argparse
@@ -107,20 +116,24 @@ def run_case(name, workdir, fmt="json"):
 def main(argv=()):
     parser = argparse.ArgumentParser(description="Recapture the golden CLI artifacts.")
     parser.add_argument("--format", choices=FORMATS, help="recapture only this format")
+    parser.add_argument("--into", type=Path, default=HERE, metavar="DIR",
+                        help="write the artifacts and exit codes to DIR")
     parser.add_argument("names", nargs="*", metavar="CASE", help="recapture only these cases")
     args = parser.parse_args(argv)
     names = args.names
     unknown = sorted(set(names) - set(CASES))
     if unknown:
         raise SystemExit(f"unknown case(s): {', '.join(unknown)}")
-    codes_path = HERE / "exit_codes.json"
-    codes = json.loads(codes_path.read_text()) if names or args.format else {}
+    args.into.mkdir(parents=True, exist_ok=True)
+    codes_path = args.into / "exit_codes.json"
+    partial = (names or args.format) and codes_path.exists()
+    codes = json.loads(codes_path.read_text()) if partial else {}
     with tempfile.TemporaryDirectory() as tmp:
         for fmt in [args.format] if args.format else FORMATS:
             for name in names or CASES:
                 code, data = run_case(name, tmp, fmt)
                 codes[exit_code_key(name, fmt)] = code
-                target = HERE / f"{name}.{fmt}"
+                target = args.into / f"{name}.{fmt}"
                 if data is None:
                     target.unlink(missing_ok=True)
                 else:

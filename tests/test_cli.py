@@ -75,6 +75,22 @@ def test_derive_at_tiny_decay_rates_writes_the_kappa_identity(tmp_path, capsys):
     assert all(math.isfinite(value) for value in payload.values() if isinstance(value, float))
 
 
+def test_csv_writes_a_missing_value_as_an_empty_cell(tmp_path):
+    # JSON writes null where the lossless identity 2 sqrt(eps_p eps_a) Delta /
+    # sqrt(gamma gamma') is undefined; CSV leaves the cell empty, not "None".
+    text = (PHYSICAL.replace("3.141592653589793e7", "0.0")
+            + "physical.g_coupling = 1e-3\n")
+    cfg = _write(tmp_path, "run.cfg", text)
+    out_json, out_csv = tmp_path / "derive.json", tmp_path / "derive.csv"
+    assert _run(["derive", "--config", cfg, "--out", str(out_json)]) == 0
+    assert _run(["derive", "--config", cfg, "--format", "csv", "--out", str(out_csv)]) == 0
+    assert json.loads(out_json.read_text())["kappa_identity"] is None
+    header, row = out_csv.read_text().splitlines()[-2:]
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["kappa_identity"] == ""
+    assert "None" not in out_csv.read_text()
+
+
 def test_derive_density_alias_gives_identical_artifact(tmp_path):
     cfg_alias = _write(tmp_path, "alias.cfg", PHYSICAL)
     cfg_si = _write(tmp_path, "si.cfg", PHYSICAL.replace("5e12 cm^-3", "5e18"))

@@ -348,6 +348,27 @@ def test_homodyne_degenerate_variance():
         homodyne(state, 0, "x", forced=0.0)
 
 
+_INFINITE_X = GaussianState(np.zeros(2), np.diag([math.inf, 0.5]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("state, source, error, message", [
+    (_INFINITE_X, {"rng": np.random.default_rng(0)}, DegeneracyError,
+     "measured quadrature has non-finite variance inf"),
+    (_INFINITE_X, {"forced": 0.0}, DegeneracyError,
+     "measured quadrature has non-finite variance inf"),
+    (vacuum_state(1), {"forced": math.inf}, ValueError,
+     "measurement outcome must be finite, got inf"),
+    (vacuum_state(1), {"forced": math.nan}, ValueError,
+     "measurement outcome must be finite, got nan"),
+], ids=["infinite-variance-sampled", "infinite-variance-forced", "forced-inf", "forced-nan"])
+def test_homodyne_rejects_non_finite_input_as_the_engine_does(state, source, error, message):
+    # homodyne measures through the engine's kernel, so it raises the
+    # engine's errors, not a numpy warning or a nan posterior.
+    with pytest.raises(error, match=f"^{message}$"):
+        homodyne(state, 0, "x", **source)
+
+
 # ---------------------------------------------------------------------------
 # variance_of
 

@@ -152,3 +152,17 @@ def test_capture_unknown_format_exits_nonzero_naming_it(tmp_path, monkeypatch, c
     assert stopped.value.code != 0
     assert "'xml'" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_capture_into_writes_to_that_directory_only(tmp_path, monkeypatch):
+    from golden import capture
+
+    home, into = tmp_path / "home", tmp_path / "new" / "into"
+    home.mkdir()
+    monkeypatch.setattr(capture, "HERE", home)
+    capture.main(["--into", str(into), "--format", "csv", "derive-reference"])
+    assert list(home.iterdir()) == []
+    assert {path.name for path in into.iterdir()} == {"exit_codes.json", "derive-reference.csv"}
+    assert (into / "derive-reference.csv").read_bytes() == (
+        GOLDEN / "derive-reference.csv").read_bytes()
+    assert json.loads((into / "exit_codes.json").read_text()) == {"derive-reference.csv": 0}

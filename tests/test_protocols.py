@@ -94,6 +94,12 @@ def test_classical_bound_check():
         classical_bound_check(1.5)
 
 
+def test_classical_bound_check_takes_a_float_array():
+    assert classical_bound_check(np.array([0.4, 0.6])).tolist() == [False, True]
+    with pytest.raises(ValueError, match=r"got 1\.5$"):
+        classical_bound_check(np.array([0.6, 1.5]))
+
+
 # ---------------------------------------------------------------------------
 # entanglement generation
 
@@ -546,12 +552,12 @@ def test_make_plans_orders_the_rounds_of_the_loss_adapted_strategy():
 
 
 def test_sweep_round_table_equals_round_plans():
-    from spinlight.protocols import _stack, _sweep_rounds
+    from spinlight.protocols import _stack, _sweep_blocks
 
     kappa2 = [0.3, 1.5, 9.5]
     kwargs = dict(kappa1_multiplier=3.0, eps_p=0.02, eps_a=0.01, eta_d=0.1,
                   eta_t_local=0.3)
-    entangling, local = _sweep_rounds(kappa2, 0.2, **kwargs)
+    _, entangling, local = next(_sweep_blocks(np.array(kappa2), 0.2, len(kappa2), **kwargs))
     plans = [make_plans(k2, 0.2, **kwargs) for k2 in kappa2]
     assert np.array_equal(
         entangling, _stack([(p["entangle1"], p["entangle2"]) for p in plans])
