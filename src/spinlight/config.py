@@ -32,8 +32,8 @@ physical inputs, and a derived figure that overflows the float range
 
 The upper bounds of ``trials``, ``sweep.steps`` and ``mb.max_grid`` are
 resource caps, each at a size that was run.  Its row gives the wall time and
-peak RSS of that run: a fresh process writing to /dev/null in an 8 GB,
-2-core Xeon container, with numpy 2.4 and one BLAS thread.
+peak RSS of that run: a fresh process writing to a file, in either format,
+in an 8 GB, 2-core Xeon container, with numpy 2.4 and one BLAS thread.
 
 Recognized keys, with their allowed values and default.  A default
 ``= key`` is that key's value; a ``required`` key must be given once any
@@ -326,13 +326,13 @@ _SCHEMA = {key: _Key(key, *row) for key, row in {
     "sweep.param": (_text, "kappa2", "kappa2", "swept parameter"),
     "sweep.min": (_number, _REQUIRED, "(0, inf)", "lower end of the sweep", "minimum"),
     "sweep.max": (_number, _REQUIRED, "(0, inf)", "upper end of the sweep", "maximum"),
-    "sweep.steps": (_integer, _REQUIRED, "[2, 10^6]", "grid size; cap: 5.0-5.2 s, 77 MB"),
+    "sweep.steps": (_integer, _REQUIRED, "[2, 10^6]", "grid size; cap: 5.4-7.3 s, 77 MB"),
     "mb.min_grid": (_integer, MbSpec.min_grid, "[1, inf)", "smallest dyadic grid"),
     "mb.max_grid": (_integer, MbSpec.max_grid, "[1, 2^22]", "largest grid; cap: 0.6 s, 286 MB"),
     "mb.tol_kappa": (_number, MbSpec.tol_kappa, "[0, inf)", "mb-validate tolerance on kappa"),
     "mb.tol_eps": (_number, MbSpec.tol_eps, "[0, inf)", "mb-validate tolerance on eps"),
     "seed": (_integer, 0, "[0, 2^64)", "seed of the run's one outcome stream"),
-    "trials": (_integer, 1, "[1, 10^5]", "independent runs; cap (teleport): 0.6-0.8 s, 74 MB"),
+    "trials": (_integer, 1, "[1, 10^5]", "independent runs; cap (teleport): 0.2-0.5 s, 60 MB"),
     "output.path": (_text, _Later("stdout"), None, "artifact path"),
     "output.format": (_text, "json", "json | csv", "artifact format"),
 }.items()}

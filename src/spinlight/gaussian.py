@@ -13,15 +13,16 @@ in :mod:`~spinlight.interaction` the two-mode kick) is an in-place kernel that
 updates only the rows it touches, never building the identity-padded transfer
 matrix T.  A kernel acts on arrays whose leading axis is the quadrature (both
 leading axes for a covariance) and whose trailing axes, if any, are a batch of
-operating points: transfer columns or a mean become T X, a covariance
-T N T^T + Y, and each update is a few vector operations over the batch.
-A quarter turn, as between the rounds of a Bell measurement, is an exact
-signed swap of the mode's rows.  ``rotate`` and ``loss_channel`` copy a
-state's moments and apply a kernel.  A homodyne measurement (variance
-checks, outcome and conditioning) is one kernel, ``_measure``, which
-``homodyne`` and the protocols' batched pulse measurement both call; the
-overlap with a coherent state is one batched kernel, ``_overlap``, which
-``fidelity_coherent`` and the protocols' teleport stage both call.
+operating points: rows (a mean, transfer columns or the protocols' factor)
+become T X, a covariance T N T^T + Y (the state calculus: ``rotate``,
+``loss_channel`` and ``apply_pass`` copy a state's moments and apply a
+kernel), each update a few vector operations over the batch.  A quarter
+turn, as between Bell rounds, is an exact signed swap of the mode's rows.  A
+homodyne measurement (variance checks, outcome and conditioning) is one
+kernel, ``_measure``, which ``homodyne`` and the protocols' batched pulse
+measurement both call; the overlap with a coherent state is one batched
+kernel, ``_overlap``, which ``fidelity_coherent`` and the protocols' teleport
+stage both call.
 """
 
 import dataclasses
@@ -151,8 +152,8 @@ def displace(state, mode, dx, dp):
 def _targets(rows, cov):
     """The arrays a step updates along their leading (quadrature) axis.
 
-    ``rows`` (a mean vector or a block of transfer columns) and ``cov`` may
-    each be None.  A covariance is updated on its rows and then, through a
+    ``rows`` (a mean, transfer columns or a factor) and ``cov`` may each be
+    None.  A covariance is updated on its rows and then, through a
     transposed view, on its columns, which is T cov T^T for the step's T.
     """
     if rows is not None:

@@ -13,33 +13,30 @@ sample.
 Every map here is affine and every covariance is independent of the
 outcomes, so measurement with linear feed-forward is deferred to the end of
 the run (Braunstein & Kimble, PRL 80, 869 (1998)).  The two rounds of a Bell
-measurement compose into one affine-Gaussian channel (X, Y) over a register
-that keeps both light pulses unmeasured: samples with mean mu and covariance
-S leave as mean X mu and covariance X S X^T + Y.  The rounds are applied as
-in-place row/column updates (the pass kernel of
-:func:`~spinlight.interaction.apply_pass` and quarter turns) to transfer
-columns and a covariance together, so X S X^T + Y is pushed through directly
-and never formed as a product.  Round parameters are per-row arrays on the
-trailing batch axis, so a whole sweep of operating points is one pass.
-
-The entangling stage pushes two vacuum samples through the channel; the
-teleport stage pushes the entangled pair, a fresh input sample and the mean
-map's columns for the input's x and p, whose responses A of sample 2 and C of
-the outcomes give the gain G = (I - A) C^-1 of exactly unit mean transfer.
-The fidelity is the overlap of the outcome-averaged output with the coherent
-input, det(V)^(-1/2) exp(-d^T V^-1 d / 2), by the kernel of
-:func:`~spinlight.gaussian.fidelity_coherent`.  Here V = W Sigma W^T + I/2
-for W = [I G] and Sigma the joint covariance of sample 2 and both outcomes,
-and d, the averaged mean's offset from the input, is zero at the unit gain
-and varies by trial under a manual gain.  One teleport stage serves the
-sweep, :func:`teleport` and :func:`run_trials`.  Both stages measure each
-pulse's x in round order with the kernel of :func:`~spinlight.gaussian.homodyne`,
-batched over operating points (the sweep, on the covariance alone) or over
-the means of many trials at one operating point, so :func:`run_trials`
-pushes each stage once per run; :func:`entangle` and :func:`teleport` are
-its one-trial case, and their reports carry the trial's outcomes as floats in
-round order.  :func:`lossy_fidelity_sweep` returns the sweep's
-kappa2, simulated and closed-form fidelity columns with the argmax row.
+measurement compose into one affine-Gaussian channel over a register that
+keeps both light pulses unmeasured.  Each stage pushes it once, for a whole
+batch of operating points, as a rows-only factor F = [X | N] under the pass
+kernel of :func:`~spinlight.interaction.apply_pass` and the quarter turns,
+each pass appending its injected vacua as columns: samples with mean mu and
+covariance S leave as mean X mu and covariance X S X^T + N N^T / 2.  A stage
+forms only the joint of the rows it reads, Sigma_J = X_J S X_J^T +
+N_J N_J^T / 2, and the means X_J mu of its trials: both samples and both
+pulses' x for the entangling stage (S vacuum), sample 2 and both outcomes
+for the teleport stage (S the entangled pair and the input's vacuum).
+There, X's response C of the outcomes to the input mean gives the gain
+G = C^-1 of exactly unit mean transfer (sample 2's own response is zero),
+and the fidelity is the overlap of the outcome-averaged output with the
+coherent input, det(V)^(-1/2) exp(-d^T V^-1 d / 2), by the kernel of
+:func:`~spinlight.gaussian.fidelity_coherent`, for V = W Sigma_J W^T + I/2,
+W = [I G] and d the averaged mean's offset from the input: zero at the unit
+gain, varying by trial under a manual gain.  Each stage measures each
+pulse's x in round order with the kernel of
+:func:`~spinlight.gaussian.homodyne`, on the joint covariance alone (the
+sweep) or with the means of many trials at one operating point, so
+:func:`run_trials` pushes each stage once per run; :func:`entangle` and
+:func:`teleport` are its one-trial case, and their reports carry the
+trial's outcomes as floats in round order.  One teleport stage serves the
+sweep, :func:`teleport` and :func:`run_trials`.
 
 Within a round, the light's two consecutive losses (eps_p after a pass, then
 eta_t or eta_d) are that pass's light damping 1 - (1 - a)(1 - b), and the
@@ -133,14 +130,14 @@ class ProtocolReport:
 
 def squeezing_parameter(kappa):
     """Two-mode squeezing r = (1/2) ln(1 + 2 kappa^2) from one round pair."""
-    if kappa < 0:
+    if not kappa >= 0:
         raise ValueError(f"kappa must be non-negative, got {kappa}")
     return 0.5 * math.log1p(2.0 * kappa**2)
 
 
 def fidelity_ideal(kappa):
     """Noise-free teleportation fidelity 1 / (1 + 1/(1 + 2 k^2) + 1/(2 k^2))."""
-    if kappa <= 0:
+    if not kappa > 0:
         raise ValueError("fidelity diverges at kappa = 0; kappa must be positive")
     return 1.0 / (1.0 + 1.0 / (1.0 + 2.0 * kappa**2) + 1.0 / (2.0 * kappa**2))
 
@@ -151,7 +148,7 @@ def fidelity_lossy(kappa2, eta_t):
     ``kappa2`` may also be a float array, giving the fidelity at each value
     with the same bits as one call per value.
     """
-    if np.any(kappa2 <= 0):
+    if not np.all(kappa2 > 0):
         raise ValueError("kappa2 must be positive")
     if not 0.0 <= eta_t < 1.0:
         raise ValueError(f"eta_t must lie in [0, 1), got {eta_t}")
@@ -179,7 +176,8 @@ def classical_bound_check(fidelity):
     bad = ~((values >= 0.0) & (values <= 1.0))
     if bad.any():
         raise ValueError(f"fidelity must lie in [0, 1], got {values[bad][0]}")
-    return fidelity > 0.5
+    above = values > 0.5
+    return above if above.ndim else bool(above)
 
 
 # ---------------------------------------------------------------------------
@@ -196,47 +194,50 @@ def _stack(rows):
     return np.array(table).transpose(1, 0, 2)
 
 
-def _register(dim, batch, vacuum_from):
-    """Batch-last (dim, dim, B) covariance, vacuum from quadrature ``vacuum_from`` on."""
-    cov = np.zeros((dim, dim, batch))
-    vacuum = np.arange(vacuum_from, dim)
-    cov[vacuum, vacuum] = VACUUM_VARIANCE
-    return cov
-
-
-def _push_bell(rows, cov, n_atoms, first, second, rounds):
-    """Push moments through the two rounds of a Bell measurement, in place.
+def _push_bell(n_atoms, first, second, rounds):
+    """The two rounds of a Bell measurement as a rows-only factor F = [X | N].
 
     The register is the ``n_atoms`` samples followed by the light pulse of
-    each round, none of them measured.  ``rows`` (transfer columns or a mean,
-    may be None) has the quadrature on its leading axis and ``cov`` on its
-    two leading axes; the batch of operating points is the trailing axis.
-    ``rounds`` is a :func:`_stack` array.  Each pass's light damping is eps_p
-    and the loss after it, one loss; the pass damps the sample first.
+    each round, none of them measured.  F starts as the identity, X being its
+    first 2 ``n_atoms`` columns, and is (quadrature, B, column) for the B
+    rows of the :func:`_stack` array ``rounds``.  Each pass's light damping
+    is eps_p and the loss after it, one loss; the pass damps the sample,
+    then the light, and appends their vacua, sqrt(eps) in the x and p rows.
     """
+    dim, batch = 2 * (n_atoms + len(rounds)), rounds.shape[1]
+    # Two passes a round, each appending two vacua of two columns.
+    factor = np.zeros((dim, batch, dim + 8 * len(rounds)))
+    factor[np.arange(dim), :, np.arange(dim)] = 1.0
+    col = dim
     for number, params in enumerate(rounds):
-        kappa, eps_p, eps_a, eta_t, eta_d = params.T
+        # Each row's parameters broadcast over its columns.
+        kappa, eps_p, eps_a, eta_t, eta_d = params.T[:, :, None]
         light = n_atoms + number
         # Pass the first sample, transmission loss, pass the second sample,
-        # detector loss.
+        # detector loss.  The columns not yet injected are zero and stay zero.
         for sample, loss in ((first, eta_t), (second, eta_d)):
-            _pass(rows, cov, light, sample, kappa, 1.0 - (1.0 - eps_p) * (1.0 - loss), eps_a)
+            eps_light = 1.0 - (1.0 - eps_p) * (1.0 - loss)
+            _pass(factor, None, light, sample, kappa, eps_light, eps_a)
+            for mode, eps in ((sample, eps_a), (light, eps_light)):
+                factor[2 * mode, :, col] = factor[2 * mode + 1, :, col + 1] = np.sqrt(eps[:, 0])
+                col += 2
         if number == 0:
-            _quarter_turn(rows, cov, first, _TURN_FIRST)
-            _quarter_turn(rows, cov, second, _TURN_SECOND)
+            _quarter_turn(factor, None, first, _TURN_FIRST)
+            _quarter_turn(factor, None, second, _TURN_SECOND)
+    return factor
 
 
-def _measure_pulses(mean, cov, light, values=None, sampled=False):
-    """In place: measure its pulses' x (modes ``light``, ``light + 1``) on a register.
+def _measure_pulses(mean, cov, values=None, sampled=False):
+    """In place: measure the pulses' x, the last two rows of a stage's joint.
 
-    ``mean`` is None (only ``cov`` is conditioned) or the (dim, T) means of T
-    trials at one operating point; the measured rows are kept.  Each pulse
-    is one :func:`~spinlight.gaussian._measure` in round order, whose value
-    is the pulse's row of ``values``: given outcomes or, if ``sampled``,
+    ``cov`` is the (J, J, B) joint and ``mean`` None (only ``cov`` is
+    conditioned) or the (J, T) means of T trials at one operating point.
+    Each pulse is one :func:`~spinlight.gaussian._measure` in round order,
+    whose value is its row of ``values``: given outcomes or, if ``sampled``,
     standard normal draws.  Returns the (2, T) outcomes, or None without a mean.
     """
     outcomes = [_measure(mean, cov, k, None if mean is None else values[number], sampled)
-                for number, k in enumerate((2 * light, 2 * light + 2))]
+                for number, k in enumerate(range(len(cov) - 2, len(cov)))]
     return None if mean is None else np.array(outcomes)
 
 
@@ -251,6 +252,12 @@ def _outcome_source(rng, forced_outcomes):
     return np.array(forced_outcomes, dtype=float)[:, None], False
 
 
+# Rows each stage reads: both samples and the pulses' x of the entangling
+# register; sample 2 and the pulses' x of the teleport one (pair, input, pulses).
+_ENTANGLED = [0, 1, 2, 3, 4, 6]
+_TELEPORTED = [2, 3, 6, 8]
+
+
 # A run whose kicks overflow (kappa near 1e200) fails in _measure_pulses on the
 # non-finite variance it leaves; numpy's overflow warnings would only repeat
 # that, with source paths, ahead of the one-line error.  So both stages
@@ -260,19 +267,14 @@ def _outcome_source(rng, forced_outcomes):
 def _entangling_stage(rounds, values=None, sampled=False):
     """Vacuum through the entangling rounds of a :func:`_stack` array, conditioned.
 
-    Returns the (8, T) means or None, the (8, 8, B) covariance and the outcomes.
+    Returns the (6, T) means or None, the (6, 6, B) joint F_J F_J^T / 2 of
+    vacuum samples, conditioned, and the outcomes.
     """
-    cov = _register(8, rounds.shape[1], 0)
-    _push_bell(None, cov, 2, 0, 1, rounds)
+    rows = np.moveaxis(_push_bell(2, 0, 1, rounds)[_ENTANGLED], 1, 0)
+    cov = np.moveaxis(VACUUM_VARIANCE * (rows @ np.swapaxes(rows, -1, -2)), 0, -1)
     # The vacuum mean is zero, and so is its image under the linear channel.
-    mean = None if values is None else np.zeros((8, values.shape[1]))
-    return mean, cov, _measure_pulses(mean, cov, 2, values, sampled)
-
-
-# Rows of the local Bell channel's register (entangled pair, input sample,
-# two pulses) that the teleport output depends on: sample 2's (x, p) and the
-# x quadratures of the two pulses.
-_JOINT = [2, 3, 6, 8]
+    mean = None if values is None else np.zeros((len(cov), values.shape[1]))
+    return mean, cov, _measure_pulses(mean, cov, values, sampled)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -289,27 +291,20 @@ def _teleport_stage(pair_cov, rounds, gain=None, pair_means=None, input_mean=Non
     :func:`_measure_pulses`, returns the (T,) fidelities, the (2, T) means and
     (2, 2) covariance of the displaced sample 2 and the (2, T) outcomes.
     """
-    batch, trials = pair_cov.shape[-1], 0 if pair_means is None else pair_means.shape[1]
-    cov = _register(10, batch, 4)
-    cov[:4, :4] = pair_cov
-    # The mean map's columns for the input's x and p, then the trials' means.
-    columns = np.zeros((10, 2 + trials, batch))
-    columns[4, 0] = columns[5, 1] = 1.0
-    if trials:
-        target = np.array([[float(input_mean[0])], [float(input_mean[1])]])
-        columns[:4, 2:, 0], columns[4:6, 2:, 0] = pair_means, target
-    _push_bell(columns, cov, 3, 0, 2, rounds)
-    # Batch-first gathers keep the batched solve and products contiguous.
-    sigma = np.moveaxis(cov, -1, 0)[:, _JOINT][:, :, _JOINT]
+    rows = np.moveaxis(_push_bell(3, 0, 2, rounds)[_TELEPORTED], 1, 0)
+    response, noise = rows[..., :6], rows[..., 6:]
+    # Sigma_J = X_J S X_J^T + N_J N_J^T / 2 for S the pair and the input's vacuum.
+    inputs = np.zeros((rows.shape[0], 6, 6))
+    inputs[:, :4, :4] = np.moveaxis(pair_cov, -1, 0)
+    inputs[:, 4, 4] = inputs[:, 5, 5] = VACUUM_VARIANCE
+    sigma = (response @ inputs @ np.swapaxes(response, -1, -2)
+             + VACUUM_VARIANCE * (noise @ np.swapaxes(noise, -1, -2)))
     if gain is None:
-        # G C = I - A for the responses A (sample 2) and C (outcomes) to the
-        # input mean; a singular C names its row's first local kappa, the
-        # kappa2 of the loss-adapted strategy.
-        responses = np.moveaxis(columns, -1, 0)
-        a, c = responses[:, _JOINT[:2], :2], responses[:, _JOINT[2:], :2]
-        c_t, rhs_t = np.swapaxes(c, -1, -2), np.swapaxes(np.eye(2) - a, -1, -2)
+        # G C = I for the outcomes' response C to the input mean (sample 2's
+        # is zero).  A singular C names its row's first local kappa, kappa2.
+        c = response[:, 2:, 4:]
         try:
-            matrix = np.swapaxes(np.linalg.solve(c_t, rhs_t), -1, -2)
+            matrix = np.linalg.inv(c)
         except np.linalg.LinAlgError as exc:
             row = int(np.argmin(np.abs(np.linalg.det(c))))
             raise ValueError(
@@ -321,7 +316,7 @@ def _teleport_stage(pair_cov, rounds, gain=None, pair_means=None, input_mean=Non
     # The outcome-averaged output of W = [I G] has covariance W Sigma W^T.
     weights = np.concatenate([np.broadcast_to(np.eye(2), matrix.shape), matrix], axis=-1)
     averaged_cov = weights @ sigma @ np.swapaxes(weights, -1, -2)
-    if not trials:
+    if pair_means is None:
         try:
             return _overlap(averaged_cov, np.zeros(2))
         except DegeneracyError as exc:
@@ -334,18 +329,20 @@ def _teleport_stage(pair_cov, rounds, gain=None, pair_means=None, input_mean=Non
             else:
                 row = int(np.argmin(finite))
             raise DegeneracyError(f"{exc} at kappa2 = {float(rounds[0][row, 0])!r}") from exc
-    # Its mean is W mu_J plus an offset: a calibrated gain's puts it on the
-    # input mean, a manual gain has none.  W mu_J is summed row by row, so
-    # each trial has the bits of a one-trial run.
-    weights, joint = weights[0], columns[_JOINT, 2:, 0]
-    averaged = sum(weights[:, k, None] * joint[k] for k in range(len(_JOINT)))
+    # The joint means X_J mu and their average W mu_J are summed column by
+    # column, so each trial has the bits of a one-trial run.  A calibrated
+    # gain's offset puts the average on the input mean, a manual gain has none.
+    target = np.array([[float(input_mean[0])], [float(input_mean[1])]])
+    response, weights = response[0], weights[0]
+    joint = sum(response[:, k, None] * mu for k, mu in enumerate([*pair_means, *target]))
+    averaged = sum(weights[:, k, None] * joint[k] for k in range(len(joint)))
     offsets = target - averaged if gain is None else 0.0
     delta = np.zeros_like(averaged) if gain is None else averaged - target
     fidelities = _overlap(averaged_cov, delta.T)
-    mean = columns[:, 2:, 0]
-    outcomes = _measure_pulses(mean, cov, 3, values, sampled)
-    displaced = mean[2:4] + (weights[:, 2:] @ outcomes + offsets)
-    return fidelities, displaced, cov[2:4, 2:4, 0], outcomes
+    cov = np.moveaxis(sigma, 0, -1)
+    outcomes = _measure_pulses(joint, cov, values, sampled)
+    displaced = joint[:2] + (weights[:, 2:] @ outcomes + offsets)
+    return fidelities, displaced, cov[:2, :2, 0], outcomes
 
 
 _EPR = (np.array([1.0, 0.0, -1.0, 0.0]), np.array([0.0, 1.0, 0.0, 1.0]))
@@ -523,10 +520,11 @@ def make_plans(kappa2, eta_t, **plan_kwargs):
             for name, row in zip(("entangle1", "entangle2", "local1", "local2"), rows)}
 
 
-# Rows of one sweep block.  A block's stage arrays take about 2.3 KB per row.
+# Rows of one sweep block.  A block's stage arrays take about 3.4 KB per row.
 # Measured with tracemalloc on a 2-core Xeon: at 10^5 rows one batch took
-# 0.50 s and a 200 MB peak, 4096-row blocks 0.28-0.33 s and 11 MB; at 10^6
-# rows 4096-row blocks took 3.1 s and 25 MB, 8192-row ones 3.1 s and 34 MB.
+# 0.74-0.85 s and a 338 MB peak, 4096-row blocks 0.42-0.50 s and 15 MB; at
+# 10^6 rows 4096-row blocks took 4.0-4.6 s and 31 MB, 8192-row ones 4.1-4.8 s
+# and 45 MB.
 _SWEEP_BLOCK = 4096
 
 

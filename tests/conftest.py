@@ -119,19 +119,33 @@ def assert_step_matches_dense(step, dense, args, batch, dim=6, seed=0):
 def bell_channel(n_atoms, first, second, rounds):
     """The two rounds of a Bell measurement as one affine-Gaussian channel.
 
-    The dense reference for the round kernels.  ``rounds`` is a
+    The dense reference for the engine's factor push, built from the
+    covariance form of the step kernels: identity transfer columns and the
+    pulses' vacuum covariance go through each round's two passes and the
+    quarter turns between the rounds in place.  ``rounds`` is a
     ``protocols._stack`` array.  The output register is the ``n_atoms``
     samples followed by the light pulse of each round, none of them measured.
     Returns (X, Y) of shapes (B, d, 2 n_atoms) and (B, d, d): samples with
     mean mu and covariance S leave as mean X mu and covariance X S X^T + Y,
     the pulses entering in vacuum.
     """
-    from spinlight.protocols import _push_bell, _register
+    from spinlight.gaussian import VACUUM_VARIANCE, _quarter_turn
+    from spinlight.interaction import _pass
 
     dim, batch = 2 * (n_atoms + len(rounds)), rounds.shape[1]
     transfer = np.eye(dim, 2 * n_atoms)[:, :, None].repeat(batch, axis=2)
-    noise = _register(dim, batch, 2 * n_atoms)
-    _push_bell(transfer, noise, n_atoms, first, second, rounds)
+    noise = np.zeros((dim, dim, batch))
+    pulses = np.arange(2 * n_atoms, dim)
+    noise[pulses, pulses] = VACUUM_VARIANCE
+    for number, params in enumerate(rounds):
+        kappa, eps_p, eps_a, eta_t, eta_d = params.T
+        light = n_atoms + number
+        for sample, loss in ((first, eta_t), (second, eta_d)):
+            eps_light = 1.0 - (1.0 - eps_p) * (1.0 - loss)
+            _pass(transfer, noise, light, sample, kappa, eps_light, eps_a)
+        if number == 0:
+            _quarter_turn(transfer, noise, first, -1)
+            _quarter_turn(transfer, noise, second, 1)
     return np.moveaxis(transfer, -1, 0), np.moveaxis(noise, -1, 0)
 
 

@@ -1,4 +1,4 @@
-"""Golden CLI artifacts for fixed (config, seed) runs.
+"""Golden CLI artifacts for fixed (config, seed) runs, and the rules they are held to.
 
 Regenerate with
 ``PYTHONPATH=src python tests/golden/capture.py [--format json|csv] [CASE ...]``
@@ -9,20 +9,33 @@ the configs below, once per artifact format, and stores the artifact bytes as
 Named cases are recaptured alone, and ``--format`` keeps a recapture to one
 format; only the keys of the runs made are rewritten in ``exit_codes.json``.
 With neither, every case is recaptured in both formats.
-``tests/test_golden.py`` re-runs the cases and compares against these files.
+``tests/test_golden.py`` re-runs the cases and holds them to :func:`match`.
+
+The rules of :func:`match`: ``derive`` artifacts must be byte-identical.
+Elsewhere the artifacts may move in the last digits, since the engine's sums
+change order: JSON keys, strings, booleans and integers (so every
+``is_argmax`` row and every grid size) must match exactly, floats within
+``REL_TOL`` relative; in CSV the ``#`` echo lines and the header exactly,
+integer and non-numeric cells exactly and the other numeric cells within
+``REL_TOL`` relative.
 
 ``--into DIR`` writes the artifacts and ``exit_codes.json`` to DIR (made if
-missing) instead of this directory.  To check that a change keeps every
-artifact byte, capture with each checkout's package on ``PYTHONPATH`` into
-its own directory and compare the two::
+missing) instead of this directory.  ``--compare A B`` reads two such trees,
+say one captured with each checkout's package on ``PYTHONPATH``::
 
     PYTHONPATH=../parent/src python tests/golden/capture.py --into /tmp/parent
     PYTHONPATH=src python tests/golden/capture.py --into /tmp/change
-    diff -r /tmp/parent /tmp/change
+    python tests/golden/capture.py --compare /tmp/parent /tmp/change
+
+and prints one line per file: ``identical``, ``close`` (within the rules of
+:func:`match`, with the largest relative change of a float) or ``different``
+(with the first broken rule, or the tree the file is missing from).  It exits
+0 unless a file is different.
 """
 
 import argparse
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -113,13 +126,121 @@ def run_case(name, workdir, fmt="json"):
     return code, out.read_bytes() if out.exists() else None
 
 
+BYTE_IDENTICAL = ("derive",)
+REL_TOL = 1e-11
+
+
+def _require(condition, message):
+    """Raise AssertionError with ``message`` unless ``condition`` (kept under -O)."""
+    if not condition:
+        raise AssertionError(message)
+
+
+def _close_float(got, want, where, worst):
+    _require(math.isclose(got, want, rel_tol=REL_TOL, abs_tol=0.0),
+             f"{where}: {got!r} != {want!r}")
+    if got != want:
+        worst[0] = max(worst[0], abs(got - want) / max(abs(got), abs(want)))
+
+
+def _close_json(got, want, path, worst):
+    _require(type(got) is type(want),
+             f"{path}: {type(got).__name__} != {type(want).__name__}")
+    if isinstance(want, dict):
+        _require(list(got) == list(want), f"{path}: keys differ")
+        for key in want:
+            _close_json(got[key], want[key], f"{path}.{key}", worst)
+    elif isinstance(want, list):
+        _require(len(got) == len(want), f"{path}: lengths differ")
+        for i, (g, w) in enumerate(zip(got, want)):
+            _close_json(g, w, f"{path}[{i}]", worst)
+    elif isinstance(want, float):
+        _close_float(got, want, path, worst)
+    else:
+        _require(got == want, f"{path}: {got!r} != {want!r}")
+
+
+def _close_csv(got, want, worst):
+    got_lines, want_lines = got.decode().split("\n"), want.decode().split("\n")
+    _require(len(got_lines) == len(want_lines), "line counts differ")
+    echo = sum(line.startswith("#") for line in want_lines)
+    # The echo lines and the header line.
+    _require(got_lines[:echo + 1] == want_lines[:echo + 1], "echo or header lines differ")
+    for number, (got_line, want_line) in enumerate(zip(got_lines, want_lines)):
+        if number <= echo:
+            continue
+        got_cells, want_cells = got_line.split(","), want_line.split(",")
+        _require(len(got_cells) == len(want_cells), f"line {number + 1}: cell counts differ")
+        for column, (g, w) in enumerate(zip(got_cells, want_cells)):
+            where = f"line {number + 1}, column {column + 1}"
+            try:
+                value = float(w)
+            except ValueError:
+                value = None
+            if value is None or w.lstrip("-").isdigit():
+                _require(g == w, f"{where}: {g!r} != {w!r}")
+            else:
+                _close_float(float(g), value, where, worst)
+
+
+def match(name, fmt, got, want):
+    """Hold artifact bytes ``got`` of case ``name`` in format ``fmt`` to ``want``.
+
+    Raises AssertionError naming the first broken rule; returns the largest
+    relative change of a float, 0.0 for identical values.
+    """
+    if CASES[name][1][0] in BYTE_IDENTICAL:
+        _require(got == want, "bytes differ")
+        return 0.0
+    worst = [0.0]
+    if fmt == "json":
+        _close_json(json.loads(got), json.loads(want), "$", worst)
+    else:
+        _close_csv(got, want, worst)
+    return worst[0]
+
+
+def compare(first, second):
+    """Print how each artifact of capture tree ``second`` stands to ``first``.
+
+    Reads the artifacts of :data:`CASES` and ``exit_codes.json`` that either
+    tree holds.  Returns True if none is different.
+    """
+    same = True
+    names = [f"{name}.{fmt}" for name in CASES for fmt in FORMATS] + ["exit_codes.json"]
+    for file_name in sorted(names):
+        old, new = first / file_name, second / file_name
+        name, _, fmt = file_name.rpartition(".")
+        if not (old.exists() or new.exists()):
+            continue
+        if not (old.exists() and new.exists()):
+            verdict = f"different: missing from {first if new.exists() else second}"
+        elif old.read_bytes() == new.read_bytes():
+            verdict = "identical"
+        elif name not in CASES:
+            verdict = "different"
+        else:
+            try:
+                change = match(name, fmt, new.read_bytes(), old.read_bytes())
+                verdict = f"close: largest relative change {change:.2g}"
+            except AssertionError as exc:
+                verdict = f"different: {exc}"
+        same = same and not verdict.startswith("different")
+        print(f"{file_name}: {verdict}")
+    return same
+
+
 def main(argv=()):
     parser = argparse.ArgumentParser(description="Recapture the golden CLI artifacts.")
     parser.add_argument("--format", choices=FORMATS, help="recapture only this format")
     parser.add_argument("--into", type=Path, default=HERE, metavar="DIR",
                         help="write the artifacts and exit codes to DIR")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
+                        help="classify each artifact of capture tree B against tree A")
     parser.add_argument("names", nargs="*", metavar="CASE", help="recapture only these cases")
     args = parser.parse_args(argv)
+    if args.compare:
+        return 0 if compare(*args.compare) else 1
     names = args.names
     unknown = sorted(set(names) - set(CASES))
     if unknown:

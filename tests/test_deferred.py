@@ -240,6 +240,33 @@ def _mp_bell_channel(n_atoms, first, second, rounds):
     return transfer, noise
 
 
+# (kappa, eps_p, eps_a, eta_t, eta_d) of the two rounds: lossless, lossy, damped.
+FACTOR_POINTS = [
+    ((3.0, 0.0, 0.0, 0.0, 0.0), (1.7, 0.0, 0.0, 0.0, 0.0)),
+    ((4.0, 0.0, 0.0, 0.3, 0.1), (0.9, 0.0, 0.0, 0.3, 0.1)),
+    ((2.5, 1 / 120, 0.02, 0.2, 0.05), (6.0, 0.03, 1 / 120, 0.5, 0.2)),
+]
+
+
+@pytest.mark.parametrize("rounds", FACTOR_POINTS, ids=["lossless", "lossy", "damped"])
+@pytest.mark.parametrize("n_atoms, first, second", [(2, 0, 1), (3, 0, 2)],
+                         ids=["entangling", "teleport"])
+def test_bell_factor_against_60_digits(rounds, n_atoms, first, second):
+    # The factor [X | N] that the engine pushes gives the channel's X and
+    # Y = N N^T / 2 of the 60-digit dense composition.
+    from spinlight.protocols import _push_bell
+
+    factor = _push_bell(n_atoms, first, second, np.array(rounds)[:, None, :])[:, 0]
+    transfer, noise = factor[:, :2 * n_atoms], factor[:, 2 * n_atoms:]
+    names = ("kappa", "eps_p", "eps_a", "eta_t", "eta_d")
+    with mpmath.workdps(60):
+        mp_rounds = [{k: mpmath.mpf(v) for k, v in zip(names, r)} for r in rounds]
+        want = [np.array(m.tolist(), dtype=float)
+                for m in _mp_bell_channel(n_atoms, first, second, mp_rounds)]
+    assert _rel(transfer, want[0]) <= 1e-13
+    assert _rel(0.5 * noise @ noise.T, want[1]) <= 1e-13
+
+
 def _mp_block(matrix, rows, cols):
     return mpmath.matrix([[matrix[i, j] for j in cols] for i in rows])
 

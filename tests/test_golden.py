@@ -1,17 +1,14 @@
 """CLI artifacts on fixed (config, seed) runs against the committed goldens.
 
-The goldens in ``tests/golden/`` were captured with ``capture.py`` before the
-protocols moved to deferred measurement and before ``mb-validate`` moved to
-the adjoint Maxwell-Bloch extraction.  ``derive`` touches neither and must
-stay byte-identical.  ``entangle``, ``teleport``, ``sweep`` and
-``mb-validate`` sum in a different order than at capture and may move in the
-last digits: keys, strings, booleans and integers (so every ``is_argmax`` row
-and every grid size) must match exactly, floats within 1e-11 relative.
-
-The CSV goldens were captured later, before the CLI moved to one renderer,
-and follow the same classes: ``derive`` byte-identical; elsewhere the ``#``
-echo lines and the header exactly, integer and non-numeric cells exactly and
-the other numeric cells within 1e-11 relative.
+The JSON goldens in ``tests/golden/`` were captured with ``capture.py``
+before the protocols moved to deferred measurement and before
+``mb-validate`` moved to the adjoint Maxwell-Bloch extraction, the CSV
+goldens later, before the CLI moved to one renderer.  Each artifact is held
+to them by ``capture.match``: ``derive`` touches neither change and must stay
+byte-identical; ``entangle``, ``teleport``, ``sweep`` and ``mb-validate`` sum
+in a different order than at capture and may move in the last digits, with
+every key, string, boolean and integer (so every ``is_argmax`` row and every
+grid size) exact and floats within 1e-11 relative.
 
 The sampled entangle and teleport goldens (all but the outcome-free
 ``teleport-reference.csv`` and ``teleport-lossy.csv``) were recaptured when a
@@ -29,30 +26,10 @@ from pathlib import Path
 import pytest
 
 from conftest import reference_json_text
-from golden.capture import CASES, exit_code_key, run_case
+from golden.capture import CASES, exit_code_key, match, run_case
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
-BYTE_IDENTICAL = ("derive",)
-REL_TOL = 1e-11
-
-
-def _assert_close(got, want, path="$"):
-    assert type(got) is type(want), f"{path}: {type(got).__name__} != {type(want).__name__}"
-    if isinstance(want, dict):
-        assert list(got) == list(want), f"{path}: keys differ"
-        for key in want:
-            _assert_close(got[key], want[key], f"{path}.{key}")
-    elif isinstance(want, list):
-        assert len(got) == len(want), f"{path}: lengths differ"
-        for i, (g, w) in enumerate(zip(got, want)):
-            _assert_close(g, w, f"{path}[{i}]")
-    elif isinstance(want, float):
-        assert math.isclose(got, want, rel_tol=REL_TOL, abs_tol=0.0), (
-            f"{path}: {got!r} != {want!r}"
-        )
-    else:
-        assert got == want, f"{path}: {got!r} != {want!r}"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -63,11 +40,7 @@ def test_artifact_matches_golden(name, tmp_path):
     if code != 0:
         assert not golden.exists()
         return
-    want = golden.read_bytes()
-    if CASES[name][1][0] in BYTE_IDENTICAL:
-        assert data == want
-    else:
-        _assert_close(json.loads(data), json.loads(want))
+    match(name, "json", data, golden.read_bytes())
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -81,19 +54,6 @@ def test_artifact_text_matches_reference_writer(name, tmp_path):
     assert data.decode() == reference_json_text(json.loads(data)) + "\n"
 
 
-def _assert_csv_cell_close(got, want, where):
-    try:
-        want_value = float(want)
-    except ValueError:
-        want_value = None
-    if want_value is None or want.lstrip("-").isdigit():
-        assert got == want, f"{where}: {got!r} != {want!r}"
-    else:
-        assert math.isclose(float(got), want_value, rel_tol=REL_TOL, abs_tol=0.0), (
-            f"{where}: {got!r} != {want!r}"
-        )
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_csv_artifact_matches_golden(name, tmp_path):
     code, data = run_case(name, tmp_path, "csv")
@@ -102,22 +62,7 @@ def test_csv_artifact_matches_golden(name, tmp_path):
     if code != 0:
         assert not golden.exists()
         return
-    want = golden.read_bytes()
-    if CASES[name][1][0] in BYTE_IDENTICAL:
-        assert data == want
-        return
-    got_lines, want_lines = data.decode().split("\n"), want.decode().split("\n")
-    assert len(got_lines) == len(want_lines)
-    echo = sum(line.startswith("#") for line in want_lines)
-    # The echo lines and the header line.
-    assert got_lines[:echo + 1] == want_lines[:echo + 1]
-    for number, (got, want) in enumerate(zip(got_lines, want_lines)):
-        if number <= echo:
-            continue
-        got_cells, want_cells = got.split(","), want.split(",")
-        assert len(got_cells) == len(want_cells), f"line {number + 1}: cell counts differ"
-        for column, (g, w) in enumerate(zip(got_cells, want_cells)):
-            _assert_csv_cell_close(g, w, f"line {number + 1}, column {column + 1}")
+    match(name, "csv", data, golden.read_bytes())
 
 
 def test_capture_format_filter_rewrites_only_that_format(tmp_path, monkeypatch):
@@ -166,3 +111,34 @@ def test_capture_into_writes_to_that_directory_only(tmp_path, monkeypatch):
     assert (into / "derive-reference.csv").read_bytes() == (
         GOLDEN / "derive-reference.csv").read_bytes()
     assert json.loads((into / "exit_codes.json").read_text()) == {"derive-reference.csv": 0}
+
+
+def test_capture_compare_classifies_each_file(tmp_path, capsys):
+    from golden import capture
+
+    first, second = tmp_path / "a", tmp_path / "b"
+    for tree in (first, second):
+        tree.mkdir()
+        for name in ("derive-reference.json", "sweep-lossy.json"):
+            (tree / name).write_bytes((GOLDEN / name).read_bytes())
+    text = (GOLDEN / "sweep-lossy.json").read_text()
+    value = json.loads(text)["points"][0]["f_simulated"]
+    moved = math.nextafter(value, 1.0)
+    (second / "sweep-lossy.json").write_text(
+        text.replace(format(value, ".17g"), format(moved, ".17g"), 1))
+    close = f"sweep-lossy.json: close: largest relative change {(moved - value) / moved:.2g}"
+    assert capture.main(["--compare", str(first), str(second)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "derive-reference.json: identical", close,
+    ]
+
+    (second / "derive-reference.json").write_text("{}\n")
+    (first / "exit_codes.json").write_text("{}\n")
+    (second / "sweep-lossy.json").write_text(
+        text.replace('"is_argmax": false', '"is_argmax": true', 1))
+    assert capture.main(["--compare", str(first), str(second)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "derive-reference.json: different: bytes differ",
+        f"exit_codes.json: different: missing from {second}",
+        "sweep-lossy.json: different: $.points[0].is_argmax: True != False",
+    ]

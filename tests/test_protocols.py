@@ -100,6 +100,22 @@ def test_classical_bound_check_takes_a_float_array():
         classical_bound_check(np.array([0.6, 1.5]))
 
 
+def test_classical_bound_check_takes_a_list_and_gives_a_float_a_bool():
+    assert classical_bound_check([0.6, 0.4]).tolist() == [True, False]
+    assert classical_bound_check(0.6) is True
+    assert classical_bound_check(0.4) is False
+
+
+@pytest.mark.parametrize("call", [
+    lambda: squeezing_parameter(math.nan),
+    lambda: fidelity_ideal(math.nan),
+    lambda: fidelity_lossy(np.array([math.nan, 1.0]), 0.2),
+], ids=["squeezing_parameter", "fidelity_ideal", "fidelity_lossy"])
+def test_closed_forms_reject_nan(call):
+    with pytest.raises(ValueError, match="kappa"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # entanglement generation
 
