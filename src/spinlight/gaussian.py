@@ -13,16 +13,17 @@ in :mod:`~spinlight.interaction` the two-mode kick) is an in-place kernel that
 updates only the rows it touches, never building the identity-padded transfer
 matrix T.  A kernel acts on arrays whose leading axis is the quadrature (both
 leading axes for a covariance) and whose trailing axes, if any, are a batch of
-operating points: rows (a mean, transfer columns or the protocols' factor)
-become T X, a covariance T N T^T + Y (the state calculus: ``rotate``,
-``loss_channel`` and ``apply_pass`` copy a state's moments and apply a
-kernel), each update a few vector operations over the batch.  A quarter
-turn, as between Bell rounds, is an exact signed swap of the mode's rows.  A
-homodyne measurement (variance checks, outcome and conditioning) is one
-kernel, ``_measure``, which ``homodyne`` and the protocols' batched pulse
-measurement both call; the overlap with a coherent state is one batched
-kernel, ``_overlap``, which ``fidelity_coherent`` and the protocols' teleport
-stage both call.
+operating points, each step parameter being a scalar or an array over that
+batch: rows (a mean, transfer columns or the protocols' factor, shaped
+(quadrature, column, operating point)) become T X, a covariance T N T^T + Y
+(the state calculus: ``rotate``, ``loss_channel`` and ``apply_pass`` copy a
+state's moments and apply a kernel), each update a few vector operations
+over the batch.  A quarter turn, as between Bell rounds, is an exact signed
+swap of the mode's rows.  A homodyne measurement (variance checks, outcome
+and conditioning) is one kernel, ``_measure``, which ``homodyne`` and the
+protocols' batched pulse measurement both call; the overlap with a coherent
+state is one batched kernel, ``_overlap``, which ``fidelity_coherent`` and
+the protocols' teleport stage both call.
 """
 
 import dataclasses

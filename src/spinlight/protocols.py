@@ -18,7 +18,11 @@ keeps both light pulses unmeasured.  Each stage pushes it once, for a whole
 batch of operating points, as a rows-only factor F = [X | N] under the pass
 kernel of :func:`~spinlight.interaction.apply_pass` and the quarter turns,
 each pass appending its injected vacua as columns: samples with mean mu and
-covariance S leave as mean X mu and covariance X S X^T + N N^T / 2.  A stage
+covariance S leave as mean X mu and covariance X S X^T + N N^T / 2.  F is
+(quadrature, column, operating point), batch-last like every kernel operand,
+and each pass updates only the columns injected so far.  A round's
+parameters are :class:`RoundPlan`'s five fields, each a float (one plan's)
+or an array over the operating points (a sweep block's kappa).  A stage
 forms only the joint of the rows it reads, Sigma_J = X_J S X_J^T +
 N_J N_J^T / 2, and the means X_J mu of its trials: both samples and both
 pulses' x for the entangling stage (S vacuum), sample 2 and both outcomes
@@ -184,46 +188,36 @@ def classical_bound_check(fidelity):
 # deferred-measurement engine
 
 
-def _stack(rows):
-    """Round parameters of B operating points, one tuple of RoundPlans per row.
-
-    Returns a (rounds, B, 5) array; the last axis follows the RoundPlan fields
-    (kappa, eps_p, eps_a, eta_t, eta_d).
-    """
-    table = [[(p.kappa, p.eps_p, p.eps_a, p.eta_t, p.eta_d) for p in row] for row in rows]
-    return np.array(table).transpose(1, 0, 2)
-
-
 def _push_bell(n_atoms, first, second, rounds):
     """The two rounds of a Bell measurement as a rows-only factor F = [X | N].
 
     The register is the ``n_atoms`` samples followed by the light pulse of
-    each round, none of them measured.  F starts as the identity, X being its
-    first 2 ``n_atoms`` columns, and is (quadrature, B, column) for the B
-    rows of the :func:`_stack` array ``rounds``.  Each pass's light damping
-    is eps_p and the loss after it, one loss; the pass damps the sample,
-    then the light, and appends their vacua, sqrt(eps) in the x and p rows.
+    each round, none of them measured.  ``rounds`` holds each round's
+    :class:`RoundPlan` fields (kappa, eps_p, eps_a, eta_t, eta_d), each a
+    float or a (B,) array.  F starts as the identity, X being its first 2
+    ``n_atoms`` columns, and is (quadrature, column, B), B = 1 for floats.
+    Each pass's light damping is eps_p and the loss after it, one loss; the
+    pass damps the sample, then the light, on the columns injected so far
+    (the rest are zero), and appends their vacua, sqrt(eps) in the x and p rows.
     """
-    dim, batch = 2 * (n_atoms + len(rounds)), rounds.shape[1]
+    dim, batch = 2 * (n_atoms + len(rounds)), np.broadcast(*sum(rounds, ())).size
     # Two passes a round, each appending two vacua of two columns.
-    factor = np.zeros((dim, batch, dim + 8 * len(rounds)))
-    factor[np.arange(dim), :, np.arange(dim)] = 1.0
+    factor = np.zeros((dim, dim + 8 * len(rounds), batch))
+    factor[np.arange(dim), np.arange(dim)] = 1.0
     col = dim
-    for number, params in enumerate(rounds):
-        # Each row's parameters broadcast over its columns.
-        kappa, eps_p, eps_a, eta_t, eta_d = params.T[:, :, None]
+    for number, (kappa, eps_p, eps_a, eta_t, eta_d) in enumerate(rounds):
         light = n_atoms + number
         # Pass the first sample, transmission loss, pass the second sample,
-        # detector loss.  The columns not yet injected are zero and stay zero.
+        # detector loss.
         for sample, loss in ((first, eta_t), (second, eta_d)):
             eps_light = 1.0 - (1.0 - eps_p) * (1.0 - loss)
-            _pass(factor, None, light, sample, kappa, eps_light, eps_a)
+            _pass(factor[:, :col], None, light, sample, kappa, eps_light, eps_a)
             for mode, eps in ((sample, eps_a), (light, eps_light)):
-                factor[2 * mode, :, col] = factor[2 * mode + 1, :, col + 1] = np.sqrt(eps[:, 0])
+                factor[2 * mode, col] = factor[2 * mode + 1, col + 1] = np.sqrt(eps)
                 col += 2
         if number == 0:
-            _quarter_turn(factor, None, first, _TURN_FIRST)
-            _quarter_turn(factor, None, second, _TURN_SECOND)
+            _quarter_turn(factor[:, :col], None, first, _TURN_FIRST)
+            _quarter_turn(factor[:, :col], None, second, _TURN_SECOND)
     return factor
 
 
@@ -265,12 +259,14 @@ _TELEPORTED = [2, 3, 6, 8]
 # determinant that names a singular gain calibration's row.
 @np.errstate(over="ignore", invalid="ignore")
 def _entangling_stage(rounds, values=None, sampled=False):
-    """Vacuum through the entangling rounds of a :func:`_stack` array, conditioned.
+    """Vacuum through the entangling ``rounds`` of :func:`_push_bell`, conditioned.
 
     Returns the (6, T) means or None, the (6, 6, B) joint F_J F_J^T / 2 of
     vacuum samples, conditioned, and the outcomes.
     """
-    rows = np.moveaxis(_push_bell(2, 0, 1, rounds)[_ENTANGLED], 1, 0)
+    # Both stages take a C-ordered (B, J, column) copy of their rows: numpy 1.x
+    # runs a row's matrix products in BLAS only for such strides.
+    rows = np.moveaxis(_push_bell(2, 0, 1, rounds)[_ENTANGLED], -1, 0).copy()
     cov = np.moveaxis(VACUUM_VARIANCE * (rows @ np.swapaxes(rows, -1, -2)), 0, -1)
     # The vacuum mean is zero, and so is its image under the linear channel.
     mean = None if values is None else np.zeros((len(cov), values.shape[1]))
@@ -291,7 +287,8 @@ def _teleport_stage(pair_cov, rounds, gain=None, pair_means=None, input_mean=Non
     :func:`_measure_pulses`, returns the (T,) fidelities, the (2, T) means and
     (2, 2) covariance of the displaced sample 2 and the (2, T) outcomes.
     """
-    rows = np.moveaxis(_push_bell(3, 0, 2, rounds)[_TELEPORTED], 1, 0)
+    rows = np.moveaxis(_push_bell(3, 0, 2, rounds)[_TELEPORTED], -1, 0).copy()
+    kappa2 = np.broadcast_to(rounds[0][0], len(rows))
     response, noise = rows[..., :6], rows[..., 6:]
     # Sigma_J = X_J S X_J^T + N_J N_J^T / 2 for S the pair and the input's vacuum.
     inputs = np.zeros((rows.shape[0], 6, 6))
@@ -309,7 +306,7 @@ def _teleport_stage(pair_cov, rounds, gain=None, pair_means=None, input_mean=Non
             row = int(np.argmin(np.abs(np.linalg.det(c))))
             raise ValueError(
                 "gain calibration failed: measurement outcomes do not respond to the "
-                f"input mean at kappa2 = {float(rounds[0][row, 0])!r} (kappa too small?)"
+                f"input mean at kappa2 = {float(kappa2[row])!r} (kappa too small?)"
             ) from exc
     else:
         matrix = np.array([[[0.0, gain[0]], [gain[1], 0.0]]], float)
@@ -328,7 +325,7 @@ def _teleport_stage(pair_cov, rounds, gain=None, pair_means=None, input_mean=Non
                 row = int(np.argmin(det))
             else:
                 row = int(np.argmin(finite))
-            raise DegeneracyError(f"{exc} at kappa2 = {float(rounds[0][row, 0])!r}") from exc
+            raise DegeneracyError(f"{exc} at kappa2 = {float(kappa2[row])!r}") from exc
     # The joint means X_J mu and their average W mu_J are summed column by
     # column, so each trial has the bits of a one-trial run.  A calibrated
     # gain's offset puts the average on the input mean, a manual gain has none.
@@ -377,7 +374,7 @@ def entangle(plan_round1, plan_round2, rng=None, forced_outcomes=None):
     Gaussian conditioning, independent of the measurement outcomes.  The
     outcomes are ``forced_outcomes`` (one per round) or drawn from ``rng``.
     """
-    rounds = _stack([(plan_round1, plan_round2)])
+    rounds = [dataclasses.astuple(plan) for plan in (plan_round1, plan_round2)]
     mean, cov, outcomes = _entangling_stage(rounds, *_outcome_source(rng, forced_outcomes))
     state = GaussianState(mean[:4, 0], cov[:4, :4, 0])
     return state, _report(state.cov, None, tuple(outcomes[:, 0].tolist()))
@@ -408,8 +405,9 @@ def teleport(entangled, input_mean, plan_local_round1, plan_local_round2, gain=N
     """
     if entangled.n_modes != 2:
         raise ValueError(f"entangled resource must have exactly 2 modes, got {entangled.n_modes}")
+    rounds = [dataclasses.astuple(plan) for plan in (plan_local_round1, plan_local_round2)]
     fidelities, mean, cov, outcomes = _teleport_stage(
-        entangled.cov[:, :, None], _stack([(plan_local_round1, plan_local_round2)]), gain,
+        entangled.cov[:, :, None], rounds, gain,
         entangled.mean[:, None], input_mean, *_outcome_source(rng, forced_outcomes),
     )
     fidelity = _unit_interval(fidelities, lambda row: f"input mean {tuple(input_mean)!r}")[0]
@@ -446,12 +444,12 @@ def run_trials(plans, rng, trials, input_mean=None, gain=None):
     the (trials,) fidelities (or None), each in [0, 1] (see :func:`_unit_interval`).
     """
     draws = rng.standard_normal((trials, 4)).T
-    entangling = _stack([(plans["entangle1"], plans["entangle2"])])
+    entangling = [dataclasses.astuple(plans[name]) for name in ("entangle1", "entangle2")]
     mean, cov, outcomes = _entangling_stage(entangling, draws[:2], True)
     pair_cov = cov[:4, :4, 0].copy()
     if input_mean is None:
         return outcomes.T.copy(), _report(pair_cov), None
-    local = _stack([(plans["local1"], plans["local2"])])
+    local = [dataclasses.astuple(plans[name]) for name in ("local1", "local2")]
     fidelities, _, _, teleported = _teleport_stage(
         cov[:4, :4], local, gain, mean[:4], input_mean, draws[2:], True
     )
@@ -465,18 +463,20 @@ def run_trials(plans, rng, trials, input_mean=None, gain=None):
 
 def _sweep_blocks(kappa2, eta_t, block_rows, kappa1_multiplier=10.0, eps_p=0.0, eps_a=0.0,
                   eta_d=0.0, eta_t_local=None):
-    """Entangling and local :func:`_stack` tables of the loss-adapted strategy, by blocks.
+    """Entangling and local rounds of the loss-adapted strategy, by blocks.
 
-    Yields the row slice and the two tables of ``kappa2`` (a float array)
-    ``block_rows`` rows at a time.  Entangling rounds run the large kappa1 = ``kappa1_multiplier`` *
-    kappa2 first and kappa2 second; the local Bell measurement mirrors that
-    (kappa2 first, kappa1 second).  The local rounds carry the transmission
-    loss ``eta_t_local``, by default ``eta_t``: matching the sqrt(1 - eta_t)
-    weights between the nonlocal and local measurements is what cancels the
-    amplified anti-squeezed noise at unit gain.  Every row is checked, with
-    the checks of :class:`RoundPlan`, before the first block: the noise
-    settings through RoundPlan once, and every kappa finite and non-negative,
-    a bad row being named by its kappa2.
+    Yields the row slice and each stage's rounds, as :func:`_push_bell`
+    takes them, of ``kappa2`` (a float array) ``block_rows`` rows at a time:
+    each round's kappa is an array over the block's rows, beside the noise
+    settings every row shares.  Entangling rounds run the large kappa1 =
+    ``kappa1_multiplier`` * kappa2 first and kappa2 second; the local Bell
+    measurement mirrors that (kappa2 first, kappa1 second).  The local
+    rounds carry the transmission loss ``eta_t_local``, by default
+    ``eta_t``: matching the sqrt(1 - eta_t) weights between the nonlocal and
+    local measurements is what cancels the amplified anti-squeezed noise at
+    unit gain.  Every row is checked, with the checks of :class:`RoundPlan`,
+    before the first block: the noise settings through RoundPlan once, and
+    every kappa finite and non-negative, a bad row being named by its kappa2.
     """
     if eta_t_local is None:
         eta_t_local = eta_t
@@ -493,16 +493,11 @@ def _sweep_blocks(kappa2, eta_t, block_rows, kappa1_multiplier=10.0, eps_p=0.0, 
             f"{float(kappa1[row])!r} at kappa2 = {float(kappa2[row])!r}"
         )
 
-    def table(kappa_first, kappa_second, transmission):
-        rounds = np.empty((2, len(kappa_first), 5))
-        rounds[0, :, 0], rounds[1, :, 0] = kappa_first, kappa_second
-        rounds[:, :, 1:] = (eps_p, eps_a, transmission, eta_d)
-        return rounds
-
     for start in range(0, len(kappa2), block_rows):
         rows = slice(start, start + block_rows)
-        yield (rows, table(kappa1[rows], kappa2[rows], eta_t),
-               table(kappa2[rows], kappa1[rows], eta_t_local))
+        strong, weak = kappa1[rows], kappa2[rows]
+        yield (rows, [(kappa, eps_p, eps_a, eta_t, eta_d) for kappa in (strong, weak)],
+               [(kappa, eps_p, eps_a, eta_t_local, eta_d) for kappa in (weak, strong)])
 
 
 def make_plans(kappa2, eta_t, **plan_kwargs):
@@ -515,16 +510,16 @@ def make_plans(kappa2, eta_t, **plan_kwargs):
     """
     _, entangling, local = next(_sweep_blocks(np.array([float(kappa2)]), eta_t, 1,
                                               **plan_kwargs))
-    rows = np.concatenate([entangling, local])[:, 0].tolist()
-    return {name: RoundPlan(*row)
-            for name, row in zip(("entangle1", "entangle2", "local1", "local2"), rows)}
+    return {name: RoundPlan(*np.hstack(fields).tolist())
+            for name, fields in zip(("entangle1", "entangle2", "local1", "local2"),
+                                    [*entangling, *local])}
 
 
-# Rows of one sweep block.  A block's stage arrays take about 3.4 KB per row.
-# Measured with tracemalloc on a 2-core Xeon: at 10^5 rows one batch took
-# 0.74-0.85 s and a 338 MB peak, 4096-row blocks 0.42-0.50 s and 15 MB; at
-# 10^6 rows 4096-row blocks took 4.0-4.6 s and 31 MB, 8192-row ones 4.1-4.8 s
-# and 45 MB.
+# Rows of one sweep block.  A block's stage arrays take about 3.2 KB per row.
+# Measured with tracemalloc on a 2-core Xeon, one BLAS thread: at 10^5 rows
+# one batch took 0.35-0.36 s and a 322 MB peak, 4096-row blocks 0.23 s and
+# 15 MB; at 10^6 rows 4096-row blocks took 2.33-2.34 s and 30 MB, 8192-row
+# ones 2.46-2.57 s and 43 MB.
 _SWEEP_BLOCK = 4096
 
 

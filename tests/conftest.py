@@ -122,9 +122,11 @@ def bell_channel(n_atoms, first, second, rounds):
     The dense reference for the engine's factor push, built from the
     covariance form of the step kernels: identity transfer columns and the
     pulses' vacuum covariance go through each round's two passes and the
-    quarter turns between the rounds in place.  ``rounds`` is a
-    ``protocols._stack`` array.  The output register is the ``n_atoms``
-    samples followed by the light pulse of each round, none of them measured.
+    quarter turns between the rounds in place.  ``rounds`` holds each
+    round's (kappa, eps_p, eps_a, eta_t, eta_d), each a float or a (B,)
+    array, as ``protocols._push_bell`` takes them.  The output register is
+    the ``n_atoms`` samples followed by the light pulse of each round, none
+    of them measured.
     Returns (X, Y) of shapes (B, d, 2 n_atoms) and (B, d, d): samples with
     mean mu and covariance S leave as mean X mu and covariance X S X^T + Y,
     the pulses entering in vacuum.
@@ -132,13 +134,12 @@ def bell_channel(n_atoms, first, second, rounds):
     from spinlight.gaussian import VACUUM_VARIANCE, _quarter_turn
     from spinlight.interaction import _pass
 
-    dim, batch = 2 * (n_atoms + len(rounds)), rounds.shape[1]
+    dim, batch = 2 * (n_atoms + len(rounds)), np.broadcast(*sum(rounds, ())).size
     transfer = np.eye(dim, 2 * n_atoms)[:, :, None].repeat(batch, axis=2)
     noise = np.zeros((dim, dim, batch))
     pulses = np.arange(2 * n_atoms, dim)
     noise[pulses, pulses] = VACUUM_VARIANCE
-    for number, params in enumerate(rounds):
-        kappa, eps_p, eps_a, eta_t, eta_d = params.T
+    for number, (kappa, eps_p, eps_a, eta_t, eta_d) in enumerate(rounds):
         light = n_atoms + number
         for sample, loss in ((first, eta_t), (second, eta_d)):
             eps_light = 1.0 - (1.0 - eps_p) * (1.0 - loss)

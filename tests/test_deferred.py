@@ -256,7 +256,7 @@ def test_bell_factor_against_60_digits(rounds, n_atoms, first, second):
     # Y = N N^T / 2 of the 60-digit dense composition.
     from spinlight.protocols import _push_bell
 
-    factor = _push_bell(n_atoms, first, second, np.array(rounds)[:, None, :])[:, 0]
+    factor = _push_bell(n_atoms, first, second, rounds)[..., 0]
     transfer, noise = factor[:, :2 * n_atoms], factor[:, 2 * n_atoms:]
     names = ("kappa", "eps_p", "eps_a", "eta_t", "eta_d")
     with mpmath.workdps(60):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -229,11 +230,9 @@ def test_round_two_weights_under_loss():
     # After the inter-round rotations the second round reads
     # sqrt(1 - eta_t) x1 - x2 of the original variables: the prior mean of
     # the second outcome, once the first is conditioned on a zero outcome.
-    from spinlight.protocols import _stack
-
     eta_t = 0.37
-    plan = RoundPlan(kappa=1.3, eta_t=eta_t)
-    transfer, noise = bell_channel(2, 0, 1, _stack([(plan, plan)]))
+    plan = dataclasses.astuple(RoundPlan(kappa=1.3, eta_t=eta_t))
+    transfer, noise = bell_channel(2, 0, 1, [plan, plan])
 
     def second_round_mean(displaced_mode):
         state = displace(vacuum_state(2), displaced_mode, 1.0, 0.0)
@@ -285,9 +284,7 @@ def test_fidelity_independent_of_input_mean():
 def _prior_outcome_means(entangled, input_mean, plans):
     """Outcome means with zero innovation: the pulses' x means of the deferred
     local Bell channel applied to the entangled pair plus the input sample."""
-    from spinlight.protocols import _stack
-
-    transfer, _ = bell_channel(3, 0, 2, _stack([plans]))
+    transfer, _ = bell_channel(3, 0, 2, [dataclasses.astuple(plan) for plan in plans])
     register = displace(append_vacuum(entangled, 1), 2, *input_mean)
     return tuple(transfer[0][[6, 8]] @ register.mean)
 
@@ -312,10 +309,8 @@ def test_manual_unit_gain_reproduces_calibrated_fidelity():
     # at zero input).  The calibrated gain G = (I - A) C^-1 comes from the
     # dense channel's responses A of sample 2 and C of the outcomes to the
     # input mean.
-    from spinlight.protocols import _stack
-
     state = _entangled(3.0)
-    transfer, _ = bell_channel(3, 0, 2, _stack([(_ideal(3.0), _ideal(3.0))]))
+    transfer, _ = bell_channel(3, 0, 2, [dataclasses.astuple(_ideal(3.0))] * 2)
     a, c = transfer[0][[2, 3]][:, [4, 5]], transfer[0][[6, 8]][:, [4, 5]]
     gain_matrix = (np.eye(2) - a) @ np.linalg.inv(c)
     assert gain_matrix[0, 0] == pytest.approx(0.0, abs=1e-12)
@@ -568,17 +563,44 @@ def test_make_plans_orders_the_rounds_of_the_loss_adapted_strategy():
 
 
 def test_sweep_round_table_equals_round_plans():
-    from spinlight.protocols import _stack, _sweep_blocks
+    # Each round's fields, broadcast over the block's rows, are the fields of
+    # each row's RoundPlan.
+    from spinlight.protocols import _sweep_blocks
 
     kappa2 = [0.3, 1.5, 9.5]
     kwargs = dict(kappa1_multiplier=3.0, eps_p=0.02, eps_a=0.01, eta_d=0.1,
                   eta_t_local=0.3)
     _, entangling, local = next(_sweep_blocks(np.array(kappa2), 0.2, len(kappa2), **kwargs))
     plans = [make_plans(k2, 0.2, **kwargs) for k2 in kappa2]
-    assert np.array_equal(
-        entangling, _stack([(p["entangle1"], p["entangle2"]) for p in plans])
-    )
-    assert np.array_equal(local, _stack([(p["local1"], p["local2"]) for p in plans]))
+    names = ("entangle1", "entangle2", "local1", "local2")
+    for name, fields in zip(names, [*entangling, *local]):
+        rows = np.transpose(np.broadcast_arrays(*fields))
+        assert np.array_equal(rows, [dataclasses.astuple(p[name]) for p in plans])
+
+
+@pytest.mark.parametrize("n_atoms, first, second, widths", [
+    (2, 0, 1, [8, 12, 16, 20]), (3, 0, 2, [10, 14, 18, 22]),
+], ids=["entangling", "teleport"])
+def test_bell_push_takes_float_noise_and_passes_only_injected_columns(
+        monkeypatch, n_atoms, first, second, widths):
+    # A round's fields are floats or (B,) arrays: a kappa array beside float
+    # noise pushes the bits of every field broadcast over the rows.  Each
+    # pass updates only the columns injected so far, four more each time.
+    import spinlight.protocols as protocols
+
+    real, seen = protocols._pass, []
+
+    def spy(rows, *args):
+        seen.append(rows.shape[1])
+        return real(rows, *args)
+
+    monkeypatch.setattr(protocols, "_pass", spy)
+    kappa = np.array([0.3, 1.5, 9.5])
+    rounds = [(kappa, 0.02, 0.01, 0.2, 0.1), (3.0 * kappa, 0.02, 0.01, 0.3, 0.1)]
+    factor = protocols._push_bell(n_atoms, first, second, rounds)
+    assert seen == widths
+    broadcast = [tuple(np.broadcast_to(f, kappa.shape) for f in r) for r in rounds]
+    assert np.array_equal(protocols._push_bell(n_atoms, first, second, broadcast), factor)
 
 
 def test_sweep_conditions_like_entangle(monkeypatch):
