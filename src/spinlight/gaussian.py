@@ -8,22 +8,22 @@ States are immutable values: every operation returns a new ``GaussianState``.
 Measurement sampling takes an explicit ``numpy.random.Generator``; nothing in
 this module keeps hidden RNG state.
 
-Underneath, each elementary step (loss of one mode, rotation of one mode, and
-in :mod:`~spinlight.interaction` the two-mode kick) is an in-place kernel that
-updates only the rows it touches, never building the identity-padded transfer
-matrix T.  A kernel acts on arrays whose leading axis is the quadrature (both
-leading axes for a covariance) and whose trailing axes, if any, are a batch of
-operating points, each step parameter being a scalar or an array over that
-batch: rows (a mean, transfer columns or the protocols' factor, shaped
-(quadrature, column, operating point)) become T X, a covariance T N T^T + Y
-(the state calculus: ``rotate``, ``loss_channel`` and ``apply_pass`` copy a
-state's moments and apply a kernel), each update a few vector operations
-over the batch.  A quarter turn, as between Bell rounds, is an exact signed
-swap of the mode's rows.  A homodyne measurement (variance checks, outcome
-and conditioning) is one kernel, ``_measure``, which ``homodyne`` and the
-protocols' batched pulse measurement both call; the overlap with a coherent
-state is one batched kernel, ``_overlap``, which ``fidelity_coherent`` and
-the protocols' teleport stage both call.
+Underneath, each elementary step (loss or rotation of one mode, and in
+:mod:`~spinlight.interaction` the kick and the pass) is an in-place kernel on
+rows (a mean, transfer columns or the protocols' factor): with the quadrature
+leading and any batch of operating points trailing, each step parameter a
+scalar or an array over that batch, it makes them T X in a few vector
+operations, never building the identity-padded T, and returns the vacua it
+injects as (mode, eps) pairs.  One covariance rule, ``_step``, makes a
+covariance T N T^T + Y: the kernel acts on its rows, then its columns, and
+each returned vacuum adds eps / 2 to its mode's diagonal; the state calculus
+(``rotate``, ``loss_channel``, ``apply_pass``) steps a copy of a state's
+moments through it.  A quarter turn, as between Bell rounds, is an exact
+signed swap of the mode's rows.  A homodyne measurement (variance checks,
+outcome and conditioning) is one kernel, ``_measure``, for ``homodyne`` and
+the protocols' batched pulse measurement; the overlap with a coherent state
+is one batched kernel, ``_overlap``, for ``fidelity_coherent`` and the
+protocols' teleport stage.
 """
 
 import dataclasses
@@ -150,59 +150,52 @@ def displace(state, mode, dx, dp):
     return GaussianState(mean, state.cov)
 
 
-def _targets(rows, cov):
-    """The arrays a step updates along their leading (quadrature) axis.
-
-    ``rows`` (a mean, transfer columns or a factor) and ``cov`` may each be
-    None.  A covariance is updated on its rows and then, through a
-    transposed view, on its columns, which is T cov T^T for the step's T.
-    """
-    if rows is not None:
-        yield rows
-    if cov is not None:
-        yield cov
-        yield np.swapaxes(cov, 0, 1)
-
-
-def _damp(rows, cov, mode, eps):
+def _damp(rows, mode, eps):
     """In place: admix a fraction ``eps`` of vacuum into one mode.
 
-    The mode's rows (and covariance columns) scale by sqrt(1 - eps) and its
-    two diagonal covariance entries gain eps / 2.  ``eps`` is a scalar or an
-    array over the trailing batch axes.
+    The mode's rows scale by sqrt(1 - eps).  ``eps`` is a scalar or an array
+    over the trailing batch axes.  Returns the injected vacuum ((mode, eps),).
     """
-    keep = np.sqrt(1.0 - eps)
-    quads = slice(2 * mode, 2 * mode + 2)
-    for block in _targets(rows, cov):
-        block[quads] *= keep
-    if cov is not None:
-        added = VACUUM_VARIANCE * eps
-        cov[2 * mode, 2 * mode] += added
-        cov[2 * mode + 1, 2 * mode + 1] += added
+    rows[2 * mode : 2 * mode + 2] *= np.sqrt(1.0 - eps)
+    return ((mode, eps),)
 
 
-def _turn(rows, cov, mode, theta):
+def _turn(rows, mode, theta):
     """In place: phase-space rotation of one mode by a scalar angle."""
     c, s = math.cos(theta), math.sin(theta)
     x, p = 2 * mode, 2 * mode + 1
-    for block in _targets(rows, cov):
-        old_x = block[x].copy()
-        block[x] = c * old_x + s * block[p]
-        block[p] = c * block[p] - s * old_x
+    old_x = rows[x].copy()
+    rows[x] = c * old_x + s * rows[p]
+    rows[p] = c * rows[p] - s * old_x
+    return ()
 
 
-def _quarter_turn(rows, cov, mode, sign):
+def _quarter_turn(rows, mode, sign):
     """In place: rotation of one mode by ``sign`` * pi/2, an exact signed swap.
 
     x becomes sign * p and p becomes -sign * x, with no cos(pi/2) = 6.1e-17
     leaking into either.
     """
     x, p = 2 * mode, 2 * mode + 1
-    for block in _targets(rows, cov):
-        old_x = block[x].copy()
-        block[x] = block[p]
-        block[p] = old_x
-        block[p if sign > 0 else x] *= -1.0
+    old_x = rows[x].copy()
+    rows[x] = rows[p]
+    rows[p] = old_x
+    rows[p if sign > 0 else x] *= -1.0
+    return ()
+
+
+def _step(rows, cov, step, *args):
+    """In place: one step kernel on ``rows`` and on a covariance ``cov``.
+
+    The covariance becomes T cov T^T + Y: the step acts on its rows, then,
+    through a transposed view, on its columns, and each vacuum it returns,
+    (mode, eps), adds eps / 2 to that mode's two diagonal entries.
+    """
+    step(rows, *args)
+    step(cov, *args)
+    for mode, eps in step(np.swapaxes(cov, 0, 1), *args):
+        for q in (2 * mode, 2 * mode + 1):
+            cov[q, q] += VACUUM_VARIANCE * eps
 
 
 def _measure(mean, cov, k, value, sampled):
@@ -235,9 +228,9 @@ def _measure(mean, cov, k, value, sampled):
 
 
 def _state_step(state, step, *args):
-    """Copy a state, apply one in-place step to its moments, rebuild it."""
+    """Copy a state, apply one step kernel to its moments (:func:`_step`), rebuild it."""
     mean, cov = state.mean.copy(), state.cov.copy()
-    step(mean, cov, *args)
+    _step(mean, cov, step, *args)
     return GaussianState(mean, cov)
 
 
@@ -313,7 +306,7 @@ def variance_of(state, coeffs):
     return float(coeffs @ state.cov @ coeffs)
 
 
-def _overlap(cov, delta):
+def _overlap(cov, delta, row_name=None):
     """Overlap det(G)^(-1/2) exp(-(1/2) d^T G^-1 d) of G = cov + (1/2) I, batched.
 
     ``cov`` is (..., 2, 2) and ``delta`` (..., 2); their leading axes
@@ -321,15 +314,22 @@ def _overlap(cov, delta):
     formula is written entry by entry, so every row has the bits of a one-row
     call.  Raises DegeneracyError if an entry of G is not finite (an
     overflowed covariance, whose products would turn into nan) or any det(G)
-    is not positive.
+    is not positive; given ``row_name``, the error ends " at
+    {row_name(row)}" for the first row with a non-finite entry, else the
+    most singular row.
     """
-    if not np.isfinite(cov).all():
-        raise DegeneracyError("overlap matrix has a non-finite entry")
+
+    def fail(text, row):
+        raise DegeneracyError(text if row_name is None else f"{text} at {row_name(int(row))}")
+
+    finite = np.isfinite(cov).all(axis=(-2, -1))
+    if not finite.all():
+        fail("overlap matrix has a non-finite entry", np.argmin(finite))
     g00, g11 = cov[..., 0, 0] + VACUUM_VARIANCE, cov[..., 1, 1] + VACUUM_VARIANCE
     g01, g10 = cov[..., 0, 1], cov[..., 1, 0]
     det = g00 * g11 - g01 * g10
     if not np.all(det > 0.0):
-        raise DegeneracyError(f"singular overlap matrix (det {np.min(det)})")
+        fail(f"singular overlap matrix (det {np.min(det)})", np.argmin(det))
     d0, d1 = delta[..., 0], delta[..., 1]
     quadratic = (d0 * (g11 * d0 - g01 * d1) + d1 * (g00 * d1 - g10 * d0)) / det
     return np.exp(-0.5 * quadratic) / np.sqrt(det)

@@ -9,9 +9,10 @@ pass channel,
     p'   = sqrt(1 - eps)   p                   + sqrt(eps)   * p_noise
 
 and applies that channel to a :class:`~spinlight.gaussian.GaussianState`.
-One in-place kernel, ``_pass`` (the kick, then atomic and light damping), is
-the pass that :func:`apply_pass`, the protocols' Bell rounds and the
-Maxwell-Bloch grid cells all run.
+One in-place kernel on rows, ``_pass`` (the kick, then atomic and light
+damping), is the pass that :func:`apply_pass`, the protocols' Bell rounds and
+the Maxwell-Bloch grid cells all run; it returns the vacua it injects, the
+atom's (mode, eps_a), then the light's, for each caller to apply.
 
 All quantities are SI.  Photon/atom number accounting: ``Np`` is HALF the
 total pulse photon number (the pulse carries ``2 * Np`` photons split over the
@@ -24,7 +25,7 @@ mind when comparing against photon-counting conventions.
 import dataclasses
 import math
 
-from .gaussian import _damp, _mode_of, _state_step, _targets
+from .gaussian import _damp, _mode_of, _state_step
 
 # CODATA 2022 values, bit-equal to scipy.constants (c, epsilon_0, hbar).
 SPEED_OF_LIGHT = 299792458.0  # m/s
@@ -289,24 +290,26 @@ def validate_regime(params, channel):
     )
 
 
-def _kick(rows, cov, light, atom, kappa):
+def _kick(rows, light, atom, kappa):
     """In place: the lossless two-mode kick x_p -= kappa p_a, x_a -= kappa p_p.
 
-    Acts along the leading (quadrature) axis of ``rows`` and of both axes of
-    ``cov`` (see :func:`~spinlight.gaussian._targets`); ``kappa`` is a scalar
-    or an array over the trailing batch axes.  Neither updated row feeds the
-    other, so the order of the two updates does not matter.
+    Acts along the leading (quadrature) axis of ``rows``; ``kappa`` is a
+    scalar or an array over the trailing batch axes.  Neither updated row
+    feeds the other, so the order of the two updates does not matter.  No
+    vacuum is injected: returns ().
     """
-    for block in _targets(rows, cov):
-        block[2 * light] -= kappa * block[2 * atom + 1]
-        block[2 * atom] -= kappa * block[2 * light + 1]
+    rows[2 * light] -= kappa * rows[2 * atom + 1]
+    rows[2 * atom] -= kappa * rows[2 * light + 1]
+    return ()
 
 
-def _pass(rows, cov, light, atom, kappa, eps_p, eps_a):
-    """In place: one pass, the kick, then atomic and light damping (which commute)."""
-    _kick(rows, cov, light, atom, kappa)
-    _damp(rows, cov, atom, eps_a)
-    _damp(rows, cov, light, eps_p)
+def _pass(rows, light, atom, kappa, eps_p, eps_a):
+    """In place: one pass, the kick, then atomic and light damping (which commute).
+
+    Returns the injected vacua as (mode, eps) pairs, the atom's, then the light's.
+    """
+    _kick(rows, light, atom, kappa)
+    return _damp(rows, atom, eps_a) + _damp(rows, light, eps_p)
 
 
 def apply_pass(state, light, atom, channel):

@@ -6,8 +6,9 @@ damping feeding fresh vacuum noise) are discretized on an (n_z slices) x
 (n_tau bins) grid.  Each cell is one pass of the collective channel
 (:func:`~spinlight.interaction.apply_pass`, the engine's own step) with
 kick k_cell = kappa / sqrt(n_z * n_tau), light damping eps_p / n_z and
-atomic damping eps_a / n_tau, each damping with a fresh vacuum injection,
-composed causally: bin m traverses slices j = 1..n_z, bins in time order.
+atomic damping eps_a / n_tau, each damping's fresh vacuum (as the pass
+returns it) a pair of noise columns, composed causally: bin m traverses
+slices j = 1..n_z, bins in time order.
 Because the p quadratures are conserved by the kicks, the lossless part
 composes exactly to the collective channel for any grid size; the damping
 interleave reproduces the analytic coefficients up to O(eps^2).
@@ -126,8 +127,8 @@ def build_transfer_from_channel(channel, grid):
     """Compose one pass (:func:`~spinlight.interaction.apply_pass`) per grid cell.
 
     One array holds the signal columns and then the injected vacua.  Each
-    cell's pass acts on the columns so far; then its light vacua and its
-    atomic vacua are appended, each only where that damping is > 0.
+    cell's pass acts on the columns so far; then the vacua it returns are
+    appended, the light's before the atom's, each only where its eps is > 0.
     """
     nt, nz = grid.n_tau, grid.n_z
     dim = 2 * (nt + nz)
@@ -138,8 +139,9 @@ def build_transfer_from_channel(channel, grid):
     col = dim
     for m in range(nt):
         for j in range(nz):
-            _pass(transfer[:, :col], None, m, nt + j, k_cell, eps_p, eps_a)
-            for mode, eps, cols in ((m, eps_p, light_cols), (nt + j, eps_a, atom_cols)):
+            # _pass returns the atom's vacuum, then the light's: reversed here.
+            vacua = _pass(transfer[:, :col], m, nt + j, k_cell, eps_p, eps_a)[::-1]
+            for (mode, eps), cols in zip(vacua, (light_cols, atom_cols)):
                 if eps > 0:
                     transfer[2 * mode, col] = transfer[2 * mode + 1, col + 1] = math.sqrt(eps)
                     cols += [col - dim, col + 1 - dim]

@@ -17,7 +17,7 @@ measurement compose into one affine-Gaussian channel over a register that
 keeps both light pulses unmeasured.  Each stage pushes it once, for a whole
 batch of operating points, as a rows-only factor F = [X | N] under the pass
 kernel of :func:`~spinlight.interaction.apply_pass` and the quarter turns,
-each pass appending its injected vacua as columns: samples with mean mu and
+each pass's returned vacua appended as columns: samples with mean mu and
 covariance S leave as mean X mu and covariance X S X^T + N N^T / 2.  F is
 (quadrature, column, operating point), batch-last like every kernel operand,
 and each pass updates only the columns injected so far.  A round's
@@ -197,8 +197,9 @@ def _push_bell(n_atoms, first, second, rounds):
     float or a (B,) array.  F starts as the identity, X being its first 2
     ``n_atoms`` columns, and is (quadrature, column, B), B = 1 for floats.
     Each pass's light damping is eps_p and the loss after it, one loss; the
-    pass damps the sample, then the light, on the columns injected so far
-    (the rest are zero), and appends their vacua, sqrt(eps) in the x and p rows.
+    pass acts on the columns injected so far (the rest are zero), and each
+    vacuum it returns, the sample's, then the light's, is appended as two
+    columns, sqrt(eps) in that mode's x and p rows.
     """
     dim, batch = 2 * (n_atoms + len(rounds)), np.broadcast(*sum(rounds, ())).size
     # Two passes a round, each appending two vacua of two columns.
@@ -211,13 +212,12 @@ def _push_bell(n_atoms, first, second, rounds):
         # detector loss.
         for sample, loss in ((first, eta_t), (second, eta_d)):
             eps_light = 1.0 - (1.0 - eps_p) * (1.0 - loss)
-            _pass(factor[:, :col], None, light, sample, kappa, eps_light, eps_a)
-            for mode, eps in ((sample, eps_a), (light, eps_light)):
+            for mode, eps in _pass(factor[:, :col], light, sample, kappa, eps_light, eps_a):
                 factor[2 * mode, col] = factor[2 * mode + 1, col + 1] = np.sqrt(eps)
                 col += 2
         if number == 0:
-            _quarter_turn(factor[:, :col], None, first, _TURN_FIRST)
-            _quarter_turn(factor[:, :col], None, second, _TURN_SECOND)
+            _quarter_turn(factor[:, :col], first, _TURN_FIRST)
+            _quarter_turn(factor[:, :col], second, _TURN_SECOND)
     return factor
 
 
@@ -237,9 +237,9 @@ def _measure_pulses(mean, cov, values=None, sampled=False):
 
 def _outcome_source(rng, forced_outcomes):
     """``values`` and ``sampled`` of :func:`_measure_pulses` for one trial."""
+    if (rng is None) == (forced_outcomes is None):
+        raise ValueError("provide exactly one outcome source: rng or forced_outcomes")
     if forced_outcomes is None:
-        if rng is None:
-            raise ValueError("provide rng for sampled outcomes or forced_outcomes")
         return rng.standard_normal((2, 1)), True
     if len(forced_outcomes) != 2:
         raise ValueError("forced_outcomes must hold one value per round")
@@ -314,18 +314,7 @@ def _teleport_stage(pair_cov, rounds, gain=None, pair_means=None, input_mean=Non
     weights = np.concatenate([np.broadcast_to(np.eye(2), matrix.shape), matrix], axis=-1)
     averaged_cov = weights @ sigma @ np.swapaxes(weights, -1, -2)
     if pair_means is None:
-        try:
-            return _overlap(averaged_cov, np.zeros(2))
-        except DegeneracyError as exc:
-            # Name the first row with a non-finite entry, else the most
-            # singular one, by its kappa2 as for a singular C.
-            finite = np.isfinite(averaged_cov).all(axis=(-2, -1))
-            if finite.all():
-                det = np.linalg.det(averaged_cov + VACUUM_VARIANCE * np.eye(2))
-                row = int(np.argmin(det))
-            else:
-                row = int(np.argmin(finite))
-            raise DegeneracyError(f"{exc} at kappa2 = {float(kappa2[row])!r}") from exc
+        return _overlap(averaged_cov, np.zeros(2), lambda row: f"kappa2 = {float(kappa2[row])!r}")
     # The joint means X_J mu and their average W mu_J are summed column by
     # column, so each trial has the bits of a one-trial run.  A calibrated
     # gain's offset puts the average on the input mean, a manual gain has none.

@@ -87,12 +87,15 @@ def reference_csv_text(echo, header, rows):
 def assert_step_matches_dense(step, dense, args, batch, dim=6, seed=0):
     """Check an in-place step kernel against its dense transfer/noise matrices.
 
-    ``step(rows, cov, *args)`` updates moments in place; ``dense(dim, *args)``
-    returns the (T, Y) pair of one operating point.  Array arguments carry the
+    ``step(rows, *args)`` updates rows in place and returns its vacua, which
+    ``gaussian._step`` applies to a covariance; ``dense(dim, *args)`` returns
+    the (T, Y) pair of one operating point.  Array arguments carry the
     batch (shape ``(batch,)``); with ``batch`` None the moments have no batch
     axis and every argument is a scalar.  Transfer columns must become T X, a
     mean T mu and a covariance T N T^T + Y, each within 1e-15 absolute.
     """
+    from spinlight.gaussian import _step
+
     rng = np.random.default_rng(seed)
     tail = () if batch is None else (batch,)
     rows = rng.uniform(-1.0, 1.0, (dim, 3) + tail)
@@ -108,8 +111,8 @@ def assert_step_matches_dense(step, dense, args, batch, dim=6, seed=0):
             at, transfer @ rows[at], transfer @ mean[at],
             transfer @ cov[at] @ transfer.T + noise,
         ))
-    step(rows, cov, *args)
-    step(mean, None, *args)
+    _step(rows, cov, step, *args)
+    step(mean, *args)
     for at, want_rows, want_mean, want_cov in expected:
         assert np.max(np.abs(rows[at] - want_rows)) <= 1e-15
         assert np.max(np.abs(mean[at] - want_mean)) <= 1e-15
@@ -120,9 +123,9 @@ def bell_channel(n_atoms, first, second, rounds):
     """The two rounds of a Bell measurement as one affine-Gaussian channel.
 
     The dense reference for the engine's factor push, built from the
-    covariance form of the step kernels: identity transfer columns and the
-    pulses' vacuum covariance go through each round's two passes and the
-    quarter turns between the rounds in place.  ``rounds`` holds each
+    covariance rule of the step kernels (``gaussian._step``): identity
+    transfer columns and the pulses' vacuum covariance go through each
+    round's two passes and the quarter turns between the rounds in place.  ``rounds`` holds each
     round's (kappa, eps_p, eps_a, eta_t, eta_d), each a float or a (B,)
     array, as ``protocols._push_bell`` takes them.  The output register is
     the ``n_atoms`` samples followed by the light pulse of each round, none
@@ -131,7 +134,7 @@ def bell_channel(n_atoms, first, second, rounds):
     mean mu and covariance S leave as mean X mu and covariance X S X^T + Y,
     the pulses entering in vacuum.
     """
-    from spinlight.gaussian import VACUUM_VARIANCE, _quarter_turn
+    from spinlight.gaussian import VACUUM_VARIANCE, _quarter_turn, _step
     from spinlight.interaction import _pass
 
     dim, batch = 2 * (n_atoms + len(rounds)), np.broadcast(*sum(rounds, ())).size
@@ -143,10 +146,10 @@ def bell_channel(n_atoms, first, second, rounds):
         light = n_atoms + number
         for sample, loss in ((first, eta_t), (second, eta_d)):
             eps_light = 1.0 - (1.0 - eps_p) * (1.0 - loss)
-            _pass(transfer, noise, light, sample, kappa, eps_light, eps_a)
+            _step(transfer, noise, _pass, light, sample, kappa, eps_light, eps_a)
         if number == 0:
-            _quarter_turn(transfer, noise, first, -1)
-            _quarter_turn(transfer, noise, second, 1)
+            _step(transfer, noise, _quarter_turn, first, -1)
+            _step(transfer, noise, _quarter_turn, second, 1)
     return np.moveaxis(transfer, -1, 0), np.moveaxis(noise, -1, 0)
 
 

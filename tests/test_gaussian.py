@@ -22,7 +22,7 @@ from spinlight import (
     vacuum_state,
     variance_of,
 )
-from spinlight.gaussian import _damp, _quarter_turn, _state_step, _turn
+from spinlight.gaussian import _damp, _quarter_turn, _state_step, _step, _turn
 from spinlight.interaction import _kick
 from conftest import assert_step_matches_dense, random_physical_state
 
@@ -220,8 +220,8 @@ def test_rotation_kernel_matches_dense_form(batch, theta):
     assert_step_matches_dense(_turn, _dense_rotation, (1, theta), batch)
 
 
-def _fused_loss(rows, cov, mode, first, second):
-    _damp(rows, cov, mode, 1.0 - (1.0 - first) * (1.0 - second))
+def _fused_loss(rows, mode, first, second):
+    return _damp(rows, mode, 1.0 - (1.0 - first) * (1.0 - second))
 
 
 def _dense_double_loss(dim, mode, first, second):
@@ -257,9 +257,9 @@ def test_quarter_turn_is_an_exact_signed_swap(batch, sign):
     want_rows = [swap @ rows[b] for b in at]
     want_cov = [swap @ cov[b] @ swap.T for b in at]
     turned_rows, turned_cov = rows.copy(), cov.copy()
-    _turn(turned_rows, turned_cov, 1, sign * math.pi / 2)
+    _step(turned_rows, turned_cov, _turn, 1, sign * math.pi / 2)
 
-    _quarter_turn(rows, cov, 1, sign)
+    _step(rows, cov, _quarter_turn, 1, sign)
     for b, r, c in zip(at, want_rows, want_cov):
         assert np.array_equal(rows[b], r)
         assert np.array_equal(cov[b], c)
@@ -541,6 +541,25 @@ def test_overlap_matches_determinant_and_inverse(covs, deltas):
     for got, delta in zip(trials, deltas):
         close(got, _overlap_reference(covs[0], delta))
         assert got == _overlap(covs[0], delta)
+
+
+def test_overlap_names_its_failing_row():
+    # Given a row name, the overlap names the first row with a non-finite
+    # entry, else the most singular row; without one the text ends at the figure.
+    from spinlight.gaussian import _overlap
+
+    def name(row):
+        return f"row {row}"
+
+    covs = np.stack([np.eye(2)] * 3)
+    covs[1, 1, 1], covs[2, 0, 1] = np.inf, np.nan
+    with pytest.raises(DegeneracyError, match=r"^overlap matrix has a non-finite entry at row 1$"):
+        _overlap(covs, np.zeros(2), name)
+    covs = np.stack([np.eye(2), [[-0.5, 0.0], [0.0, 0.0]], [[0.5, 2.0], [2.0, 0.5]]])
+    with pytest.raises(DegeneracyError, match=r"^singular overlap matrix \(det -3\.0\) at row 2$"):
+        _overlap(covs, np.zeros(2), name)
+    with pytest.raises(DegeneracyError, match=r"^singular overlap matrix \(det -3\.0\)$"):
+        _overlap(covs, np.zeros(2))
 
 
 # ---------------------------------------------------------------------------

@@ -284,10 +284,16 @@ def test_pass_with_zero_kappa_is_pure_loss():
     assert np.allclose(out.mean, expected.mean, atol=1e-14)
 
 
+def test_pass_returns_the_atom_vacuum_then_the_light_vacuum():
+    rows = np.eye(6)
+    assert interaction._pass(rows, 2, 0, 1.5, 0.3, 0.1) == ((0, 0.1), (2, 0.3))
+    assert interaction._kick(rows, 2, 0, 1.5) == ()
+
+
 def test_pass_map_is_symplectic():
     omega = symplectic_form(2)
     matrix = np.eye(4)
-    interaction._kick(matrix, None, 0, 1, 3.7)
+    interaction._kick(matrix, 0, 1, 3.7)
     assert np.array_equal(matrix.T @ omega @ matrix, omega)
 
 

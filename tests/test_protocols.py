@@ -427,6 +427,28 @@ def test_manual_gain_trials_build_no_gaussian_state(monkeypatch):
     assert len(constructions) == 0
 
 
+def _protocol_call(protocol, **sources):
+    plan = _ideal(1.0)
+    if protocol == "entangle":
+        return entangle(plan, plan, **sources)
+    return teleport(vacuum_state(2), (0.0, 0.0), plan, plan, **sources)
+
+
+@pytest.mark.parametrize("protocol", ["entangle", "teleport"])
+@pytest.mark.parametrize("sources, message", [
+    ({}, "provide exactly one outcome source: rng or forced_outcomes"),
+    ({"rng": "both", "forced_outcomes": (0.0, 0.0)},
+     "provide exactly one outcome source: rng or forced_outcomes"),
+    ({"forced_outcomes": (0.0, 0.0, 0.0)}, "forced_outcomes must hold one value per round"),
+], ids=["neither", "both", "three-forced"])
+def test_protocols_take_exactly_one_outcome_source(protocol, sources, message):
+    # The rule of homodyne: an rng beside forced outcomes is an error, not ignored.
+    if "rng" in sources:
+        sources = dict(sources, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _protocol_call(protocol, **sources)
+
+
 def test_teleport_requires_two_mode_resource():
     with pytest.raises(ValueError):
         teleport(
@@ -455,10 +477,10 @@ def test_sweep_rejects_fidelity_outside_unit_interval(monkeypatch):
 
     real = protocols._overlap
 
-    def inflated(averaged_cov, delta):
+    def inflated(averaged_cov, delta, *rest):
         averaged_cov = averaged_cov.copy()
         averaged_cov[1] = -0.4 * np.eye(2)  # det(cov + I/2) = 0.01, so F = 10
-        return real(averaged_cov, delta)
+        return real(averaged_cov, delta, *rest)
 
     monkeypatch.setattr(protocols, "_overlap", inflated)
     with pytest.raises(DegeneracyError, match=r"fidelity must lie in \[0, 1\].*kappa2 = 2\.0"):
@@ -601,6 +623,62 @@ def test_bell_push_takes_float_noise_and_passes_only_injected_columns(
     assert seen == widths
     broadcast = [tuple(np.broadcast_to(f, kappa.shape) for f in r) for r in rounds]
     assert np.array_equal(protocols._push_bell(n_atoms, first, second, broadcast), factor)
+
+
+def test_factor_callers_append_the_vacua_their_pass_returns(monkeypatch):
+    # Neither the Bell push nor the dense grid builder restates a pass's
+    # damping: right after each pass, the columns it appends hold sqrt(eps) in
+    # the x and p rows of exactly the modes that _pass returned, in that order.
+    # The grid builder skips a zero eps and puts the light before the atom.
+    import spinlight.maxwell_bloch as maxwell_bloch
+    import spinlight.protocols as protocols
+    from spinlight.interaction import ChannelParams
+    from spinlight.maxwell_bloch import Grid
+
+    real_pass, real_turn = protocols._pass, protocols._quarter_turn
+    pending, checked = [], []
+
+    def appended(rows):
+        # The columns appended since the last pass, before any later step acts.
+        if not pending:
+            return
+        width, vacua = pending.pop()
+        assert rows.shape[1] == width + 2 * len(vacua)
+        for mode, eps in vacua:
+            want = np.zeros_like(rows[:, :2])
+            want[2 * mode, 0] = want[2 * mode + 1, 1] = np.sqrt(eps)
+            assert np.array_equal(rows[:, width : width + 2], want)
+            width += 2
+        checked.append(len(vacua))
+
+    def spy_on(module, order):
+        def spy(rows, *args):
+            appended(rows)
+            vacua = real_pass(rows, *args)
+            pending.append((rows.shape[1], order(vacua)))
+            return vacua
+
+        monkeypatch.setattr(module, "_pass", spy)
+
+    def turn_spy(rows, *args):
+        appended(rows)
+        return real_turn(rows, *args)
+
+    spy_on(protocols, list)
+    monkeypatch.setattr(protocols, "_quarter_turn", turn_spy)
+    kappa = np.array([0.3, 1.5, 9.5])
+    rounds = [(kappa, 0.02, 0.01, 0.2, 0.1), (3.0 * kappa, 0.0, 0.03, 0.3, 0.0)]
+    appended(protocols._push_bell(3, 0, 2, rounds))
+    assert checked == [2, 2, 2, 2]
+
+    spy_on(maxwell_bloch, lambda vacua: [(m, e) for m, e in vacua[::-1] if e > 0])
+    for eps_p, eps_a, count in ((0.3, 0.1, 2), (0.0, 0.1, 1), (0.3, 0.0, 1)):
+        checked.clear()
+        grid = Grid(n_z=2, n_tau=3)
+        channel = ChannelParams(kappa=0.7, eps_p=eps_p, eps_a=eps_a)
+        transfer = maxwell_bloch.build_transfer_from_channel(channel, grid)
+        appended(np.hstack([transfer.signal, transfer.noise]))
+        assert checked == [count] * 6
 
 
 def test_sweep_conditions_like_entangle(monkeypatch):
