@@ -198,10 +198,13 @@ def _step(rows, cov, step, *args):
             cov[q, q] += VACUUM_VARIANCE * eps
 
 
-def _measure(mean, cov, k, value, sampled):
+def _measure(mean, cov, k, value, sampled, row_name=None):
     """In place: measure quadrature ``k`` and condition the moments on the outcome.
 
-    v = cov[k, k] must be positive and finite, else DegeneracyError.  The
+    v = cov[k, k] must be positive and finite, else DegeneracyError; given
+    ``row_name``, its message ends " at {row_name(row)}" for the row it
+    quotes: the one with the smallest variance for a non-positive one, else
+    the first with a non-finite variance.  The
     outcome is ``value`` or, if ``sampled``, mean[k] + sqrt(v) ``value`` for a
     standard normal ``value`` (the bits of ``rng.normal``); a non-finite one is
     a DegeneracyError if sampled (an overflowed mean) and a ValueError if
@@ -213,8 +216,11 @@ def _measure(mean, cov, k, value, sampled):
     column, v = cov[:, k].copy(), cov[k, k].copy()
     if not ((v > 0.0) & (v < math.inf)).all():
         if np.any(v <= 0.0):
-            raise DegeneracyError(f"measured quadrature has non-positive variance {np.min(v)}")
-        raise DegeneracyError(f"measured quadrature has non-finite variance {np.max(v)}")
+            text, row = f"non-positive variance {np.min(v)}", np.argmin(v)
+        else:
+            text, row = f"non-finite variance {np.max(v)}", np.argmin(np.isfinite(v))
+        text = f"measured quadrature has {text}"
+        raise DegeneracyError(text if row_name is None else f"{text} at {row_name(int(row))}")
     outcome = None
     if mean is not None:
         outcome = mean[k] + np.sqrt(v) * value if sampled else value

@@ -13,20 +13,21 @@ sample.
 Every map here is affine and every covariance is independent of the
 outcomes, so measurement with linear feed-forward is deferred to the end of
 the run (Braunstein & Kimble, PRL 80, 869 (1998)).  The two rounds of a Bell
-measurement compose into one affine-Gaussian channel over a register that
-keeps both light pulses unmeasured.  Each stage pushes it once, for a whole
-batch of operating points, as a rows-only factor F = [X | N] under the pass
-kernel of :func:`~spinlight.interaction.apply_pass` and the quarter turns,
-each pass's returned vacua appended as columns: samples with mean mu and
-covariance S leave as mean X mu and covariance X S X^T + N N^T / 2.  F is
-(quadrature, column, operating point), batch-last like every kernel operand,
-and each pass updates only the columns injected so far.  A round's
+measurement compose into one affine-Gaussian channel over the two samples it
+measures and both light pulses, unmeasured.  Each stage pushes it once, for
+a whole batch of operating points, as a rows-only factor F = [X | N] under
+the pass kernel of :func:`~spinlight.interaction.apply_pass` and the quarter
+turns, each pass's returned vacua appended as columns: samples with mean mu
+and covariance S leave as mean X mu and covariance X S X^T + N N^T / 2.  F
+is (quadrature, column, operating point), batch-last like every kernel
+operand, and each pass updates only the columns injected so far.  A round's
 parameters are :class:`RoundPlan`'s five fields, each a float (one plan's)
 or an array over the operating points (a sweep block's kappa).  A stage
 forms only the joint of the rows it reads, Sigma_J = X_J S X_J^T +
 N_J N_J^T / 2, and the means X_J mu of its trials: both samples and both
-pulses' x for the entangling stage (S vacuum), sample 2 and both outcomes
-for the teleport stage (S the entangled pair and the input's vacuum).
+pulses' x for the entangling stage (S vacuum); for the teleport stage, whose
+push measures sample 1 and the input, both outcomes and sample 2, which the
+push leaves untouched (S the entangled pair and the input's vacuum).
 There, X's response C of the outcomes to the input mean gives the gain
 G = C^-1 of exactly unit mean transfer (sample 2's own response is zero),
 and the fidelity is the overlap of the outcome-averaged output with the
@@ -188,49 +189,50 @@ def classical_bound_check(fidelity):
 # deferred-measurement engine
 
 
-def _push_bell(n_atoms, first, second, rounds):
+def _push_bell(rounds):
     """The two rounds of a Bell measurement as a rows-only factor F = [X | N].
 
-    The register is the ``n_atoms`` samples followed by the light pulse of
-    each round, none of them measured.  ``rounds`` holds each round's
-    :class:`RoundPlan` fields (kappa, eps_p, eps_a, eta_t, eta_d), each a
-    float or a (B,) array.  F starts as the identity, X being its first 2
-    ``n_atoms`` columns, and is (quadrature, column, B), B = 1 for floats.
-    Each pass's light damping is eps_p and the loss after it, one loss; the
-    pass acts on the columns injected so far (the rest are zero), and each
-    vacuum it returns, the sample's, then the light's, is appended as two
-    columns, sqrt(eps) in that mode's x and p rows.
+    The register is the two samples (modes 0 and 1) followed by the light
+    pulse of each round, none of them measured.  ``rounds`` holds each
+    round's :class:`RoundPlan` fields (kappa, eps_p, eps_a, eta_t, eta_d),
+    each a float or a (B,) array.  F starts as the identity, X being its
+    first 4 columns, and is (quadrature, column, B), B = 1 for floats.  Each
+    pass's light damping is eps_p and the loss after it, one loss; the pass
+    acts on the columns injected so far (the rest are zero), and each vacuum
+    it returns, the sample's, then the light's, is appended as two columns,
+    sqrt(eps) in that mode's x and p rows.
     """
-    dim, batch = 2 * (n_atoms + len(rounds)), np.broadcast(*sum(rounds, ())).size
+    dim, batch = 2 * (2 + len(rounds)), np.broadcast(*sum(rounds, ())).size
     # Two passes a round, each appending two vacua of two columns.
     factor = np.zeros((dim, dim + 8 * len(rounds), batch))
     factor[np.arange(dim), np.arange(dim)] = 1.0
     col = dim
     for number, (kappa, eps_p, eps_a, eta_t, eta_d) in enumerate(rounds):
-        light = n_atoms + number
         # Pass the first sample, transmission loss, pass the second sample,
         # detector loss.
-        for sample, loss in ((first, eta_t), (second, eta_d)):
+        for sample, loss in ((0, eta_t), (1, eta_d)):
             eps_light = 1.0 - (1.0 - eps_p) * (1.0 - loss)
-            for mode, eps in _pass(factor[:, :col], light, sample, kappa, eps_light, eps_a):
+            for mode, eps in _pass(factor[:, :col], 2 + number, sample, kappa, eps_light, eps_a):
                 factor[2 * mode, col] = factor[2 * mode + 1, col + 1] = np.sqrt(eps)
                 col += 2
         if number == 0:
-            _quarter_turn(factor[:, :col], first, _TURN_FIRST)
-            _quarter_turn(factor[:, :col], second, _TURN_SECOND)
+            _quarter_turn(factor[:, :col], 0, _TURN_FIRST)
+            _quarter_turn(factor[:, :col], 1, _TURN_SECOND)
     return factor
 
 
-def _measure_pulses(mean, cov, values=None, sampled=False):
+def _measure_pulses(mean, cov, values=None, sampled=False, row_name=None):
     """In place: measure the pulses' x, the last two rows of a stage's joint.
 
     ``cov`` is the (J, J, B) joint and ``mean`` None (only ``cov`` is
     conditioned) or the (J, T) means of T trials at one operating point.
     Each pulse is one :func:`~spinlight.gaussian._measure` in round order,
     whose value is its row of ``values``: given outcomes or, if ``sampled``,
-    standard normal draws.  Returns the (2, T) outcomes, or None without a mean.
+    standard normal draws; ``row_name`` names a bad variance's row.  Returns
+    the (2, T) outcomes, or None without a mean.
     """
-    outcomes = [_measure(mean, cov, k, None if mean is None else values[number], sampled)
+    outcomes = [_measure(mean, cov, k, None if mean is None else values[number], sampled,
+                         row_name)
                 for number, k in enumerate(range(len(cov) - 2, len(cov)))]
     return None if mean is None else np.array(outcomes)
 
@@ -246,10 +248,10 @@ def _outcome_source(rng, forced_outcomes):
     return np.array(forced_outcomes, dtype=float)[:, None], False
 
 
-# Rows each stage reads: both samples and the pulses' x of the entangling
-# register; sample 2 and the pulses' x of the teleport one (pair, input, pulses).
-_ENTANGLED = [0, 1, 2, 3, 4, 6]
-_TELEPORTED = [2, 3, 6, 8]
+# Rows each stage reads of the pushed register: the pulses' x (the outcomes),
+# and for the entangling stage both samples before them.
+_PULSES = [4, 6]
+_ENTANGLED = [0, 1, 2, 3, *_PULSES]
 
 
 # A run whose kicks overflow (kappa near 1e200) fails in _measure_pulses on the
@@ -258,25 +260,26 @@ _TELEPORTED = [2, 3, 6, 8]
 # silence them, and the teleport stage also the division by zero of the
 # determinant that names a singular gain calibration's row.
 @np.errstate(over="ignore", invalid="ignore")
-def _entangling_stage(rounds, values=None, sampled=False):
+def _entangling_stage(rounds, values=None, sampled=False, row_name=None):
     """Vacuum through the entangling ``rounds`` of :func:`_push_bell`, conditioned.
 
     Returns the (6, T) means or None, the (6, 6, B) joint F_J F_J^T / 2 of
-    vacuum samples, conditioned, and the outcomes.
+    vacuum samples, conditioned, and the outcomes.  ``row_name`` is that of
+    :func:`_measure_pulses`.
     """
     # Both stages take a C-ordered (B, J, column) copy of their rows: numpy 1.x
     # runs a row's matrix products in BLAS only for such strides.
-    rows = np.moveaxis(_push_bell(2, 0, 1, rounds)[_ENTANGLED], -1, 0).copy()
+    rows = np.moveaxis(_push_bell(rounds)[_ENTANGLED], -1, 0).copy()
     cov = np.moveaxis(VACUUM_VARIANCE * (rows @ np.swapaxes(rows, -1, -2)), 0, -1)
     # The vacuum mean is zero, and so is its image under the linear channel.
     mean = None if values is None else np.zeros((len(cov), values.shape[1]))
-    return mean, cov, _measure_pulses(mean, cov, values, sampled)
+    return mean, cov, _measure_pulses(mean, cov, values, sampled, row_name)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _teleport_stage(pair_cov, rounds, gain=None, pair_means=None, input_mean=None,
                     values=None, sampled=False):
-    """Local Bell channel, gain and teleport fidelity, batched over operating points.
+    """Local Bell push of sample 1 and the input, gain and fidelity, batched.
 
     ``pair_cov`` is the (4, 4, B) pair covariance, batch-last as
     :func:`_entangling_stage` leaves it, and ``gain`` None for the gain of
@@ -287,15 +290,18 @@ def _teleport_stage(pair_cov, rounds, gain=None, pair_means=None, input_mean=Non
     :func:`_measure_pulses`, returns the (T,) fidelities, the (2, T) means and
     (2, 2) covariance of the displaced sample 2 and the (2, T) outcomes.
     """
-    rows = np.moveaxis(_push_bell(3, 0, 2, rounds)[_TELEPORTED], -1, 0).copy()
+    rows = np.moveaxis(_push_bell(rounds)[_PULSES], -1, 0).copy()
     kappa2 = np.broadcast_to(rounds[0][0], len(rows))
-    response, noise = rows[..., :6], rows[..., 6:]
+    # X_J over (pair, input): sample 2's identity rows, then the outcomes'.
+    response, noise = np.zeros((len(rows), 4, 6)), rows[..., 4:]
+    response[:, 0, 2] = response[:, 1, 3] = 1.0
+    response[:, 2:, [0, 1, 4, 5]] = rows[..., :4]
     # Sigma_J = X_J S X_J^T + N_J N_J^T / 2 for S the pair and the input's vacuum.
-    inputs = np.zeros((rows.shape[0], 6, 6))
+    inputs = np.zeros((len(rows), 6, 6))
     inputs[:, :4, :4] = np.moveaxis(pair_cov, -1, 0)
     inputs[:, 4, 4] = inputs[:, 5, 5] = VACUUM_VARIANCE
-    sigma = (response @ inputs @ np.swapaxes(response, -1, -2)
-             + VACUUM_VARIANCE * (noise @ np.swapaxes(noise, -1, -2)))
+    sigma = response @ inputs @ np.swapaxes(response, -1, -2)
+    sigma[:, 2:, 2:] += VACUUM_VARIANCE * (noise @ np.swapaxes(noise, -1, -2))
     if gain is None:
         # G C = I for the outcomes' response C to the input mean (sample 2's
         # is zero).  A singular C names its row's first local kappa, kappa2.
@@ -324,7 +330,7 @@ def _teleport_stage(pair_cov, rounds, gain=None, pair_means=None, input_mean=Non
     averaged = sum(weights[:, k, None] * joint[k] for k in range(len(joint)))
     offsets = target - averaged if gain is None else 0.0
     delta = np.zeros_like(averaged) if gain is None else averaged - target
-    fidelities = _overlap(averaged_cov, delta.T)
+    fidelities = _overlap(averaged_cov, delta.T, lambda trial: f"trial {trial}")
     cov = np.moveaxis(sigma, 0, -1)
     outcomes = _measure_pulses(joint, cov, values, sampled)
     displaced = joint[:2] + (weights[:, 2:] @ outcomes + offsets)
@@ -504,11 +510,11 @@ def make_plans(kappa2, eta_t, **plan_kwargs):
                                     [*entangling, *local])}
 
 
-# Rows of one sweep block.  A block's stage arrays take about 3.2 KB per row.
+# Rows of one sweep block.  A block's stage arrays take about 2.7 KB per row.
 # Measured with tracemalloc on a 2-core Xeon, one BLAS thread: at 10^5 rows
-# one batch took 0.35-0.36 s and a 322 MB peak, 4096-row blocks 0.23 s and
-# 15 MB; at 10^6 rows 4096-row blocks took 2.33-2.34 s and 30 MB, 8192-row
-# ones 2.46-2.57 s and 43 MB.
+# one batch took 0.32 s and a 271 MB peak, 4096-row blocks 0.22-0.23 s and
+# 14 MB; at 10^6 rows 4096-row blocks took 2.03-2.23 s and 29 MB, 8192-row
+# ones 2.18-2.27 s and 41 MB.
 _SWEEP_BLOCK = 4096
 
 
@@ -524,7 +530,8 @@ def _lossy_fidelities(kappa2, eta_t, **plan_kwargs):
     """
     fidelities = np.empty(len(kappa2))
     for rows, entangling, local in _sweep_blocks(kappa2, eta_t, _SWEEP_BLOCK, **plan_kwargs):
-        _, cov, _ = _entangling_stage(entangling)
+        _, cov, _ = _entangling_stage(
+            entangling, row_name=lambda row: f"kappa2 = {float(kappa2[rows][row])!r}")
         fidelities[rows] = _teleport_stage(cov[:4, :4], local)
     return _unit_interval(fidelities, lambda row: f"kappa2 = {float(kappa2[row])!r}")
 

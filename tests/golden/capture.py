@@ -85,6 +85,16 @@ input.p = -0.4
 gain.x = 0.9
 gain.p = -1.1
 """
+# The lossy config under damping and detector loss, with its own local
+# transmission loss and a stronger second local round: the one config whose
+# local Bell measurement differs from the entangling one.
+CONFIGS["local"] = CONFIGS["lossy"] + """\
+channel.eps_p = 0.01
+channel.eps_a = 0.02
+noise.eta_d = 0.05
+noise.eta_t_local = 0.35
+rounds.local2.kappa = 3.0
+"""
 
 COMMANDS = ("derive", "entangle", "teleport", "sweep", "mb-validate")
 
@@ -98,6 +108,8 @@ CASES = {
 }
 CASES["sweep-corner"] = ("corner", ["sweep"])
 CASES["teleport-gain"] = ("gain", ["teleport", "--trials", "64"])
+CASES["teleport-local"] = ("local", ["teleport", "--trials", "3"])
+CASES["sweep-local"] = ("local", ["sweep"])
 
 
 FORMATS = ("json", "csv")

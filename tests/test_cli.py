@@ -633,9 +633,18 @@ def test_a_failed_run_prints_one_line(tmp_path, capsys, command, text, code, lin
     # A manual gain of 1e150 overflows the averaged output: a nan fidelity.
     ("teleport", PHYSICAL + "gain.x = -1e150\ngain.p = -1e150\n",
      4, "numerical error: fidelity must lie in [0, 1], got nan at trial 0"),
+    # A manual gain of 1e200 overflows the averaged output covariance itself.
+    ("teleport", IDEAL + "gain.x = 1e200\ngain.p = 1e200\n",
+     4, "numerical error: overlap matrix has a non-finite entry at trial 0"),
     # The input mean overflows the sampled outcome.
     ("teleport", IDEAL + "input.x = 1.7e308\n",
      4, "numerical error: measurement outcome must be finite, got inf"),
+    # The kicks overflow the entangling stage's first pulse variance,
+    # [8.5e201, inf, inf] over the rows: the first non-finite row is named.
+    ("sweep", "channel.kappa = 1.0\nnoise.eta_t = 0.3\nsweep.min = 1e100\n"
+              "sweep.max = 1e200\nsweep.steps = 3\n",
+     4, "numerical error: measured quadrature has non-finite variance inf at "
+        "kappa2 = 5e+199"),
     # A kappa1 of 1e-323 gives a singular calibration; naming its row takes
     # a determinant that underflows to 0.
     ("sweep", SWEEP + "protocol.kappa1_multiplier = 5e-324\n",
@@ -656,9 +665,10 @@ def test_a_failed_run_prints_one_line(tmp_path, capsys, command, text, code, lin
     # A lossless channel accepts kappa = 4.4e190, but mb-validate squares it.
     ("mb-validate", PHYSICAL.replace("3.141592653589793e7", "0") + "physical.g_coupling = 1e100\n",
      4, "numerical error: kappa**2 overflows the float range at kappa = 4.447521269308693e+190"),
-], ids=["derived-kappa-overflow", "fresnel-overflow", "gain-overflow", "input-overflow",
-        "singular-calibration", "delta-square-overflow", "delta-square-overflow-mb",
-        "omega-cube-overflow", "omega-cube-overflow-entangle", "kappa-square-overflow-mb"])
+], ids=["derived-kappa-overflow", "fresnel-overflow", "gain-overflow", "gain-cov-overflow",
+        "input-overflow", "kick-overflow-sweep", "singular-calibration",
+        "delta-square-overflow", "delta-square-overflow-mb", "omega-cube-overflow",
+        "omega-cube-overflow-entangle", "kappa-square-overflow-mb"])
 def test_an_input_at_the_float_range_fails_in_one_line(tmp_path, capsys, command, text, code,
                                                         line):
     cfg = _write(tmp_path, "run.cfg", text)

@@ -252,19 +252,27 @@ FACTOR_POINTS = [
 @pytest.mark.parametrize("n_atoms, first, second", [(2, 0, 1), (3, 0, 2)],
                          ids=["entangling", "teleport"])
 def test_bell_factor_against_60_digits(rounds, n_atoms, first, second):
-    # The factor [X | N] that the engine pushes gives the channel's X and
-    # Y = N N^T / 2 of the 60-digit dense composition.
+    # The factor [X | N] that the engine pushes, over the two samples it
+    # measures and the pulses, gives the channel's X and Y = N N^T / 2 of the
+    # 60-digit dense composition on the rows and columns of those modes.  A
+    # sample no pass touches (sample 2 beside the teleport stage's input)
+    # leaves as it came, with no noise, so the one push serves both stages.
     from spinlight.protocols import _push_bell
 
-    factor = _push_bell(n_atoms, first, second, rounds)[..., 0]
-    transfer, noise = factor[:, :2 * n_atoms], factor[:, 2 * n_atoms:]
+    factor = _push_bell(rounds)[..., 0]
+    transfer, noise = factor[:, :4], factor[:, 4:]
     names = ("kappa", "eps_p", "eps_a", "eta_t", "eta_d")
     with mpmath.workdps(60):
         mp_rounds = [{k: mpmath.mpf(v) for k, v in zip(names, r)} for r in rounds]
         want = [np.array(m.tolist(), dtype=float)
                 for m in _mp_bell_channel(n_atoms, first, second, mp_rounds)]
-    assert _rel(transfer, want[0]) <= 1e-13
-    assert _rel(0.5 * noise @ noise.T, want[1]) <= 1e-13
+    modes = (first, second, n_atoms, n_atoms + 1)
+    pushed = [2 * mode + q for mode in modes for q in (0, 1)]
+    idle = [q for q in range(2 * n_atoms) if q not in pushed]
+    assert _rel(transfer, want[0][np.ix_(pushed, pushed[:4])]) <= 1e-13
+    assert _rel(0.5 * noise @ noise.T, want[1][np.ix_(pushed, pushed)]) <= 1e-13
+    assert np.array_equal(want[0][idle], np.eye(2 * n_atoms)[idle])
+    assert not want[0][:, idle][pushed].any() and not want[1][idle].any()
 
 
 def _mp_block(matrix, rows, cols):

@@ -369,6 +369,29 @@ def test_homodyne_rejects_non_finite_input_as_the_engine_does(state, source, err
         homodyne(state, 0, "x", **source)
 
 
+def test_measure_names_the_row_it_quotes():
+    # Given a row name, a batched measurement names the row whose variance
+    # its message quotes: the smallest non-positive one, else the first
+    # non-finite one; without one (as in homodyne) the text ends at the figure.
+    from spinlight.gaussian import _measure
+
+    def name(row):
+        return f"row {row}"
+
+    cov = np.zeros((2, 2, 4))
+    cov[0, 0] = [1.0, 2.0, math.inf, math.inf]
+    with pytest.raises(DegeneracyError, match=r"^measured quadrature has non-finite variance "
+                                              r"inf at row 2$"):
+        _measure(None, cov.copy(), 0, None, False, name)
+    cov[0, 0] = [1.0, -0.5, 0.0, -2.0]
+    with pytest.raises(DegeneracyError, match=r"^measured quadrature has non-positive variance "
+                                              r"-2\.0 at row 3$"):
+        _measure(None, cov.copy(), 0, None, False, name)
+    with pytest.raises(DegeneracyError, match=r"^measured quadrature has non-positive variance "
+                                              r"-2\.0$"):
+        _measure(None, cov.copy(), 0, None, False)
+
+
 # ---------------------------------------------------------------------------
 # variance_of
 

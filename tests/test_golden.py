@@ -17,6 +17,11 @@ bytes.  ``mb-validate-reference`` (JSON and CSV) was recaptured when
 ``eps_*_eff`` moved from 1 - b^2 to the exact -expm1(2 n h): its ``dev_eps_*``
 cells, |eps_eff - eps| / eps, had carried that rounding about 300 times
 enlarged, 2e-11 to 5e-11 off the 50-digit value.
+
+The ``local`` goldens (``teleport-local`` and ``sweep-local``, JSON and CSV),
+the only cases with their own local transmission loss and local round
+strength, were captured while the teleport stage's Bell push still carried
+sample 2; they stayed byte-identical when it stopped.
 """
 
 import json

@@ -600,11 +600,7 @@ def test_sweep_round_table_equals_round_plans():
         assert np.array_equal(rows, [dataclasses.astuple(p[name]) for p in plans])
 
 
-@pytest.mark.parametrize("n_atoms, first, second, widths", [
-    (2, 0, 1, [8, 12, 16, 20]), (3, 0, 2, [10, 14, 18, 22]),
-], ids=["entangling", "teleport"])
-def test_bell_push_takes_float_noise_and_passes_only_injected_columns(
-        monkeypatch, n_atoms, first, second, widths):
+def test_bell_push_takes_float_noise_and_passes_only_injected_columns(monkeypatch):
     # A round's fields are floats or (B,) arrays: a kappa array beside float
     # noise pushes the bits of every field broadcast over the rows.  Each
     # pass updates only the columns injected so far, four more each time.
@@ -619,10 +615,10 @@ def test_bell_push_takes_float_noise_and_passes_only_injected_columns(
     monkeypatch.setattr(protocols, "_pass", spy)
     kappa = np.array([0.3, 1.5, 9.5])
     rounds = [(kappa, 0.02, 0.01, 0.2, 0.1), (3.0 * kappa, 0.02, 0.01, 0.3, 0.1)]
-    factor = protocols._push_bell(n_atoms, first, second, rounds)
-    assert seen == widths
+    factor = protocols._push_bell(rounds)
+    assert seen == [8, 12, 16, 20]
     broadcast = [tuple(np.broadcast_to(f, kappa.shape) for f in r) for r in rounds]
-    assert np.array_equal(protocols._push_bell(n_atoms, first, second, broadcast), factor)
+    assert np.array_equal(protocols._push_bell(broadcast), factor)
 
 
 def test_factor_callers_append_the_vacua_their_pass_returns(monkeypatch):
@@ -668,7 +664,7 @@ def test_factor_callers_append_the_vacua_their_pass_returns(monkeypatch):
     monkeypatch.setattr(protocols, "_quarter_turn", turn_spy)
     kappa = np.array([0.3, 1.5, 9.5])
     rounds = [(kappa, 0.02, 0.01, 0.2, 0.1), (3.0 * kappa, 0.0, 0.03, 0.3, 0.0)]
-    appended(protocols._push_bell(3, 0, 2, rounds))
+    appended(protocols._push_bell(rounds))
     assert checked == [2, 2, 2, 2]
 
     spy_on(maxwell_bloch, lambda vacua: [(m, e) for m, e in vacua[::-1] if e > 0])
@@ -679,6 +675,29 @@ def test_factor_callers_append_the_vacua_their_pass_returns(monkeypatch):
         transfer = maxwell_bloch.build_transfer_from_channel(channel, grid)
         appended(np.hstack([transfer.signal, transfer.noise]))
         assert checked == [count] * 6
+
+
+def test_every_push_is_the_two_sample_bell_primitive(monkeypatch):
+    # Both stages push the same primitive, two samples and the two pulses:
+    # the teleport stage measures sample 1 and the input, and sample 2 does
+    # not ride the push.
+    import spinlight.protocols as protocols
+
+    real, heights = protocols._push_bell, []
+
+    def spy(*args):
+        factor = real(*args)
+        heights.append(factor.shape[0])
+        return factor
+
+    monkeypatch.setattr(protocols, "_push_bell", spy)
+    plans = make_plans(1.2, 0.2, eps_p=0.01, eta_d=0.05, eta_t_local=0.3)
+    state, _ = entangle(plans["entangle1"], plans["entangle2"], forced_outcomes=(0.4, -1.1))
+    teleport(state, (0.7, -0.4), plans["local1"], plans["local2"],
+             forced_outcomes=(0.2, 0.5))
+    run_trials(plans, np.random.default_rng(3), 4, input_mean=(0.7, -0.4))
+    lossy_fidelity_sweep([0.3, 1.5, 9.5], 0.2)
+    assert heights == [8] * 6
 
 
 def test_sweep_conditions_like_entangle(monkeypatch):
@@ -794,8 +813,8 @@ def test_a_fidelity_outside_the_unit_interval_names_its_trial(monkeypatch):
 
     real = protocols._overlap
 
-    def inflated(averaged_cov, delta):
-        fidelities = real(averaged_cov, delta)
+    def inflated(averaged_cov, delta, row_name=None):
+        fidelities = real(averaged_cov, delta, row_name)
         fidelities[2] = np.nan
         return fidelities
 
