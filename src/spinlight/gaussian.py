@@ -174,7 +174,8 @@ def _quarter_turn(rows, mode, sign):
     """In place: rotation of one mode by ``sign`` * pi/2, an exact signed swap.
 
     x becomes sign * p and p becomes -sign * x, with no cos(pi/2) = 6.1e-17
-    leaking into either.
+    leaking into either.  The protocols' two quadrature sectors rely on it: a
+    general rotate(theta) would mix x and p and couple them.
     """
     x, p = 2 * mode, 2 * mode + 1
     old_x = rows[x].copy()

@@ -22,26 +22,35 @@ and covariance S leave as mean X mu and covariance X S X^T + N N^T / 2.  F
 is (quadrature, column, operating point), batch-last like every kernel
 operand, and each pass updates only the columns injected so far.  A round's
 parameters are :class:`RoundPlan`'s five fields, each a float (one plan's)
-or an array over the operating points (a sweep block's kappa).  A stage
-forms only the joint of the rows it reads, Sigma_J = X_J S X_J^T +
-N_J N_J^T / 2, and the means X_J mu of its trials: both samples and both
-pulses' x for the entangling stage (S vacuum); for the teleport stage, whose
-push measures sample 1 and the input, both outcomes and sample 2, which the
-push leaves untouched (S the entangled pair and the input's vacuum).
-There, X's response C of the outcomes to the input mean gives the gain
-G = C^-1 of exactly unit mean transfer (sample 2's own response is zero),
-and the fidelity is the overlap of the outcome-averaged output with the
-coherent input, det(V)^(-1/2) exp(-d^T V^-1 d / 2), by the kernel of
-:func:`~spinlight.gaussian.fidelity_coherent`, for V = W Sigma_J W^T + I/2,
-W = [I G] and d the averaged mean's offset from the input: zero at the unit
-gain, varying by trial under a manual gain.  Each stage measures each
-pulse's x in round order with the kernel of
-:func:`~spinlight.gaussian.homodyne`, on the joint covariance alone (the
+or an array over the operating points (a sweep block's kappa).
+
+The kick writes x rows from p rows only, losses damp one mode each and the
+turns are exact signed swaps, so the register splits into two quadrature
+sectors that share no column of F: x1, x2, pulse 1's x and pulse 2's p, and
+the rest.  Round 1's pulse conditions only the x sector, round 2's only the
+p sector: the pair x1 - x2, p1 + p2, measured apart as by Julsgaard,
+Kozhekin & Polzik, Nature 413, 400 (2001).  The entangling stage conditions
+each sector's 3 x 3 joint of both samples and its pulse, Sigma_J = F_J F_J^T
+/ 2, on the pulse, so the pair's covariance is the direct sum sigma_x +
+sigma_p.  In the teleport stage, which pushes sample 1 and the input, round
+2's pulse reads their x as they enter, with response c_x to the input's, and
+round 1's their p, with c_p.  Each pulse and the like quadrature of sample
+2, untouched by the push, form a 2 x 2 joint Sigma_J = X_J S X_J^T + N_J
+N_J^T / 2 (S the pair's sector and the input's vacuum).  The gain G = [[0,
+1/c_x], [1/c_p, 0]] of exactly unit mean transfer moves x2 by g_x times
+round 2's outcome and p2 by g_p times round 1's.  The fidelity is the
+overlap of the outcome-averaged output with the coherent input,
+det(V)^(-1/2) exp(-d^T V^-1 d / 2), by the kernel of
+:func:`~spinlight.gaussian.fidelity_coherent`, for V = diag(V_xx, V_pp) +
+I/2, V_qq = W Sigma_J W^T with W = [1 g_q], and d the averaged mean's offset
+from the input: zero at the unit gain, varying by trial under a manual gain
+(anti-diagonal too).  Each stage measures each pulse's x in round order by
+the kernel of :func:`~spinlight.gaussian.homodyne`, on the joints alone (the
 sweep) or with the means of many trials at one operating point, so
 :func:`run_trials` pushes each stage once per run; :func:`entangle` and
-:func:`teleport` are its one-trial case, and their reports carry the
-trial's outcomes as floats in round order.  One teleport stage serves the
-sweep, :func:`teleport` and :func:`run_trials`.
+:func:`teleport` are its one-trial case, their reports carrying the trial's
+outcomes as floats in round order.  One teleport stage serves the sweep,
+:func:`teleport` and :func:`run_trials`.
 
 Within a round, the light's two consecutive losses (eps_p after a pass, then
 eta_t or eta_d) are that pass's light damping 1 - (1 - a)(1 - b), and the
@@ -221,24 +230,8 @@ def _push_bell(rounds):
     return factor
 
 
-def _measure_pulses(mean, cov, values=None, sampled=False, row_name=None):
-    """In place: measure the pulses' x, the last two rows of a stage's joint.
-
-    ``cov`` is the (J, J, B) joint and ``mean`` None (only ``cov`` is
-    conditioned) or the (J, T) means of T trials at one operating point.
-    Each pulse is one :func:`~spinlight.gaussian._measure` in round order,
-    whose value is its row of ``values``: given outcomes or, if ``sampled``,
-    standard normal draws; ``row_name`` names a bad variance's row.  Returns
-    the (2, T) outcomes, or None without a mean.
-    """
-    outcomes = [_measure(mean, cov, k, None if mean is None else values[number], sampled,
-                         row_name)
-                for number, k in enumerate(range(len(cov) - 2, len(cov)))]
-    return None if mean is None else np.array(outcomes)
-
-
 def _outcome_source(rng, forced_outcomes):
-    """``values`` and ``sampled`` of :func:`_measure_pulses` for one trial."""
+    """``values`` and ``sampled`` of :func:`_entangling_stage` for one trial."""
     if (rng is None) == (forced_outcomes is None):
         raise ValueError("provide exactly one outcome source: rng or forced_outcomes")
     if forced_outcomes is None:
@@ -248,93 +241,94 @@ def _outcome_source(rng, forced_outcomes):
     return np.array(forced_outcomes, dtype=float)[:, None], False
 
 
-# Rows each stage reads of the pushed register: the pulses' x (the outcomes),
-# and for the entangling stage both samples before them.
-_PULSES = [4, 6]
-_ENTANGLED = [0, 1, 2, 3, *_PULSES]
+# The entangling push's rows by sector: both samples' x and pulse 1's, their p and pulse 2's x.
+_SECTORS = np.array([[0, 2, 4], [1, 3, 6]])
 
 
-# A run whose kicks overflow (kappa near 1e200) fails in _measure_pulses on the
+def _pair_cov(covs):
+    """The (x1, p1, x2, p2) covariance, sigma_x + sigma_p, of the sectors' first row."""
+    cov = np.zeros((4, 4))
+    cov[0::2, 0::2], cov[1::2, 1::2] = covs[:, :2, :2, 0]
+    return cov
+
+
+# A run whose kicks overflow (kappa near 1e200) fails in _measure on the
 # non-finite variance it leaves; numpy's overflow warnings would only repeat
-# that, with source paths, ahead of the one-line error.  So both stages
-# silence them, and the teleport stage also the division by zero of the
-# determinant that names a singular gain calibration's row.
+# that ahead of the one-line error, so both stages silence them.
 @np.errstate(over="ignore", invalid="ignore")
 def _entangling_stage(rounds, values=None, sampled=False, row_name=None):
     """Vacuum through the entangling ``rounds`` of :func:`_push_bell`, conditioned.
 
-    Returns the (6, T) means or None, the (6, 6, B) joint F_J F_J^T / 2 of
-    vacuum samples, conditioned, and the outcomes.  ``row_name`` is that of
-    :func:`_measure_pulses`.
+    Each sector's (3, 3, B) joint F_J F_J^T / 2 of the vacuum samples'
+    ``_SECTORS``, with the (3, T) means of T trials at one operating point
+    given ``values``, is conditioned on its pulse by one
+    :func:`~spinlight.gaussian._measure`, valued by its round's row of
+    ``values``: given outcomes or, if ``sampled``, standard normal draws;
+    ``row_name`` names a bad variance's row.  Returns the (2, 3, T) means or
+    None, the (2, 3, 3, B) joints and the (2, T) outcomes or None, sector first.
     """
-    # Both stages take a C-ordered (B, J, column) copy of their rows: numpy 1.x
-    # runs a row's matrix products in BLAS only for such strides.
-    rows = np.moveaxis(_push_bell(rounds)[_ENTANGLED], -1, 0).copy()
-    cov = np.moveaxis(VACUUM_VARIANCE * (rows @ np.swapaxes(rows, -1, -2)), 0, -1)
+    # A C-ordered (B, sector, row, column) copy: numpy 1.x runs a row's matrix
+    # products in BLAS only for such strides.
+    rows = _push_bell(rounds)[_SECTORS].transpose(3, 0, 1, 2).copy()
+    covs = (VACUUM_VARIANCE * (rows @ rows.swapaxes(-1, -2))).transpose(1, 2, 3, 0)
     # The vacuum mean is zero, and so is its image under the linear channel.
-    mean = None if values is None else np.zeros((len(cov), values.shape[1]))
-    return mean, cov, _measure_pulses(mean, cov, values, sampled, row_name)
+    means = None if values is None else np.zeros((2, 3, values.shape[1]))
+    outcomes = [_measure(None if means is None else means[q], covs[q], 2,
+                         None if means is None else values[q], sampled, row_name) for q in (0, 1)]
+    return means, covs, None if means is None else np.array(outcomes)
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _teleport_stage(pair_cov, rounds, gain=None, pair_means=None, input_mean=None,
-                    values=None, sampled=False):
-    """Local Bell push of sample 1 and the input, gain and fidelity, batched.
+@np.errstate(over="ignore", invalid="ignore")
+def _teleport_stage(covs, rounds, gain=None, means=None, input_mean=None, values=None,
+                    sampled=False, row_name=None):
+    """Local Bell push of sample 1 and the input, gain and fidelity, per sector.
 
-    ``pair_cov`` is the (4, 4, B) pair covariance, batch-last as
-    :func:`_entangling_stage` leaves it, and ``gain`` None for the gain of
-    unit mean transfer, calibrated per row, or (gx, gp), which needs trial
-    means.  Without ``pair_means`` returns the (B,) fidelities of the
-    calibrated gain.  With the (4, T) ``pair_means`` of T trials at one
-    operating point, their ``input_mean`` and the outcome source of
-    :func:`_measure_pulses`, returns the (T,) fidelities, the (2, T) means and
-    (2, 2) covariance of the displaced sample 2 and the (2, T) outcomes.
+    ``covs`` are the pair's (2, J, J, B) sector covariances and ``means`` None
+    or their (2, J, T) means of T trials at one operating point, samples 1 and
+    2 first, as :func:`_entangling_stage` leaves them.  ``gain`` is None for
+    g = 1/c per row and sector, or (gx, gp), which needs means.  ``row_name``
+    names the overlap's rows and, in a sweep, a singular calibration's.
+    Without means returns the (B,) fidelities; with them, ``input_mean`` and
+    the outcome source of :func:`_entangling_stage`, the (T,) fidelities, the
+    displaced sample 2's (2, T) means and (2, 2) covariance, and the outcomes.
     """
-    rows = np.moveaxis(_push_bell(rounds)[_PULSES], -1, 0).copy()
-    kappa2 = np.broadcast_to(rounds[0][0], len(rows))
-    # X_J over (pair, input): sample 2's identity rows, then the outcomes'.
-    response, noise = np.zeros((len(rows), 4, 6)), rows[..., 4:]
-    response[:, 0, 2] = response[:, 1, 3] = 1.0
-    response[:, 2:, [0, 1, 4, 5]] = rows[..., :4]
-    # Sigma_J = X_J S X_J^T + N_J N_J^T / 2 for S the pair and the input's vacuum.
-    inputs = np.zeros((len(rows), 6, 6))
-    inputs[:, :4, :4] = np.moveaxis(pair_cov, -1, 0)
-    inputs[:, 4, 4] = inputs[:, 5, 5] = VACUUM_VARIANCE
-    sigma = response @ inputs @ np.swapaxes(response, -1, -2)
-    sigma[:, 2:, 2:] += VACUUM_VARIANCE * (noise @ np.swapaxes(noise, -1, -2))
-    if gain is None:
-        # G C = I for the outcomes' response C to the input mean (sample 2's
-        # is zero).  A singular C names its row's first local kappa, kappa2.
-        c = response[:, 2:, 4:]
-        try:
-            matrix = np.linalg.inv(c)
-        except np.linalg.LinAlgError as exc:
-            row = int(np.argmin(np.abs(np.linalg.det(c))))
-            raise ValueError(
-                "gain calibration failed: measurement outcomes do not respond to the "
-                f"input mean at kappa2 = {float(kappa2[row])!r} (kappa too small?)"
-            ) from exc
-    else:
-        matrix = np.array([[[0.0, gain[0]], [gain[1], 0.0]]], float)
-    # The outcome-averaged output of W = [I G] has covariance W Sigma W^T.
-    weights = np.concatenate([np.broadcast_to(np.eye(2), matrix.shape), matrix], axis=-1)
-    averaged_cov = weights @ sigma @ np.swapaxes(weights, -1, -2)
-    if pair_means is None:
-        return _overlap(averaged_cov, np.zeros(2), lambda row: f"kappa2 = {float(kappa2[row])!r}")
-    # The joint means X_J mu and their average W mu_J are summed column by
-    # column, so each trial has the bits of a one-trial run.  A calibrated
+    # The pulses' rows as a C-ordered (sector, B, column) copy, the x sector's
+    # (round 2's) first: sector q reads sample 1's and the input's quadrature q.
+    rows = _push_bell(rounds)[[6, 4]].transpose(0, 2, 1).copy()
+    f, c = rows[[0, 1], :, [0, 1]], rows[[0, 1], :, [2, 3]]
+    if gain is None and not c.all():
+        row, number = np.argwhere(c[::-1].T == 0.0)[0]
+        where = (row_name(row) if means is None
+                 else f"local round {number + 1}'s kappa = {float(rounds[number][0])!r}")
+        raise ValueError("gain calibration failed: measurement outcomes do not respond to the "
+                         f"input mean at {where} (kappa too small?)")
+    gains = 1.0 / c if gain is None else np.array(gain, dtype=float)[:, None]
+    # Sigma_J = X_J S X_J^T + N_J N_J^T / 2 over (sample 2, pulse), for
+    # X_J = [[0, 1, 0], [f, 0, c]] over S, the sector beside the input's
+    # vacuum; the outcome-averaged output of W = [1 g] has variance W Sigma_J W^T.
+    noise = (rows[..., None, 4:] @ rows[..., 4:, None])[..., 0, 0]
+    joints = np.empty((2, 2, 2, rows.shape[1]))
+    joints[:, 0, 0], joints[:, 0, 1] = covs[:, 1, 1], covs[:, 1, 0] * f
+    joints[:, 1, 0] = f * covs[:, 0, 1]
+    joints[:, 1, 1] = (f * covs[:, 0, 0] * f + VACUUM_VARIANCE * c * c) + VACUUM_VARIANCE * noise
+    averaged_cov = np.zeros((rows.shape[1], 2, 2))
+    averaged_cov[:, [0, 1], [0, 1]] = ((joints[:, 0, 0] + gains * joints[:, 1, 0])
+                                       + (joints[:, 0, 1] + gains * joints[:, 1, 1]) * gains).T
+    if means is None:
+        return _overlap(averaged_cov, np.zeros(2), row_name)
+    # Each trial's joint means X_J mu and their average W mu_J.  A calibrated
     # gain's offset puts the average on the input mean, a manual gain has none.
     target = np.array([[float(input_mean[0])], [float(input_mean[1])]])
-    response, weights = response[0], weights[0]
-    joint = sum(response[:, k, None] * mu for k, mu in enumerate([*pair_means, *target]))
-    averaged = sum(weights[:, k, None] * joint[k] for k in range(len(joint)))
+    joint_means = np.stack([means[:, 1], f * means[:, 0] + c * target], axis=1)
+    averaged = joint_means[:, 0] + gains * joint_means[:, 1]
     offsets = target - averaged if gain is None else 0.0
     delta = np.zeros_like(averaged) if gain is None else averaged - target
-    fidelities = _overlap(averaged_cov, delta.T, lambda trial: f"trial {trial}")
-    cov = np.moveaxis(sigma, 0, -1)
-    outcomes = _measure_pulses(joint, cov, values, sampled)
-    displaced = joint[:2] + (weights[:, 2:] @ outcomes + offsets)
-    return fidelities, displaced, cov[:2, :2, 0], outcomes
+    fidelities = _overlap(averaged_cov, delta.T, row_name)
+    # Round 1's pulse is the p sector's.
+    outcomes = np.array([_measure(joint_means[q], joints[q], 1, values[1 - q], sampled)
+                         for q in (1, 0)])
+    displaced = joint_means[:, 0] + (gains * outcomes[::-1] + offsets)
+    return fidelities, displaced, np.diag(joints[:, 0, 0, 0]), outcomes
 
 
 _EPR = (np.array([1.0, 0.0, -1.0, 0.0]), np.array([0.0, 1.0, 0.0, 1.0]))
@@ -370,8 +364,8 @@ def entangle(plan_round1, plan_round2, rng=None, forced_outcomes=None):
     outcomes are ``forced_outcomes`` (one per round) or drawn from ``rng``.
     """
     rounds = [dataclasses.astuple(plan) for plan in (plan_round1, plan_round2)]
-    mean, cov, outcomes = _entangling_stage(rounds, *_outcome_source(rng, forced_outcomes))
-    state = GaussianState(mean[:4, 0], cov[:4, :4, 0])
+    means, covs, outcomes = _entangling_stage(rounds, *_outcome_source(rng, forced_outcomes))
+    state = GaussianState(means[:, :2, 0].ravel(order="F"), _pair_cov(covs))
     return state, _report(state.cov, None, tuple(outcomes[:, 0].tolist()))
 
 
@@ -383,14 +377,14 @@ def teleport(entangled, input_mean, plan_local_round1, plan_local_round2, gain=N
              rng=None, forced_outcomes=None):
     """Teleport a coherent collective-spin state onto sample 2.
 
-    ``entangled`` is the two-sample state from :func:`entangle`: sample 1
-    takes part in the local Bell measurement, sample 2 receives the
-    displacement.  ``input_mean`` is the (x, p) mean of the coherent input
-    prepared on a fresh third sample.  Under transmission loss the lossy
-    strategy's local rounds run the moderate kappa first and the large kappa
-    second, mirroring the entangling rounds.  ``gain`` (gx, gp) displaces by
-    dx = gx * m2, dp = gp * m1 for the round outcomes m1, m2; by default it is
-    calibrated for unit end-to-end mean transfer.  ``rng`` and
+    ``entangled`` is the two-sample state from :func:`entangle`, with no x-p
+    covariance: sample 1 takes part in the local Bell measurement, sample 2
+    receives the displacement.  ``input_mean`` is the (x, p) mean of the
+    coherent input prepared on a fresh third sample.  Under transmission loss
+    the lossy strategy's local rounds run the moderate kappa first and the
+    large kappa second, mirroring the entangling rounds.  ``gain`` (gx, gp)
+    displaces by dx = gx * m2, dp = gp * m1 for the round outcomes m1, m2; by
+    default it is calibrated for unit end-to-end mean transfer.  ``rng`` and
     ``forced_outcomes`` are the outcome source, as in :func:`entangle`.
 
     Returns the conditional state of sample 2 after the displacement and a
@@ -400,14 +394,19 @@ def teleport(entangled, input_mean, plan_local_round1, plan_local_round2, gain=N
     """
     if entangled.n_modes != 2:
         raise ValueError(f"entangled resource must have exactly 2 modes, got {entangled.n_modes}")
+    cov = entangled.cov
+    if cov[0::2, 1::2].any():
+        raise ValueError("entangled resource must have zero x-p covariance, as entangle leaves it")
     rounds = [dataclasses.astuple(plan) for plan in (plan_local_round1, plan_local_round2)]
-    fidelities, mean, cov, outcomes = _teleport_stage(
-        entangled.cov[:, :, None], rounds, gain,
-        entangled.mean[:, None], input_mean, *_outcome_source(rng, forced_outcomes),
+    # The pair by sector, (x1, x2) then (p1, p2), as the entangling stage leaves it.
+    covs = np.array([cov[0::2, 0::2], cov[1::2, 1::2]])[..., None]
+    fidelities, mean, output_cov, outcomes = _teleport_stage(
+        covs, rounds, gain, entangled.mean.reshape(2, 2).T[..., None], input_mean,
+        *_outcome_source(rng, forced_outcomes), lambda row: f"input mean {tuple(input_mean)!r}",
     )
     fidelity = _unit_interval(fidelities, lambda row: f"input mean {tuple(input_mean)!r}")[0]
     report = _report(entangled.cov, float(fidelity), tuple(outcomes[:, 0].tolist()))
-    return GaussianState(mean[:, 0], cov), report
+    return GaussianState(mean[:, 0], output_cov), report
 
 
 def _unit_interval(fidelities, row_name):
@@ -440,16 +439,16 @@ def run_trials(plans, rng, trials, input_mean=None, gain=None):
     """
     draws = rng.standard_normal((trials, 4)).T
     entangling = [dataclasses.astuple(plans[name]) for name in ("entangle1", "entangle2")]
-    mean, cov, outcomes = _entangling_stage(entangling, draws[:2], True)
-    pair_cov = cov[:4, :4, 0].copy()
+    means, covs, outcomes = _entangling_stage(entangling, draws[:2], True)
+    report = _report(_pair_cov(covs))
     if input_mean is None:
-        return outcomes.T.copy(), _report(pair_cov), None
+        return outcomes.T.copy(), report, None
     local = [dataclasses.astuple(plans[name]) for name in ("local1", "local2")]
     fidelities, _, _, teleported = _teleport_stage(
-        cov[:4, :4], local, gain, mean[:4], input_mean, draws[2:], True
+        covs, local, gain, means, input_mean, draws[2:], True, lambda trial: f"trial {trial}"
     )
     fidelities = _unit_interval(fidelities, lambda trial: f"trial {trial}")
-    return np.concatenate([outcomes, teleported]).T.copy(), _report(pair_cov), fidelities
+    return np.concatenate([outcomes, teleported]).T.copy(), report, fidelities
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +510,10 @@ def make_plans(kappa2, eta_t, **plan_kwargs):
 
 
 # Rows of one sweep block.  A block's stage arrays take about 2.7 KB per row.
-# Measured with tracemalloc on a 2-core Xeon, one BLAS thread: at 10^5 rows
-# one batch took 0.32 s and a 271 MB peak, 4096-row blocks 0.22-0.23 s and
-# 14 MB; at 10^6 rows 4096-row blocks took 2.03-2.23 s and 29 MB, 8192-row
-# ones 2.18-2.27 s and 41 MB.
+# Peaks measured with tracemalloc on a 2-core Xeon, one BLAS thread: at 10^5
+# rows one batch took 0.19-0.23 s and 271 MB, 4096-row blocks 0.13 s and
+# 13 MB; at 10^6 rows 4096-row blocks 1.33-1.35 s and 29 MB, 8192-row ones
+# 1.54-1.59 s and 40 MB.
 _SWEEP_BLOCK = 4096
 
 
@@ -523,16 +522,16 @@ def _lossy_fidelities(kappa2, eta_t, **plan_kwargs):
 
     ``kappa2`` is a float array, run in blocks of ``_SWEEP_BLOCK`` rows.  Rows
     are independent, so a block's fidelities have the bits of any other
-    split.  The entangling stage of :func:`entangle` runs on the covariance
-    alone, since the outcomes never enter a covariance, and no transfer map
-    is formed for it.  A fidelity outside [0, 1] is a DegeneracyError
-    naming its row's kappa2 (see :func:`_unit_interval`).
+    split.  The entangling stage runs on the covariance alone, since the
+    outcomes never enter a covariance.  A fidelity outside [0, 1] is a
+    DegeneracyError naming its row's kappa2 (see :func:`_unit_interval`).
     """
     fidelities = np.empty(len(kappa2))
     for rows, entangling, local in _sweep_blocks(kappa2, eta_t, _SWEEP_BLOCK, **plan_kwargs):
-        _, cov, _ = _entangling_stage(
-            entangling, row_name=lambda row: f"kappa2 = {float(kappa2[rows][row])!r}")
-        fidelities[rows] = _teleport_stage(cov[:4, :4], local)
+        def name(row, block=kappa2[rows]):
+            return f"kappa2 = {float(block[row])!r}"
+        _, covs, _ = _entangling_stage(entangling, row_name=name)
+        fidelities[rows] = _teleport_stage(covs, local, row_name=name)
     return _unit_interval(fidelities, lambda row: f"kappa2 = {float(kappa2[row])!r}")
 
 

@@ -604,8 +604,10 @@ ABOVE_ONE = "{above one}"
                  "rounds.entangle1.kappa = 1e150\n",
      4, "numerical error: non-finite EPR variance: epr_x = nan, epr_p = -inf"),
     # Rounding puts the fidelity just above 1: numerical, not a bad config.
+    # The exact fidelities are 1 - 5.0e-9 at kappa2 = 10002.5 and 1 - 1.3e-9
+    # at 20000.0; the sector form's rounding error, near 1e-8, lifts both.
     ("sweep", "channel.kappa = 1.0\nsweep.min = 5.0\nsweep.max = 20000.0\nsweep.steps = 3\n",
-     4, f"numerical error: fidelity must lie in [0, 1], got {ABOVE_ONE} at kappa2 = 20000.0"),
+     4, f"numerical error: fidelity must lie in [0, 1], got {ABOVE_ONE} at kappa2 = 10002.5"),
 ], ids=["kappa1-overflow", "sweep-grid-overflow", "pair-overflow", "fidelity-above-one"])
 def test_a_failed_run_prints_one_line(tmp_path, capsys, command, text, code, line):
     # The error line is all that stderr gets; any numpy warning fails the test.
@@ -645,8 +647,8 @@ def test_a_failed_run_prints_one_line(tmp_path, capsys, command, text, code, lin
               "sweep.max = 1e200\nsweep.steps = 3\n",
      4, "numerical error: measured quadrature has non-finite variance inf at "
         "kappa2 = 5e+199"),
-    # A kappa1 of 1e-323 gives a singular calibration; naming its row takes
-    # a determinant that underflows to 0.
+    # A kappa1 multiplier of 5e-324 underflows kappa1 to 0 in the first row:
+    # a singular calibration.
     ("sweep", SWEEP + "protocol.kappa1_multiplier = 5e-324\n",
      1, "config error: gain calibration failed: measurement outcomes do not respond to the "
         "input mean at kappa2 = 0.2 (kappa too small?)"),

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinlight import (
     DegeneracyError,
@@ -465,6 +467,31 @@ def test_gain_calibration_needs_responsive_outcomes():
         )
 
 
+@pytest.mark.parametrize("kappas, number", [((2.0, 0.0), 2), ((0.0, 2.0), 1), ((0.0, 0.0), 1)])
+def test_gain_calibration_names_the_silent_round_and_its_kappa(kappas, number):
+    # Each sector's response belongs to one local round: round 1's pulse
+    # responds to the input's p, round 2's to its x.
+    plans = [RoundPlan(kappa) for kappa in kappas]
+    message = (r"^gain calibration failed: measurement outcomes do not respond to the input "
+               rf"mean at local round {number}'s kappa = 0\.0 \(kappa too small\?\)$")
+    with pytest.raises(ValueError, match=message):
+        teleport(_entangled(2.0), (0.0, 0.0), *plans, forced_outcomes=(0.0, 0.0))
+    with pytest.raises(ValueError, match=message):
+        run_trials({"entangle1": _ideal(2.0), "entangle2": _ideal(2.0), "local1": plans[0],
+                    "local2": plans[1]}, np.random.default_rng(0), 3, (0.0, 0.0))
+
+
+def test_teleport_takes_a_resource_without_x_p_covariance():
+    # The sector form carries the pair as sigma_x + sigma_p, as entangle
+    # leaves it; a resource that correlates x with p is refused, not dropped.
+    state = _entangled(2.0)
+    cov = state.cov.copy()
+    cov[0, 3] = cov[3, 0] = 0.1
+    with pytest.raises(ValueError, match="entangled resource must have zero x-p covariance"):
+        teleport(GaussianState(state.mean, cov), (0.0, 0.0), _ideal(2.0), _ideal(2.0),
+                 forced_outcomes=(0.0, 0.0))
+
+
 def test_sweep_names_the_row_whose_gain_calibration_fails():
     with pytest.raises(ValueError, match=r"gain calibration failed: .*kappa2 = 0\.0"):
         lossy_fidelity_sweep([0.0, 1.0], 0.2)
@@ -708,9 +735,10 @@ def test_sweep_conditions_like_entangle(monkeypatch):
     real = protocols._teleport_stage
     seen = []
 
-    def spy(pair_cov, *args, **kwargs):
-        seen.append(np.moveaxis(pair_cov, -1, 0).copy())
-        return real(pair_cov, *args, **kwargs)
+    def spy(covs, *args, **kwargs):
+        # Each row's (x1, p1, x2, p2) covariance from the pair's sectors.
+        seen.append([protocols._pair_cov(covs[..., row, None]) for row in range(covs.shape[-1])])
+        return real(covs, *args, **kwargs)
 
     monkeypatch.setattr(protocols, "_teleport_stage", spy)
     kappa2 = [0.3, 1.5, 9.5]
@@ -833,3 +861,118 @@ def test_teleport_classifies_a_bad_fidelity_as_run_trials_does():
     pair, _ = entangle(plans["entangle1"], plans["entangle2"], rng)
     with pytest.raises(DegeneracyError, match=r"got nan at input mean \(0\.0, 0\.0\)$"):
         teleport(pair, (0.0, 0.0), plans["local1"], plans["local2"], gain, rng)
+
+
+@pytest.mark.parametrize("gain, message", [
+    (1e150, r"fidelity must lie in \[0, 1\], got nan"),
+    (1e160, "overlap matrix has a non-finite entry"),
+])
+def test_teleport_names_both_kinds_of_overflowed_fidelity_by_its_input_mean(gain, message):
+    # The overlap's own check and the unit-interval check name the same row:
+    # the input mean in teleport, the trial in run_trials.
+    plans = make_plans(1.5, 0.2)
+    pair, _ = entangle(plans["entangle1"], plans["entangle2"], forced_outcomes=(0.0, 0.0))
+    with pytest.raises(DegeneracyError, match=rf"^{message} at input mean \(0\.7, -0\.3\)$"):
+        teleport(pair, (0.7, -0.3), plans["local1"], plans["local2"], (gain, gain),
+                 forced_outcomes=(0.0, 0.0))
+    with pytest.raises(DegeneracyError, match=rf"^{message} at trial 0$"):
+        run_trials(plans, np.random.default_rng(0), 2, (0.7, -0.3), (gain, gain))
+
+
+# ---------------------------------------------------------------------------
+# quadrature sectors
+
+# The pushed register's sectors: x1, x2, pulse 1's x, pulse 2's p; the rest.
+_X_SECTOR, _P_SECTOR = [0, 2, 4, 7], [1, 3, 5, 6]
+
+
+@st.composite
+def _round_pairs(draw):
+    """Entangling and local rounds as _push_bell takes them, lossless or noisy.
+
+    Every field is a float, or, in a batch of B rows, a float or a (B,) array.
+    """
+    batch, lossless = draw(st.sampled_from([None, 1, 3])), draw(st.booleans())
+
+    def field(low, high):
+        values = st.floats(low, high)
+        if batch is None or draw(st.booleans()):
+            return draw(values)
+        return np.array(draw(st.lists(values, min_size=batch, max_size=batch)))
+
+    def round_():
+        noise = [0.0] * 4 if lossless else [field(0.0, 0.9) for _ in range(4)]
+        return (field(0.05, 20.0), *noise)
+
+    return [round_(), round_()], [round_(), round_()]
+
+
+@given(rounds=_round_pairs())
+@settings(max_examples=80, deadline=None)
+def test_both_stages_split_into_two_quadrature_sectors(rounds):
+    # The exact zeros the sector form relies on, on the dense forms of the
+    # old engine: F's Gram matrix and each stage's joint have no
+    # cross-sector entry, the outcomes' response C to the input mean is
+    # anti-diagonal, and the teleported x-p covariance is zero.
+    import spinlight.protocols as protocols
+
+    entangling, local = rounds
+    grams = []
+    for pushed in (entangling, local):
+        factor = protocols._push_bell(pushed)
+        grams.append(np.einsum("icb,jcb->bij", factor, factor))
+        assert not grams[-1][:, _X_SECTOR][:, :, _P_SECTOR].any()
+    # The entangling joint over (x1, p1, x2, p2, pulse 1's x, pulse 2's x).
+    joint = 0.5 * grams[0][:, [0, 1, 2, 3, 4, 6]][:, :, [0, 1, 2, 3, 4, 6]]
+    assert not joint[:, [0, 2, 4]][:, :, [1, 3, 5]].any()
+    # The teleport joint over (x2, p2, o1, o2): the conditioned pair and the
+    # input's vacuum through the local push of sample 1 and the input.
+    _, covs, _ = protocols._entangling_stage(entangling)
+    rows = np.moveaxis(protocols._push_bell(local)[[4, 6]], -1, 0)
+    batch = max(covs.shape[-1], len(rows))
+    response = np.zeros((batch, 4, 6))
+    response[:, 0, 2] = response[:, 1, 3] = 1.0
+    response[:, 2:, [0, 1, 4, 5]] = rows[..., :4]
+    inputs = np.zeros((batch, 6, 6))
+    inputs[:, :4, :4] = [protocols._pair_cov(covs[..., [row % covs.shape[-1]]])
+                         for row in range(batch)]
+    inputs[:, 4, 4] = inputs[:, 5, 5] = 0.5
+    joint = response @ inputs @ np.swapaxes(response, -1, -2)
+    joint[:, 2:, 2:] += 0.5 * rows[..., 4:] @ np.swapaxes(rows[..., 4:], -1, -2)
+    assert not joint[:, [0, 3]][:, :, [1, 2]].any()
+    c = rows[..., 2:4]
+    assert not c[:, [0, 1], [0, 1]].any() and c[:, [0, 1], [1, 0]].all()
+    # The teleported state of the batch's first row, one plan per round.
+    plans = [RoundPlan(*(float(np.ravel(field)[0]) for field in fields))
+             for fields in (*entangling, *local)]
+    pair, _ = entangle(*plans[:2], forced_outcomes=(0.3, -0.8))
+    output, _ = teleport(pair, (0.7, -0.4), *plans[2:], forced_outcomes=(-0.2, 0.5))
+    assert output.cov[0, 1] == 0.0 and output.cov[1, 0] == 0.0
+
+
+class _ZeroDraws:
+    """A generator stand-in whose standard normal draws are all zero."""
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+
+@given(kappa2=st.floats(0.2, 10.0), eta_t=st.floats(0.01, 0.9), eps=st.floats(0.0, 0.05),
+       eta_d=st.floats(0.0, 0.2), multiplier=st.floats(1.0, 10.0))
+@settings(max_examples=40, deadline=None)
+def test_manual_sector_gains_reproduce_the_calibrated_sweep(kappa2, eta_t, eps, eta_d,
+                                                          multiplier):
+    # The calibrated gain is anti-diagonal, (1/c_x, 1/c_p) for the responses
+    # of round 2's pulse to the input's x and of round 1's to its p.  Given by
+    # hand it gives the sweep's fidelity in every trial whose outcomes sit on
+    # their prior means (zero draws), where the manual gain needs no offset.
+    import spinlight.protocols as protocols
+
+    kwargs = dict(kappa1_multiplier=multiplier, eps_p=eps, eps_a=eps, eta_d=eta_d)
+    plans = make_plans(kappa2, eta_t, **kwargs)
+    factor = protocols._push_bell([dataclasses.astuple(plans[name])
+                                   for name in ("local1", "local2")])[..., 0]
+    gain = (1.0 / factor[6, 2], 1.0 / factor[4, 3])
+    _, _, fidelities = run_trials(plans, _ZeroDraws(), 3, (0.7, -0.4), gain)
+    swept = simulated_lossy_fidelity(kappa2, eta_t, **kwargs)
+    assert np.max(np.abs(fidelities / swept - 1.0)) <= 1e-12

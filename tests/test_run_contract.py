@@ -47,10 +47,11 @@ PHYSICAL = {
 SWEEP = {"sweep.min": 0.2, "sweep.max": 10.0, "sweep.steps": 3}
 
 # A config error names its schema key or section; the sweep's row checks
-# name their row by its kappa2 instead.
+# name their row by its kappa2 instead, and a teleport's gain calibration
+# the local round whose pulse does not respond, by its kappa.
 KEYED = re.compile(r"config error: ([a-z0-9_.]+): ")
 ROW = re.compile(r"config error: (kappa must be finite and non-negative, got kappa1 = "
-                 r"|gain calibration failed: ).* at kappa2 = ")
+                 r"|gain calibration failed: ).* at (kappa2|local round [12]'s kappa) = ")
 NAMES = set(config._SCHEMA) | {key.partition(".")[0] for key in config._SCHEMA}
 
 
