@@ -326,7 +326,7 @@ _SCHEMA = {key: _Key(key, *row) for key, row in {
     "sweep.param": (_text, "kappa2", "kappa2", "swept parameter"),
     "sweep.min": (_number, _REQUIRED, "(0, inf)", "lower end of the sweep", "minimum"),
     "sweep.max": (_number, _REQUIRED, "(0, inf)", "upper end of the sweep", "maximum"),
-    "sweep.steps": (_integer, _REQUIRED, "[2, 10^6]", "grid size; cap: 2.3-2.6 s, 76 MB"),
+    "sweep.steps": (_integer, _REQUIRED, "[2, 10^6]", "grid size; cap: 1.8-1.9 s, 76 MB"),
     "mb.min_grid": (_integer, MbSpec.min_grid, "[1, inf)", "smallest dyadic grid"),
     "mb.max_grid": (_integer, MbSpec.max_grid, "[1, 2^22]", "largest grid; cap: 0.6 s, 286 MB"),
     "mb.tol_kappa": (_number, MbSpec.tol_kappa, "[0, inf)", "mb-validate tolerance on kappa"),

@@ -26,26 +26,27 @@ or an array over the operating points (a sweep block's kappa).
 
 The kick writes x rows from p rows only, losses damp one mode each and the
 turns are exact signed swaps, so the register splits into two quadrature
-sectors that share no column of F: x1, x2, pulse 1's x and pulse 2's p, and
-the rest.  Round 1's pulse conditions only the x sector, round 2's only the
-p sector: the pair x1 - x2, p1 + p2, measured apart as by Julsgaard,
-Kozhekin & Polzik, Nature 413, 400 (2001).  The entangling stage conditions
-each sector's 3 x 3 joint of both samples and its pulse, Sigma_J = F_J F_J^T
-/ 2, on the pulse, so the pair's covariance is the direct sum sigma_x +
-sigma_p.  In the teleport stage, which pushes sample 1 and the input, round
-2's pulse reads their x as they enter, with response c_x to the input's, and
-round 1's their p, with c_p.  Each pulse and the like quadrature of sample
-2, untouched by the push, form a 2 x 2 joint Sigma_J = X_J S X_J^T + N_J
-N_J^T / 2 (S the pair's sector and the input's vacuum).  The gain G = [[0,
-1/c_x], [1/c_p, 0]] of exactly unit mean transfer moves x2 by g_x times
-round 2's outcome and p2 by g_p times round 1's.  The fidelity is the
-overlap of the outcome-averaged output with the coherent input,
-det(V)^(-1/2) exp(-d^T V^-1 d / 2), by the kernel of
-:func:`~spinlight.gaussian.fidelity_coherent`, for V = diag(V_xx, V_pp) +
-I/2, V_qq = W Sigma_J W^T with W = [1 g_q], and d the averaged mean's offset
-from the input: zero at the unit gain, varying by trial under a manual gain
-(anti-diagonal too).  Each stage measures each pulse's x in round order by
-the kernel of :func:`~spinlight.gaussian.homodyne`, on the joints alone (the
+sectors that no step mixes: x1, x2, pulse 1's x and pulse 2's p, and the rest.
+A mode's x and p rows lie in different sectors, so they share one column of F,
+and no sector's rows carry the other's zero columns.  Round 1's pulse
+conditions only the x sector, round 2's only the p sector: the pair x1 - x2,
+p1 + p2, measured apart as by Julsgaard, Kozhekin & Polzik, Nature 413, 400
+(2001).  The entangling stage conditions each sector's 3 x 3 joint of both
+samples and its pulse, Sigma_J = F_J F_J^T / 2, on the pulse, so the pair's
+covariance is the direct sum sigma_x + sigma_p.  In the teleport stage, which
+pushes sample 1 and the input, round 2's pulse reads their x as they enter,
+with response c_x to the input's, and round 1's their p, with c_p.  Each pulse
+and the like quadrature of sample 2, untouched by the push, form a 2 x 2 joint
+Sigma_J = X_J S X_J^T + N_J N_J^T / 2 (S the pair's sector and the input's
+vacuum).  The gain G = [[0, 1/c_x], [1/c_p, 0]] of exactly unit mean transfer
+moves x2 by g_x times round 2's outcome and p2 by g_p times round 1's.  The
+fidelity is the overlap of the outcome-averaged output with the coherent
+input, det(V)^(-1/2) exp(-d^T V^-1 d / 2), by the kernel of
+:func:`~spinlight.gaussian.fidelity_coherent`, for V = diag(V_xx, V_pp) + I/2,
+V_qq = W Sigma_J W^T with W = [1 g_q], and d the averaged mean's offset from
+the input: zero at the unit gain, varying by trial under a manual gain
+(anti-diagonal too).  Each stage measures each pulse's x in round order by the
+kernel of :func:`~spinlight.gaussian.homodyne`, on the joints alone (the
 sweep) or with the means of many trials at one operating point, so
 :func:`run_trials` pushes each stage once per run; :func:`entangle` and
 :func:`teleport` are its one-trial case, their reports carrying the trial's
@@ -204,26 +205,26 @@ def _push_bell(rounds):
     The register is the two samples (modes 0 and 1) followed by the light
     pulse of each round, none of them measured.  ``rounds`` holds each
     round's :class:`RoundPlan` fields (kappa, eps_p, eps_a, eta_t, eta_d),
-    each a float or a (B,) array.  F starts as the identity, X being its
-    first 4 columns, and is (quadrature, column, B), B = 1 for floats.  Each
-    pass's light damping is eps_p and the loss after it, one loss; the pass
-    acts on the columns injected so far (the rest are zero), and each vacuum
-    it returns, the sample's, then the light's, is appended as two columns,
-    sqrt(eps) in that mode's x and p rows.
+    each a float or a (B,) array.  F is (quadrature, column, B), B = 1 for
+    floats, and folded: it starts as 1 in column m of mode m's x and p rows,
+    X being its first 2 columns.  Each pass's light damping is eps_p and the
+    loss after it, one loss; the pass acts on the columns injected so far
+    (the rest are zero), and each vacuum it returns, the sample's, then the
+    light's, is appended as one column, sqrt(eps) in that mode's x and p rows.
     """
-    dim, batch = 2 * (2 + len(rounds)), np.broadcast(*sum(rounds, ())).size
-    # Two passes a round, each appending two vacua of two columns.
-    factor = np.zeros((dim, dim + 8 * len(rounds), batch))
-    factor[np.arange(dim), np.arange(dim)] = 1.0
-    col = dim
+    modes, batch = 2 + len(rounds), np.broadcast(*sum(rounds, ())).size
+    # Two passes a round, each appending two vacua of one column.
+    factor = np.zeros((2 * modes, modes + 4 * len(rounds), batch))
+    factor[np.arange(2 * modes), np.arange(2 * modes) // 2] = 1.0
+    col = modes
     for number, (kappa, eps_p, eps_a, eta_t, eta_d) in enumerate(rounds):
         # Pass the first sample, transmission loss, pass the second sample,
         # detector loss.
         for sample, loss in ((0, eta_t), (1, eta_d)):
             eps_light = 1.0 - (1.0 - eps_p) * (1.0 - loss)
             for mode, eps in _pass(factor[:, :col], 2 + number, sample, kappa, eps_light, eps_a):
-                factor[2 * mode, col] = factor[2 * mode + 1, col + 1] = np.sqrt(eps)
-                col += 2
+                factor[2 * mode : 2 * mode + 2, col] = np.sqrt(eps)
+                col += 1
         if number == 0:
             _quarter_turn(factor[:, :col], 0, _TURN_FIRST)
             _quarter_turn(factor[:, :col], 1, _TURN_SECOND)
@@ -293,9 +294,9 @@ def _teleport_stage(covs, rounds, gain=None, means=None, input_mean=None, values
     displaced sample 2's (2, T) means and (2, 2) covariance, and the outcomes.
     """
     # The pulses' rows as a C-ordered (sector, B, column) copy, the x sector's
-    # (round 2's) first: sector q reads sample 1's and the input's quadrature q.
+    # (round 2's) first: sector q reads sample 1's quadrature q in column 0, the input's in 1.
     rows = _push_bell(rounds)[[6, 4]].transpose(0, 2, 1).copy()
-    f, c = rows[[0, 1], :, [0, 1]], rows[[0, 1], :, [2, 3]]
+    f, c = rows[..., 0], rows[..., 1]
     if gain is None and not c.all():
         row, number = np.argwhere(c[::-1].T == 0.0)[0]
         where = (row_name(row) if means is None
@@ -306,7 +307,7 @@ def _teleport_stage(covs, rounds, gain=None, means=None, input_mean=None, values
     # Sigma_J = X_J S X_J^T + N_J N_J^T / 2 over (sample 2, pulse), for
     # X_J = [[0, 1, 0], [f, 0, c]] over S, the sector beside the input's
     # vacuum; the outcome-averaged output of W = [1 g] has variance W Sigma_J W^T.
-    noise = (rows[..., None, 4:] @ rows[..., 4:, None])[..., 0, 0]
+    noise = (rows[..., None, 2:] @ rows[..., 2:, None])[..., 0, 0]
     joints = np.empty((2, 2, 2, rows.shape[1]))
     joints[:, 0, 0], joints[:, 0, 1] = covs[:, 1, 1], covs[:, 1, 0] * f
     joints[:, 1, 0] = f * covs[:, 0, 1]
@@ -509,11 +510,10 @@ def make_plans(kappa2, eta_t, **plan_kwargs):
                                     [*entangling, *local])}
 
 
-# Rows of one sweep block.  A block's stage arrays take about 2.7 KB per row.
+# Rows of one sweep block.  A block's stage arrays take about 1.4 KB per row.
 # Peaks measured with tracemalloc on a 2-core Xeon, one BLAS thread: at 10^5
-# rows one batch took 0.19-0.23 s and 271 MB, 4096-row blocks 0.13 s and
-# 13 MB; at 10^6 rows 4096-row blocks 1.33-1.35 s and 29 MB, 8192-row ones
-# 1.54-1.59 s and 40 MB.
+# rows one batch took 0.12 s and 136 MB, 4096-row blocks 0.073 s and 7.8 MB;
+# at 10^6 rows 4096-row blocks 0.74 s and 23 MB, 8192-row ones 0.75-0.78 s, 29 MB.
 _SWEEP_BLOCK = 4096
 
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinlight import Grid, cli
+from spinlight import DegeneracyError, Grid, cli, simulated_lossy_fidelity
 from spinlight.cli import main
+from spinlight.config import parse_config_text, resolve_run_config
 from conftest import reference_csv_text, reference_json_text
 
 IDEAL = """
@@ -583,7 +584,8 @@ def test_overflowed_sweep_row_exits_4(tmp_path, capsys):
     assert json.loads(out.read_text())["points"][0]["f_simulated"] == 0.0
 
 
-# Stands in an expected error line for a figure that rounding puts above 1.
+# Stands in an expected error line for a figure that rounding puts above 1
+# and the sweep row it names: "<figure> at kappa2 = <row>".
 ABOVE_ONE = "{above one}"
 
 
@@ -605,9 +607,10 @@ ABOVE_ONE = "{above one}"
      4, "numerical error: non-finite EPR variance: epr_x = nan, epr_p = -inf"),
     # Rounding puts the fidelity just above 1: numerical, not a bad config.
     # The exact fidelities are 1 - 5.0e-9 at kappa2 = 10002.5 and 1 - 1.3e-9
-    # at 20000.0; the sector form's rounding error, near 1e-8, lifts both.
+    # at 20000.0, and the engine's rounding error there is 1e-8 to 1e-6, so
+    # the row it lifts first moves with the order of the engine's sums.
     ("sweep", "channel.kappa = 1.0\nsweep.min = 5.0\nsweep.max = 20000.0\nsweep.steps = 3\n",
-     4, f"numerical error: fidelity must lie in [0, 1], got {ABOVE_ONE} at kappa2 = 10002.5"),
+     4, f"numerical error: fidelity must lie in [0, 1], got {ABOVE_ONE}"),
 ], ids=["kappa1-overflow", "sweep-grid-overflow", "pair-overflow", "fidelity-above-one"])
 def test_a_failed_run_prints_one_line(tmp_path, capsys, command, text, code, line):
     # The error line is all that stderr gets; any numpy warning fails the test.
@@ -615,13 +618,27 @@ def test_a_failed_run_prints_one_line(tmp_path, capsys, command, text, code, lin
     out = tmp_path / "run.json"
     assert _run([command, "--config", cfg, "--out", str(out)]) == code
     stdout, stderr = capsys.readouterr()
-    # The digits of a rounding error move with the order of the engine's
-    # sums, so a figure marked ABOVE_ONE is only checked to be above 1.
     head, marked, tail = line.partition(ABOVE_ONE)
-    figure = stderr.removeprefix(head).removesuffix(tail + "\n")
-    assert (stdout, stderr) == ("", head + figure + tail + "\n")
-    assert "\n" not in figure and (float(figure) > 1.0 if marked else figure == "")
-    assert not out.exists()
+    rest = stderr.removeprefix(head).removesuffix(tail + "\n")
+    assert (stdout, stderr) == ("", head + rest + tail + "\n")
+    assert "\n" not in rest and not out.exists()
+    if not marked:
+        assert rest == ""
+        return
+    # A figure marked ABOVE_ONE is checked against the row it names: a grid
+    # row whose fidelity, computed alone, fails with the same line, since
+    # rows are bit-independent.
+    figure, _, row = rest.partition(" at kappa2 = ")
+    assert float(figure) > 1.0
+    config = resolve_run_config(parse_config_text(text))
+    assert float(row) in config.sweep.values().tolist()
+    with pytest.raises(DegeneracyError) as error:
+        simulated_lossy_fidelity(
+            float(row), config.eta_t, kappa1_multiplier=config.kappa1_multiplier,
+            eps_p=config.channel.eps_p, eps_a=config.channel.eps_a, eta_d=config.eta_d,
+            eta_t_local=config.eta_t_local,
+        )
+    assert f"numerical error: {error.value}" == head + rest
 
 
 @pytest.mark.filterwarnings("error")

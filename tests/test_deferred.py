@@ -221,9 +221,11 @@ def _mp_bell_channel(n_atoms, first, second, rounds):
         keep_a, add_a = loss(atom, r["eps_a"])
         return keep_a * keep_p * kick, add_p + add_a
 
-    def rotation(mode, theta):
+    def rotation(mode, turns):
+        # By ``turns`` half turns: cospi and sinpi are exact at a quarter
+        # turn, where cos(pi / 2) at 60 digits would leave 1e-61 behind.
         t = mpmath.eye(dim)
-        c, s = mpmath.cos(theta), mpmath.sin(theta)
+        c, s = mpmath.cospi(turns), mpmath.sinpi(turns)
         t[2 * mode, 2 * mode], t[2 * mode, 2 * mode + 1] = c, s
         t[2 * mode + 1, 2 * mode], t[2 * mode + 1, 2 * mode + 1] = -s, c
         return t, mpmath.zeros(dim, dim)
@@ -235,8 +237,8 @@ def _mp_bell_channel(n_atoms, first, second, rounds):
         step(qnd_pass(light, second, r))
         step(loss(light, r["eta_d"]))
         if number == 0:
-            step(rotation(first, -mpmath.pi / 2))
-            step(rotation(second, mpmath.pi / 2))
+            step(rotation(first, -mpmath.mpf(1) / 2))
+            step(rotation(second, mpmath.mpf(1) / 2))
     return transfer, noise
 
 
@@ -248,19 +250,25 @@ FACTOR_POINTS = [
 ]
 
 
+# The pushed rows' quadrature sectors: x1, x2, pulse 1's x, pulse 2's p; the rest.
+SECTORS = ([0, 2, 4, 7], [1, 3, 5, 6])
+
+
 @pytest.mark.parametrize("rounds", FACTOR_POINTS, ids=["lossless", "lossy", "damped"])
 @pytest.mark.parametrize("n_atoms, first, second", [(2, 0, 1), (3, 0, 2)],
                          ids=["entangling", "teleport"])
 def test_bell_factor_against_60_digits(rounds, n_atoms, first, second):
-    # The factor [X | N] that the engine pushes, over the two samples it
-    # measures and the pulses, gives the channel's X and Y = N N^T / 2 of the
-    # 60-digit dense composition on the rows and columns of those modes.  A
-    # sample no pass touches (sample 2 beside the teleport stage's input)
-    # leaves as it came, with no noise, so the one push serves both stages.
+    # The folded factor [X | N] that the engine pushes, over the two samples
+    # it measures and the pulses, gives the 60-digit dense composition on the
+    # rows and columns of those modes: its X with each sample's (x, p)
+    # columns summed, at most one of the two non-zero in any row, and on
+    # each sector's rows S its Y = N_S N_S^T / 2, Y having no cross-sector
+    # entry.  A sample no pass touches (sample 2 beside the teleport stage's
+    # input) leaves as it came, with no noise, so one push serves both stages.
     from spinlight.protocols import _push_bell
 
     factor = _push_bell(rounds)[..., 0]
-    transfer, noise = factor[:, :4], factor[:, 4:]
+    transfer, noise = factor[:, :2], factor[:, 2:]
     names = ("kappa", "eps_p", "eps_a", "eta_t", "eta_d")
     with mpmath.workdps(60):
         mp_rounds = [{k: mpmath.mpf(v) for k, v in zip(names, r)} for r in rounds]
@@ -269,8 +277,14 @@ def test_bell_factor_against_60_digits(rounds, n_atoms, first, second):
     modes = (first, second, n_atoms, n_atoms + 1)
     pushed = [2 * mode + q for mode in modes for q in (0, 1)]
     idle = [q for q in range(2 * n_atoms) if q not in pushed]
-    assert _rel(transfer, want[0][np.ix_(pushed, pushed[:4])]) <= 1e-13
-    assert _rel(0.5 * noise @ noise.T, want[1][np.ix_(pushed, pushed)]) <= 1e-13
+    pairs = want[0][np.ix_(pushed, pushed[:4])].reshape(8, 2, 2)
+    assert (np.count_nonzero(pairs, axis=-1) <= 1).all()
+    assert _rel(transfer, pairs.sum(axis=-1)) <= 1e-13
+    pushed_noise = want[1][np.ix_(pushed, pushed)]
+    for sector in SECTORS:
+        assert _rel(0.5 * noise[sector] @ noise[sector].T,
+                    pushed_noise[np.ix_(sector, sector)]) <= 1e-13
+    assert not pushed_noise[np.ix_(*SECTORS)].any()
     assert np.array_equal(want[0][idle], np.eye(2 * n_atoms)[idle])
     assert not want[0][:, idle][pushed].any() and not want[1][idle].any()
 

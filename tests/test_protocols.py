@@ -630,7 +630,7 @@ def test_sweep_round_table_equals_round_plans():
 def test_bell_push_takes_float_noise_and_passes_only_injected_columns(monkeypatch):
     # A round's fields are floats or (B,) arrays: a kappa array beside float
     # noise pushes the bits of every field broadcast over the rows.  Each
-    # pass updates only the columns injected so far, four more each time.
+    # pass updates only the columns injected so far, two more each time.
     import spinlight.protocols as protocols
 
     real, seen = protocols._pass, []
@@ -643,7 +643,7 @@ def test_bell_push_takes_float_noise_and_passes_only_injected_columns(monkeypatc
     kappa = np.array([0.3, 1.5, 9.5])
     rounds = [(kappa, 0.02, 0.01, 0.2, 0.1), (3.0 * kappa, 0.02, 0.01, 0.3, 0.1)]
     factor = protocols._push_bell(rounds)
-    assert seen == [8, 12, 16, 20]
+    assert seen == [4, 6, 8, 10]
     broadcast = [tuple(np.broadcast_to(f, kappa.shape) for f in r) for r in rounds]
     assert np.array_equal(protocols._push_bell(broadcast), factor)
 
@@ -652,7 +652,8 @@ def test_factor_callers_append_the_vacua_their_pass_returns(monkeypatch):
     # Neither the Bell push nor the dense grid builder restates a pass's
     # damping: right after each pass, the columns it appends hold sqrt(eps) in
     # the x and p rows of exactly the modes that _pass returned, in that order.
-    # The grid builder skips a zero eps and puts the light before the atom.
+    # The push's folded factor gives a vacuum one column, the grid builder
+    # two; the grid builder skips a zero eps and puts the light before the atom.
     import spinlight.maxwell_bloch as maxwell_bloch
     import spinlight.protocols as protocols
     from spinlight.interaction import ChannelParams
@@ -665,20 +666,20 @@ def test_factor_callers_append_the_vacua_their_pass_returns(monkeypatch):
         # The columns appended since the last pass, before any later step acts.
         if not pending:
             return
-        width, vacua = pending.pop()
-        assert rows.shape[1] == width + 2 * len(vacua)
+        width, vacua, columns = pending.pop()
+        assert rows.shape[1] == width + columns * len(vacua)
         for mode, eps in vacua:
-            want = np.zeros_like(rows[:, :2])
-            want[2 * mode, 0] = want[2 * mode + 1, 1] = np.sqrt(eps)
-            assert np.array_equal(rows[:, width : width + 2], want)
-            width += 2
+            want = np.zeros_like(rows[:, :columns])
+            want[2 * mode, 0] = want[2 * mode + 1, columns - 1] = np.sqrt(eps)
+            assert np.array_equal(rows[:, width : width + columns], want)
+            width += columns
         checked.append(len(vacua))
 
-    def spy_on(module, order):
+    def spy_on(module, order, columns):
         def spy(rows, *args):
             appended(rows)
             vacua = real_pass(rows, *args)
-            pending.append((rows.shape[1], order(vacua)))
+            pending.append((rows.shape[1], order(vacua), columns))
             return vacua
 
         monkeypatch.setattr(module, "_pass", spy)
@@ -687,14 +688,14 @@ def test_factor_callers_append_the_vacua_their_pass_returns(monkeypatch):
         appended(rows)
         return real_turn(rows, *args)
 
-    spy_on(protocols, list)
+    spy_on(protocols, list, 1)
     monkeypatch.setattr(protocols, "_quarter_turn", turn_spy)
     kappa = np.array([0.3, 1.5, 9.5])
     rounds = [(kappa, 0.02, 0.01, 0.2, 0.1), (3.0 * kappa, 0.0, 0.03, 0.3, 0.0)]
     appended(protocols._push_bell(rounds))
     assert checked == [2, 2, 2, 2]
 
-    spy_on(maxwell_bloch, lambda vacua: [(m, e) for m, e in vacua[::-1] if e > 0])
+    spy_on(maxwell_bloch, lambda vacua: [(m, e) for m, e in vacua[::-1] if e > 0], 2)
     for eps_p, eps_a, count in ((0.3, 0.1, 2), (0.0, 0.1, 1), (0.3, 0.0, 1)):
         checked.clear()
         grid = Grid(n_z=2, n_tau=3)
@@ -910,37 +911,38 @@ def _round_pairs(draw):
 @given(rounds=_round_pairs())
 @settings(max_examples=80, deadline=None)
 def test_both_stages_split_into_two_quadrature_sectors(rounds):
-    # The exact zeros the sector form relies on, on the dense forms of the
-    # old engine: F's Gram matrix and each stage's joint have no
-    # cross-sector entry, the outcomes' response C to the input mean is
-    # anti-diagonal, and the teleported x-p covariance is zero.
+    # The exact zeros the sector form relies on, on the dense channel of
+    # each push (conftest.bell_channel): the vacuum samples' covariance
+    # X X^T / 2 + Y and each stage's joint have no cross-sector entry, the
+    # outcomes' response C to the input mean is anti-diagonal, and the
+    # teleported x-p covariance is zero.
     import spinlight.protocols as protocols
 
     entangling, local = rounds
-    grams = []
-    for pushed in (entangling, local):
-        factor = protocols._push_bell(pushed)
-        grams.append(np.einsum("icb,jcb->bij", factor, factor))
-        assert not grams[-1][:, _X_SECTOR][:, :, _P_SECTOR].any()
+    channels = [bell_channel(2, 0, 1, pushed) for pushed in (entangling, local)]
+    vacuum_covs = [0.5 * transfer @ np.swapaxes(transfer, -1, -2) + noise
+                   for transfer, noise in channels]
+    for cov in vacuum_covs:
+        assert not cov[:, _X_SECTOR][:, :, _P_SECTOR].any()
     # The entangling joint over (x1, p1, x2, p2, pulse 1's x, pulse 2's x).
-    joint = 0.5 * grams[0][:, [0, 1, 2, 3, 4, 6]][:, :, [0, 1, 2, 3, 4, 6]]
+    joint = vacuum_covs[0][:, [0, 1, 2, 3, 4, 6]][:, :, [0, 1, 2, 3, 4, 6]]
     assert not joint[:, [0, 2, 4]][:, :, [1, 3, 5]].any()
     # The teleport joint over (x2, p2, o1, o2): the conditioned pair and the
     # input's vacuum through the local push of sample 1 and the input.
     _, covs, _ = protocols._entangling_stage(entangling)
-    rows = np.moveaxis(protocols._push_bell(local)[[4, 6]], -1, 0)
-    batch = max(covs.shape[-1], len(rows))
+    transfer, noise = channels[1]
+    batch = max(covs.shape[-1], len(transfer))
     response = np.zeros((batch, 4, 6))
     response[:, 0, 2] = response[:, 1, 3] = 1.0
-    response[:, 2:, [0, 1, 4, 5]] = rows[..., :4]
+    response[:, 2:, [0, 1, 4, 5]] = transfer[:, [4, 6]]
     inputs = np.zeros((batch, 6, 6))
     inputs[:, :4, :4] = [protocols._pair_cov(covs[..., [row % covs.shape[-1]]])
                          for row in range(batch)]
     inputs[:, 4, 4] = inputs[:, 5, 5] = 0.5
     joint = response @ inputs @ np.swapaxes(response, -1, -2)
-    joint[:, 2:, 2:] += 0.5 * rows[..., 4:] @ np.swapaxes(rows[..., 4:], -1, -2)
+    joint[:, 2:, 2:] += noise[:, [4, 6]][:, :, [4, 6]]
     assert not joint[:, [0, 3]][:, :, [1, 2]].any()
-    c = rows[..., 2:4]
+    c = transfer[:, [4, 6], 2:4]
     assert not c[:, [0, 1], [0, 1]].any() and c[:, [0, 1], [1, 0]].all()
     # The teleported state of the batch's first row, one plan per round.
     plans = [RoundPlan(*(float(np.ravel(field)[0]) for field in fields))
@@ -948,6 +950,38 @@ def test_both_stages_split_into_two_quadrature_sectors(rounds):
     pair, _ = entangle(*plans[:2], forced_outcomes=(0.3, -0.8))
     output, _ = teleport(pair, (0.7, -0.4), *plans[2:], forced_outcomes=(-0.2, 0.5))
     assert output.cov[0, 1] == 0.0 and output.cov[1, 0] == 0.0
+
+
+@given(rounds=_round_pairs())
+@settings(max_examples=80, deadline=None)
+def test_folded_bell_factor_against_the_dense_channel(rounds):
+    # The push stores each mode's x and p columns as one, which is exact
+    # because no row of the dense channel (conftest.bell_channel) has a
+    # cross-sector entry: the x sector's rows read only the samples' p
+    # columns and the p sector's only their x columns.  So the folded
+    # transfer is bit for bit the pair sum of the dense one, and each
+    # sector's noise Gram N_S N_S^T / 2 is its Y, up to rounding.  Each kick
+    # adds kappa times a row to a row, so no entry either side forms exceeds
+    # s = (1 + 2 kappa1)(1 + 2 kappa2); each side rounds an entry of Y some
+    # tens of times (eight steps, then a sum of ten products) on terms of
+    # size up to s^2, so the two agree within 64 eps s^2.  Pulse 1's
+    # back-action cancels in p1 + p2, which pulse 2 reads, so the error
+    # scales with s^2 and not with the entry.
+    import spinlight.protocols as protocols
+
+    for pushed in rounds:
+        factor = np.moveaxis(protocols._push_bell(pushed), -1, 0)
+        transfer, noise = bell_channel(2, 0, 1, pushed)
+        assert not transfer[:, _X_SECTOR][:, :, [0, 2]].any()
+        assert not transfer[:, _P_SECTOR][:, :, [1, 3]].any()
+        assert not noise[:, _X_SECTOR][:, :, _P_SECTOR].any()
+        assert np.array_equal(factor[..., :2], transfer[..., 0::2] + transfer[..., 1::2])
+        size = (1.0 + 2.0 * pushed[0][0]) * (1.0 + 2.0 * pushed[1][0])
+        bound = 64 * np.finfo(float).eps * np.broadcast_to(size, len(factor)) ** 2
+        for sector in (_X_SECTOR, _P_SECTOR):
+            rows, want = factor[:, sector, 2:], noise[:, sector][:, :, sector]
+            error = np.abs(0.5 * rows @ np.swapaxes(rows, -1, -2) - want)
+            assert (error.max(axis=(1, 2)) <= bound).all()
 
 
 class _ZeroDraws:
@@ -972,7 +1006,7 @@ def test_manual_sector_gains_reproduce_the_calibrated_sweep(kappa2, eta_t, eps, 
     plans = make_plans(kappa2, eta_t, **kwargs)
     factor = protocols._push_bell([dataclasses.astuple(plans[name])
                                    for name in ("local1", "local2")])[..., 0]
-    gain = (1.0 / factor[6, 2], 1.0 / factor[4, 3])
+    gain = (1.0 / factor[6, 1], 1.0 / factor[4, 1])
     _, _, fidelities = run_trials(plans, _ZeroDraws(), 3, (0.7, -0.4), gain)
     swept = simulated_lossy_fidelity(kappa2, eta_t, **kwargs)
     assert np.max(np.abs(fidelities / swept - 1.0)) <= 1e-12
