@@ -163,9 +163,8 @@ _LEAF_TEXT = {
 }
 
 
-@functools.lru_cache(maxsize=1024, typed=True)
 def _key_text(key):
-    """Encoded dict key with its separator; typed, since 1 and True are equal keys."""
+    """Encoded dict key with its separator."""
     return _ENCODE_STR(str(key)) + ": "
 
 

@@ -32,8 +32,8 @@ and no sector's rows carry the other's zero columns.  Round 1's pulse
 conditions only the x sector, round 2's only the p sector: the pair x1 - x2,
 p1 + p2, measured apart as by Julsgaard, Kozhekin & Polzik, Nature 413, 400
 (2001).  The entangling stage conditions each sector's 3 x 3 joint of both
-samples and its pulse, Sigma_J = F_J F_J^T / 2, on the pulse, so the pair's
-covariance is the direct sum sigma_x + sigma_p.  In the teleport stage, which
+samples and its pulse, Sigma_J = F_J F_J^T / 2, on the pulse: the pair's 2 x 2
+sectors sigma_x, sigma_p reach the report.  In the teleport stage, which
 pushes sample 1 and the input, round 2's pulse reads their x as they enter,
 with response c_x to the input's, and round 1's their p, with c_p.  Each pulse
 and the like quadrature of sample 2, untouched by the push, form a 2 x 2 joint
@@ -51,7 +51,7 @@ sweep) or with the means of many trials at one operating point, so
 :func:`run_trials` pushes each stage once per run; :func:`entangle` and
 :func:`teleport` are its one-trial case, their reports carrying the trial's
 outcomes as floats in round order.  One teleport stage serves the sweep,
-:func:`teleport` and :func:`run_trials`.
+:func:`teleport` and :func:`run_trials`, and checks each fidelity it makes.
 
 Within a round, the light's two consecutive losses (eps_p after a pass, then
 eta_t or eta_d) are that pass's light damping 1 - (1 - a)(1 - b), and the
@@ -249,7 +249,7 @@ _SECTORS = np.array([[0, 2, 4], [1, 3, 6]])
 def _pair_cov(covs):
     """The (x1, p1, x2, p2) covariance, sigma_x + sigma_p, of the sectors' first row."""
     cov = np.zeros((4, 4))
-    cov[0::2, 0::2], cov[1::2, 1::2] = covs[:, :2, :2, 0]
+    cov[0::2, 0::2], cov[1::2, 1::2] = covs[..., 0]
     return cov
 
 
@@ -258,15 +258,15 @@ def _pair_cov(covs):
 # that ahead of the one-line error, so both stages silence them.
 @np.errstate(over="ignore", invalid="ignore")
 def _entangling_stage(rounds, values=None, sampled=False, row_name=None):
-    """Vacuum through the entangling ``rounds`` of :func:`_push_bell`, conditioned.
+    """The pair left by vacuum through the entangling ``rounds`` of :func:`_push_bell`.
 
     Each sector's (3, 3, B) joint F_J F_J^T / 2 of the vacuum samples'
     ``_SECTORS``, with the (3, T) means of T trials at one operating point
     given ``values``, is conditioned on its pulse by one
     :func:`~spinlight.gaussian._measure`, valued by its round's row of
     ``values``: given outcomes or, if ``sampled``, standard normal draws;
-    ``row_name`` names a bad variance's row.  Returns the (2, 3, T) means or
-    None, the (2, 3, 3, B) joints and the (2, T) outcomes or None, sector first.
+    ``row_name`` names a bad variance's row.  Returns the pair's (2, 2, T) means
+    or None and (2, 2, 2, B) covariances, and the (2, T) outcomes or None, by sector.
     """
     # A C-ordered (B, sector, row, column) copy: numpy 1.x runs a row's matrix
     # products in BLAS only for such strides.
@@ -276,7 +276,9 @@ def _entangling_stage(rounds, values=None, sampled=False, row_name=None):
     means = None if values is None else np.zeros((2, 3, values.shape[1]))
     outcomes = [_measure(None if means is None else means[q], covs[q], 2,
                          None if means is None else values[q], sampled, row_name) for q in (0, 1)]
-    return means, covs, None if means is None else np.array(outcomes)
+    if means is None:
+        return None, covs[:, :2, :2], None
+    return means[:, :2], covs[:, :2, :2], np.array(outcomes)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -284,14 +286,15 @@ def _teleport_stage(covs, rounds, gain=None, means=None, input_mean=None, values
                     sampled=False, row_name=None):
     """Local Bell push of sample 1 and the input, gain and fidelity, per sector.
 
-    ``covs`` are the pair's (2, J, J, B) sector covariances and ``means`` None
-    or their (2, J, T) means of T trials at one operating point, samples 1 and
-    2 first, as :func:`_entangling_stage` leaves them.  ``gain`` is None for
-    g = 1/c per row and sector, or (gx, gp), which needs means.  ``row_name``
-    names the overlap's rows and, in a sweep, a singular calibration's.
-    Without means returns the (B,) fidelities; with them, ``input_mean`` and
-    the outcome source of :func:`_entangling_stage`, the (T,) fidelities, the
-    displaced sample 2's (2, T) means and (2, 2) covariance, and the outcomes.
+    ``covs`` are the pair's (2, 2, 2, B) sector covariances and ``means`` None
+    or their (2, 2, T) means of T trials at one operating point, as
+    :func:`_entangling_stage` returns them.  ``gain`` is None for g = 1/c per
+    row and sector, or (gx, gp), which needs means.  A fidelity outside [0, 1],
+    from rounding or an overflow, is a DegeneracyError; ``row_name`` names its
+    row, the overlap's and, in a sweep, a singular calibration's.  Without
+    means returns the (B,) fidelities; with them, ``input_mean`` and the outcome
+    source of :func:`_entangling_stage`, the (T,) fidelities, the displaced
+    sample 2's (2, T) means and (2, 2) covariance, and the outcomes.
     """
     # The pulses' rows as a C-ordered (sector, B, column) copy, the x sector's
     # (round 2's) first: sector q reads sample 1's quadrature q in column 0, the input's in 1.
@@ -315,16 +318,23 @@ def _teleport_stage(covs, rounds, gain=None, means=None, input_mean=None, values
     averaged_cov = np.zeros((rows.shape[1], 2, 2))
     averaged_cov[:, [0, 1], [0, 1]] = ((joints[:, 0, 0] + gains * joints[:, 1, 0])
                                        + (joints[:, 0, 1] + gains * joints[:, 1, 1]) * gains).T
+    delta = np.zeros(2)
+    if means is not None:
+        # Each trial's joint means X_J mu and their average W mu_J.  A calibrated
+        # gain's offset puts the average on the input mean, a manual gain has none.
+        target = np.array(input_mean, dtype=float)[:, None]
+        joint_means = np.stack([means[:, 1], f * means[:, 0] + c * target], axis=1)
+        averaged = joint_means[:, 0] + gains * joint_means[:, 1]
+        offsets = target - averaged if gain is None else 0.0
+        delta = np.zeros_like(averaged.T) if gain is None else (averaged - target).T
+    fidelities = _overlap(averaged_cov, delta, row_name)
+    bad = np.flatnonzero(~((fidelities >= 0.0) & (fidelities <= 1.0)))
+    if bad.size:
+        raise DegeneracyError(
+            f"fidelity must lie in [0, 1], got {fidelities[bad[0]]} at {row_name(bad[0])}"
+        )
     if means is None:
-        return _overlap(averaged_cov, np.zeros(2), row_name)
-    # Each trial's joint means X_J mu and their average W mu_J.  A calibrated
-    # gain's offset puts the average on the input mean, a manual gain has none.
-    target = np.array([[float(input_mean[0])], [float(input_mean[1])]])
-    joint_means = np.stack([means[:, 1], f * means[:, 0] + c * target], axis=1)
-    averaged = joint_means[:, 0] + gains * joint_means[:, 1]
-    offsets = target - averaged if gain is None else 0.0
-    delta = np.zeros_like(averaged) if gain is None else averaged - target
-    fidelities = _overlap(averaged_cov, delta.T, row_name)
+        return fidelities
     # Round 1's pulse is the p sector's.
     outcomes = np.array([_measure(joint_means[q], joints[q], 1, values[1 - q], sampled)
                          for q in (1, 0)])
@@ -332,15 +342,15 @@ def _teleport_stage(covs, rounds, gain=None, means=None, input_mean=None, values
     return fidelities, displaced, np.diag(joints[:, 0, 0, 0]), outcomes
 
 
-_EPR = (np.array([1.0, 0.0, -1.0, 0.0]), np.array([0.0, 1.0, 0.0, 1.0]))
+_EPR = np.array([[1.0, -1.0], [1.0, 1.0]])
 
 
 # An overflowed pair covariance fails here on its non-finite variances; numpy's
 # warnings from the products would only repeat that ahead of the error.
 @np.errstate(over="ignore", invalid="ignore")
-def _report(pair_cov, fidelity=None, outcomes=()):
-    """Report carrying the EPR variances var(x1 - x2), var(p1 + p2) of a pair covariance."""
-    epr_x, epr_p = (float(c @ pair_cov @ c) for c in _EPR)
+def _report(covs, fidelity=None, outcomes=()):
+    """Report carrying the EPR variances var(x1 - x2), var(p1 + p2) of the pair's sectors."""
+    epr_x, epr_p = (float(c @ cov @ c) for c, cov in zip(_EPR, covs))
     if not (math.isfinite(epr_x) and math.isfinite(epr_p)):
         raise DegeneracyError(f"non-finite EPR variance: epr_x = {epr_x!r}, epr_p = {epr_p!r}")
     if epr_x <= 0 or epr_p <= 0:
@@ -366,8 +376,8 @@ def entangle(plan_round1, plan_round2, rng=None, forced_outcomes=None):
     """
     rounds = [dataclasses.astuple(plan) for plan in (plan_round1, plan_round2)]
     means, covs, outcomes = _entangling_stage(rounds, *_outcome_source(rng, forced_outcomes))
-    state = GaussianState(means[:, :2, 0].ravel(order="F"), _pair_cov(covs))
-    return state, _report(state.cov, None, tuple(outcomes[:, 0].tolist()))
+    state = GaussianState(means[..., 0].ravel(order="F"), _pair_cov(covs))
+    return state, _report(covs[..., 0], None, tuple(outcomes[:, 0].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +401,9 @@ def teleport(entangled, input_mean, plan_local_round1, plan_local_round2, gain=N
     Returns the conditional state of sample 2 after the displacement and a
     report whose fidelity is the overlap of the outcome-averaged output with
     the coherent input, the quantity the closed-form expressions describe.
-    A fidelity outside [0, 1] is a DegeneracyError (see :func:`_unit_interval`).
+    A fidelity outside [0, 1] is a DegeneracyError (see :func:`_teleport_stage`).
     """
+    _check_teleport_inputs(input_mean, gain)
     if entangled.n_modes != 2:
         raise ValueError(f"entangled resource must have exactly 2 modes, got {entangled.n_modes}")
     cov = entangled.cov
@@ -405,24 +416,21 @@ def teleport(entangled, input_mean, plan_local_round1, plan_local_round2, gain=N
         covs, rounds, gain, entangled.mean.reshape(2, 2).T[..., None], input_mean,
         *_outcome_source(rng, forced_outcomes), lambda row: f"input mean {tuple(input_mean)!r}",
     )
-    fidelity = _unit_interval(fidelities, lambda row: f"input mean {tuple(input_mean)!r}")[0]
-    report = _report(entangled.cov, float(fidelity), tuple(outcomes[:, 0].tolist()))
+    report = _report(covs[..., 0], float(fidelities[0]), tuple(outcomes[:, 0].tolist()))
     return GaussianState(mean[:, 0], output_cov), report
 
 
-def _unit_interval(fidelities, row_name):
-    """The ``fidelities``, each checked to lie in [0, 1].
-
-    One outside can only come from rounding or an overflow (as under a manual
-    gain of 1e150), so it is a DegeneracyError naming the first such row by
-    ``row_name(row)``.
-    """
-    bad = np.flatnonzero(~((fidelities >= 0.0) & (fidelities <= 1.0)))
-    if bad.size:
-        raise DegeneracyError(
-            f"fidelity must lie in [0, 1], got {fidelities[bad[0]]} at {row_name(bad[0])}"
-        )
-    return fidelities
+def _check_teleport_inputs(input_mean, gain):
+    """ValueError naming ``input_mean``, or ``gain`` if given, unless it is two finite numbers."""
+    for name, value in (("input_mean", input_mean), ("gain", gain)):
+        if name == "gain" and value is None:
+            continue
+        try:
+            pair = np.array(value, dtype=float)
+        except (TypeError, ValueError):
+            pair = None
+        if pair is None or pair.shape != (2,) or not np.isfinite(pair).all():
+            raise ValueError(f"{name} must be two finite numbers, got {value!r}")
 
 
 def run_trials(plans, rng, trials, input_mean=None, gain=None):
@@ -436,19 +444,20 @@ def run_trials(plans, rng, trials, input_mean=None, gain=None):
     the bits of one :func:`entangle` and one :func:`teleport` call on ``rng``
     advanced by 4 t draws, and a run is a prefix of any longer run.  Returns
     the (trials, rounds) outcomes, the report of the pair's EPR variances, and
-    the (trials,) fidelities (or None), each in [0, 1] (see :func:`_unit_interval`).
+    the (trials,) fidelities (or None), each in [0, 1] (see :func:`_teleport_stage`).
     """
+    if input_mean is not None:
+        _check_teleport_inputs(input_mean, gain)
     draws = rng.standard_normal((trials, 4)).T
     entangling = [dataclasses.astuple(plans[name]) for name in ("entangle1", "entangle2")]
     means, covs, outcomes = _entangling_stage(entangling, draws[:2], True)
-    report = _report(_pair_cov(covs))
+    report = _report(covs[..., 0])
     if input_mean is None:
         return outcomes.T.copy(), report, None
     local = [dataclasses.astuple(plans[name]) for name in ("local1", "local2")]
     fidelities, _, _, teleported = _teleport_stage(
         covs, local, gain, means, input_mean, draws[2:], True, lambda trial: f"trial {trial}"
     )
-    fidelities = _unit_interval(fidelities, lambda trial: f"trial {trial}")
     return np.concatenate([outcomes, teleported]).T.copy(), report, fidelities
 
 
@@ -524,7 +533,7 @@ def _lossy_fidelities(kappa2, eta_t, **plan_kwargs):
     are independent, so a block's fidelities have the bits of any other
     split.  The entangling stage runs on the covariance alone, since the
     outcomes never enter a covariance.  A fidelity outside [0, 1] is a
-    DegeneracyError naming its row's kappa2 (see :func:`_unit_interval`).
+    DegeneracyError naming its row's kappa2 (see :func:`_teleport_stage`).
     """
     fidelities = np.empty(len(kappa2))
     for rows, entangling, local in _sweep_blocks(kappa2, eta_t, _SWEEP_BLOCK, **plan_kwargs):
@@ -532,7 +541,7 @@ def _lossy_fidelities(kappa2, eta_t, **plan_kwargs):
             return f"kappa2 = {float(block[row])!r}"
         _, covs, _ = _entangling_stage(entangling, row_name=name)
         fidelities[rows] = _teleport_stage(covs, local, row_name=name)
-    return _unit_interval(fidelities, lambda row: f"kappa2 = {float(kappa2[row])!r}")
+    return fidelities
 
 
 def simulated_lossy_fidelity(kappa2, eta_t, **plan_kwargs):
@@ -550,6 +559,8 @@ def lossy_fidelity_sweep(kappa2_values, eta_t, **plan_kwargs):
     and the closed form is evaluated once over it, with the same checks.
     """
     kappa2 = np.array(kappa2_values, dtype=float)
+    if kappa2.ndim != 1:
+        raise ValueError(f"kappa2_values must be 1-d, got shape {kappa2.shape}")
     if len(kappa2) < 2:
         raise ValueError("sweep needs at least two kappa2 values")
     f_simulated = _lossy_fidelities(kappa2, eta_t, **plan_kwargs)

@@ -47,3 +47,18 @@ def test_the_dense_build_note_reads_a_real_transfer_map(worker, reference_params
     note = worker.SPAN_NOTES["maxwell_bloch.build_transfer"]
     # 6 cells; a 10 x 10 signal block and 10 x 24 noise columns of 8 bytes.
     assert note((reference_params, grid), {}, tm) == (6, 2720, 10)
+
+
+@pytest.mark.xfail(strict=True, raises=AttributeError, reason=(
+    "the note reads ProtocolReport.records, which reports now carry as .outcomes; "
+    "mended with ROADMAP item 7's bench trace, which then removes this marker"))
+def test_the_teleport_note_reads_a_real_teleport_result(worker):
+    from spinlight import entangle, make_plans, teleport
+
+    plans = make_plans(1.5, 0.2)
+    pair, _ = entangle(plans["entangle1"], plans["entangle2"], forced_outcomes=(0.0, 0.0))
+    args = (pair, (0.0, 0.0), plans["local1"], plans["local2"])
+    result = teleport(*args, forced_outcomes=(0.0, 0.0))
+    note = worker.SPAN_NOTES["protocols.teleport"]
+    # The local Bell measurement's two outcomes reach the report.
+    assert note(args, {"forced_outcomes": (0.0, 0.0)}, result) == 2

@@ -531,9 +531,9 @@ def test_numerical_failure_exits_4(tmp_path, capsys, monkeypatch, command):
     from spinlight import protocols
 
     def degenerate_run(*args):
-        cov = 0.5 * np.eye(4)
-        cov[0, 2] = cov[2, 0] = 0.75
-        return protocols._report(cov)
+        covs = np.array([0.5 * np.eye(2)] * 2)
+        covs[0, 0, 1] = covs[0, 1, 0] = 0.75
+        return protocols._report(covs)
 
     monkeypatch.setattr(cli, "run_trials", degenerate_run)
     cfg = _write(tmp_path, "run.cfg", IDEAL)
@@ -601,10 +601,10 @@ ABOVE_ONE = "{above one}"
               "sweep.steps = 4\n",
      1, "config error: kappa must be finite and non-negative, got kappa1 = inf at "
         "kappa2 = 5.992310449541053e+307"),
-    # The pair covariance overflows to inf and nan.
+    # The pair's p sector overflows; its x sector, read apart, stays finite.
     ("entangle", "channel.kappa = 5.0\nnoise.eta_t = 0.9999999999999999\n"
                  "rounds.entangle1.kappa = 1e150\n",
-     4, "numerical error: non-finite EPR variance: epr_x = nan, epr_p = -inf"),
+     4, "numerical error: non-finite EPR variance: epr_x = 25.49999972604548, epr_p = -inf"),
     # Rounding puts the fidelity just above 1: numerical, not a bad config.
     # The exact fidelities are 1 - 5.0e-9 at kappa2 = 10002.5 and 1 - 1.3e-9
     # at 20000.0, and the engine's rounding error there is 1e-8 to 1e-6, so

@@ -166,23 +166,30 @@ def test_round_one_pins_x_difference():
     (0.75, -0.75, "epr_x = -0.5, epr_p = -0.5"),
 ])
 def test_report_names_non_positive_epr_variances(cov_x, cov_p, message):
-    # A pair covariance that rounding drove unphysical: var(x1 - x2) or
-    # var(p1 + p2) is not positive, even when the product of both is.
+    # A pair that rounding drove unphysical: var(x1 - x2) or var(p1 + p2) is
+    # not positive, even when the product of both is.  The pair is its two
+    # sectors, sigma_x over (x1, x2) and sigma_p over (p1, p2).
     from spinlight.protocols import _report
 
-    cov = 0.5 * np.eye(4)
-    cov[0, 2] = cov[2, 0] = cov_x
-    cov[1, 3] = cov[3, 1] = cov_p
+    covs = np.array([0.5 * np.eye(2)] * 2)
+    covs[0, 0, 1] = covs[0, 1, 0] = cov_x
+    covs[1, 0, 1] = covs[1, 1, 0] = cov_p
     with pytest.raises(DegeneracyError, match=f"^non-positive EPR variance: {message}$"):
-        _report(cov)
-    assert _report(0.5 * np.eye(4)).epr_x == 1.0
+        _report(covs)
+    assert _report(np.array([0.5 * np.eye(2)] * 2)).epr_x == 1.0
 
 
 def test_report_rejects_nan_epr_variances():
     from spinlight.protocols import _report
 
     with pytest.raises(DegeneracyError, match="^non-finite EPR variance: epr_x = nan, epr_p = nan$"):
-        _report(np.full((4, 4), np.nan))
+        _report(np.full((2, 2, 2), np.nan))
+    # An overflow in one sector leaves the other's variance finite: the
+    # (x1, p1, x2, p2) form read 0 * inf = nan into epr_x here.
+    covs = np.array([0.5 * np.eye(2)] * 2)
+    covs[1, 0, 0] = np.inf
+    with pytest.raises(DegeneracyError, match="^non-finite EPR variance: epr_x = 1.0, epr_p = inf$"):
+        _report(covs)
     with pytest.raises(ValueError, match="EPR variances must be non-negative"):
         ProtocolReport(r=0.0, epr_x=float("nan"), epr_p=1.0)
 
@@ -481,6 +488,37 @@ def test_gain_calibration_names_the_silent_round_and_its_kappa(kappas, number):
                     "local2": plans[1]}, np.random.default_rng(0), 3, (0.0, 0.0))
 
 
+@pytest.mark.parametrize("input_mean, gain, name", [
+    ((0.0,), None, "input_mean"),
+    ((0.0, 0.0, 9.0), None, "input_mean"),
+    ((float("nan"), 0.0), None, "input_mean"),
+    ((0.0, 0.0), (1.0,), "gain"),
+    ((0.0, 0.0), (1, 2, 3), "gain"),
+    ((0.0, 0.0), (float("nan"), 1.0), "gain"),
+])
+@pytest.mark.parametrize("entry", ["teleport", "run_trials"])
+def test_malformed_input_mean_and_gain_are_named_before_any_push(monkeypatch, entry, input_mean,
+                                                                  gain, name):
+    # Unchecked, a short pair failed on an index, a long one lost its tail, a
+    # one-entry gain was broadcast and a nan read as a numerical failure.
+    import spinlight.protocols as protocols
+
+    plans = make_plans(1.5, 0.2)
+    pair, _ = entangle(plans["entangle1"], plans["entangle2"], forced_outcomes=(0.0, 0.0))
+
+    def no_push(*args):
+        raise AssertionError("pushed before the arguments were checked")
+
+    monkeypatch.setattr(protocols, "_push_bell", no_push)
+    message = rf"^{name} must be two finite numbers, got {re.escape(repr(gain or input_mean))}$"
+    with pytest.raises(ValueError, match=message):
+        if entry == "teleport":
+            teleport(pair, input_mean, plans["local1"], plans["local2"], gain,
+                     forced_outcomes=(0.0, 0.0))
+        else:
+            run_trials(plans, np.random.default_rng(0), 2, input_mean, gain)
+
+
 def test_teleport_takes_a_resource_without_x_p_covariance():
     # The sector form carries the pair as sigma_x + sigma_p, as entangle
     # leaves it; a resource that correlates x with p is refused, not dropped.
@@ -512,6 +550,11 @@ def test_sweep_rejects_fidelity_outside_unit_interval(monkeypatch):
     monkeypatch.setattr(protocols, "_overlap", inflated)
     with pytest.raises(DegeneracyError, match=r"fidelity must lie in \[0, 1\].*kappa2 = 2\.0"):
         lossy_fidelity_sweep([1.0, 2.0, 3.0], 0.2)
+    # Each block checks its own fidelities, so the first failing row in row
+    # order is named, not a later block's singular calibration.
+    monkeypatch.setattr(protocols, "_SWEEP_BLOCK", 2)
+    with pytest.raises(DegeneracyError, match=r"fidelity must lie in \[0, 1\].*kappa2 = 2\.0"):
+        lossy_fidelity_sweep([1.0, 2.0, 3.0, 0.0], 0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -783,6 +826,8 @@ def test_sweep_rejects_noise_outside_unit_interval(name, field, value):
     ([1.0, 2.0], 1.0, r"eta_t must lie in \[0, 1\), got 1\.0"),
     ([1.0, 2.0], -0.1, r"eta_t must lie in \[0, 1\), got -0\.1"),
     ([1.0, "x"], 0.2, "could not convert string to float"),
+    ([[1.0, 2.0], [3.0, 4.0]], 0.2, r"^kappa2_values must be 1-d, got shape \(2, 2\)$"),
+    (2.0, 0.2, r"^kappa2_values must be 1-d, got shape \(\)$"),
 ])
 def test_sweep_rejects_bad_arguments(values, eta_t, message):
     with pytest.raises(ValueError, match=message):
@@ -982,6 +1027,41 @@ def test_folded_bell_factor_against_the_dense_channel(rounds):
             rows, want = factor[:, sector, 2:], noise[:, sector][:, :, sector]
             error = np.abs(0.5 * rows @ np.swapaxes(rows, -1, -2) - want)
             assert (error.max(axis=(1, 2)) <= bound).all()
+
+
+# The EPR combinations x1 - x2 and p1 + p2 over (x1, p1, x2, p2).
+_EPR_4 = (np.array([1.0, 0.0, -1.0, 0.0]), np.array([0.0, 1.0, 0.0, 1.0]))
+
+
+def _assert_reports_as_the_pair_covariance(covs):
+    """``_report`` on the (2, 2, 2) sectors has the bits of the 4 x 4 form c^T cov c."""
+    import spinlight.protocols as protocols
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        epr = [float(c @ protocols._pair_cov(covs[..., None]) @ c) for c in _EPR_4]
+    if all(math.isfinite(value) and value > 0 for value in epr):
+        report = protocols._report(covs)
+        assert (repr(report.epr_x), repr(report.epr_p)) == tuple(map(repr, epr))
+    else:
+        with pytest.raises(DegeneracyError) as error:
+            protocols._report(covs)
+        assert str(error.value).endswith(f"epr_x = {epr[0]!r}, epr_p = {epr[1]!r}")
+
+
+@given(entries=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=6,
+                        max_size=6), rounds=_round_pairs())
+@settings(max_examples=200, deadline=None)
+def test_the_sector_report_keeps_every_epr_bit(entries, rounds):
+    # The zero terms of the 4 x 4 form are exact and x + (-1) y is exactly
+    # x - y, so reading each EPR variance from its sector loses no bit: on
+    # drawn symmetric sectors, and on each row of the entangling stage's pair.
+    import spinlight.protocols as protocols
+
+    covs = np.array(entries)[[[[0, 1], [1, 2]], [[3, 4], [4, 5]]]]
+    _assert_reports_as_the_pair_covariance(covs)
+    _, covs, _ = protocols._entangling_stage(rounds[0])
+    for row in range(covs.shape[-1]):
+        _assert_reports_as_the_pair_covariance(covs[..., row])
 
 
 class _ZeroDraws:
