@@ -33,10 +33,11 @@ columns of :func:`~spinlight.protocols.lossy_fidelity_sweep`.  Every table
 is a ``_Table`` of its columns wherever it goes (the sweep's points, the
 mb-validate rows, a run's per-trial records, the CSV body): numpy arrays of
 one cell per row, or values that every row shares.  Both writers are chunk
-generators: they render a table a block of at most ``_BLOCK_ROWS`` rows at a
-time with one row template, the JSON writer in the bytes of the list of
-dicts it stands for, and every other value the JSON writer renders value by
-value.
+generators, and both take a table's rows from ``_Table.blocks``, at most
+``_BLOCK_ROWS`` rows at a time in one row template; in JSON a table has the
+bytes of the list of dicts it stands for.  ``_json_chunks`` renders every
+JSON value: a dict, list or tuple an item at a time and a leaf as one chunk,
+so no chunk holds more than one block wherever a table is nested.
 
 How an artifact is written: ``main`` opens it only once the payload is
 computed, so a run that fails with a declared error (exit 1 or 4) never
@@ -105,7 +106,8 @@ class _Table(NamedTuple):
     A column is a 1-d numpy array of one cell per row, or one value that every
     row shares.  In JSON it is a list of one dict per row, each row rendered
     by ``template(pad, specs)`` (by default :func:`_row_template` of the
-    header); in CSV the header line and one line per row.
+    header); in CSV the header line and one line per row.  Both writers take
+    the rows from :meth:`blocks`.
     """
 
     header: tuple
@@ -113,8 +115,8 @@ class _Table(NamedTuple):
     columns: tuple
     template: object = None
 
-    def block(self, start, stop, template, sep, cell_text):
-        """Rows start:stop in ``template(specs)``, joined by ``sep``.
+    def blocks(self, template, sep, cell_text):
+        """The rows in ``template(specs)``, joined by ``sep``, ``_BLOCK_ROWS`` at a time.
 
         ``specs`` holds one %-conversion per column.  A float column keeps its
         Python floats for ``%.17g`` and an integer column its ints for ``%d``,
@@ -123,25 +125,27 @@ class _Table(NamedTuple):
         each cell, for ``%s``.  A shared value's text is written into its
         conversion.
         """
-        specs, columns = [], []
-        for column in self.columns:
-            if not isinstance(column, np.ndarray):
-                specs.append(cell_text(column).replace("%", "%%"))
-                continue
-            cells = column[start:stop].tolist()
-            if column.dtype.kind == "f":
-                specs.append("%.17g")
-            elif column.dtype.kind in "iu":
-                specs.append("%d")
-            else:
-                specs.append("%s")
-                text = _BOOL_TEXT.__getitem__ if column.dtype.kind == "b" else cell_text
-                cells = list(map(text, cells))
-            columns.append(cells)
-        rows = [None] * (len(columns) * (stop - start))
-        for number, cells in enumerate(columns):
-            rows[number::len(columns)] = cells
-        return sep.join([template(tuple(specs))] * (stop - start)) % tuple(rows)
+        for start in range(0, self.length, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, self.length)
+            specs, columns = [], []
+            for column in self.columns:
+                if not isinstance(column, np.ndarray):
+                    specs.append(cell_text(column).replace("%", "%%"))
+                    continue
+                cells = column[start:stop].tolist()
+                if column.dtype.kind == "f":
+                    specs.append("%.17g")
+                elif column.dtype.kind in "iu":
+                    specs.append("%d")
+                else:
+                    specs.append("%s")
+                    text = _BOOL_TEXT.__getitem__ if column.dtype.kind == "b" else cell_text
+                    cells = list(map(text, cells))
+                columns.append(cells)
+            rows = [None] * (len(columns) * (stop - start))
+            for number, cells in enumerate(columns):
+                rows[number::len(columns)] = cells
+            yield sep.join([template(tuple(specs))] * (stop - start)) % tuple(rows)
 
 
 # Rows that the writers render, and write, at a time.
@@ -169,14 +173,13 @@ def _key_text(key):
 
 
 @functools.lru_cache(maxsize=64)
-def _row_template(header, pad, specs=None):
+def _row_template(header, pad, specs):
     """%-template of one JSON table row whose own line starts with ``pad``.
 
-    Each key's value is its %-conversion in ``specs``, by default ``%s``.
+    Each key's value is its %-conversion in ``specs``.
     """
     row_pad = pad + "  "
-    keys = [_key_text(key).replace("%", "%%") + spec
-            for key, spec in zip(header, specs or ("%s",) * len(header))]
+    keys = [_key_text(key).replace("%", "%%") + spec for key, spec in zip(header, specs)]
     return "{" + row_pad + ("," + row_pad).join(keys) + pad + "}"
 
 
@@ -215,47 +218,48 @@ def _records(outcomes):
                   (np.arange(trials), *outcomes.T), _record_template)
 
 
-def _blocks(count):
-    """``(start, stop)`` of each run of at most ``_BLOCK_ROWS`` of ``count`` rows."""
-    return [(start, min(start + _BLOCK_ROWS, count)) for start in range(0, count, _BLOCK_ROWS)]
-
-
 def _json_chunks(obj, pad):
-    """The text of :func:`_json_value` in chunks.
+    """JSON text of ``obj``, whose own line starts with ``pad``, in chunks.
 
-    A table comes a block of rows at a time, and a dict one item at a time,
-    so that no chunk holds more than one block.  Other values are one chunk
-    each.
+    A leaf is one chunk.  A table comes a block of rows at a time, and a dict,
+    list or tuple an item at a time, each item's opener and key glued to the
+    first chunk of its value, so that no chunk holds more than one block.
     """
+    if (leaf := _LEAF_TEXT.get(type(obj))) is not None:
+        yield leaf(obj)
+        return
+    item_pad = pad + "  "
     if isinstance(obj, _Table):
-        if not obj.length:
-            yield "[]"
-            return
-        item_pad = pad + "  "
         template = functools.partial(obj.template or functools.partial(_row_template, obj.header),
                                      item_pad)
         cell_text = functools.partial(_json_value, pad=item_pad + "  ")
         opener = "[" + item_pad
-        for start, stop in _blocks(obj.length):
-            yield opener + obj.block(start, stop, template, "," + item_pad, cell_text)
+        for block in obj.blocks(template, "," + item_pad, cell_text):
+            yield opener + block
             opener = "," + item_pad
-        yield pad + "]"
-    elif isinstance(obj, dict):
-        if not obj:
-            yield "{}"
-            return
-        item_pad = pad + "  "
-        opener = "{" + item_pad
-        for key, value in obj.items():
-            if isinstance(value, (dict, _Table)):
-                yield opener + _key_text(key)
-                yield from _json_chunks(value, item_pad)
+        yield pad + "]" if obj.length else "[]"
+    elif isinstance(obj, (dict, list, tuple)):
+        keyed = isinstance(obj, dict)
+        brackets = "{}" if keyed else "[]"
+        keys = map(_key_text, obj) if keyed else itertools.repeat("")
+        opener = brackets[0] + item_pad
+        for key, value in zip(keys, obj.values() if keyed else obj):
+            # A leaf is rendered here, without a generator of its own.
+            if (leaf := _LEAF_TEXT.get(type(value))) is not None:
+                yield opener + key + leaf(value)
             else:
-                yield opener + _key_text(key) + _json_value(value, item_pad)
+                chunks = _json_chunks(value, item_pad)
+                yield opener + key + next(chunks)
+                yield from chunks
             opener = "," + item_pad
-        yield pad + "}"
+        yield pad + brackets[1] if obj else brackets
+    # Other numpy scalars, subclasses and anything else (bool has no subclasses).
+    elif isinstance(obj, (int, np.integer)):
+        yield str(int(obj))
+    elif isinstance(obj, (float, np.floating)):
+        yield _format_scalar(obj)
     else:
-        yield _json_value(obj, pad)
+        yield _ENCODE_STR(str(obj))
 
 
 def _json_text(obj, indent=0):
@@ -264,23 +268,8 @@ def _json_text(obj, indent=0):
 
 
 def _json_value(obj, pad):
-    """Text of one value whose own line starts with ``pad``; leaves inline."""
-    if (leaf := _LEAF_TEXT.get(type(obj))) is not None:
-        return leaf(obj)
-    if isinstance(obj, (dict, _Table)):
-        return "".join(_json_chunks(obj, pad))
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        item_pad = pad + "  "
-        text = ("," + item_pad).join([_json_value(value, item_pad) for value in obj])
-        return "[" + item_pad + text + pad + "]"
-    # Other numpy scalars, subclasses and anything else (bool has no subclasses).
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_scalar(obj)
-    return _ENCODE_STR(str(obj))
+    """Text of one value whose own line starts with ``pad``: :func:`_json_chunks` joined."""
+    return "".join(_json_chunks(obj, pad))
 
 
 def _csv_chunks(echo, table):
@@ -288,12 +277,7 @@ def _csv_chunks(echo, table):
     lines = [f"# {key} = {_format_scalar(value)}\n" for key, value in echo.items()]
     lines.append(",".join(table.header) + "\n")
     yield "".join(lines)
-
-    def template(specs):
-        return ",".join(specs) + "\n"
-
-    for start, stop in _blocks(table.length):
-        yield table.block(start, stop, template, "", _format_scalar)
+    yield from table.blocks(lambda specs: ",".join(specs) + "\n", "", _format_scalar)
 
 
 def _csv_text(echo, table):

@@ -289,12 +289,14 @@ def _teleport_stage(covs, rounds, gain=None, means=None, input_mean=None, values
     ``covs`` are the pair's (2, 2, 2, B) sector covariances and ``means`` None
     or their (2, 2, T) means of T trials at one operating point, as
     :func:`_entangling_stage` returns them.  ``gain`` is None for g = 1/c per
-    row and sector, or (gx, gp), which needs means.  A fidelity outside [0, 1],
-    from rounding or an overflow, is a DegeneracyError; ``row_name`` names its
-    row, the overlap's and, in a sweep, a singular calibration's.  Without
-    means returns the (B,) fidelities; with them, ``input_mean`` and the outcome
-    source of :func:`_entangling_stage`, the (T,) fidelities, the displaced
-    sample 2's (2, T) means and (2, 2) covariance, and the outcomes.
+    row and sector, or (gx, gp), which needs means; it and ``input_mean`` are
+    float arrays, as :func:`_check_teleport_inputs` returns them.  A fidelity
+    outside [0, 1], from rounding or an overflow, is a DegeneracyError;
+    ``row_name`` names its row, the overlap's and, in a sweep, a singular
+    calibration's.  Without means returns the (B,) fidelities; with them,
+    ``input_mean`` and the outcome source of :func:`_entangling_stage`, the
+    (T,) fidelities, the displaced sample 2's (2, T) means and (2, 2)
+    covariance, and the outcomes.
     """
     # The pulses' rows as a C-ordered (sector, B, column) copy, the x sector's
     # (round 2's) first: sector q reads sample 1's quadrature q in column 0, the input's in 1.
@@ -306,7 +308,7 @@ def _teleport_stage(covs, rounds, gain=None, means=None, input_mean=None, values
                  else f"local round {number + 1}'s kappa = {float(rounds[number][0])!r}")
         raise ValueError("gain calibration failed: measurement outcomes do not respond to the "
                          f"input mean at {where} (kappa too small?)")
-    gains = 1.0 / c if gain is None else np.array(gain, dtype=float)[:, None]
+    gains = 1.0 / c if gain is None else gain[:, None]
     # Sigma_J = X_J S X_J^T + N_J N_J^T / 2 over (sample 2, pulse), for
     # X_J = [[0, 1, 0], [f, 0, c]] over S, the sector beside the input's
     # vacuum; the outcome-averaged output of W = [1 g] has variance W Sigma_J W^T.
@@ -322,7 +324,7 @@ def _teleport_stage(covs, rounds, gain=None, means=None, input_mean=None, values
     if means is not None:
         # Each trial's joint means X_J mu and their average W mu_J.  A calibrated
         # gain's offset puts the average on the input mean, a manual gain has none.
-        target = np.array(input_mean, dtype=float)[:, None]
+        target = input_mean[:, None]
         joint_means = np.stack([means[:, 1], f * means[:, 0] + c * target], axis=1)
         averaged = joint_means[:, 0] + gains * joint_means[:, 1]
         offsets = target - averaged if gain is None else 0.0
@@ -403,7 +405,7 @@ def teleport(entangled, input_mean, plan_local_round1, plan_local_round2, gain=N
     the coherent input, the quantity the closed-form expressions describe.
     A fidelity outside [0, 1] is a DegeneracyError (see :func:`_teleport_stage`).
     """
-    _check_teleport_inputs(input_mean, gain)
+    input_mean, gain = _check_teleport_inputs(input_mean, gain)
     if entangled.n_modes != 2:
         raise ValueError(f"entangled resource must have exactly 2 modes, got {entangled.n_modes}")
     cov = entangled.cov
@@ -414,23 +416,30 @@ def teleport(entangled, input_mean, plan_local_round1, plan_local_round2, gain=N
     covs = np.array([cov[0::2, 0::2], cov[1::2, 1::2]])[..., None]
     fidelities, mean, output_cov, outcomes = _teleport_stage(
         covs, rounds, gain, entangled.mean.reshape(2, 2).T[..., None], input_mean,
-        *_outcome_source(rng, forced_outcomes), lambda row: f"input mean {tuple(input_mean)!r}",
+        *_outcome_source(rng, forced_outcomes),
+        lambda row: f"input mean {tuple(input_mean.tolist())!r}",
     )
     report = _report(covs[..., 0], float(fidelities[0]), tuple(outcomes[:, 0].tolist()))
     return GaussianState(mean[:, 0], output_cov), report
 
 
 def _check_teleport_inputs(input_mean, gain):
-    """ValueError naming ``input_mean``, or ``gain`` if given, unless it is two finite numbers."""
-    for name, value in (("input_mean", input_mean), ("gain", gain)):
-        if name == "gain" and value is None:
-            continue
+    """``input_mean`` and ``gain`` as (2,) float arrays, a None gain kept.
+
+    ValueError naming ``input_mean``, or ``gain`` if given, unless it is two
+    finite numbers.
+    """
+
+    def pair(name, value):
         try:
-            pair = np.array(value, dtype=float)
+            values = np.array(value, dtype=float)
         except (TypeError, ValueError):
-            pair = None
-        if pair is None or pair.shape != (2,) or not np.isfinite(pair).all():
+            values = None
+        if values is None or values.shape != (2,) or not np.isfinite(values).all():
             raise ValueError(f"{name} must be two finite numbers, got {value!r}")
+        return values
+
+    return pair("input_mean", input_mean), None if gain is None else pair("gain", gain)
 
 
 def run_trials(plans, rng, trials, input_mean=None, gain=None):
@@ -445,9 +454,13 @@ def run_trials(plans, rng, trials, input_mean=None, gain=None):
     advanced by 4 t draws, and a run is a prefix of any longer run.  Returns
     the (trials, rounds) outcomes, the report of the pair's EPR variances, and
     the (trials,) fidelities (or None), each in [0, 1] (see :func:`_teleport_stage`).
+    A ``trials`` that is not a non-negative integer (bool is refused) is a
+    ValueError before any draw.
     """
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 0:
+        raise ValueError(f"trials must be a non-negative integer, got {trials!r}")
     if input_mean is not None:
-        _check_teleport_inputs(input_mean, gain)
+        input_mean, gain = _check_teleport_inputs(input_mean, gain)
     draws = rng.standard_normal((trials, 4)).T
     entangling = [dataclasses.astuple(plans[name]) for name in ("entangle1", "entangle2")]
     means, covs, outcomes = _entangling_stage(entangling, draws[:2], True)

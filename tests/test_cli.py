@@ -891,6 +891,14 @@ def test_table_writers_match_reference_writers(table, echo, indent):
     assert cli._csv_text(echo, table) == reference_csv_text(echo, table.header, rows)
 
 
+def test_a_table_in_a_list_streams_a_block_per_chunk(monkeypatch):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 2)
+    table = cli._Table(("a",), 5, (np.arange(5.0),))
+    chunks = list(cli._json_chunks([table], "\n"))
+    assert "".join(chunks) == reference_json_text([[{"a": float(a)} for a in range(5)]])
+    assert [chunk.count('"a"') for chunk in chunks if '"a"' in chunk] == [2, 2, 1]
+
+
 def test_csv_writer_writes_numpy_booleans_as_literals():
     table = cli._Table(("a", "b"), 1, (_objects(np.bool_(True)), True))
     text = cli._csv_text({"flag": np.bool_(False)}, table)

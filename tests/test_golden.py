@@ -31,7 +31,7 @@ from pathlib import Path
 import pytest
 
 from conftest import reference_json_text
-from golden.capture import CASES, exit_code_key, match, run_case
+from golden.capture import CASES, FORMATS, exit_code_key, match, run_case
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
@@ -68,6 +68,18 @@ def test_csv_artifact_matches_golden(name, tmp_path):
         assert not golden.exists()
         return
     match(name, "csv", data, golden.read_bytes())
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_artifact_bytes_do_not_depend_on_the_block_size(name, fmt, tmp_path, monkeypatch):
+    # No golden table is longer than the writers' default block; at 7 rows a
+    # block every table longer than that crosses a seam, with the same bytes.
+    from spinlight import cli
+
+    whole = run_case(name, tmp_path, fmt)
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)
+    assert run_case(name, tmp_path, fmt) == whole
 
 
 def test_capture_format_filter_rewrites_only_that_format(tmp_path, monkeypatch):

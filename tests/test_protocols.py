@@ -557,6 +557,38 @@ def test_sweep_rejects_fidelity_outside_unit_interval(monkeypatch):
         lossy_fidelity_sweep([1.0, 2.0, 3.0, 0.0], 0.2)
 
 
+_NOISY = dict(eps_p=0.01, eps_a=0.02, eta_d=0.05, eta_t_local=0.35)
+
+
+@pytest.mark.parametrize("manual", [False, True])
+@pytest.mark.parametrize("kappa2, eta_t, noise", [(1.0, 0.0, {}), (1.3, 0.4, _NOISY)])
+def test_sampled_trials_average_their_overlaps_to_the_reported_fidelity(kappa2, eta_t, noise,
+                                                                        manual):
+    # Fidelity with a pure target is linear in the state, so each sampled
+    # trial's overlap of its conditional output with the input averages, over
+    # the teleport outcomes, to that trial's reported fidelity.
+    import spinlight.gaussian as gaussian
+    import spinlight.protocols as protocols
+
+    plans = make_plans(kappa2, eta_t, **noise)
+    local = [dataclasses.astuple(plans[name]) for name in ("local1", "local2")]
+    gain = None
+    if manual:
+        factor = protocols._push_bell(local)[..., 0]
+        gain = 0.95 * np.array([1.0 / factor[6, 1], 1.0 / factor[4, 1]])
+    trials, input_mean = 200_000, np.array([0.7, -1.2])
+    draws = np.random.default_rng(7).standard_normal((trials, 4)).T
+    means, covs, _ = protocols._entangling_stage(
+        [dataclasses.astuple(plans[name]) for name in ("entangle1", "entangle2")], draws[:2], True
+    )
+    fidelities, displaced, cov, _ = protocols._teleport_stage(
+        covs, local, gain, means, input_mean, draws[2:], True, lambda trial: f"trial {trial}"
+    )
+    gap = gaussian._overlap(cov, (displaced - input_mean[:, None]).T) - fidelities
+    z = gap.mean() / (gap.std(ddof=1) / math.sqrt(trials))
+    assert abs(z) < 4.0
+
+
 # ---------------------------------------------------------------------------
 # loss-adapted strategy
 
@@ -909,20 +941,45 @@ def test_teleport_classifies_a_bad_fidelity_as_run_trials_does():
         teleport(pair, (0.0, 0.0), plans["local1"], plans["local2"], gain, rng)
 
 
+@pytest.mark.parametrize("kind", [tuple, list, np.array])
 @pytest.mark.parametrize("gain, message", [
     (1e150, r"fidelity must lie in \[0, 1\], got nan"),
     (1e160, "overlap matrix has a non-finite entry"),
 ])
-def test_teleport_names_both_kinds_of_overflowed_fidelity_by_its_input_mean(gain, message):
+def test_teleport_names_both_kinds_of_overflowed_fidelity_by_its_input_mean(gain, message,
+                                                                            kind):
     # The overlap's own check and the unit-interval check name the same row:
-    # the input mean in teleport, the trial in run_trials.
+    # the input mean in teleport, as floats whatever sequence held it, and
+    # the trial in run_trials.
     plans = make_plans(1.5, 0.2)
     pair, _ = entangle(plans["entangle1"], plans["entangle2"], forced_outcomes=(0.0, 0.0))
+    input_mean = kind([0.7, -0.3])
     with pytest.raises(DegeneracyError, match=rf"^{message} at input mean \(0\.7, -0\.3\)$"):
-        teleport(pair, (0.7, -0.3), plans["local1"], plans["local2"], (gain, gain),
+        teleport(pair, input_mean, plans["local1"], plans["local2"], (gain, gain),
                  forced_outcomes=(0.0, 0.0))
     with pytest.raises(DegeneracyError, match=rf"^{message} at trial 0$"):
-        run_trials(plans, np.random.default_rng(0), 2, (0.7, -0.3), (gain, gain))
+        run_trials(plans, np.random.default_rng(0), 2, input_mean, (gain, gain))
+
+
+@pytest.mark.parametrize("trials, good", [
+    (-1, False), (2.5, False), (True, False), (np.bool_(False), False), ("3", False),
+    (0, True), (np.int64(2), True),
+])
+def test_run_trials_names_a_bad_trials_before_any_draw(trials, good):
+    # Unchecked, -1 failed in numpy on a negative dimension and 2.5 or True
+    # on a TypeError; a good count still runs, 0 trials giving empty outcomes.
+    plans = make_plans(1.5, 0.2)
+    for input_mean, rounds in ((None, 2), ((0.7, -0.3), 4)):
+        rng = np.random.default_rng(5)
+        if not good:
+            message = rf"^trials must be a non-negative integer, got {re.escape(repr(trials))}$"
+            with pytest.raises(ValueError, match=message):
+                run_trials(plans, rng, trials, input_mean)
+            assert rng.standard_normal() == np.random.default_rng(5).standard_normal()
+        else:
+            outcomes, _, fidelities = run_trials(plans, rng, trials, input_mean)
+            assert outcomes.shape == (trials, rounds)
+            assert fidelities is None if input_mean is None else fidelities.shape == (trials,)
 
 
 # ---------------------------------------------------------------------------
