@@ -22,8 +22,8 @@ moments through it.  A quarter turn, as between Bell rounds, is an exact
 signed swap of the mode's rows.  A homodyne measurement (variance checks,
 outcome and conditioning) is one kernel, ``_measure``, for ``homodyne`` and
 the protocols' batched pulse measurement; the overlap with a coherent state
-is one batched kernel, ``_overlap``, for ``fidelity_coherent`` and the
-protocols' teleport stage.
+is one kernel, ``_overlap``, for ``fidelity_coherent`` and the protocols'
+teleport stage.  Every kernel, these two included, takes the batch last.
 """
 
 import dataclasses
@@ -316,28 +316,28 @@ def variance_of(state, coeffs):
 def _overlap(cov, delta, row_name=None):
     """Overlap det(G)^(-1/2) exp(-(1/2) d^T G^-1 d) of G = cov + (1/2) I, batched.
 
-    ``cov`` is (..., 2, 2) and ``delta`` (..., 2); their leading axes
-    broadcast, so B rows, or T offsets on one covariance, are one call.  The
-    formula is written entry by entry, so every row has the bits of a one-row
-    call.  Raises DegeneracyError if an entry of G is not finite (an
-    overflowed covariance, whose products would turn into nan) or any det(G)
-    is not positive; given ``row_name``, the error ends " at
-    {row_name(row)}" for the first row with a non-finite entry, else the
-    most singular row.
+    ``cov`` is (2, 2, ...) and ``delta`` (2, ...), batch-last like every
+    kernel's operands; their trailing axes broadcast, so B rows, or T offsets
+    on one covariance, are one call.  The formula is written entry by entry,
+    so every row has the bits of a one-row call.  Raises DegeneracyError if an
+    entry of G is not finite (an overflowed covariance, whose products would
+    turn into nan) or any det(G) is not positive; given ``row_name``, the
+    error ends " at {row_name(row)}" for the first row with a non-finite
+    entry, else the most singular row.
     """
 
     def fail(text, row):
         raise DegeneracyError(text if row_name is None else f"{text} at {row_name(int(row))}")
 
-    finite = np.isfinite(cov).all(axis=(-2, -1))
+    finite = np.isfinite(cov).all(axis=(0, 1))
     if not finite.all():
         fail("overlap matrix has a non-finite entry", np.argmin(finite))
-    g00, g11 = cov[..., 0, 0] + VACUUM_VARIANCE, cov[..., 1, 1] + VACUUM_VARIANCE
-    g01, g10 = cov[..., 0, 1], cov[..., 1, 0]
+    g00, g11 = cov[0, 0] + VACUUM_VARIANCE, cov[1, 1] + VACUUM_VARIANCE
+    g01, g10 = cov[0, 1], cov[1, 0]
     det = g00 * g11 - g01 * g10
     if not np.all(det > 0.0):
         fail(f"singular overlap matrix (det {np.min(det)})", np.argmin(det))
-    d0, d1 = delta[..., 0], delta[..., 1]
+    d0, d1 = delta[0], delta[1]
     quadratic = (d0 * (g11 * d0 - g01 * d1) + d1 * (g00 * d1 - g10 * d0)) / det
     return np.exp(-0.5 * quadratic) / np.sqrt(det)
 

@@ -268,10 +268,10 @@ def _entangling_stage(rounds, values=None, sampled=False, row_name=None):
     ``row_name`` names a bad variance's row.  Returns the pair's (2, 2, T) means
     or None and (2, 2, 2, B) covariances, and the (2, T) outcomes or None, by sector.
     """
-    # A C-ordered (B, sector, row, column) copy: numpy 1.x runs a row's matrix
-    # products in BLAS only for such strides.
-    rows = _push_bell(rounds)[_SECTORS].transpose(3, 0, 1, 2).copy()
-    covs = (VACUUM_VARIANCE * (rows @ rows.swapaxes(-1, -2))).transpose(1, 2, 3, 0)
+    # F_J's (sector, row, column, B) rows.  Their 12 columns are summed left to right in
+    # elementwise numpy: one order for any row and block split, where BLAS's products pick theirs.
+    rows = _push_bell(rounds)[_SECTORS]
+    covs = VACUUM_VARIANCE * sum(rows[:, :, None, j] * rows[:, None, :, j] for j in range(12))
     # The vacuum mean is zero, and so is its image under the linear channel.
     means = None if values is None else np.zeros((2, 3, values.shape[1]))
     outcomes = [_measure(None if means is None else means[q], covs[q], 2,
@@ -298,10 +298,10 @@ def _teleport_stage(covs, rounds, gain=None, means=None, input_mean=None, values
     (T,) fidelities, the displaced sample 2's (2, T) means and (2, 2)
     covariance, and the outcomes.
     """
-    # The pulses' rows as a C-ordered (sector, B, column) copy, the x sector's
-    # (round 2's) first: sector q reads sample 1's quadrature q in column 0, the input's in 1.
-    rows = _push_bell(rounds)[[6, 4]].transpose(0, 2, 1).copy()
-    f, c = rows[..., 0], rows[..., 1]
+    # The pulses' (sector, column, B) rows, the x sector's (round 2's) first:
+    # sector q reads sample 1's quadrature q in column 0, the input's in 1.
+    rows = _push_bell(rounds)[[6, 4]]
+    f, c = rows[:, 0], rows[:, 1]
     if gain is None and not c.all():
         row, number = np.argwhere(c[::-1].T == 0.0)[0]
         where = (row_name(row) if means is None
@@ -309,17 +309,17 @@ def _teleport_stage(covs, rounds, gain=None, means=None, input_mean=None, values
         raise ValueError("gain calibration failed: measurement outcomes do not respond to the "
                          f"input mean at {where} (kappa too small?)")
     gains = 1.0 / c if gain is None else gain[:, None]
-    # Sigma_J = X_J S X_J^T + N_J N_J^T / 2 over (sample 2, pulse), for
-    # X_J = [[0, 1, 0], [f, 0, c]] over S, the sector beside the input's
-    # vacuum; the outcome-averaged output of W = [1 g] has variance W Sigma_J W^T.
-    noise = (rows[..., None, 2:] @ rows[..., 2:, None])[..., 0, 0]
-    joints = np.empty((2, 2, 2, rows.shape[1]))
+    # Sigma_J = X_J S X_J^T + N_J N_J^T / 2 over (sample 2, pulse), for X_J = [[0, 1, 0],
+    # [f, 0, c]] over S, the sector beside the input's vacuum, and N_J's columns summed in
+    # order; the outcome-averaged output of W = [1 g] has variance W Sigma_J W^T.
+    noise = sum(rows[:, j] * rows[:, j] for j in range(2, 12))
+    joints = np.empty((2, 2, 2, rows.shape[2]))
     joints[:, 0, 0], joints[:, 0, 1] = covs[:, 1, 1], covs[:, 1, 0] * f
     joints[:, 1, 0] = f * covs[:, 0, 1]
     joints[:, 1, 1] = (f * covs[:, 0, 0] * f + VACUUM_VARIANCE * c * c) + VACUUM_VARIANCE * noise
-    averaged_cov = np.zeros((rows.shape[1], 2, 2))
-    averaged_cov[:, [0, 1], [0, 1]] = ((joints[:, 0, 0] + gains * joints[:, 1, 0])
-                                       + (joints[:, 0, 1] + gains * joints[:, 1, 1]) * gains).T
+    averaged_cov = np.zeros((2, 2, rows.shape[2]))
+    averaged_cov[[0, 1], [0, 1]] = ((joints[:, 0, 0] + gains * joints[:, 1, 0])
+                                    + (joints[:, 0, 1] + gains * joints[:, 1, 1]) * gains)
     delta = np.zeros(2)
     if means is not None:
         # Each trial's joint means X_J mu and their average W mu_J.  A calibrated
@@ -328,7 +328,7 @@ def _teleport_stage(covs, rounds, gain=None, means=None, input_mean=None, values
         joint_means = np.stack([means[:, 1], f * means[:, 0] + c * target], axis=1)
         averaged = joint_means[:, 0] + gains * joint_means[:, 1]
         offsets = target - averaged if gain is None else 0.0
-        delta = np.zeros_like(averaged.T) if gain is None else (averaged - target).T
+        delta = np.zeros_like(averaged) if gain is None else averaged - target
     fidelities = _overlap(averaged_cov, delta, row_name)
     bad = np.flatnonzero(~((fidelities >= 0.0) & (fidelities <= 1.0)))
     if bad.size:

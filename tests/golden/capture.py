@@ -28,9 +28,9 @@ say one captured with each checkout's package on ``PYTHONPATH``::
     python tests/golden/capture.py --compare /tmp/parent /tmp/change
 
 and prints one line per file: ``identical``, ``close`` (within the rules of
-:func:`match`, with the largest relative change of a float) or ``different``
-(with the first broken rule, or the tree the file is missing from).  It exits
-0 unless a file is different.
+:func:`match`, with how many of the floats it compared moved and their largest
+relative change) or ``different`` (with the first broken rule, or the tree the
+file is missing from).  It exits 0 unless a file is different.
 """
 
 import argparse
@@ -148,31 +148,30 @@ def _require(condition, message):
         raise AssertionError(message)
 
 
-def _close_float(got, want, where, worst):
+def _close_float(got, want, where, changes):
     _require(math.isclose(got, want, rel_tol=REL_TOL, abs_tol=0.0),
              f"{where}: {got!r} != {want!r}")
-    if got != want:
-        worst[0] = max(worst[0], abs(got - want) / max(abs(got), abs(want)))
+    changes.append(0.0 if got == want else abs(got - want) / max(abs(got), abs(want)))
 
 
-def _close_json(got, want, path, worst):
+def _close_json(got, want, path, changes):
     _require(type(got) is type(want),
              f"{path}: {type(got).__name__} != {type(want).__name__}")
     if isinstance(want, dict):
         _require(list(got) == list(want), f"{path}: keys differ")
         for key in want:
-            _close_json(got[key], want[key], f"{path}.{key}", worst)
+            _close_json(got[key], want[key], f"{path}.{key}", changes)
     elif isinstance(want, list):
         _require(len(got) == len(want), f"{path}: lengths differ")
         for i, (g, w) in enumerate(zip(got, want)):
-            _close_json(g, w, f"{path}[{i}]", worst)
+            _close_json(g, w, f"{path}[{i}]", changes)
     elif isinstance(want, float):
-        _close_float(got, want, path, worst)
+        _close_float(got, want, path, changes)
     else:
         _require(got == want, f"{path}: {got!r} != {want!r}")
 
 
-def _close_csv(got, want, worst):
+def _close_csv(got, want, changes):
     got_lines, want_lines = got.decode().split("\n"), want.decode().split("\n")
     _require(len(got_lines) == len(want_lines), "line counts differ")
     echo = sum(line.startswith("#") for line in want_lines)
@@ -192,24 +191,25 @@ def _close_csv(got, want, worst):
             if value is None or w.lstrip("-").isdigit():
                 _require(g == w, f"{where}: {g!r} != {w!r}")
             else:
-                _close_float(float(g), value, where, worst)
+                _close_float(float(g), value, where, changes)
 
 
 def match(name, fmt, got, want):
     """Hold artifact bytes ``got`` of case ``name`` in format ``fmt`` to ``want``.
 
-    Raises AssertionError naming the first broken rule; returns the largest
-    relative change of a float, 0.0 for identical values.
+    Raises AssertionError naming the first broken rule; returns how many
+    floats it compared within ``REL_TOL``, how many of them changed, and
+    their largest relative change (0.0 if none did).
     """
     if CASES[name][1][0] in BYTE_IDENTICAL:
         _require(got == want, "bytes differ")
-        return 0.0
-    worst = [0.0]
+        return 0, 0, 0.0
+    changes = []
     if fmt == "json":
-        _close_json(json.loads(got), json.loads(want), "$", worst)
+        _close_json(json.loads(got), json.loads(want), "$", changes)
     else:
-        _close_csv(got, want, worst)
-    return worst[0]
+        _close_csv(got, want, changes)
+    return len(changes), sum(change > 0.0 for change in changes), max(changes, default=0.0)
 
 
 def compare(first, second):
@@ -233,8 +233,9 @@ def compare(first, second):
             verdict = "different"
         else:
             try:
-                change = match(name, fmt, new.read_bytes(), old.read_bytes())
-                verdict = f"close: largest relative change {change:.2g}"
+                compared, moved, largest = match(name, fmt, new.read_bytes(), old.read_bytes())
+                verdict = (f"close: {moved} of {compared} floats moved, "
+                           f"largest relative change {largest:.2g}")
             except AssertionError as exc:
                 verdict = f"different: {exc}"
         same = same and not verdict.startswith("different")

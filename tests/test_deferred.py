@@ -181,12 +181,24 @@ def test_sampled_engine_matches_sequential_oracle(kappa2, eta_t, kwargs):
 
 
 def test_sweep_rows_equal_one_point_runs():
+    # Rows are independent and every sum runs in one fixed order, so a sweep
+    # row has the bits of its one-point run.
     kappa2_values = [0.3, 1.5, 4.0, 9.5]
     kwargs = OPERATING_POINTS[0][2]
     kappa2, f_simulated, _, _ = lossy_fidelity_sweep(kappa2_values, 0.2, **kwargs)
     for k2, f in zip(kappa2, f_simulated):
-        one = simulated_lossy_fidelity(k2, 0.2, **kwargs)
-        assert _rel(f, one) <= 1e-14
+        assert f == simulated_lossy_fidelity(k2, 0.2, **kwargs)
+
+
+@pytest.mark.parametrize("kappa2, eta_t, kwargs", OPERATING_POINTS)
+def test_sweep_blocks_of_seven_rows_give_the_bits_of_one_block(kappa2, eta_t, kwargs,
+                                                                monkeypatch):
+    import spinlight.protocols as protocols
+
+    kappa2_values = np.linspace(0.2 * kappa2, 5.0 * kappa2, 50)
+    one_block = lossy_fidelity_sweep(kappa2_values, eta_t, **kwargs)[1]
+    monkeypatch.setattr(protocols, "_SWEEP_BLOCK", 7)
+    assert lossy_fidelity_sweep(kappa2_values, eta_t, **kwargs)[1].tobytes() == one_block.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -555,11 +555,11 @@ def test_overlap_matches_determinant_and_inverse(covs, deltas):
         assert got == pytest.approx(want, rel=1e-9, abs=1e-300)
 
     close(_overlap(covs[0], deltas[0]), _overlap_reference(covs[0], deltas[0]))
-    rows = _overlap(np.array(covs), np.array(deltas[: len(covs)]))
+    rows = _overlap(np.stack(covs, axis=-1), np.stack(deltas[: len(covs)], axis=-1))
     assert rows.shape == (len(covs),)
     for got, cov, delta in zip(rows, covs, deltas):
         close(got, _overlap_reference(cov, delta))
-    trials = _overlap(covs[0], np.array(deltas))
+    trials = _overlap(covs[0], np.stack(deltas, axis=-1))
     assert trials.shape == (len(deltas),)
     for got, delta in zip(trials, deltas):
         close(got, _overlap_reference(covs[0], delta))
@@ -574,11 +574,11 @@ def test_overlap_names_its_failing_row():
     def name(row):
         return f"row {row}"
 
-    covs = np.stack([np.eye(2)] * 3)
-    covs[1, 1, 1], covs[2, 0, 1] = np.inf, np.nan
+    covs = np.stack([np.eye(2)] * 3, axis=-1)
+    covs[1, 1, 1], covs[0, 1, 2] = np.inf, np.nan
     with pytest.raises(DegeneracyError, match=r"^overlap matrix has a non-finite entry at row 1$"):
         _overlap(covs, np.zeros(2), name)
-    covs = np.stack([np.eye(2), [[-0.5, 0.0], [0.0, 0.0]], [[0.5, 2.0], [2.0, 0.5]]])
+    covs = np.stack([np.eye(2), [[-0.5, 0.0], [0.0, 0.0]], [[0.5, 2.0], [2.0, 0.5]]], axis=-1)
     with pytest.raises(DegeneracyError, match=r"^singular overlap matrix \(det -3\.0\) at row 2$"):
         _overlap(covs, np.zeros(2), name)
     with pytest.raises(DegeneracyError, match=r"^singular overlap matrix \(det -3\.0\)$"):

@@ -544,7 +544,7 @@ def test_sweep_rejects_fidelity_outside_unit_interval(monkeypatch):
 
     def inflated(averaged_cov, delta, *rest):
         averaged_cov = averaged_cov.copy()
-        averaged_cov[1] = -0.4 * np.eye(2)  # det(cov + I/2) = 0.01, so F = 10
+        averaged_cov[..., 1] = -0.4 * np.eye(2)  # det(cov + I/2) = 0.01, so F = 10
         return real(averaged_cov, delta, *rest)
 
     monkeypatch.setattr(protocols, "_overlap", inflated)
@@ -584,7 +584,7 @@ def test_sampled_trials_average_their_overlaps_to_the_reported_fidelity(kappa2, 
     fidelities, displaced, cov, _ = protocols._teleport_stage(
         covs, local, gain, means, input_mean, draws[2:], True, lambda trial: f"trial {trial}"
     )
-    gap = gaussian._overlap(cov, (displaced - input_mean[:, None]).T) - fidelities
+    gap = gaussian._overlap(cov, displaced - input_mean[:, None]) - fidelities
     z = gap.mean() / (gap.std(ddof=1) / math.sqrt(trials))
     assert abs(z) < 4.0
 
@@ -900,6 +900,64 @@ def test_sweep_blocks_give_the_bits_of_one_batch_and_of_one_row_runs(monkeypatch
     assert blocked[:2000].tolist() == one_rows
     monkeypatch.setattr(protocols, "_SWEEP_BLOCK", len(kappa2))
     assert protocols._lossy_fidelities(kappa2, 0.2, **kwargs).tobytes() == blocked.tobytes()
+
+
+def _in_order(terms):
+    """Python floats added left to right, one rounding per add (``sum`` compensates from 3.12)."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+def _sweep_block_model(entangling, local):
+    """A sweep block's pair covariances and fidelities, in Python floats.
+
+    Each sector's joint sums F's 12 columns left to right and is conditioned
+    on its pulse as ``_measure`` conditions it; the fidelity follows the
+    teleport stage and ``_overlap`` at the calibrated gain, with zero offset.
+    Returns the (B, 2, 2, 2) covariances and the (B,) fidelities as lists.
+    """
+    import spinlight.protocols as protocols
+
+    pushed, pulses = (protocols._push_bell(rounds).tolist() for rounds in (entangling, local))
+    covs, fidelities = [], []
+    for b in range(len(pushed[0][0])):
+        pairs, diagonal = [], []
+        for sector, pulse in zip(protocols._SECTORS.tolist(), (6, 4)):
+            joint = [[0.5 * _in_order(pushed[i][j][b] * pushed[k][j][b] for j in range(12))
+                      for k in sector] for i in sector]
+            column, v = [row[2] for row in joint], joint[2][2]
+            pair = [[joint[i][k] - column[i] * column[k] / v for k in range(2)] for i in range(2)]
+            pairs.append(pair)
+            rows = [pulses[pulse][j][b] for j in range(12)]
+            f, c = rows[0], rows[1]
+            noise = _in_order(x * x for x in rows[2:])
+            j00, j01, j10 = pair[1][1], pair[1][0] * f, f * pair[0][1]
+            j11 = (f * pair[0][0] * f + 0.5 * c * c) + 0.5 * noise
+            g = 1.0 / c
+            diagonal.append((j00 + g * j10) + (j01 + g * j11) * g)
+        g00, g11, g01, g10, d0, d1 = diagonal[0] + 0.5, diagonal[1] + 0.5, 0.0, 0.0, 0.0, 0.0
+        det = g00 * g11 - g01 * g10
+        quadratic = (d0 * (g11 * d0 - g01 * d1) + d1 * (g00 * d1 - g10 * d0)) / det
+        covs.append(pairs)
+        fidelities.append(math.exp(-0.5 * quadratic) / math.sqrt(det))
+    return covs, fidelities
+
+
+def test_sweep_block_has_the_bits_of_its_float_model():
+    # Every float of a noisy sweep block comes from one fixed sequence of
+    # IEEE operations, whatever the BLAS build: the model's.
+    import spinlight.protocols as protocols
+
+    kappa2 = np.linspace(0.2, 10.0, 100)
+    (_, entangling, local), = protocols._sweep_blocks(kappa2, 0.3, 100, eps_p=1 / 120,
+                                                      eps_a=1 / 120, eta_d=0.05)
+    covs, fidelities = _sweep_block_model(entangling, local)
+    _, got_covs, _ = protocols._entangling_stage(entangling)
+    assert np.moveaxis(got_covs, -1, 0).tolist() == covs
+    got = protocols._teleport_stage(got_covs, local, row_name=lambda row: f"row {row}")
+    assert got.tolist() == fidelities
 
 
 def test_every_sweep_row_is_checked_before_the_first_block(monkeypatch):
