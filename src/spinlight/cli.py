@@ -9,11 +9,19 @@ Subcommands::
     spinlight mb-validate --config run.cfg        grid convergence of the channel
 
 Flags: ``--config PATH`` (required), ``--seed N``, ``--trials N``,
-``--out PATH``, ``--format {json,csv}``, before or after the command.  The
-last four set the config keys ``seed``, ``trials``, ``output.path`` and
-``output.format`` (``_FLAGS``), and each is read as that key's value in the
-file is, so a bad one is a config error naming its key.  Flags override
-``SPINLIGHT_*`` environment variables, which override the file.
+``--out PATH``, ``--format {json,csv}``, before or after the command, as
+``--flag VALUE`` or ``--flag=VALUE``; the last of a repeated flag wins.  A
+flag is spelled in full (``--conf`` is an unknown flag), and ``--flag VALUE``
+takes a next argument that starts with ``-`` only if it is a negative
+number or ``-`` itself, so ``--seed -1`` reaches the config layer.
+``-h``/``--help`` prints the help to stdout and exits 0; any other malformed
+line prints the usage line and one ``error: ...`` line to stderr and exits 1
+(``_read_argv``).  The last four flags set the config keys ``seed``,
+``trials``, ``output.path`` and ``output.format`` (``_FLAGS``), and each is
+read as that key's value in the file is, so a bad one is a config error
+naming its key.  Flags override ``SPINLIGHT_*`` environment variables, which
+override the file.  The config file is read as UTF-8; a byte that is not
+UTF-8 is a config error.
 
 Exit codes: 0 success; 1 usage or configuration error; 2 regime warnings from
 ``derive``; 3 tolerance failure in ``mb-validate``; 4 numerical failure (an
@@ -42,13 +50,13 @@ so no chunk holds more than one block wherever a table is nested.
 How an artifact is written: ``main`` opens it only once the payload is
 computed, so a run that fails with a declared error (exit 1 or 4) never
 opens it, and an existing file keeps its bytes.  The file is opened in place,
-without truncation, and every chunk goes through one handle; then it is cut
-to the length written.  A write that fails part way leaves a prefix of the
-new artifact, with none of the old one after it.  Pipes and devices (stdout,
-a FIFO, ``/dev/null``) get the same chunks and are never cut.
+without truncation, and every chunk goes through one binary handle, encoded;
+then it is cut to the length written.  A write that fails part way leaves a
+prefix of the new artifact, with none of the old one after it.  Pipes and
+devices (stdout, a FIFO, ``/dev/null``) get the same chunks and are never
+cut.
 """
 
-import argparse
 import dataclasses
 import functools
 import itertools
@@ -290,21 +298,22 @@ def _write_artifact(path, chunks):
 
     The file is opened in place, without truncation (mode 0o666 less the
     umask if it is created, a symlink followed), and every chunk goes through
-    one handle.  Then a regular file is cut to the bytes written, or, if a
-    write raised, to the bytes that reached it: a prefix of the new artifact.
-    A pipe or device is never cut.  Truncating an existing file to zero
-    before the write would make ext4 (``auto_da_alloc``) start writeback at
-    close, which took longer than rendering an mb-validate artifact.
+    one binary handle, encoded as UTF-8.  Then a regular file is cut to the
+    bytes written, or, if a write raised, to the bytes that reached it: a
+    prefix of the new artifact.  A pipe or device is never cut.  Truncating
+    an existing file to zero before the write would make ext4
+    (``auto_da_alloc``) start writeback at close, which took longer than
+    rendering an mb-validate artifact.
     """
     if not path:
         for chunk in chunks:
             sys.stdout.write(chunk)
         return
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    with open(fd, "w", newline="\n") as handle:
+    with open(fd, "wb") as handle:
         try:
             for chunk in chunks:
-                handle.write(chunk)
+                handle.write(chunk.encode())
             handle.flush()
         finally:
             if stat.S_ISREG(os.fstat(fd).st_mode):
@@ -504,13 +513,6 @@ def _cmd_mb_validate(cfg):
 # entry point
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        raise SystemExit(EXIT_USAGE)
-
-
 _COMMANDS = {
     "derive": _cmd_derive,
     "entangle": _cmd_entangle,
@@ -523,36 +525,93 @@ _COMMANDS = {
 # The config key that each flag sets.
 _FLAGS = {"seed": "seed", "trials": "trials", "out": "output.path", "format": "output.format"}
 
+_USAGE = ("usage: spinlight {" + ",".join(_COMMANDS) + "} --config PATH "
+          "[--seed N] [--trials N] [--out PATH] [--format {json,csv}]\n")
 
-@functools.cache
-def _build_parser():
-    """The argument parser, built on the first call rather than at import.
+_HELP = _USAGE + """
+Commands:
+  derive        channel coefficients + regime checks
+  entangle      two-round entanglement generation
+  teleport      entangle + local Bell + displacement
+  sweep         kappa2 / eta_t trade-off table
+  mb-validate   grid convergence of the channel
 
-    Parsing keeps no state in the parser, so every call shares one.
+Flags, before or after the command, as --flag VALUE or --flag=VALUE; the last
+of a repeated flag wins:
+  --config PATH          the run config file, UTF-8 (required)
+  --seed N               sets the config key seed
+  --trials N             sets the config key trials
+  --out PATH             sets the config key output.path
+  --format {json,csv}    sets the config key output.format
+  -h, --help             print this help and exit
+"""
+
+# Every flag that takes a value.
+_FLAG_NAMES = ("--config", *(f"--{flag}" for flag in _FLAGS))
+
+
+def _usage_error(message):
+    sys.stderr.write(f"{_USAGE}error: {message}\n")
+    raise SystemExit(EXIT_USAGE)
+
+
+def _is_flag(arg):
+    """Whether ``arg`` is a flag: it starts with ``-`` and is not ``-`` or a negative number."""
+    return arg[:1] == "-" and arg[1:2] not in "0123456789."
+
+
+def _read_argv(argv):
+    """The command, the config path and the other flags' values, by flag, of a command line.
+
+    Reads left to right.  ``-h`` or ``--help`` prints the help to stdout and
+    exits 0; the first malformed argument prints the usage and an error line
+    to stderr and exits 1 (both by ``SystemExit``).  ``--flag VALUE`` takes
+    the next argument unless that is itself a flag; ``--flag=VALUE`` takes
+    any text.  A flag is spelled in full: ``--conf`` is no ``--config``.
     """
-    parser = _Parser(prog="spinlight", description=__doc__.splitlines()[0])
-    parser.add_argument("command", choices=_COMMANDS)
-    parser.add_argument("--config", required=True, help="path to the run config file")
-    for flag, key in _FLAGS.items():
-        parser.add_argument(f"--{flag}", help=f"sets the config key {key}")
-    return parser
+    command, values = None, {}
+    args = iter(argv)
+    for arg in args:
+        if arg in ("-h", "--help"):
+            sys.stdout.write(_HELP)
+            raise SystemExit(EXIT_OK)
+        if not _is_flag(arg):
+            if command is not None:
+                _usage_error(f"unexpected argument {arg!r}")
+            if arg not in _COMMANDS:
+                _usage_error(f"unknown command {arg!r} (choose from {', '.join(_COMMANDS)})")
+            command = arg
+            continue
+        name, equals, value = arg.partition("=")
+        if name not in _FLAG_NAMES:
+            _usage_error(f"unknown flag {arg!r}")
+        if not equals:
+            value = next(args, None)
+            if value is None or _is_flag(value):
+                _usage_error(f"flag {name} expects a value")
+        values[name[2:]] = value
+    if command is None:
+        _usage_error("no command given")
+    if "config" not in values:
+        _usage_error("the flag --config is required")
+    return command, values.pop("config"), values
 
 
 def main(argv=None):
     try:
-        args = _build_parser().parse_args(argv)
+        command, config_path, flags = _read_argv(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
-        return exc.code if exc.code is not None else EXIT_USAGE
+        return exc.code
 
     try:
-        with open(args.config) as handle:
-            mapping = parse_config_text(handle.read())
+        with open(config_path, "rb", buffering=0) as handle:
+            mapping = parse_config_text(handle.read().decode("utf-8"))
         mapping = apply_env_overrides(mapping, os.environ)
         for flag, key in _FLAGS.items():
-            if (value := getattr(args, flag)) is not None:
-                mapping[key] = _parse_scalar(key, value)
+            if flag in flags:
+                mapping[key] = _parse_scalar(key, flags[flag])
         cfg = resolve_run_config(mapping)
-        payload, table, summary, code = _COMMANDS[args.command](cfg)
+        payload, table, summary, code = _COMMANDS[command](cfg)
         if cfg.out_format == "csv":
             chunks = _csv_chunks(cfg.echo, table)
         else:

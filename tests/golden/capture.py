@@ -30,7 +30,9 @@ say one captured with each checkout's package on ``PYTHONPATH``::
 and prints one line per file: ``identical``, ``close`` (within the rules of
 :func:`match`, with how many of the floats it compared moved and their largest
 relative change) or ``different`` (with the first broken rule, or the tree the
-file is missing from).  It exits 0 unless a file is different.
+file is missing from).  ``exit_codes.json`` is compared as a mapping, so the
+order of its keys does not count, and a changed code is named by its key.  It
+exits 0 unless a file is different.
 """
 
 import argparse
@@ -212,6 +214,14 @@ def match(name, fmt, got, want):
     return len(changes), sum(change > 0.0 for change in changes), max(changes, default=0.0)
 
 
+def _compare_codes(old, new):
+    """Verdict on two ``exit_codes.json`` mappings: their key order does not count."""
+    for key in sorted(old.keys() | new.keys()):
+        if old.get(key) != new.get(key):
+            return f"different: {key}: {new.get(key)!r} != {old.get(key)!r}"
+    return "identical"
+
+
 def compare(first, second):
     """Print how each artifact of capture tree ``second`` stands to ``first``.
 
@@ -230,7 +240,7 @@ def compare(first, second):
         elif old.read_bytes() == new.read_bytes():
             verdict = "identical"
         elif name not in CASES:
-            verdict = "different"
+            verdict = _compare_codes(json.loads(old.read_text()), json.loads(new.read_text()))
         else:
             try:
                 compared, moved, largest = match(name, fmt, new.read_bytes(), old.read_bytes())

@@ -524,6 +524,97 @@ def test_usage_error_exit_code():
     assert _run(["frobnicate", "--config", "x"]) == 1
 
 
+def _spelled(tmp_path, name, argv):
+    """The artifact bytes of ``argv``, its ``{cfg}`` and ``{out}`` the config and artifact."""
+    cfg = _write(tmp_path, "run.cfg", IDEAL)
+    out = tmp_path / name
+    assert _run([arg.format(cfg=cfg, out=out) for arg in argv]) == 0
+    return out.read_bytes()
+
+
+PLAIN = ["entangle", "--config", "{cfg}", "--seed", "7", "--trials", "2",
+         "--format", "csv", "--out", "{out}"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["entangle", "--config={cfg}", "--seed=7", "--trials=2", "--format=csv", "--out={out}"],
+    ["--config", "{cfg}", "--seed", "7", "--trials", "2", "--format", "csv", "--out", "{out}",
+     "entangle"],
+    ["--seed=7", "--config", "{cfg}", "entangle", "--trials", "2", "--format=csv", "--out={out}"],
+    # The last of a repeated flag wins, --config's too.
+    ["entangle", "--config", "{cfg}.missing", "--config", "{cfg}", "--seed", "3", "--seed=7",
+     "--trials", "2", "--format", "json", "--format", "csv", "--out", "{out}.unused",
+     "--out", "{out}"],
+], ids=["equals", "flags-first", "mixed", "repeats"])
+def test_every_spelling_of_a_command_line_gives_the_same_artifact(tmp_path, argv):
+    assert _spelled(tmp_path, "spelled", argv) == _spelled(tmp_path, "plain", PLAIN)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["plain", "run.cfg", "spelled"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["entangle", "--config", "{cfg}", "-h"]])
+def test_help_prints_usage_to_stdout_and_exits_0(tmp_path, capsys, argv):
+    cfg = _write(tmp_path, "run.cfg", IDEAL)
+    out = tmp_path / "run.json"
+    assert _run([arg.format(cfg=cfg) for arg in argv] + ["--out", str(out)]) == 0
+    stdout, stderr = capsys.readouterr()
+    assert stdout.startswith("usage: spinlight ") and stderr == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["entangle", "--config", "{cfg}", "--bogus", "1"], "--bogus"),
+    (["entangle", "--config", "{cfg}", "--seed"], "--seed"),
+    (["entangle"], "--config"),
+    (["frobnicate", "--config", "{cfg}"], "frobnicate"),
+    (["--config", "{cfg}"], "command"),
+    (["entangle", "extra", "--config", "{cfg}"], "extra"),
+], ids=["unknown-flag", "no-value", "no-config", "unknown-command", "no-command", "stray"])
+def test_a_malformed_command_line_prints_usage_and_one_error(tmp_path, capsys, monkeypatch,
+                                                             argv, named):
+    # A wide terminal, so that a usage line wrapped to the terminal's width is one line.
+    monkeypatch.setenv("COLUMNS", "300")
+    cfg = _write(tmp_path, "run.cfg", IDEAL)
+    out = tmp_path / "run.json"
+    assert _run(["--out", str(out)] + [arg.format(cfg=cfg) for arg in argv]) == cli.EXIT_USAGE
+    stdout, stderr = capsys.readouterr()
+    usage, error = stderr.splitlines()
+    assert stdout == "" and usage.startswith("usage: spinlight ")
+    assert error.startswith("error: ") and named in error
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--conf", "--s", "--form=csv"])
+def test_a_prefix_of_a_flag_is_an_unknown_flag(tmp_path, capsys, flag):
+    cfg = _write(tmp_path, "run.cfg", IDEAL)
+    assert _run(["entangle", "--config", cfg, flag, "7"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.splitlines()[1] == f"error: unknown flag {flag!r}"
+
+
+# ---------------------------------------------------------------------------
+# config decoding
+
+
+def test_a_crlf_config_gives_the_bytes_of_its_lf_twin(tmp_path):
+    text = SWEEP + "# a comment\n\nseed = 3\n"
+    out = {}
+    for name, newline in (("lf", "\n"), ("crlf", "\r\n")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_bytes(text.replace("\n", newline).encode())
+        out[name] = tmp_path / f"{name}.json"
+        assert _run(["sweep", "--config", str(cfg), "--out", str(out[name])]) == 0
+    assert out["crlf"].read_bytes() == out["lf"].read_bytes()
+
+
+def test_a_config_that_is_not_utf8_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(IDEAL.encode() + b"# caf\xe9\n")
+    out = tmp_path / "run.json"
+    assert _run(["entangle", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_USAGE
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and stderr.startswith("config error: 'utf-8' codec can't decode byte 0xe9")
+    assert stderr.count("\n") == 1 and not out.exists()
+
+
 @pytest.mark.parametrize("command", ["entangle", "teleport"])
 def test_numerical_failure_exits_4(tmp_path, capsys, monkeypatch, command):
     # A run whose pair covariance rounding drove unphysical: reported as
@@ -698,7 +789,7 @@ def test_an_input_at_the_float_range_fails_in_one_line(tmp_path, capsys, command
 
 
 # ---------------------------------------------------------------------------
-# parser reuse
+# repeated runs
 
 
 def test_repeated_in_process_runs_match_first_calls(tmp_path):
@@ -718,15 +809,10 @@ def test_repeated_in_process_runs_match_first_calls(tmp_path):
         with open(out, "rb") as handle:
             return handle.read()
 
-    first_calls = []
-    for argv in runs:
-        cli._build_parser.cache_clear()
-        first_calls.append(artifact(argv))
+    first_calls = [artifact(argv) for argv in runs]
     assert first_calls[0] != first_calls[1] and first_calls[2] != first_calls[3]
-
-    cli._build_parser.cache_clear()
+    assert first_calls[0] == first_calls[4]
     assert [artifact(argv) for argv in runs] == first_calls
-    assert cli._build_parser.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import collections.abc
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from spinlight import config
 from spinlight.config import (
@@ -315,3 +317,27 @@ def test_docstring_key_table_is_the_schema():
     for line, (key, row) in zip(table, config._SCHEMA.items()):
         default = f"= {row.default}" if row.ref else str(row.default)
         assert f" {row.allowed or ''} " in line and f" {default} " in line, line
+
+
+def _reference_scalar(text):
+    """A non-text key's value: a boolean, else int(text), else float(text), else the text."""
+    if text.lower() in ("true", "false"):
+        return text.lower() == "true"
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+@given(st.text(alphabet="0123456789+-_.eE xinfatyrulsNI\u0660\uff11", max_size=10))
+@example("1_000")
+@example(" -7 ")
+@example("1e3")
+@example("-.5")
+@example("\u0661\u0662")
+def test_a_value_is_read_as_a_boolean_int_float_or_text(text):
+    value = config._parse_scalar("channel.kappa", text)
+    want = _reference_scalar(text)
+    assert type(value) is type(want) and repr(value) == repr(want)

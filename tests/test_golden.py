@@ -162,3 +162,21 @@ def test_capture_compare_classifies_each_file(tmp_path, capsys):
         f"exit_codes.json: different: missing from {second}",
         "sweep-lossy.json: different: $.points[0].is_argmax: True != False",
     ]
+
+
+def test_capture_compare_reads_exit_codes_as_a_mapping(tmp_path, capsys):
+    from golden import capture
+
+    first, second = tmp_path / "a", tmp_path / "b"
+    first.mkdir()
+    second.mkdir()
+    (first / "exit_codes.json").write_text(json.dumps(EXIT_CODES, indent=2) + "\n")
+    reordered = dict(reversed(list(EXIT_CODES.items())))
+    (second / "exit_codes.json").write_text(json.dumps(reordered, indent=2) + "\n")
+    assert capture.main(["--compare", str(first), str(second)]) == 0
+    assert capsys.readouterr().out == "exit_codes.json: identical\n"
+
+    reordered["sweep-lossy.csv"] = 4
+    (second / "exit_codes.json").write_text(json.dumps(reordered, indent=2) + "\n")
+    assert capture.main(["--compare", str(first), str(second)]) == 1
+    assert capsys.readouterr().out == "exit_codes.json: different: sweep-lossy.csv: 4 != 0\n"
