@@ -270,11 +270,6 @@ def _json_chunks(obj, pad):
         yield _ENCODE_STR(str(obj))
 
 
-def _json_text(obj, indent=0):
-    """JSON text with a two-space indent, ASCII escapes and 17-digit floats."""
-    return "".join(_json_chunks(obj, "\n" + "  " * indent))
-
-
 def _json_value(obj, pad):
     """Text of one value whose own line starts with ``pad``: :func:`_json_chunks` joined."""
     return "".join(_json_chunks(obj, pad))
@@ -286,11 +281,6 @@ def _csv_chunks(echo, table):
     lines.append(",".join(table.header) + "\n")
     yield "".join(lines)
     yield from table.blocks(lambda specs: ",".join(specs) + "\n", "", _format_scalar)
-
-
-def _csv_text(echo, table):
-    """The CSV artifact of ``table`` under the config ``echo``, as one string."""
-    return "".join(_csv_chunks(echo, table))
 
 
 def _write_artifact(path, chunks):

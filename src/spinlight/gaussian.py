@@ -205,14 +205,15 @@ def _measure(mean, cov, k, value, sampled, row_name=None):
     v = cov[k, k] must be positive and finite, else DegeneracyError; given
     ``row_name``, its message ends " at {row_name(row)}" for the row it
     quotes: the one with the smallest variance for a non-positive one, else
-    the first with a non-finite variance.  The
-    outcome is ``value`` or, if ``sampled``, mean[k] + sqrt(v) ``value`` for a
-    standard normal ``value`` (the bits of ``rng.normal``); a non-finite one is
-    a DegeneracyError if sampled (an overflowed mean) and a ValueError if
-    given.  With c = cov[:, k], the mean gains c (outcome - mean[k]) / v and the
-    covariance loses c c^T / v; the measured rows are kept.  Returns the
-    outcome, a scalar or batch array; with ``mean`` None, only ``cov`` is
-    conditioned, ``value`` is not read and None is returned.
+    the first with a non-finite variance.  The outcome is ``value`` or, if
+    ``sampled``, mean[k] + sqrt(v) ``value`` for a standard normal ``value``
+    (the bits of ``rng.normal``).  A non-finite outcome is a DegeneracyError:
+    given values are checked where they enter, so only a draw off an
+    overflowed mean can be one.  With c = cov[:, k], the mean gains
+    c (outcome - mean[k]) / v and the covariance loses c c^T / v; the measured
+    rows are kept.  Returns the outcome, a scalar or batch array; with
+    ``mean`` None, only ``cov`` is conditioned, ``value`` is not read and
+    None is returned.
     """
     column, v = cov[:, k].copy(), cov[k, k].copy()
     if not ((v > 0.0) & (v < math.inf)).all():
@@ -227,8 +228,8 @@ def _measure(mean, cov, k, value, sampled, row_name=None):
         outcome = mean[k] + np.sqrt(v) * value if sampled else value
         bad = ~np.isfinite(outcome)
         if bad.any():
-            error = DegeneracyError if sampled else ValueError
-            raise error(f"measurement outcome must be finite, got {np.asarray(outcome)[bad][0]}")
+            raise DegeneracyError(
+                f"measurement outcome must be finite, got {np.asarray(outcome)[bad][0]}")
         mean += column * ((outcome - mean[k]) / v)
     cov -= column[:, None] * column[None, :] / v
     return outcome
@@ -284,18 +285,20 @@ def homodyne(state, mode, quadrature, rng=None, forced=None):
         measured mode is removed from the register (the pulse is destroyed
         at the detector); remaining modes keep their relative order.
 
-    Measured by the protocols' kernel ``_measure``, with its errors: a
-    DegeneracyError, or a ValueError for a non-finite ``forced``.
+    A non-finite ``forced`` is a ValueError; the measurement is the
+    protocols' kernel ``_measure``, with its DegeneracyErrors.
     """
     if (rng is None) == (forced is None):
         raise ValueError("provide exactly one outcome source: rng or forced")
+    if forced is not None and not math.isfinite(forced := float(forced)):
+        raise ValueError(f"measurement outcome must be finite, got {forced}")
     if quadrature not in ("x", "p"):
         raise ValueError(f"quadrature must be 'x' or 'p', got {quadrature!r}")
     m = _mode_of(state, mode)
     k = 2 * m + (0 if quadrature == "x" else 1)
     mean, cov = state.mean.copy(), state.cov.copy()
     sampled = forced is None
-    outcome = _measure(mean, cov, k, rng.standard_normal() if sampled else float(forced), sampled)
+    outcome = _measure(mean, cov, k, rng.standard_normal() if sampled else forced, sampled)
     keep = np.array(
         [i for i in range(state.mean.size) if i not in (2 * m, 2 * m + 1)], dtype=int
     )

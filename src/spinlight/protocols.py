@@ -61,6 +61,7 @@ round is two calls of the pass kernel.
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 
@@ -97,29 +98,27 @@ _TURN_SECOND = 1
 
 
 @dataclasses.dataclass(frozen=True)
-class RoundPlan:
-    """Noise and strength settings for one Bell-measurement round.
+class RoundPlan(ChannelParams):
+    """One Bell-measurement round: its pass channel and the light's losses.
 
-    eta_t is the transmission loss between the two samples the round touches;
-    eta_d the detector inefficiency just before the homodyne measurement.
+    A round plan is its pass channel (kappa, eps_p, eps_a), checked by
+    :class:`~spinlight.interaction.ChannelParams`, so it goes wherever a
+    channel does.  eta_t is the transmission loss between the two samples the
+    round touches; eta_d the detector inefficiency just before the homodyne
+    measurement.
     """
 
-    kappa: float
     eps_p: float = 0.0
     eps_a: float = 0.0
     eta_t: float = 0.0
     eta_d: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.kappa) and self.kappa >= 0):
-            raise ValueError(f"kappa must be finite and non-negative, got {self.kappa}")
-        for name in ("eps_p", "eps_a", "eta_t", "eta_d"):
+        super().__post_init__()
+        for name in ("eta_t", "eta_d"):
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {value}")
-
-    def channel(self):
-        return ChannelParams(kappa=self.kappa, eps_p=self.eps_p, eps_a=self.eps_a)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -237,9 +236,7 @@ def _outcome_source(rng, forced_outcomes):
         raise ValueError("provide exactly one outcome source: rng or forced_outcomes")
     if forced_outcomes is None:
         return rng.standard_normal((2, 1)), True
-    if len(forced_outcomes) != 2:
-        raise ValueError("forced_outcomes must hold one value per round")
-    return np.array(forced_outcomes, dtype=float)[:, None], False
+    return _pair("forced_outcomes", forced_outcomes)[:, None], False
 
 
 # The entangling push's rows by sector: both samples' x and pulse 1's, their p and pulse 2's x.
@@ -357,9 +354,15 @@ def _report(covs, fidelity=None, outcomes=()):
         raise DegeneracyError(f"non-finite EPR variance: epr_x = {epr_x!r}, epr_p = {epr_p!r}")
     if epr_x <= 0 or epr_p <= 0:
         raise DegeneracyError(f"non-positive EPR variance: epr_x = {epr_x!r}, epr_p = {epr_p!r}")
-    # Adding 0.0 turns the -0.0 of log(1) at kappa = 0 into 0.0 and keeps
-    # every other value's bits.
-    r = -0.25 * math.log(epr_x * epr_p) + 0.0
+    # Where the product leaves the normal floats (it underflows to 0 or
+    # overflows), the logs are taken factor by factor.  Adding 0.0 turns the
+    # -0.0 of log(1) at kappa = 0 into 0.0 and keeps every other value's bits.
+    product = epr_x * epr_p
+    if sys.float_info.min <= product <= sys.float_info.max:
+        log_product = math.log(product)
+    else:
+        log_product = math.log(epr_x) + math.log(epr_p)
+    r = -0.25 * log_product + 0.0
     return ProtocolReport(r, epr_x, epr_p, fidelity, outcomes)
 
 
@@ -423,23 +426,20 @@ def teleport(entangled, input_mean, plan_local_round1, plan_local_round2, gain=N
     return GaussianState(mean[:, 0], output_cov), report
 
 
+def _pair(name, value):
+    """``value`` as a (2,) float array; a ValueError naming ``name`` unless it is two finite numbers."""
+    try:
+        values = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        values = None
+    if values is None or values.shape != (2,) or not np.isfinite(values).all():
+        raise ValueError(f"{name} must be two finite numbers, got {value!r}")
+    return values
+
+
 def _check_teleport_inputs(input_mean, gain):
-    """``input_mean`` and ``gain`` as (2,) float arrays, a None gain kept.
-
-    ValueError naming ``input_mean``, or ``gain`` if given, unless it is two
-    finite numbers.
-    """
-
-    def pair(name, value):
-        try:
-            values = np.array(value, dtype=float)
-        except (TypeError, ValueError):
-            values = None
-        if values is None or values.shape != (2,) or not np.isfinite(values).all():
-            raise ValueError(f"{name} must be two finite numbers, got {value!r}")
-        return values
-
-    return pair("input_mean", input_mean), None if gain is None else pair("gain", gain)
+    """``input_mean`` and ``gain`` as (2,) float arrays by :func:`_pair`, a None gain kept."""
+    return _pair("input_mean", input_mean), None if gain is None else _pair("gain", gain)
 
 
 def run_trials(plans, rng, trials, input_mean=None, gain=None):

@@ -28,7 +28,7 @@ def random_physical_state(rng, n_modes):
         elif op == 1 and n_modes > 1:
             other = int((mode + 1 + rng.integers(0, n_modes - 1)) % n_modes)
             plan = RoundPlan(kappa=float(rng.uniform(0.0, 3.0)))
-            state = apply_pass(state, mode, other, plan.channel())
+            state = apply_pass(state, mode, other, plan)
         elif op == 2:
             state = loss_channel(state, mode, float(rng.uniform(0.0, 0.9)))
         else:

@@ -9,11 +9,13 @@ the configs below, once per artifact format, and stores the artifact bytes as
 Named cases are recaptured alone, and ``--format`` keeps a recapture to one
 format; only the keys of the runs made are rewritten in ``exit_codes.json``.
 With neither, every case is recaptured in both formats.
-``tests/test_golden.py`` re-runs the cases and holds them to :func:`match`.
+``tests/test_golden.py`` re-runs the cases and holds them to these files
+byte for byte.
 
-The rules of :func:`match`: ``derive`` artifacts must be byte-identical.
-Elsewhere the artifacts may move in the last digits, since the engine's sums
-change order: JSON keys, strings, booleans and integers (so every
+:func:`match` serves ``--compare``'s report of how far a change moved the
+artifacts.  Its rules: ``derive`` artifacts must be byte-identical.
+Elsewhere the artifacts may move in the last digits, as they do when the
+engine's sums change order: JSON keys, strings, booleans and integers (so every
 ``is_argmax`` row and every grid size) must match exactly, floats within
 ``REL_TOL`` relative; in CSV the ``#`` echo lines and the header exactly,
 integer and non-numeric cells exactly and the other numeric cells within

@@ -19,6 +19,7 @@ from spinlight import (
     derive_channel,
     entangle,
     extract_collective,
+    extract_collective_grids,
     fidelity_ideal,
     fidelity_lossy,
     classical_bound_check,
@@ -112,17 +113,23 @@ def test_criterion_5_microscopic_consistency(reference_params):
     start = time.perf_counter()
     channel = derive_channel(reference_params)
     grid = Grid(n_z=64, n_tau=64)
-    extraction = extract_collective(build_transfer(reference_params, grid))
-    ok = (
-        abs(extraction.kappa_eff - channel.kappa) / channel.kappa < 0.01
-        and abs(extraction.eps_p_eff - channel.eps_p) / channel.eps_p < 0.05
-        and abs(extraction.eps_a_eff - channel.eps_a) / channel.eps_a < 0.05
-    )
+    # The dense map of the cells, and the closed form that mb-validate ships.
+    ok = True
+    for extraction in (extract_collective(build_transfer(reference_params, grid)),
+                       *extract_collective_grids(channel, [grid])):
+        ok = ok and (
+            abs(extraction.kappa_eff - channel.kappa) / channel.kappa < 0.01
+            and abs(extraction.eps_p_eff - channel.eps_p) / channel.eps_p < 0.05
+            and abs(extraction.eps_a_eff - channel.eps_a) / channel.eps_a < 0.05
+        )
     lossless = ChannelParams(kappa=channel.kappa, eps_p=0.0, eps_a=0.0)
-    for size in (1, 2, 4, 8, 16):
+    sizes = (1, 2, 4, 8, 16)
+    closed = extract_collective_grids(lossless, [Grid(n_z=size, n_tau=size) for size in sizes])
+    for size, ex_closed in zip(sizes, closed):
         ex0 = extract_collective(build_transfer_from_channel(lossless, Grid(n_z=size, n_tau=size)))
-        ok = ok and abs(ex0.kappa_eff - channel.kappa) < 1e-12
-        ok = ok and ex0.eps_p_eff < 1e-12 and ex0.signal_leak < 1e-20
+        for ex in (ex0, ex_closed):
+            ok = ok and abs(ex.kappa_eff - channel.kappa) < 1e-12
+            ok = ok and ex.eps_p_eff < 1e-12 and ex.signal_leak < 1e-20
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 30.0
     _verdict(5, "grid propagation recovers the channel coefficients", ok)

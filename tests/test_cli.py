@@ -819,6 +819,16 @@ def test_repeated_in_process_runs_match_first_calls(tmp_path):
 # artifact writer
 
 
+def _json_text(obj, indent=0):
+    """The JSON writer's chunks of ``obj`` at ``indent`` levels, joined."""
+    return "".join(cli._json_chunks(obj, "\n" + "  " * indent))
+
+
+def _csv_text(echo, table):
+    """The CSV writer's chunks of ``table`` under the config ``echo``, joined."""
+    return "".join(cli._csv_chunks(echo, table))
+
+
 _LEAVES = st.one_of(
     st.none(),
     st.booleans(),
@@ -902,11 +912,11 @@ _PAYLOADS = st.recursive(
 @example(payload={"rows": [{"%": -0.0, "%d": float("nan"), "\u00e9": "\U0001f300"}] * 2}, indent=3)
 @settings(max_examples=300, deadline=None)
 def test_json_writer_matches_reference_writer(payload, indent):
-    assert cli._json_text(payload, indent) == reference_json_text(payload, indent)
+    assert _json_text(payload, indent) == reference_json_text(payload, indent)
 
 
 def test_json_writer_key_cache_tells_equal_keys_apart():
-    text = cli._json_text([{1: 0}, {True: 0}, {1.0: 0}])
+    text = _json_text([{1: 0}, {True: 0}, {1.0: 0}])
     assert text == reference_json_text([{1: 0}, {True: 0}, {1.0: 0}])
     assert '"True": 0' in text and '"1.0": 0' in text
 
@@ -972,9 +982,9 @@ def _table_values(draw):
 def test_table_writers_match_reference_writers(table, echo, indent):
     rows = _table_rows(table)
     dicts = [dict(zip(table.header, row)) for row in rows]
-    assert cli._json_text(table, indent) == reference_json_text(dicts, indent)
-    assert cli._json_text({"rows": table}, indent) == reference_json_text({"rows": dicts}, indent)
-    assert cli._csv_text(echo, table) == reference_csv_text(echo, table.header, rows)
+    assert _json_text(table, indent) == reference_json_text(dicts, indent)
+    assert _json_text({"rows": table}, indent) == reference_json_text({"rows": dicts}, indent)
+    assert _csv_text(echo, table) == reference_csv_text(echo, table.header, rows)
 
 
 def test_a_table_in_a_list_streams_a_block_per_chunk(monkeypatch):
@@ -987,7 +997,7 @@ def test_a_table_in_a_list_streams_a_block_per_chunk(monkeypatch):
 
 def test_csv_writer_writes_numpy_booleans_as_literals():
     table = cli._Table(("a", "b"), 1, (_objects(np.bool_(True)), True))
-    text = cli._csv_text({"flag": np.bool_(False)}, table)
+    text = _csv_text({"flag": np.bool_(False)}, table)
     assert text == "# flag = false\na,b\ntrue,true\n"
 
 

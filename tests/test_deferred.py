@@ -67,9 +67,9 @@ def _sequential_rounds(state, first, second, plans, values, innovations=False, r
     for number, plan in enumerate(plans):
         state = append_vacuum(state, 1)
         light = state.n_modes - 1
-        state = apply_pass(state, light, first, plan.channel())
+        state = apply_pass(state, light, first, plan)
         state = loss_channel(state, light, plan.eta_t)
-        state = apply_pass(state, light, second, plan.channel())
+        state = apply_pass(state, light, second, plan)
         state = loss_channel(state, light, plan.eta_d)
         k = 2 * light
         variances.append(state.cov[k, k])

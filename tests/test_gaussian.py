@@ -369,6 +369,17 @@ def test_homodyne_rejects_non_finite_input_as_the_engine_does(state, source, err
         homodyne(state, 0, "x", **source)
 
 
+def test_measure_raises_one_error_for_a_non_finite_outcome():
+    # Given outcomes are checked where they enter, so a non-finite one here,
+    # given or drawn off an overflowed mean, is one kind of error.
+    from spinlight.gaussian import _measure
+
+    for mean, value, sampled in [(np.array([math.inf, 0.0]), 0.0, True),
+                                 (np.zeros(2), math.nan, False)]:
+        with pytest.raises(DegeneracyError, match="^measurement outcome must be finite, got "):
+            _measure(mean, 0.5 * np.eye(2), 0, value, sampled)
+
+
 def test_measure_names_the_row_it_quotes():
     # Given a row name, a batched measurement names the row whose variance
     # its message quotes: the smallest non-positive one, else the first

@@ -1,37 +1,34 @@
 """CLI artifacts on fixed (config, seed) runs against the committed goldens.
 
-The JSON goldens in ``tests/golden/`` were captured with ``capture.py``
-before the protocols moved to deferred measurement and before
-``mb-validate`` moved to the adjoint Maxwell-Bloch extraction, the CSV
-goldens later, before the CLI moved to one renderer.  Each artifact is held
-to them by ``capture.match``: ``derive`` touches neither change and must stay
-byte-identical; ``entangle``, ``teleport``, ``sweep`` and ``mb-validate`` sum
-in a different order than at capture and may move in the last digits, with
-every key, string, boolean and integer (so every ``is_argmax`` row and every
-grid size) exact and floats within 1e-11 relative.
+``capture.py`` writes the goldens in ``tests/golden/``, one JSON and one CSV
+artifact per case and the exit code of every run in ``exit_codes.json``.
+Every artifact is held to its golden byte for byte, and each exit code to
+its entry; a change that moves a float's last bit recaptures the goldens it
+moves and names them.  The float rules of ``capture.match`` serve only
+``capture.py --compare``'s report of how far a change moved them.
 
-The sampled entangle and teleport goldens (all but the outcome-free
-``teleport-reference.csv`` and ``teleport-lossy.csv``) were recaptured when a
-run's trials moved to one outcome stream on its seed; their trial 0 kept its
-bytes.  ``mb-validate-reference`` (JSON and CSV) was recaptured when
-``eps_*_eff`` moved from 1 - b^2 to the exact -expm1(2 n h): its ``dev_eps_*``
-cells, |eps_eff - eps| / eps, had carried that rounding about 300 times
-enlarged, 2e-11 to 5e-11 off the 50-digit value.
-
-The ``local`` goldens (``teleport-local`` and ``sweep-local``, JSON and CSV),
-the only cases with their own local transmission loss and local round
-strength, were captured while the teleport stage's Bell push still carried
-sample 2; they stayed byte-identical when it stopped.
+The goldens were last recaptured whole with the package as it stood after
+the engine's one summation order, on which 17 of the 22 artifacts had moved
+since their capture by at most 3e-12 relative (``sweep-corner``); ``derive``
+and ``mb-validate`` (JSON and CSV) and ``teleport-local.csv`` kept their
+bytes, and every exit code its value.  No artifact float passes through a
+BLAS product, and the artifacts come out with the same bytes whichever SIMD
+kernels numpy dispatches to: the cross-kernel test below captures them
+twice, once with numpy's dispatched CPU features off and OpenBLAS on its
+oldest x86-64 kernels.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import reference_json_text
-from golden.capture import CASES, FORMATS, exit_code_key, match, run_case
+from golden.capture import CASES, FORMATS, exit_code_key, run_case
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
@@ -45,7 +42,7 @@ def test_artifact_matches_golden(name, tmp_path):
     if code != 0:
         assert not golden.exists()
         return
-    match(name, "json", data, golden.read_bytes())
+    assert data == golden.read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -67,7 +64,7 @@ def test_csv_artifact_matches_golden(name, tmp_path):
     if code != 0:
         assert not golden.exists()
         return
-    match(name, "csv", data, golden.read_bytes())
+    assert data == golden.read_bytes()
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -80,6 +77,45 @@ def test_artifact_bytes_do_not_depend_on_the_block_size(name, fmt, tmp_path, mon
     whole = run_case(name, tmp_path, fmt)
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)
     assert run_case(name, tmp_path, fmt) == whole
+
+
+# Prints numpy's dispatched CPU feature groups that are on in the process.
+_ENABLED_GROUPS = """
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as umath
+print(" ".join(sorted(g for g in umath.__cpu_dispatch__ if umath.__cpu_features__[g])))
+"""
+
+
+def _child(argv, env):
+    """Run ``python argv`` under ``env``; returns its stdout."""
+    return subprocess.run([sys.executable, *argv], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def _capture(into, env):
+    """``capture.py --into`` in a child process under ``env``; returns the files it wrote."""
+    _child([str(GOLDEN / "capture.py"), "--into", str(into)], env)
+    return {path.name: path.read_bytes() for path in into.iterdir()}
+
+
+def test_artifacts_do_not_depend_on_the_cpu_kernels(tmp_path):
+    # The same capture twice: with numpy's SIMD dispatch and OpenBLAS's kernel
+    # as this CPU picks them, and with every dispatched feature group off and
+    # OpenBLAS on Prescott.  A BLAS product or a dispatched ufunc whose last
+    # bit differs between kernels would change an artifact.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    groups = _child(["-c", _ENABLED_GROUPS], env).strip()
+    old = dict(env, OPENBLAS_CORETYPE="Prescott", NPY_DISABLE_CPU_FEATURES=groups)
+    assert _child(["-c", _ENABLED_GROUPS], old) == "\n"
+    default = _capture(tmp_path / "default", env)
+    assert len(default) == 2 * len(CASES) - sum(code != 0 for code in EXIT_CODES.values()) + 1
+    assert _capture(tmp_path / "old", old) == default
 
 
 def test_capture_format_filter_rewrites_only_that_format(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinlight import (
@@ -226,9 +226,9 @@ def test_measured_combination_weights_under_loss():
     def light_mean_after_pass(displaced_mode):
         state = displace(vacuum_state(2), displaced_mode, 0.0, 1.0)
         state = append_vacuum(state, 1)
-        state = apply_pass(state, 2, 0, plan.channel())
+        state = apply_pass(state, 2, 0, plan)
         state = loss_channel(state, 2, eta_t)
-        state = apply_pass(state, 2, 1, plan.channel())
+        state = apply_pass(state, 2, 1, plan)
         return state.mean[4]
 
     ratio = light_mean_after_pass(0) / light_mean_after_pass(1)
@@ -448,10 +448,21 @@ def _protocol_call(protocol, **sources):
     ({}, "provide exactly one outcome source: rng or forced_outcomes"),
     ({"rng": "both", "forced_outcomes": (0.0, 0.0)},
      "provide exactly one outcome source: rng or forced_outcomes"),
-    ({"forced_outcomes": (0.0, 0.0, 0.0)}, "forced_outcomes must hold one value per round"),
-], ids=["neither", "both", "three-forced"])
-def test_protocols_take_exactly_one_outcome_source(protocol, sources, message):
-    # The rule of homodyne: an rng beside forced outcomes is an error, not ignored.
+    ({"forced_outcomes": (0.0, 0.0, 0.0)},
+     "forced_outcomes must be two finite numbers, got (0.0, 0.0, 0.0)"),
+    ({"forced_outcomes": (0.0, math.nan)},
+     "forced_outcomes must be two finite numbers, got (0.0, nan)"),
+], ids=["neither", "both", "three-forced", "nan-forced"])
+def test_protocols_take_exactly_one_outcome_source(protocol, sources, message, monkeypatch):
+    # The rule of homodyne: an rng beside forced outcomes is an error, not
+    # ignored.  Forced outcomes pass the pair check of input_mean and gain;
+    # every source is checked before any Bell measurement is pushed.
+    import spinlight.protocols as protocols
+
+    def no_push(rounds):
+        raise AssertionError("pushed a Bell measurement")
+
+    monkeypatch.setattr(protocols, "_push_bell", no_push)
     if "rng" in sources:
         sources = dict(sources, rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -665,6 +676,25 @@ def test_round_plan_validation():
         RoundPlan(kappa=1.0, eta_t=1.0)
     with pytest.raises(ValueError):
         RoundPlan(kappa=1.0, eps_p=-0.1)
+    # A round plan is its pass channel: it checks kappa and eps as
+    # ChannelParams does, with its text, then its own losses, and passes
+    # wherever a channel does.
+    from spinlight import ChannelParams
+
+    for fields, message in [
+        ({"kappa": math.inf}, "kappa is stored as a finite magnitude, got inf"),
+        ({"kappa": 1.0, "eps_a": 1.0}, "eps_a must lie in [0, 1), got 1.0"),
+        ({"kappa": 1.0, "eta_d": -0.1}, "eta_d must lie in [0, 1), got -0.1"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RoundPlan(**fields)
+    plan = RoundPlan(2.0, 0.1, 0.05, 0.3, 0.2)
+    assert isinstance(plan, ChannelParams)
+    assert dataclasses.astuple(plan) == (2.0, 0.1, 0.05, 0.3, 0.2)
+    state = displace(vacuum_state(2), 0, 0.3, -0.7)
+    got = apply_pass(state, 1, 0, plan)
+    want = apply_pass(state, 1, 0, ChannelParams(kappa=2.0, eps_p=0.1, eps_a=0.05))
+    assert np.array_equal(got.mean, want.mean) and np.array_equal(got.cov, want.cov)
 
 
 # ---------------------------------------------------------------------------
@@ -1157,14 +1187,24 @@ def _assert_reports_as_the_pair_covariance(covs):
     if all(math.isfinite(value) and value > 0 for value in epr):
         report = protocols._report(covs)
         assert (repr(report.epr_x), repr(report.epr_p)) == tuple(map(repr, epr))
+        # r is finite however far the product of the variances leaves the floats.
+        assert math.isclose(report.r, -0.25 * (math.log(epr[0]) + math.log(epr[1])),
+                            rel_tol=1e-12, abs_tol=1e-12)
     else:
         with pytest.raises(DegeneracyError) as error:
             protocols._report(covs)
         assert str(error.value).endswith(f"epr_x = {epr[0]!r}, epr_p = {epr[1]!r}")
 
 
+_LOSSLESS_PAIRS = ([(1.0, 0.0, 0.0, 0.0, 0.0)] * 2, [(1.0, 0.0, 0.0, 0.0, 0.0)] * 2)
+
+
 @given(entries=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=6,
                         max_size=6), rounds=_round_pairs())
+# EPR variances whose product underflows to 0, and whose product overflows.
+@example(entries=[7.41542318315734e-270, 0.0, 0.0, 1.3924168249735518e-76, 0.0, 0.0],
+         rounds=_LOSSLESS_PAIRS)
+@example(entries=[1e200, 0.0, 0.0, 1e200, 0.0, 0.0], rounds=_LOSSLESS_PAIRS)
 @settings(max_examples=200, deadline=None)
 def test_the_sector_report_keeps_every_epr_bit(entries, rounds):
     # The zero terms of the 4 x 4 form are exact and x + (-1) y is exactly
