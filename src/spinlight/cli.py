@@ -35,17 +35,25 @@ draws them, so identical (config, seed) pairs give byte-identical artifacts.
 Each subcommand only computes: it returns its JSON payload, its CSV table,
 its summary lines and its exit code.  ``main`` renders the artifact in the
 configured format, writes it to the configured path or to stdout, and prints
-the summary.  ``entangle`` and ``teleport`` run all their trials in one
-:func:`~spinlight.protocols.run_trials` call, and ``sweep`` hands over the
-columns of :func:`~spinlight.protocols.lossy_fidelity_sweep`.  Every table
-is a ``_Table`` of its columns wherever it goes (the sweep's points, the
+the summary: to stdout after a file, to stderr after an artifact on stdout,
+so that stdout holds the artifact alone.  ``entangle`` and ``teleport`` run
+all their trials in one :func:`~spinlight.protocols.run_trials` call, and
+``sweep`` hands over the columns of
+:func:`~spinlight.protocols.lossy_fidelity_sweep`.  Every table is a
+``_Table`` of its columns wherever it goes (the sweep's points, the
 mb-validate rows, a run's per-trial records, the CSV body): numpy arrays of
 one cell per row, or values that every row shares.  Both writers are chunk
 generators, and both take a table's rows from ``_Table.blocks``, at most
 ``_BLOCK_ROWS`` rows at a time in one row template; in JSON a table has the
-bytes of the list of dicts it stands for.  ``_json_chunks`` renders every
-JSON value: a dict, list or tuple an item at a time and a leaf as one chunk,
-so no chunk holds more than one block wherever a table is nested.
+bytes of the list of dicts it stands for.  ``_json_chunks`` renders a dict or
+list an item at a time and a leaf as one chunk, so no chunk holds more than
+one block wherever a table is nested.
+
+The writers take exactly what the commands make, and raise ``TypeError`` on
+anything else: ``bool``, ``int``, ``float``, ``str`` and ``None`` leaves,
+``dict``s with ``str`` keys, ``list``s and ``_Table``s.  A leaf's text is one
+lookup by exact type (``_leaf_text``): in ``_LEAF_TEXT`` for JSON, in
+``_CSV_TEXT`` for CSV and the summaries.
 
 How an artifact is written: ``main`` opens it only once the payload is
 computed, so a run that fails with a declared error (exit 1 or 4) never
@@ -97,22 +105,12 @@ EXIT_TOLERANCE_FAILURE = 3
 EXIT_NUMERICAL = 4
 
 
-def _format_scalar(value):
-    """Text of one scalar: ``true``/``false``, floats to 17 digits, None (missing) empty."""
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
-
-
 class _Table(NamedTuple):
     """A table of ``length`` rows held as its columns, one per ``str`` key of ``header``.
 
-    A column is a 1-d numpy array of one cell per row, or one value that every
-    row shares.  In JSON it is a list of one dict per row, each row rendered
+    A column is a 1-d float64, int64 or bool array of one cell per row, or
+    one leaf that every row shares; any other column makes the writers raise
+    ``TypeError``.  In JSON it is a list of one dict per row, each row rendered
     by ``template(pad, specs)`` (by default :func:`_row_template` of the
     header); in CSV the header line and one line per row.  Both writers take
     the rows from :meth:`blocks`.
@@ -123,32 +121,29 @@ class _Table(NamedTuple):
     columns: tuple
     template: object = None
 
-    def blocks(self, template, sep, cell_text):
+    def blocks(self, template, sep, texts):
         """The rows in ``template(specs)``, joined by ``sep``, ``_BLOCK_ROWS`` at a time.
 
-        ``specs`` holds one %-conversion per column.  A float column keeps its
-        Python floats for ``%.17g`` and an integer column its ints for ``%d``,
-        which give the writers' text; a boolean column gives ``true`` and
-        ``false``, as both writers do, and any other column ``cell_text`` of
-        each cell, for ``%s``.  A shared value's text is written into its
-        conversion.
+        ``specs`` holds one %-conversion per column, by the column's dtype
+        kind (``_KIND_SPECS``): a float column keeps its Python floats for
+        ``%.17g`` and an integer column its ints for ``%d``, which give the
+        writers' text, and a boolean column gives ``true`` and ``false`` for
+        ``%s``.  A shared leaf's text by ``texts`` (:func:`_leaf_text`) is
+        written into its conversion.  Any other column raises ``TypeError``.
         """
         for start in range(0, self.length, _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, self.length)
             specs, columns = [], []
             for column in self.columns:
                 if not isinstance(column, np.ndarray):
-                    specs.append(cell_text(column).replace("%", "%%"))
+                    specs.append(_leaf_text(texts, column).replace("%", "%%"))
                     continue
+                if (spec := _KIND_SPECS.get(column.dtype.kind)) is None:
+                    raise TypeError(f"the artifact writers take no {column.dtype} column")
                 cells = column[start:stop].tolist()
-                if column.dtype.kind == "f":
-                    specs.append("%.17g")
-                elif column.dtype.kind in "iu":
-                    specs.append("%d")
-                else:
-                    specs.append("%s")
-                    text = _BOOL_TEXT.__getitem__ if column.dtype.kind == "b" else cell_text
-                    cells = list(map(text, cells))
+                if column.dtype.kind == "b":
+                    cells = list(map(_BOOL_TEXT.__getitem__, cells))
+                specs.append(spec)
                 columns.append(cells)
             rows = [None] * (len(columns) * (stop - start))
             for number, cells in enumerate(columns):
@@ -161,23 +156,39 @@ _BLOCK_ROWS = 4096
 
 _ENCODE_STR = json.encoder.encode_basestring_ascii
 
-# Text of a boolean in both writers; a numpy boolean is an equal key.
+# Text of a boolean in both writers.
 _BOOL_TEXT = {False: "false", True: "true"}
 
-# JSON text of the common leaf types, keyed by exact type (bool is not int here).
+# %-conversion of a table column by its dtype kind: float, integer, boolean.
+_KIND_SPECS = {"f": "%.17g", "i": "%d", "b": "%s"}
+
+# JSON text of each leaf type, keyed by exact type (bool is not int here).
 _LEAF_TEXT = {
     float: "%.17g".__mod__,
     int: str,
     str: _ENCODE_STR,
     bool: _BOOL_TEXT.__getitem__,
-    np.bool_: _BOOL_TEXT.__getitem__,
     type(None): lambda value: "null",
 }
+
+# CSV and summary text of each leaf type: a string as it is, a missing value empty.
+_CSV_TEXT = {**_LEAF_TEXT, str: str, type(None): lambda value: ""}
+
+
+def _leaf_text(texts, value):
+    """Text of the leaf ``value`` by ``texts``; ``TypeError`` naming any type not in it."""
+    if (text := texts.get(type(value))) is None:
+        raise TypeError(f"the artifact writers take no {type(value).__name__}")
+    return text(value)
+
+
+# Text of one CSV cell or summary figure: floats to 17 digits, None (missing) empty.
+_format_scalar = functools.partial(_leaf_text, _CSV_TEXT)
 
 
 def _key_text(key):
     """Encoded dict key with its separator."""
-    return _ENCODE_STR(str(key)) + ": "
+    return _ENCODE_STR(key) + ": "
 
 
 @functools.lru_cache(maxsize=64)
@@ -229,24 +240,21 @@ def _records(outcomes):
 def _json_chunks(obj, pad):
     """JSON text of ``obj``, whose own line starts with ``pad``, in chunks.
 
-    A leaf is one chunk.  A table comes a block of rows at a time, and a dict,
-    list or tuple an item at a time, each item's opener and key glued to the
-    first chunk of its value, so that no chunk holds more than one block.
+    A table comes a block of rows at a time, and a dict or list an item at a
+    time, each item's opener and key glued to the first chunk of its value,
+    so that no chunk holds more than one block.  A leaf is one chunk, and
+    any other value raises ``TypeError``.
     """
-    if (leaf := _LEAF_TEXT.get(type(obj))) is not None:
-        yield leaf(obj)
-        return
     item_pad = pad + "  "
     if isinstance(obj, _Table):
         template = functools.partial(obj.template or functools.partial(_row_template, obj.header),
                                      item_pad)
-        cell_text = functools.partial(_json_value, pad=item_pad + "  ")
         opener = "[" + item_pad
-        for block in obj.blocks(template, "," + item_pad, cell_text):
+        for block in obj.blocks(template, "," + item_pad, _LEAF_TEXT):
             yield opener + block
             opener = "," + item_pad
         yield pad + "]" if obj.length else "[]"
-    elif isinstance(obj, (dict, list, tuple)):
+    elif isinstance(obj, (dict, list)):
         keyed = isinstance(obj, dict)
         brackets = "{}" if keyed else "[]"
         keys = map(_key_text, obj) if keyed else itertools.repeat("")
@@ -261,26 +269,16 @@ def _json_chunks(obj, pad):
                 yield from chunks
             opener = "," + item_pad
         yield pad + brackets[1] if obj else brackets
-    # Other numpy scalars, subclasses and anything else (bool has no subclasses).
-    elif isinstance(obj, (int, np.integer)):
-        yield str(int(obj))
-    elif isinstance(obj, (float, np.floating)):
-        yield _format_scalar(obj)
     else:
-        yield _ENCODE_STR(str(obj))
-
-
-def _json_value(obj, pad):
-    """Text of one value whose own line starts with ``pad``: :func:`_json_chunks` joined."""
-    return "".join(_json_chunks(obj, pad))
+        yield _leaf_text(_LEAF_TEXT, obj)
 
 
 def _csv_chunks(echo, table):
     """``#``-prefixed config echo and the table's header, then its rows a block per chunk."""
-    lines = [f"# {key} = {_format_scalar(value)}\n" for key, value in echo.items()]
+    lines = ["# " + key + " = " + _format_scalar(value) + "\n" for key, value in echo.items()]
     lines.append(",".join(table.header) + "\n")
     yield "".join(lines)
-    yield from table.blocks(lambda specs: ",".join(specs) + "\n", "", _format_scalar)
+    yield from table.blocks(lambda specs: ",".join(specs) + "\n", "", _CSV_TEXT)
 
 
 def _write_artifact(path, chunks):
@@ -448,8 +446,8 @@ def _cmd_sweep(cfg):
         "points": table,
         "config": cfg.echo,
     }
-    summary = [f"argmax kappa2 = {_format_scalar(kappa2[best])} "
-               f"(f = {_format_scalar(f_simulated[best])})"]
+    summary = [f"argmax kappa2 = {_format_scalar(kappa2[best].item())} "
+               f"(f = {_format_scalar(f_simulated[best].item())})"]
     return payload, table, summary, EXIT_OK
 
 
@@ -473,7 +471,7 @@ def _cmd_mb_validate(cfg):
               "dev_kappa", "dev_eps_p", "dev_eps_a",
               "signal_leak", "noise_var_light_x", "noise_var_atom_x")
     table = _Table(header, len(sizes), tuple(column[name] for name in header))
-    final = {name: cells[-1] for name, cells in column.items()}
+    final = {name: cells[-1].item() for name, cells in column.items()}
     within = bool(
         final["dev_kappa"] <= cfg.mb.tol_kappa
         and final["dev_eps_p"] <= cfg.mb.tol_eps
@@ -607,8 +605,8 @@ def main(argv=None):
         else:
             chunks = itertools.chain(_json_chunks(payload, "\n"), ["\n"])
         _write_artifact(cfg.out_path, chunks)
-        for line in summary:
-            print(line)
+        # An artifact on stdout keeps stdout to itself.
+        (sys.stdout if cfg.out_path else sys.stderr).writelines(line + "\n" for line in summary)
         return code
     except (ConfigError, OSError, ValueError) as exc:
         sys.stderr.write(f"config error: {exc}\n")

@@ -123,22 +123,26 @@ def exit_code_key(name, fmt):
     return name if fmt == "json" else f"{name}.{fmt}"
 
 
-def run_case(name, workdir, fmt="json"):
-    """Run one case in ``workdir``; returns (exit code, artifact bytes or None).
+def case_argv(name, workdir, fmt="json"):
+    """The command line of one case in ``workdir``, without ``--out``; writes its config.
 
     ``fmt`` other than ``json`` (the default format) is passed as ``--format``.
     """
+    config, argv = CASES[name]
+    cfg = Path(workdir) / f"{config}.cfg"
+    cfg.write_text(CONFIGS[config])
+    flags = [] if fmt == "json" else ["--format", fmt]
+    return argv + flags + ["--config", str(cfg)]
+
+
+def run_case(name, workdir, fmt="json"):
+    """Run one case in ``workdir``; returns (exit code, artifact bytes or None)."""
     from spinlight.cli import main
 
-    config, argv = CASES[name]
-    workdir = Path(workdir)
-    cfg = workdir / f"{config}.cfg"
-    cfg.write_text(CONFIGS[config])
-    out = workdir / f"{name}.{fmt}"
+    out = Path(workdir) / f"{name}.{fmt}"
     if out.exists():
         out.unlink()
-    flags = [] if fmt == "json" else ["--format", fmt]
-    code = main(argv + flags + ["--config", str(cfg), "--out", str(out)])
+    code = main(case_argv(name, workdir, fmt) + ["--out", str(out)])
     return code, out.read_bytes() if out.exists() else None
 
 

@@ -119,6 +119,23 @@ def test_unknown_key_exits_1(tmp_path, capsys):
         assert capsys.readouterr().err == f"config error: {key}: unknown key\n"
 
 
+@pytest.mark.parametrize("text, env, line", [
+    ("channel.kappa = abc\n", {}, "channel.kappa: expected a number, got 'abc'"),
+    (PHYSICAL.replace("5e12 cm^-3", "5e12 furlongs"), {},
+     "physical.rho: cannot parse density '5e12 furlongs' (units: m^-3, cm^-3)"),
+    (IDEAL, {"SPINLIGHT_NOISE-ETA": "0.1"},
+     "SPINLIGHT_NOISE-ETA: environment override is not a valid key"),
+], ids=["not-a-number", "density-unit", "env-name"])
+def test_an_unreadable_setting_exits_1_in_one_line(tmp_path, capsys, monkeypatch, text, env, line):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    cfg = _write(tmp_path, "run.cfg", text)
+    out = tmp_path / "run.json"
+    assert _run(["entangle", "--config", cfg, "--out", str(out)]) == cli.EXIT_USAGE
+    assert capsys.readouterr() == ("", f"config error: {line}\n")
+    assert not out.exists()
+
+
 BAD_VALUES = [
     ("entangle", IDEAL + "channel.eps_p = 1.5\n", [], "channel.eps_p"),
     ("entangle", "channel.kappa = -1\n", [], "channel.kappa"),
@@ -829,28 +846,23 @@ def _csv_text(echo, table):
     return "".join(cli._csv_chunks(echo, table))
 
 
+# The leaves the commands hand the writers, and the text of their keys.
 _LEAVES = st.one_of(
     st.none(),
     st.booleans(),
-    st.booleans().map(np.bool_),
     st.integers(),
-    st.integers(-(2**63), 2**63 - 1).map(np.int64),
     st.floats(allow_nan=True, allow_infinity=True),
-    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
     st.sampled_from([-0.0, 1e-300, 5e300, 5e-324, 0.1]),
     st.text(),
     st.sampled_from(['"quoted"', "back\\slash", "tab\tnewline\n", "kappa\u2082", "\U0001f300"]),
 )
-_KEYS = st.one_of(st.text(), st.integers(), st.booleans(), st.sampled_from(["f_simulated", "\u00e9t\u00e9"]))
-# One leaf type per column: the columns of drawn `_Table`s, and of the lists
-# of dicts the generic path renders.
+_KEYS = st.one_of(st.text(), st.sampled_from(["f_simulated", "\u00e9t\u00e9", "%", "%s%%"]))
+# One leaf type per column: the columns of the lists of dicts the generic
+# path renders, and the shared values of drawn `_Table`s.
 _COLUMNS = st.sampled_from([
     st.floats(allow_nan=True, allow_infinity=True),
-    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
     st.integers(),
-    st.integers(-(2**63), 2**63 - 1).map(np.int64),
     st.booleans(),
-    st.booleans().map(np.bool_),
     st.text(),
     st.none(),
 ])
@@ -860,12 +872,11 @@ _COLUMNS = st.sampled_from([
 def _tables(draw, children):
     """Lists of flat dicts sharing keys and one leaf type per key, some broken.
 
-    The keys may hold ``%`` or be 1 / True / 1.0.  A broken table changes one
-    cell's leaf type or puts a container there, gives one row an equal key
-    of another type, or reorders one row's keys.
+    The keys may hold ``%``.  A broken table changes one cell's leaf type or
+    puts a container there, or reorders one row's keys.
     """
     keys = draw(st.lists(
-        st.one_of(st.text(), st.sampled_from(["%", "%s%%", "kappa2", 1, True, 1.0])),
+        st.one_of(st.text(), st.sampled_from(["%", "%s%%", "kappa2"])),
         min_size=1, max_size=4, unique=True,
     ))
     columns = [draw(_COLUMNS) for _ in keys]
@@ -874,23 +885,18 @@ def _tables(draw, children):
         for _ in range(draw(st.integers(1, 6)))
     ]
     row = draw(st.integers(0, len(rows) - 1))
-    key = draw(st.sampled_from(keys))
-    breakage = draw(st.sampled_from(["none", "leaf", "key", "order"]))
+    breakage = draw(st.sampled_from(["none", "leaf", "order"]))
     if breakage == "leaf":
-        rows[row][key] = draw(st.one_of(_LEAVES, children))
-    elif breakage == "key" and key in (1, True, 1.0):
-        twin = draw(st.sampled_from([k for k in (1, True, 1.0) if type(k) is not type(key)]))
-        rows[row] = {twin if k == key else k: v for k, v in rows[row].items()}
+        rows[row][draw(st.sampled_from(keys))] = draw(st.one_of(_LEAVES, children))
     elif breakage == "order":
         rows[row] = dict(reversed(rows[row].items()))
-    return draw(st.sampled_from([list, tuple]))(rows)
+    return rows
 
 
 _PAYLOADS = st.recursive(
     _LEAVES,
     lambda children: st.one_of(
         st.lists(children, max_size=5),
-        st.lists(children, max_size=5).map(tuple),
         st.dictionaries(_KEYS, children, max_size=5),
         _tables(children),
     ),
@@ -900,12 +906,9 @@ _PAYLOADS = st.recursive(
 
 @given(payload=_PAYLOADS, indent=st.integers(0, 3))
 @example(payload={"a": [], "b": {}, "c": [{"d": -0.0, "e": 1e-300}], "f": 5e300}, indent=0)
-@example(payload=[{"x": np.float64(0.1), "y": np.int64(-3), "z": np.bool_(True)}], indent=1)
 @example(payload=[{"kappa2": 0.2, "n": 3, "ok": True, "tag": "a%sb", "none": None}] * 3, indent=1)
-@example(payload=[{1: 0.5}, {True: 0.5}, {1.0: 0.5}], indent=0)
 @example(payload=[{"a": 1.0, "b": "x"}, {"a": 1, "b": "y"}, {"a": 2.0, "b": "z"}], indent=2)
-@example(payload=[{"a": 0.1}, {"a": np.float64(0.1)}, {"a": np.bool_(False)}], indent=0)
-@example(payload=({"a": [1.0, None]}, {"a": {"b": True}}), indent=1)
+@example(payload=[{"a": [1.0, None]}, {"a": {"b": True}}], indent=1)
 @example(payload=[{"a": 1.0, "b": 2.0}, {"b": 3.0, "a": 4.0}], indent=0)
 @example(payload=[{"a": 1.0}, {"b": 2.0}], indent=0)
 @example(payload=[{}, {}], indent=0)
@@ -913,12 +916,6 @@ _PAYLOADS = st.recursive(
 @settings(max_examples=300, deadline=None)
 def test_json_writer_matches_reference_writer(payload, indent):
     assert _json_text(payload, indent) == reference_json_text(payload, indent)
-
-
-def test_json_writer_key_cache_tells_equal_keys_apart():
-    text = _json_text([{1: 0}, {True: 0}, {1.0: 0}])
-    assert text == reference_json_text([{1: 0}, {True: 0}, {1.0: 0}])
-    assert '"True": 0' in text and '"1.0": 0' in text
 
 
 def _objects(*cells):
@@ -930,7 +927,7 @@ def _objects(*cells):
 
 def _table_rows(table):
     """The rows of a `_Table`, one cell per column: an array's entry or the shared value."""
-    return [[column[row] if isinstance(column, np.ndarray) else column
+    return [[column[row].item() if isinstance(column, np.ndarray) else column
              for column in table.columns]
             for row in range(table.length)]
 
@@ -939,9 +936,8 @@ def _table_rows(table):
 def _table_values(draw):
     """`_Table`s of 1 to 6 rows, keys that may hold ``%``, one column per key.
 
-    A column is an object array of one leaf type, or mixing every leaf type
-    (a table carries no type per column); a float64, int64 or bool array; or
-    one leaf that every row shares.
+    A column is a float64, int64 or bool array, or one leaf that every row
+    shares.
     """
     header = tuple(draw(st.lists(
         st.one_of(st.text(), st.sampled_from(["%", "%s%%", "%d", "kappa2"])),
@@ -955,12 +951,9 @@ def _table_values(draw):
     }
     columns = []
     for _ in header:
-        kind = draw(st.sampled_from(["object", *arrays, "shared"]))
+        kind = draw(st.sampled_from([*arrays, "shared"]))
         if kind == "shared":
             columns.append(draw(_LEAVES))
-        elif kind == "object":
-            leaves = draw(st.one_of(_COLUMNS, st.just(_LEAVES)))
-            columns.append(_objects(*[draw(leaves) for _ in range(length)]))
         else:
             cells = draw(st.lists(arrays[kind], min_size=length, max_size=length))
             columns.append(np.array(cells, dtype=kind))
@@ -971,11 +964,8 @@ def _table_values(draw):
        indent=st.integers(0, 3))
 @example(table=cli._Table(("%", "%d", "\u00e9"), 2, (np.array([-0.0, -0.0]),
                                                      np.array([float("nan")] * 2),
-                                                     _objects("\U0001f300", "\U0001f300"))),
-         echo={"flag": np.bool_(True), "x": np.float64(0.1)}, indent=3)
-@example(table=cli._Table(("a", "b"), 3, (_objects(1.0, 1, np.int64(2)),
-                                          _objects("x", None, np.bool_(False)))),
-         echo={}, indent=0)
+                                                     "\U0001f300")),
+         echo={"flag": True, "x": 0.1}, indent=3)
 @example(table=cli._Table(("%s", "none", "n"), 2, ("%s%%", None, np.arange(2))),
          echo={"%": "%s%%"}, indent=1)
 @settings(max_examples=300, deadline=None)
@@ -995,10 +985,25 @@ def test_a_table_in_a_list_streams_a_block_per_chunk(monkeypatch):
     assert [chunk.count('"a"') for chunk in chunks if '"a"' in chunk] == [2, 2, 1]
 
 
-def test_csv_writer_writes_numpy_booleans_as_literals():
-    table = cli._Table(("a", "b"), 1, (_objects(np.bool_(True)), True))
-    text = _csv_text({"flag": np.bool_(False)}, table)
-    assert text == "# flag = false\na,b\ntrue,true\n"
+@pytest.mark.parametrize("key, value", [
+    ("x", np.float64(0.5)),
+    ("x", np.int64(3)),
+    ("x", np.bool_(True)),
+    ("x", (0.5, 1.0)),
+    (1, 0.5),
+    ("x", _objects(0.5)),
+    ("x", np.array(["a"])),
+    ("x", np.array([3], dtype=np.uint64)),
+], ids=["numpy-float", "numpy-int", "numpy-bool", "tuple", "int-key", "object-column",
+        "string-column", "unsigned-column"])
+def test_the_writers_raise_on_a_value_no_command_makes(key, value):
+    # Each is a leaf or dict of the JSON payload, a CSV echo line and a table
+    # column; none of them is a type that a command hands the writers.
+    table, empty = cli._Table((key,), 1, (value,)), cli._Table(("a",), 0, (np.zeros(0),))
+    for write in (lambda: _json_text({key: value}), lambda: _json_text([table]),
+                  lambda: _csv_text({key: value}, empty), lambda: _csv_text({}, table)):
+        with pytest.raises(TypeError):
+            write()
 
 
 # ---------------------------------------------------------------------------

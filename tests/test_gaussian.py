@@ -52,6 +52,10 @@ def test_vacuum_rejects_zero_modes():
         vacuum_state(0)
 
 
+def test_an_empty_register_has_no_heisenberg_margin_to_break():
+    assert GaussianState(np.zeros(0), np.zeros((0, 0))).heisenberg_margin() == 0.0
+
+
 # ---------------------------------------------------------------------------
 # displacement
 
@@ -615,6 +619,21 @@ def test_marginal_picks_mode_block():
     assert sub.n_modes == 2
     assert np.allclose(sub.mean[:2], state.mean[4:6])
     assert np.allclose(sub.cov[:2, :2], state.cov[4:6, 4:6])
+
+
+@pytest.mark.parametrize("request_, message", [
+    (lambda: GaussianState(np.zeros(3), np.eye(3)), "mean length must be even, got 3"),
+    (lambda: GaussianState(np.zeros(2), np.eye(3)),
+     "covariance shape (3, 3) does not match mean length 2"),
+    (lambda: append_vacuum(vacuum_state(1), 0), "need at least one mode to append, got 0"),
+    (lambda: marginal(vacuum_state(2), [0, 0]), "duplicate modes in marginal request"),
+    (lambda: homodyne(vacuum_state(1), 0, "y", forced=0.0),
+     "quadrature must be 'x' or 'p', got 'y'"),
+], ids=["odd-mean", "covariance-shape", "append-none", "duplicate-modes", "quadrature"])
+def test_a_malformed_register_request_raises_naming_it(request_, message):
+    with pytest.raises(ValueError) as error:
+        request_()
+    assert str(error.value) == message
 
 
 def test_symmetrization_on_construction():

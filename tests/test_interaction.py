@@ -142,6 +142,27 @@ def test_positivity_validation():
         _symmetric_params(rho=0.0)
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"gamma_prime": -1.0}, "gamma_prime must be non-negative"),
+    ({"A": -1.0}, "A must be positive"),
+    ({"Np": -1.0}, "Na and Np must be positive"),
+    ({"g_coupling": -1.0}, "g_coupling must be positive"),
+    ({"dipole": -1.0}, "dipole, omega0 and area must be positive"),
+    # rho * A * L = 1e-300 * 1e-30 * 1e-2 underflows to 0: no atoms.
+    ({"rho": 1e-300, "A": 1e-30, "L": 1e-2}, "Na and Np must be positive"),
+], ids=["gamma-prime", "area", "photons", "coupling", "dipole", "column-underflow"])
+def test_a_bad_physical_input_raises_naming_it(overrides, message):
+    with pytest.raises(ValueError) as error:
+        _symmetric_params(**overrides)
+    assert str(error.value) == message
+
+
+def test_dipole_from_linewidth_rejects_a_negative_rate():
+    with pytest.raises(ValueError) as error:
+        interaction.dipole_from_linewidth(-1.0, 2.0 * math.pi * constants.c / 780e-9)
+    assert str(error.value) == "gamma must be non-negative and omega0 positive"
+
+
 def test_atom_number_consistency_check():
     params = _symmetric_params()
     with pytest.raises(ValueError):

@@ -76,6 +76,10 @@ def test_fidelity_lossy_values():
         fidelity_lossy(2.0, 1.0)
     with pytest.raises(ValueError):
         fidelity_lossy(0.0, 0.2)
+    with pytest.raises(ValueError, match=r"^eta_t must lie in \[0, 1\), got 1\.0$"):
+        lossy_fidelity_bound(1.0)
+    with pytest.raises(ValueError, match=r"^eta_t must lie in \(0, 1\), got 0\.0$"):
+        optimal_kappa2(0.0)
 
 
 def test_lossy_optimum_against_grid_search():
@@ -192,6 +196,8 @@ def test_report_rejects_nan_epr_variances():
         _report(covs)
     with pytest.raises(ValueError, match="EPR variances must be non-negative"):
         ProtocolReport(r=0.0, epr_x=float("nan"), epr_p=1.0)
+    with pytest.raises(ValueError, match=r"^fidelity must lie in \[0, 1\], got 1\.5$"):
+        ProtocolReport(r=0.0, epr_x=1.0, epr_p=1.0, fidelity=1.5)
 
 
 def test_zero_kappa_squeezing_is_positive_zero():
@@ -503,6 +509,7 @@ def test_gain_calibration_names_the_silent_round_and_its_kappa(kappas, number):
     ((0.0,), None, "input_mean"),
     ((0.0, 0.0, 9.0), None, "input_mean"),
     ((float("nan"), 0.0), None, "input_mean"),
+    ("ab", None, "input_mean"),
     ((0.0, 0.0), (1.0,), "gain"),
     ((0.0, 0.0), (1, 2, 3), "gain"),
     ((0.0, 0.0), (float("nan"), 1.0), "gain"),

@@ -3,12 +3,14 @@
 Each example draws a command, a config whose values come from the edges
 of ``config._SCHEMA``'s intervals, values just inside them, and the
 extremes 0, 5e-324, 1e-310, 1e+-150, 1e+-300, 1.7e308 and 1 - 2^-53, and
-``--seed``, ``--trials`` and ``--format`` values, valid and bad, and runs
-``cli.main`` with every warning an error.  The run must exit 0-4 without an
-exception.  A failed run (1 or 4) prints exactly one stderr line and leaves
-the artifact it was pointed at byte-identical, and a bad flag value fails as
-a config error.  Every artifact that a run writes (exit 0, 2 or 3) holds
-only finite floats, and fidelities in [0, 1].  The three size keys are drawn
+``--seed``, ``--trials`` and ``--format`` values, valid and bad, and whether
+the artifact goes to a file (``--out``) or to stdout, and runs ``cli.main``
+with every warning an error.  The run must exit 0-4 without an exception.
+A failed run (1 or 4) prints exactly one stderr line and nothing to stdout,
+and leaves the file byte-identical, and a bad flag value fails as a config
+error.  Every artifact that a run writes (exit 0, 2 or 3) holds only finite
+floats, and fidelities in [0, 1]; on stdout it is all that stdout gets, and
+the file is left alone.  The three size keys are drawn
 only at small values, so that every example stays cheap.
 """
 
@@ -28,7 +30,9 @@ from spinlight import cli, config
 EXTREMES = (0.0, 5e-324, 1e-310, 1e-300, 1e-150, 1e150, 1e300, 1.7e308, 1.0 - 2.0**-53)
 SIZE_KEYS = {"trials": (0, 1, 2, 3), "sweep.steps": (1, 2, 3, 4), "mb.max_grid": (0, 1, 2, 16)}
 COMMANDS = ("derive", "entangle", "teleport", "sweep", "mb-validate")
-JSON, CSV = {"--format": "json"}, {"--format": "csv"}
+# Stands in ``flags`` for the artifact path; a run without ``--out`` writes to stdout.
+OUT = "<artifact>"
+JSON, CSV = {"--format": "json", "--out": OUT}, {"--format": "csv", "--out": OUT}
 # Each flag's (valid, bad) values.
 FLAGS = {
     "--seed": (("0", "7", "18446744073709551615"), ("-1", "18446744073709551616", "abc", "1e3")),
@@ -88,7 +92,7 @@ CANDIDATES = {key: _candidates(key, row) for key, row in config._SCHEMA.items()
 
 @st.composite
 def runs(draw):
-    """A command, its config mapping and its flags: ``--format`` and maybe others."""
+    """A command, its config mapping and its flags: ``--format``, maybe ``--out`` and others."""
     command = draw(st.sampled_from(COMMANDS))
     mapping = dict(PHYSICAL) if draw(st.booleans()) else {
         "channel.kappa": draw(st.sampled_from(CANDIDATES["channel.kappa"] + (1.0, 5.0)))
@@ -100,6 +104,8 @@ def runs(draw):
     flags = {flag: draw(st.sampled_from(sum(FLAGS[flag], ())))
              for flag in ("--seed", "--trials") if draw(st.booleans())}
     flags["--format"] = draw(st.sampled_from(sum(FLAGS["--format"], ())))
+    if draw(st.booleans()):
+        flags["--out"] = OUT
     return command, mapping, flags
 
 
@@ -164,9 +170,12 @@ OLD_ARTIFACT = b"an earlier artifact\n"
                               "physical.g_coupling": 1e100}, JSON))
 @example(run=("derive", {**PHYSICAL, "physical.gamma": 1e-200, "physical.gamma_prime": 1e-200,
                          "physical.g_coupling": 1e-3}, CSV))
-@example(run=("entangle", {"channel.kappa": 5.0}, {"--seed": "abc", "--format": "json"}))
-@example(run=("teleport", {"channel.kappa": 5.0}, {"--trials": "1e3", "--format": "csv"}))
-@example(run=("sweep", {"channel.kappa": 1.0, **SWEEP}, {"--format": "xml"}))
+@example(run=("entangle", {"channel.kappa": 5.0}, {**JSON, "--seed": "abc"}))
+@example(run=("teleport", {"channel.kappa": 5.0}, {**CSV, "--trials": "1e3"}))
+@example(run=("sweep", {"channel.kappa": 1.0, **SWEEP}, {"--format": "xml", "--out": OUT}))
+@example(run=("sweep", {"channel.kappa": 1.0, **SWEEP}, {"--format": "json"}))
+@example(run=("sweep", {"channel.kappa": 1.0, **SWEEP}, {"--format": "csv"}))
+@example(run=("teleport", {"channel.kappa": 1e200}, {"--format": "json"}))
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 def test_every_run_ends_in_a_declared_exit_code(workdir, run):
     command, mapping, flags = run
@@ -175,24 +184,29 @@ def test_every_run_ends_in_a_declared_exit_code(workdir, run):
                            for key, value in mapping.items()))
     out = workdir / "artifact"
     out.write_bytes(OLD_ARTIFACT)
-    err = io.StringIO()
+    argv = [command, "--config", str(cfg)]
+    for flag, value in flags.items():
+        argv += [flag, str(out) if flag == "--out" else value]
+    err, stdout = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
-            contextlib.redirect_stdout(io.StringIO()):
+            contextlib.redirect_stdout(stdout):
         warnings.simplefilter("error")
-        code = cli.main([command, "--config", str(cfg), "--out", str(out),
-                         *(text for flag in flags.items() for text in flag)])
-    err = err.getvalue()
+        code = cli.main(argv)
+    err, stdout = err.getvalue(), stdout.getvalue()
     assert code in range(5), (code, err)
-    if any(value in FLAGS[flag][1] for flag, value in flags.items()):
+    if any(value in FLAGS.get(flag, ((), ()))[1] for flag, value in flags.items()):
         assert code == cli.EXIT_USAGE, (code, err)
     if code in (cli.EXIT_USAGE, cli.EXIT_NUMERICAL):
         assert err.count("\n") == 1 and err.endswith("\n"), err
-        assert out.read_bytes() == OLD_ARTIFACT
+        assert out.read_bytes() == OLD_ARTIFACT and stdout == ""
         if code == cli.EXIT_NUMERICAL:
             assert err.startswith("numerical error: "), err
         else:
             keyed = KEYED.match(err)
             assert (keyed and keyed.group(1) in NAMES) or ROW.match(err), err
-    else:  # exit 0, 2 or 3: the run wrote its artifact
+    elif "--out" in flags:  # exit 0, 2 or 3: the run wrote its artifact
         assert err == ""
         _check_artifact(out.read_text(), flags["--format"])
+    else:  # stdout holds the artifact alone, and the file is left alone
+        assert out.read_bytes() == OLD_ARTIFACT
+        _check_artifact(stdout, flags["--format"])
