@@ -172,7 +172,6 @@ class RunConfig:
 
     channel: ChannelParams
     physical: PhysicalParams
-    plans: dict
     input_mean: tuple
     gain: tuple
     kappa1_multiplier: float
@@ -186,6 +185,19 @@ class RunConfig:
     out_path: str
     out_format: str
     echo: dict
+    # The checked value of every schema key, by key.
+    _values: dict
+
+    @functools.cached_property
+    def plans(self):
+        """Each round's :class:`~spinlight.protocols.RoundPlan`, by round name.
+
+        Built on first read, so a command that runs no round builds none; the
+        schema has checked every field a plan checks.
+        """
+        return {name: RoundPlan(**{field: self._values[key]
+                                   for key, field in _GROUPS[f"rounds.{name}"]})
+                for name in _ROUND_NAMES}
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +340,9 @@ _SCHEMA = {key: _Key(key, *row) for key, row in {
     "sweep.param": (_text, "kappa2", "kappa2", "swept parameter"),
     "sweep.min": (_number, _REQUIRED, "(0, inf)", "lower end of the sweep", "minimum"),
     "sweep.max": (_number, _REQUIRED, "(0, inf)", "upper end of the sweep", "maximum"),
-    "sweep.steps": (_integer, _REQUIRED, "[2, 10^6]", "grid size; cap: 2.2-2.7 s, 75 MB"),
+    "sweep.steps": (_integer, _REQUIRED, "[2, 10^6]", "grid size; cap: 2.3-2.8 s, 76 MB"),
     "mb.min_grid": (_integer, MbSpec.min_grid, "[1, inf)", "smallest dyadic grid"),
-    "mb.max_grid": (_integer, MbSpec.max_grid, "[1, 2^22]", "largest grid; cap: 0.4-0.7 s, 285 MB"),
+    "mb.max_grid": (_integer, MbSpec.max_grid, "[1, 2^22]", "largest grid; cap: 0.1-0.2 s, 29 MB"),
     "mb.tol_kappa": (_number, MbSpec.tol_kappa, "[0, inf)", "mb-validate tolerance on kappa"),
     "mb.tol_eps": (_number, MbSpec.tol_eps, "[0, inf)", "mb-validate tolerance on eps"),
     "seed": (_integer, 0, "[0, 2^64)", "seed of the run's one outcome stream"),
@@ -411,8 +423,6 @@ def resolve_run_config(mapping):
     for key, ref in _REFS:
         if key not in mapping:
             values[key] = values[ref]
-    plans = {name: RoundPlan(**_fields(values, mapping, f"rounds.{name}"))
-             for name in _ROUND_NAMES}
 
     gain = tuple(_fields(values, mapping, "gain").values()) if "gain" in given else None
     sweep = SweepSpec(**_fields(values, mapping, "sweep")) if "sweep" in given else None
@@ -431,7 +441,6 @@ def resolve_run_config(mapping):
     return RunConfig(
         channel=channel,
         physical=physical,
-        plans=plans,
         input_mean=(values["input.x"], values["input.p"]),
         gain=gain,
         kappa1_multiplier=values["protocol.kappa1_multiplier"],
@@ -445,4 +454,5 @@ def resolve_run_config(mapping):
         out_path=values["output.path"],
         out_format=values["output.format"],
         echo=echo,
+        _values=values,
     )

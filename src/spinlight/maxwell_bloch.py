@@ -25,10 +25,11 @@ diagonal, so the p quadratures are damped but never driven, and every
 collective coefficient and noise sum is a product of geometric sums
 S(h, n) = sum_{i < n} e^(i h) over the bins and the slices, with e^h the
 per-cell transmission: O(1) per grid.  Only the two variance terms
-(``signal_leak``'s spread and the cross-noise sum) need the n terms
-expm1(i h), and :func:`extract_collective_grids` takes them for a whole
-ladder of grids in one segmented pass, with no loop over the cells; one
-grid is the ladder ``[grid]``.  The dense composed map of
+(``signal_leak``'s spread and the cross-noise sum) are sums over the n
+terms expm1(i h), and :func:`extract_collective_grids` takes each by binary
+splitting in O(log n) steps of Python float arithmetic, with no loop over
+the cells or the terms and no numpy call; one grid is the ladder
+``[grid]``.  The dense composed map of
 :func:`build_transfer`, 2 (n_tau + n_z) rows by up to 4 n_z n_tau noise
 columns, is that grid of passes written out: the tests' small-grid reference.
 """
@@ -195,45 +196,64 @@ def extract_collective(tm):
 
 
 def _damping_sums(eps, n):
-    """n cells of damping eps / n: (eps_cell, h, expm1(h), S(h, n), S(2h, n), eps_eff).
+    """n cells of damping eps / n: (eps_cell, h, expm1(h), S(h, n), S(2h, n), eps_eff,
+    spread, squares).
 
     h = log1p(-eps_cell) / 2 is the log of the per-cell transmission t,
     S(h, n) = sum_{i < n} t^i = expm1(n h) / expm1(h) (n at h = 0), and
     eps_eff = 1 - t^(2n) = -expm1(2 n h), exact where 1 - (t^n)^2 cancels.
+    ``spread`` and ``squares`` are the variance sums of :func:`_ladder_sums`.
     """
     eps_cell = eps / n
     h = 0.5 * math.log1p(-eps_cell)
     if h == 0.0:
-        return eps_cell, 0.0, 0.0, n, n, 0.0
+        return eps_cell, 0.0, 0.0, n, n, 0.0, 0.0, 0.0
     decay, em = math.expm1(2 * n * h), math.expm1(h)
-    return eps_cell, h, em, math.expm1(n * h) / em, decay / math.expm1(2 * h), -decay
+    return (eps_cell, h, em, math.expm1(n * h) / em, decay / math.expm1(2 * h), -decay,
+            *_ladder_sums(h, n))
 
 
-def _segmented_sums(h, lengths):
-    """Per segment (h, n): the spread of d_i = expm1(i h), i = 1..n, about its
-    mean, and sum_{i < n} d_i^2; every segment in one pass, in place."""
-    lengths = np.array(lengths, dtype=np.intp)
-    starts = np.cumsum(lengths) - lengths
-    d = np.ones(lengths.sum())
-    d[starts[1:]] -= lengths[:-1]
-    np.cumsum(d, out=d)  # i = 1..n, restarting at each segment
-    buffer = np.repeat(h, lengths)
-    d *= buffer
-    np.expm1(d, out=d)
-    # Each segment split before its last term: the even sums hold n - 1 terms.
-    np.square(d, out=buffer)
-    bounds = np.repeat(starts, 2)
-    bounds[1::2] += lengths - 1
-    squares = np.add.reduceat(buffer, bounds)[::2]
-    squares[lengths == 1] = 0.0
-    del buffer
-    d -= np.repeat(np.add.reduceat(d, starts) / lengths, lengths)
-    np.square(d, out=d)
-    return np.add.reduceat(d, starts).tolist(), squares.tolist()
+def _ladder_sums(h, n):
+    """For d_i = expm1(i h), i = 1..n, at h < 0: the spread sum_i (d_i - mean)^2
+    and the squares sum_{i < n} d_i^2, by binary splitting in O(log n) steps.
+
+    The terms d_0..d_(n-1) (d_0 = 0) hold the squares, and d_1..d_n are
+    t d_0..t d_(n-1) + expm1(h), so their spread is t^2 times that of the
+    first.  The run [0, m) is built most significant bit of n first, carrying
+    sum d, sum t^i, sum d^2 and the spread M2 (Chan, Golub & LeVeque's pairwise
+    update).  Doubling appends the run shifted by m: d_(i+m) = t^m d_i + D_m
+    with D_m = expm1(m h), so every sum adds terms of one sign, and the two
+    halves' means differ by D_m sum t^i / m, a product.  A set bit appends
+    d_m by Welford's update; where d_m - mean cancels (most terms near -1),
+    the update is too small a share of the spread for the digits it loses to
+    show.
+    """
+    exp, expm1 = math.exp, math.expm1
+    m, tm, dm = 1, exp(h), expm1(h)  # the run [0, 1), and t^m, D_m
+    sum_d, sum_t, squares, spread = 0.0, 1.0, 0.0, 0.0
+    for bit in bin(n)[3:]:
+        shift = dm * sum_t
+        grow = 1.0 + tm * tm
+        spread = spread * grow + shift * shift / (m + m)
+        squares = squares * grow + (2.0 * tm * sum_d + m * dm) * dm
+        sum_d += tm * sum_d + m * dm
+        sum_t += tm * sum_t
+        m += m
+        if bit == "1":
+            tm, dm = tm * tm, dm * (2.0 + dm)  # of the term d_m
+            dev = dm - sum_d / m
+            spread += dev * dev * m / (m + 1)
+            sum_d += dm
+            sum_t += tm
+            squares += dm * dm
+            m += 1
+        x = m * h
+        tm, dm = exp(x), expm1(x)
+    return exp(h + h) * spread, squares
 
 
 def extract_collective_grids(channel, grids):
-    """Collective channel coefficients of each grid in ``grids``, in one pass.
+    """Collective channel coefficients of each grid in ``grids``.
 
     Row g equals ``extract_collective(build_transfer_from_channel(channel,
     grids[g]))`` up to rounding.  With tp, ta the per-cell transmissions and
@@ -244,32 +264,29 @@ def extract_collective_grids(channel, grids):
       x_l_out(m) = tp^n_z x_l_in(m) - k sum_j tp^(n_z - j) [p_a at (m, j)],
 
     plus light vacua; x_a_out(j) mirrors it.  Every field is then a product of
-    the O(1) sums of :func:`_damping_sums` over the bins and the slices, but
-    for ``signal_leak``'s spread of the per-slice (per-bin) factors and the
-    cross-noise sum over j of (sum_{m <= j} t^m)^2: :func:`_segmented_sums`.
+    the sums of :func:`_damping_sums` over the bins and the slices: O(1)
+    geometric sums, and ``signal_leak``'s spread of the per-slice (per-bin)
+    factors and the cross-noise sum over j of (sum_{m <= j} t^m)^2 in
+    O(log n) binary-splitting steps (:func:`_ladder_sums`), in Python floats.
     """
-    light = [_damping_sums(channel.eps_p, grid.n_z) for grid in grids]
-    atoms = [_damping_sums(channel.eps_a, grid.n_tau) for grid in grids]
-    spread, squares = _segmented_sums(
-        [terms[1] for terms in light + atoms],
-        [grid.n_z for grid in grids] + [grid.n_tau for grid in grids],
-    )
     # An input the channel accepts can still square past the float range: a
     # numerical failure, not a config error.
     kappa2 = _power("kappa", channel.kappa, 2, OverflowError)
     extractions = []
-    for g, grid in enumerate(grids):
-        nz, nt, a = grid.n_z, grid.n_tau, g + len(grids)
-        eps_p, h_p, em_p, power_p, energy_p, eff_p = light[g]
-        eps_a, h_a, em_a, power_a, energy_a, eff_a = atoms[g]
+    for grid in grids:
+        nz, nt = grid.n_z, grid.n_tau
+        eps_p, h_p, em_p, power_p, energy_p, eff_p, spread_p, squares_p = _damping_sums(
+            channel.eps_p, nz)
+        eps_a, h_a, em_a, power_a, energy_a, eff_a, spread_a, squares_a = _damping_sums(
+            channel.eps_a, nt)
         # sum_{j < n - 1} (sum_{m <= j} t^m)^2 = sum_{i < n} d_i^2 / expm1(h)^2.
         # Once expm1(h)^2 is below the normal floats, where the quotient of
         # subnormals keeps few digits or divides by an underflowed 0, n h is
         # under 1e-147 up to the 2^22 grid cap, and the h -> 0 limit
         # sum_{i < n} i^2 is exact to rounding.
         part_p, part_a = (
-            squares[s] / em**2 if em**2 >= sys.float_info.min else (n - 1) * n * (2 * n - 1) / 6
-            for s, em, n in ((g, em_p, nz), (a, em_a, nt))
+            squares / em**2 if em**2 >= sys.float_info.min else (n - 1) * n * (2 * n - 1) / 6
+            for squares, em, n in ((squares_p, em_p, nz), (squares_a, em_a, nt))
         )
         k2 = kappa2 / (nz * nt)
         # Same-channel vacua: a vacuum injected i dampings before the output.
@@ -285,7 +302,7 @@ def extract_collective_grids(channel, grids):
             eps_a_eff=eff_a,
             # x_l <- p_a(j) carries S(h_a, n_tau) / sqrt(n_tau); x_a mirrors it.
             signal_leak=VACUUM_VARIANCE * k2 * max(
-                power_a**2 / nt * spread[g], power_p**2 / nz * spread[a]),
+                power_a**2 / nt * spread_p, power_p**2 / nz * spread_a),
             noise_var_light_x=VACUUM_VARIANCE * own_l,
             noise_var_atom_x=VACUUM_VARIANCE * own_a,
             noise_var_light_x_total=VACUUM_VARIANCE * (own_l + cross_l),

@@ -100,6 +100,13 @@ noise.eta_t_local = 0.35
 rounds.local2.kappa = 3.0
 """
 
+# The reference point at a tenth of its detuning (kappa = 50, eps = 5/6) on
+# the grid ladder up to 1024: variance sums on ladders and damping that the
+# reference case does not reach.  Its grids stay outside the tolerance, so
+# it exits 3 with its artifact written.
+CONFIGS["detuned"] = CONFIGS["reference"].replace(
+    "delta = 9.42477796076938e9", "delta = 9.42477796076938e8") + "mb.max_grid = 1024\n"
+
 COMMANDS = ("derive", "entangle", "teleport", "sweep", "mb-validate")
 
 # Sampled subcommands run several trials so every record row is covered.
@@ -114,6 +121,7 @@ CASES["sweep-corner"] = ("corner", ["sweep"])
 CASES["teleport-gain"] = ("gain", ["teleport", "--trials", "64"])
 CASES["teleport-local"] = ("local", ["teleport", "--trials", "3"])
 CASES["sweep-local"] = ("local", ["sweep"])
+CASES["mb-validate-detuned"] = ("detuned", ["mb-validate"])
 
 
 FORMATS = ("json", "csv")

@@ -1185,6 +1185,27 @@ def test_a_failed_write_leaves_a_prefix_of_the_new_artifact(tmp_path, capsys, mo
     assert 0 < len(data) < len(fresh) and fresh.startswith(data)
 
 
+def test_the_artifact_is_written_in_blocks_of_at_least_write_bytes(tmp_path, monkeypatch):
+    # One os.write per chunk made a sweep artifact, about 20 chunks, slower
+    # to write: every write but the last carries at least _WRITE_BYTES.  At 7
+    # rows a block the 3000 rows come in about 430 chunks of 1 KB.
+    import os
+
+    sizes, real = [], os.write
+
+    def spy(fd, data):
+        sizes.append(len(data))
+        return real(fd, data)
+
+    monkeypatch.setattr(os, "write", spy)
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)
+    cfg = _write(tmp_path, "run.cfg", SWEEP.replace("sweep.steps = 120", "sweep.steps = 3000"))
+    out = tmp_path / "artifact"
+    assert _run(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert sum(sizes) == out.stat().st_size
+    assert len(sizes) > 2 and min(sizes[:-1]) >= cli._WRITE_BYTES
+
+
 def test_a_long_sweep_holds_one_block_of_rows_at_a_time(tmp_path):
     # 2 x 10^5 rows through the engine and the sink: the traced peak is one
     # block of each, the columns and the config's list of sweep values, about
