@@ -340,13 +340,13 @@ _SCHEMA = {key: _Key(key, *row) for key, row in {
     "sweep.param": (_text, "kappa2", "kappa2", "swept parameter"),
     "sweep.min": (_number, _REQUIRED, "(0, inf)", "lower end of the sweep", "minimum"),
     "sweep.max": (_number, _REQUIRED, "(0, inf)", "upper end of the sweep", "maximum"),
-    "sweep.steps": (_integer, _REQUIRED, "[2, 10^6]", "grid size; cap: 2.3-2.8 s, 76 MB"),
+    "sweep.steps": (_integer, _REQUIRED, "[2, 10^6]", "grid size; cap: 2.4-3.5 s, 76 MB"),
     "mb.min_grid": (_integer, MbSpec.min_grid, "[1, inf)", "smallest dyadic grid"),
     "mb.max_grid": (_integer, MbSpec.max_grid, "[1, 2^22]", "largest grid; cap: 0.1-0.2 s, 29 MB"),
     "mb.tol_kappa": (_number, MbSpec.tol_kappa, "[0, inf)", "mb-validate tolerance on kappa"),
     "mb.tol_eps": (_number, MbSpec.tol_eps, "[0, inf)", "mb-validate tolerance on eps"),
     "seed": (_integer, 0, "[0, 2^64)", "seed of the run's one outcome stream"),
-    "trials": (_integer, 1, "[1, 10^5]", "independent runs; cap (teleport): 0.2-0.5 s, 58 MB"),
+    "trials": (_integer, 1, "[1, 10^5]", "independent runs; cap (teleport): 0.2-0.6 s, 58 MB"),
     "output.path": (_text, _Later("stdout"), None, "artifact path"),
     "output.format": (_text, "json", "json | csv", "artifact format"),
 }.items()}

@@ -322,10 +322,12 @@ def _overlap(cov, delta, row_name=None):
     ``cov`` is (2, 2, ...) and ``delta`` (2, ...), batch-last like every
     kernel's operands; their trailing axes broadcast, so B rows, or T offsets
     on one covariance, are one call.  The formula is written entry by entry,
-    so every row has the bits of a one-row call.  Raises DegeneracyError if an
-    entry of G is not finite (an overflowed covariance, whose products would
-    turn into nan) or any det(G) is not positive; given ``row_name``, the
-    error ends " at {row_name(row)}" for the first row with a non-finite
+    so every row has the bits of a one-row call; the exponential is
+    ``math.exp`` per row, whose bits do not follow numpy's SIMD dispatch, as
+    the 128-trial ``teleport-gain`` golden case holds.  Raises DegeneracyError
+    if an entry of G is not finite (an overflowed covariance, whose products
+    would turn into nan) or any det(G) is not positive; given ``row_name``,
+    the error ends " at {row_name(row)}" for the first row with a non-finite
     entry, else the most singular row.
     """
 
@@ -341,8 +343,9 @@ def _overlap(cov, delta, row_name=None):
     if not np.all(det > 0.0):
         fail(f"singular overlap matrix (det {np.min(det)})", np.argmin(det))
     d0, d1 = delta[0], delta[1]
-    quadratic = (d0 * (g11 * d0 - g01 * d1) + d1 * (g00 * d1 - g10 * d0)) / det
-    return np.exp(-0.5 * quadratic) / np.sqrt(det)
+    exponent = -0.5 * ((d0 * (g11 * d0 - g01 * d1) + d1 * (g00 * d1 - g10 * d0)) / det)
+    weights = np.fromiter(map(math.exp, exponent.flat), float, exponent.size)
+    return weights.reshape(exponent.shape) / np.sqrt(det)
 
 
 def fidelity_coherent(state, mode, target_mean):

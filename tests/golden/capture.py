@@ -118,7 +118,7 @@ CASES = {
     for command in COMMANDS
 }
 CASES["sweep-corner"] = ("corner", ["sweep"])
-CASES["teleport-gain"] = ("gain", ["teleport", "--trials", "64"])
+CASES["teleport-gain"] = ("gain", ["teleport", "--trials", "128"])
 CASES["teleport-local"] = ("local", ["teleport", "--trials", "3"])
 CASES["sweep-local"] = ("local", ["sweep"])
 CASES["mb-validate-detuned"] = ("detuned", ["mb-validate"])

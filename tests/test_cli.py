@@ -460,6 +460,16 @@ def test_mb_validate_large_grid(tmp_path):
     assert [row["grid"] for row in rows] == [4, 8, 16, 32, 64, 128, 256]
 
 
+def test_mb_validate_runs_at_the_grid_cap(tmp_path):
+    # The ladder's one rung at mb.max_grid's cap, 2^22: sums in O(log n)
+    # steps, so this takes about 0.1 s.
+    cap = 2**22
+    cfg = _write(tmp_path, "run.cfg", PHYSICAL + f"mb.min_grid = {cap}\nmb.max_grid = {cap}\n")
+    out = tmp_path / "mb.json"
+    assert _run(["mb-validate", "--config", cfg, "--out", str(out)]) == 0
+    assert [row["grid"] for row in json.loads(out.read_text())["rows"]] == [cap]
+
+
 def test_mb_validate_lossless_is_exact(tmp_path):
     text = PHYSICAL + (
         "physical.gamma = 0.0\n"
@@ -1226,14 +1236,18 @@ def test_a_long_sweep_holds_one_block_of_rows_at_a_time(tmp_path):
     assert out.stat().st_size > 200000 * 80
 
 
-def test_a_long_teleport_run_pushes_no_trial_through_the_channels(tmp_path):
-    # 10^5 trials: each channel is pushed once as a factor, and the trials'
-    # means are formed after it, so what grows with the trials is a few
-    # arrays of draws, means and outcomes, about 23 MB traced.  With every
-    # trial's mean riding the push the peak was 37 MB.
+@pytest.mark.parametrize("gain", ["", "gain.x = 0.9\ngain.p = -1.1\n"],
+                         ids=["calibrated", "manual"])
+def test_a_long_teleport_run_pushes_no_trial_through_the_channels(tmp_path, gain):
+    # 10^5 trials, at the trials cap: each channel is pushed once as a
+    # factor, and the trials' means are formed after it, so what grows with
+    # the trials is a few arrays of draws, means and outcomes, about 23 MB
+    # traced.  With every trial's mean riding the push the peak was 37 MB.
+    # A manual gain gives every trial its own overlap exponent, taken one
+    # float at a time with no list of all trials.
     import tracemalloc
 
-    cfg = _write(tmp_path, "run.cfg", IDEAL)
+    cfg = _write(tmp_path, "run.cfg", IDEAL + gain)
     out = tmp_path / "run.csv"
     tracemalloc.start()
     try:

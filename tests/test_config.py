@@ -272,7 +272,9 @@ def test_resource_caps(key, cap):
     mapping = parse_config_text(IDEAL)
     mapping.update({"sweep.min": 0.2, "sweep.max": 10.0, "sweep.steps": 20})
     mapping[key] = cap
-    resolve_run_config(mapping)  # accepted; nothing of that size is run here
+    # Accepted.  test_cli.py runs teleport and mb-validate at their caps; a
+    # sweep at its cap takes over 2 s, so none runs here.
+    resolve_run_config(mapping)
     mapping[key] = cap + 1
     with pytest.raises(ConfigError) as err:
         resolve_run_config(mapping)

@@ -581,6 +581,40 @@ def test_overlap_matches_determinant_and_inverse(covs, deltas):
         assert got == _overlap(covs[0], delta)
 
 
+def _overlap_bits(cov, delta):
+    # The kernel's expression order on Python floats, with math.exp and
+    # math.sqrt: every operation correctly rounded or libm's, none numpy's.
+    g00, g11 = cov[0][0] + 0.5, cov[1][1] + 0.5
+    g01, g10 = cov[0][1], cov[1][0]
+    det = g00 * g11 - g01 * g10
+    d0, d1 = delta
+    quadratic = (d0 * (g11 * d0 - g01 * d1) + d1 * (g00 * d1 - g10 * d0)) / det
+    return math.exp(-0.5 * quadratic) / math.sqrt(det)
+
+
+def test_overlap_has_the_bits_of_python_floats():
+    # No bit of an overlap follows numpy's SIMD dispatch.  Every other row
+    # has a zero offset, whose exponential is exactly 1; on an AVX-512 CPU
+    # numpy's np.exp gives 87 of the 2,048 others a different last bit.
+    from spinlight.gaussian import _overlap
+
+    rng = np.random.default_rng(7)
+    factors = rng.normal(size=(2, 2, 4096))
+    covs = np.einsum("ijb,kjb->ikb", factors, factors) + 0.01 * np.eye(2)[:, :, None]
+    deltas = rng.normal(scale=2.0, size=(2, 4096))
+    deltas[:, ::2] = 0.0
+    rows = _overlap(covs, deltas)
+    assert rows.tolist() == [_overlap_bits(covs[..., b].tolist(), deltas[:, b].tolist())
+                             for b in range(4096)]
+    trials = _overlap(covs[..., 0], deltas)
+    assert trials.tolist() == [_overlap_bits(covs[..., 0].tolist(), deltas[:, b].tolist())
+                               for b in range(4096)]
+    state = GaussianState(rng.normal(size=2), covs[..., 1])
+    target = rng.normal(size=2)
+    assert fidelity_coherent(state, 0, target) == _overlap_bits(
+        state.cov.tolist(), (state.mean - target).tolist())
+
+
 def test_overlap_names_its_failing_row():
     # Given a row name, the overlap names the first row with a non-finite
     # entry, else the most singular row; without one the text ends at the figure.

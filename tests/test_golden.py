@@ -14,16 +14,17 @@ and ``mb-validate`` (JSON and CSV) and ``teleport-local.csv`` kept their
 bytes, and every exit code its value.  The ``mb-validate`` goldens were
 recaptured again when its variance sums moved to binary splitting, which
 moved ``signal_leak`` alone, by at most 5.7e-16 relative.  No artifact float
-passes through a BLAS product, and ``mb-validate`` uses no numpy function
-on its floats.  The golden artifacts come out with the same bytes whichever
-SIMD kernels numpy dispatches to: the cross-kernel test below captures them
-twice, once with numpy's dispatched CPU features off and OpenBLAS on its
-oldest x86-64 kernels.  ``mb-validate-detuned`` is a ladder whose bytes
-followed the dispatch while its sums ran in numpy.  The claim holds for
-these cases only: ``_overlap``'s ``np.exp`` (manual-gain ``teleport`` past
-64 trials) moves a last bit with the dispatch elsewhere; README names the
-reproducer.  An artifact is held after exit 0, 2 or 3, the codes of a run
-that writes it.
+passes through a BLAS product, and every one comes from correctly rounded
+numpy arithmetic or ``np.sqrt``, or from Python's ``math``.  The golden
+artifacts come out with the same bytes whichever SIMD kernels numpy
+dispatches to: the cross-kernel test below captures them twice, once with
+numpy's dispatched CPU features off and OpenBLAS on its oldest x86-64
+kernels.  Two cases hold runs whose bytes followed the dispatch while an
+exponential ran in numpy: ``mb-validate-detuned``, a ladder, and
+``teleport-gain``, a manual gain at 128 trials, where the overlap's
+``np.exp`` first moved a last bit at trial 80; its first 64 trials, the
+case's earlier length, kept their bytes.  An artifact is held after exit 0,
+2 or 3, the codes of a run that writes it.
 """
 
 import json
